@@ -66,9 +66,6 @@ class Density:
     def is_vector_field(self) -> bool:
         return self.twice_weight == -2
 
-    def map_coeff(self, fn) -> "Density":
-        return Density(fn(self.coeff), self.twice_weight, self.allow_half)
-
 
 def vector_field(family: str = "f", cap: int = DEFAULT_ORDER_CAP) -> Density:
     return Density.of(jet(family, 0, cap), -1)

@@ -31,6 +31,7 @@ from .expr import (
     hinv_power,
     jet,
     substitute,
+    substitute_jets,
     total_derivative,
 )
 from .lampoly import LamPoly
@@ -45,7 +46,6 @@ class ChartFrame:
     def __init__(self, cap: int = DEFAULT_ORDER_CAP):
         self.cap = cap
         self._bindings: Dict[Tuple[str, int], DiffExpr] = {}
-        self._powers: Dict[Tuple[Tuple[int, int], int], DiffExpr] = {}
 
     @property
     def eta(self) -> DiffExpr:
@@ -77,14 +77,6 @@ class ChartFrame:
         self._bindings[key] = out
         return out
 
-    def _power(self, atom: Tuple[int, int], exp: int, table) -> DiffExpr:
-        key = (atom, exp)
-        got = self._powers.get(key)
-        if got is None:
-            got = table[atom] ** exp
-            self._powers[key] = got
-        return got
-
     def pushforward(self, e: DiffExpr) -> DiffExpr:
         """Rewrite the beta-frame evaluation of e in alpha-frame jets."""
         bad = e.families() & {"h", "hinv"}
@@ -95,13 +87,7 @@ class ChartFrame:
             top = e.max_order(fam)
             for order in range(top + 1):
                 table[(_RANK[fam], order)] = self.binding(fam, order)
-        out = DiffExpr.zero()
-        for mono, coef in e.terms():
-            piece = DiffExpr.coefficient(coef)
-            for atom, exp in mono:
-                piece = piece * self._power(atom, exp, table)
-            out = out + piece
-        return out
+        return substitute_jets(e, table)
 
 
 def pushforward(e: DiffExpr, frame: Optional[ChartFrame] = None) -> DiffExpr:
@@ -216,13 +202,7 @@ class CorrectionResult:
 
     @property
     def representative(self) -> Optional[Cochain2]:
-        if not self.feasible:
-            return None
-        coeff = self.symbol
-        for i, v in self.coefficients.items():
-            coeff = coeff + self.ansatz[i].expr.scale(v)
-        lam = LamPoly.const(0) if self.trivial_action else LamPoly.const(self.module_lambda)
-        return Cochain2(coeff, self.weight, lam, trivial_action=self.trivial_action)
+        return self.member(()) if self.feasible else None
 
     def member(self, gauge: Sequence[Fraction]) -> Cochain2:
         if not self.feasible:
@@ -290,7 +270,10 @@ def solve_corrections(
     determinants are excluded so the symbol is preserved.  Globality and the
     cocycle identity at the module parameter are imposed as exact linear
     constraints; the result is the full affine solution set with a canonical
-    representative (minimal support, ties broken lexicographically).
+    representative.  That is the minimal-support point (ties broken
+    lexicographically) when the gauge dimension is at most 3 and at most 26
+    coordinates are involved, and otherwise the echelon particular solution
+    with the free variables set to zero (c5 and c7).
     """
     trivial = False
     if isinstance(symbol, Cochain2):
@@ -379,11 +362,13 @@ def _delta_expr(coeff: DiffExpr, lam: Optional[LamPoly], trivial: bool, cap: int
 
 
 def _canonical_point(solution: AffineSolution) -> Dict[int, Fraction]:
-    """Minimal-support point of the affine set, ties broken lexicographically.
+    """Canonical point of the affine set.
 
-    Exact for nullspace dimension <= 3 (vertex enumeration over the gauge
-    coordinates); for larger gauge dimension the echelon particular solution
-    (free variables zero) is used.
+    When the gauge dimension is at most 3 and at most 26 coordinates occur
+    in the nullspace, vertex enumeration over the gauge coordinates picks
+    the point of minimal support, ties broken lexicographically.  Otherwise
+    it is the echelon particular solution with the free variables set to
+    zero; this applies to c5 (dimension 8) and c7 (dimension 17).
     """
     d = solution.dimension
     if d == 0:

@@ -19,7 +19,7 @@ from typing import Optional
 from .charts import is_global, solve_corrections
 from .expr import OrderCapExceeded
 from .cochains import CATALOGUE_NAMES, catalogue, ce_differential
-from .report import any_fail, emit_report, render_text, run_suite
+from .report import SUITES, any_fail, emit_report, render_text, run_suite
 from .syntax import ExprSyntaxError, parse_expr, to_text
 from .wittmodel import evaluate_cochain
 
@@ -31,6 +31,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
+def _window(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"the window must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jetcocycles",
@@ -39,10 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", default="all",
-                          choices=("all", "theorem1", "table3", "global",
-                                   "covariant", "witt", "nontrivial"))
-    p_verify.add_argument("--window", type=int, default=6)
+    p_verify.add_argument("--suite", default="all", choices=SUITES)
+    p_verify.add_argument("--window", type=_window, default=6)
     p_verify.add_argument("--max-order", type=int, default=12)
     p_verify.add_argument("--json", metavar="PATH", default=None)
 

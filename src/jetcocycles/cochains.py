@@ -202,10 +202,11 @@ _R2 = jet("R", 2)
 _HALF = Fraction(1, 2)
 
 # engine-derived connection corrections: canonical representatives of the
-# globality+cocycle solver (minimal support, lexicographic tie-break),
-# re-derived and re-verified by the test suite.  The gauge freedom of the
-# solution sets is spanned by global-cocycle additions built from
-# G = R - T' - T^2/2.
+# globality+cocycle solver, re-derived and re-verified by the test suite.
+# The rule is charts._canonical_point: minimal support for c1 and c2 (gauge
+# dimension 1), the echelon particular solution for c5 (gauge dimension 8).
+# The gauge freedom of the solution sets is spanned by global-cocycle
+# additions built from G = R - T' - T^2/2.
 DERIVED_C1 = det_expr(1, 2) - _T0 * det_expr(0, 2) + (_T1 + _T0 ** 2) * det_expr(0, 1)
 DERIVED_C2 = det_expr(1, 3) - _T0 * det_expr(0, 3) + (_R1 + 2 * _T0 * _R0) * det_expr(0, 1)
 DERIVED_C5 = (

@@ -248,6 +248,8 @@ class DiffExpr:
             raise ValueError(f"non-integer exponent {n!r}")
         if n < 0:
             raise ValueError("negative powers are not representable; use hinv for 1/h'")
+        if n == 1:
+            return self
         acc = _ONE
         base = self
         while n:
@@ -359,12 +361,6 @@ def total_derivative(e: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
     return DiffExpr(out)
 
 
-def derivative_power(e: DiffExpr, n: int, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
-    for _ in range(n):
-        e = total_derivative(e, cap)
-    return e
-
-
 # -- substitution -----------------------------------------------------
 
 
@@ -395,18 +391,15 @@ def substitute(
             table[(rank, order)] = cur
             if order < need:
                 cur = total_derivative(cur, cap)
-    return substitute_jets(e, table, partial_ok=False)
+    return substitute_jets(e, table)
 
 
-def substitute_jets(
-    e: DiffExpr,
-    table: Mapping[Atom, DiffExpr],
-    partial_ok: bool = False,
-) -> DiffExpr:
+def substitute_jets(e: DiffExpr, table: Mapping[Atom, DiffExpr]) -> DiffExpr:
     """Replace individual jet symbols by expressions (homomorphically).
 
-    Families that appear in the table must be fully covered at every order
-    occurring in ``e`` unless partial_ok is set.
+    Families that appear in the table must be covered at every order
+    occurring in ``e``; a missing order raises KeyError.  Symbols of other
+    families are kept.
     """
     bound_ranks = {atom[0] for atom in table}
     powers: Dict[Tuple[Atom, int], DiffExpr] = {}
@@ -419,14 +412,14 @@ def substitute_jets(
             powers[key] = got
         return got
 
-    out = _ZERO
+    out: Dict[Monomial, LamPoly] = {}
     for mono, coef in e._terms.items():
         keep = []
         factors = []
         for atom, exp in mono:
             if atom in table:
                 factors.append(power_of(atom, exp))
-            elif atom[0] in bound_ranks and not partial_ok:
+            elif atom[0] in bound_ranks:
                 raise KeyError(
                     f"binding table covers family {FAMILIES[atom[0]]!r} "
                     f"but not order {atom[1]}"
@@ -436,8 +429,14 @@ def substitute_jets(
         piece = DiffExpr({_mono_from_pairs(keep): coef})
         for fac in factors:
             piece = piece * fac
-        out = out + piece
-    return out
+        for m, c in piece._terms.items():
+            acc = out.get(m)
+            s = c if acc is None else acc + c
+            if s.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return DiffExpr(out)
 
 
 # -- evaluation oracle -------------------------------------------------

@@ -22,6 +22,8 @@ from jetcocycles.charts import (
 )
 from jetcocycles.cochains import (
     DERIVED_C1,
+    DERIVED_C2,
+    DERIVED_C5,
     PRINTED_CONNECTION_VARIANTS,
     catalogue,
     det_expr,
@@ -42,7 +44,7 @@ def _subs_h(e: DiffExpr, jets: dict) -> DiffExpr:
     """Numerically fix the transition jets (and hinv) in an expression."""
     table = {(_RANK["h"], n): DiffExpr.rational(v) for n, v in jets.items()}
     table[(_RANK["hinv"], 0)] = DiffExpr.rational(Fraction(1) / jets[1])
-    return substitute_jets(e, table, partial_ok=True)
+    return substitute_jets(e, table)
 
 
 def _compose_jets(outer: dict, inner: dict, order: int) -> dict:
@@ -195,6 +197,14 @@ def test_solve_corrections_c1_and_gauge():
     assert is_global(member).ok
     from jetcocycles.cochains import ce_differential
     assert ce_differential(member).is_zero()
+
+
+@pytest.mark.parametrize("name, dimension, derived",
+                         [("c2", 1, DERIVED_C2), ("c5", 8, DERIVED_C5)])
+def test_solve_corrections_reproduces_derived_forms(name, dimension, derived):
+    res = solve_corrections(catalogue(name, "flat"))
+    assert res.feasible and res.dimension == dimension
+    assert res.representative.coeff == derived
 
 
 def test_solve_corrections_empty_outcome():

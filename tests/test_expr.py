@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetcocycles.expr import (
+    _RANK,
     DiffExpr,
     OrderCapExceeded,
     eval_rational,
@@ -18,6 +19,7 @@ from jetcocycles.expr import (
     lam_expr,
     partial_derivative,
     substitute,
+    substitute_jets,
     total_derivative as D,
 )
 from jetcocycles.lampoly import LAM
@@ -154,6 +156,14 @@ def test_jacobi_identity_via_substitution():
 def test_rebinding_transition_family_rejected():
     with pytest.raises(ValueError):
         substitute(F0, {"h": F0})
+
+
+def test_substitute_jets_needs_every_occurring_order_of_a_bound_family():
+    T0 = jet("T", 0)
+    table = {(_RANK["f"], 0): G0, (_RANK["f"], 2): G1}
+    assert substitute_jets(F2 * T0 + F0, table) == G1 * T0 + G0
+    with pytest.raises(KeyError):
+        substitute_jets(F0 * F1, table)
 
 
 # -- evaluation oracle ---------------------------------------------------

@@ -106,6 +106,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("window", ["0", "-1"])
+def test_cli_rejects_windows_below_one(window, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "witt", "--window", window])
+    assert exc.value.code == 2
+    assert "window" in capsys.readouterr().err
+
+
+def test_inconclusive_generator_certificate_is_a_failure(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    code = main(["verify", "--suite", "nontrivial", "--window", "1", "--json", str(path)])
+    capsys.readouterr()
+    assert code == 1
+    by_id = {r["check_id"]: r for r in json.loads(path.read_text())}
+    for check_id in ("nontrivial.kn", "nontrivial.c5"):
+        assert by_id[check_id]["status"] == "FAIL"
+        assert "window 1" in by_id[check_id]["residual"]
+
+
 def test_cli_globalize(capsys):
     code = main(["globalize", "--symbol", "det(0,3)", "--weight", "1",
                  "--lambda", "2"])
