@@ -421,7 +421,7 @@ def derive_c7(max_order: int = DEFAULT_ORDER_CAP) -> CorrectionResult:
     """Connection form of the weight-7 generator, from the solver (cached)."""
     got = _C7_CACHE.get(max_order)
     if got is None:
-        got = solve_corrections(catalogue("c7", "flat", max_order), max_order=max_order)
+        got = solve_corrections(catalogue("c7", "flat"), max_order=max_order)
         _C7_CACHE[max_order] = got
     return got
 
@@ -435,7 +435,7 @@ def connection_form(name: str, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
         if not result.feasible:
             raise RuntimeError("the weight-7 correction system is infeasible")
         return result.representative
-    return catalogue(name, "connection", cap)
+    return catalogue(name, "connection")
 
 
 def covariant_equivalence(name: str, cap: int = DEFAULT_ORDER_CAP) -> EquivalenceResult:
@@ -445,7 +445,7 @@ def covariant_equivalence(name: str, cap: int = DEFAULT_ORDER_CAP) -> Equivalenc
     the opposite-sign package corresponds to Gamma = -T with R negated and
     needs no extra normalization here beyond that documented flip.
     """
-    cov = catalogue(name, "covariant", cap)
+    cov = catalogue(name, "covariant")
     conn = connection_form(name, cap)
     conn_in_T = substitute(conn.coeff, {"R": projective_from_affine(cap)}, cap)
     residual = conn_in_T - cov.coeff

@@ -1,6 +1,6 @@
 """Command line surface.
 
-    jetcocycles verify --suite all [--window N] [--max-order N] [--json PATH]
+    jetcocycles verify --suite all [--window N] [--json PATH]
     jetcocycles globalize --symbol "2*det(3,6) - 9*det(4,5)" --weight 7
     jetcocycles eval --cocycle c5 --m 3 --n -3 [--lambda Q]
     jetcocycles table3
@@ -48,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all", choices=SUITES)
     p_verify.add_argument("--window", type=_window, default=6)
-    p_verify.add_argument("--max-order", type=int, default=12)
     p_verify.add_argument("--json", metavar="PATH", default=None)
 
     p_glob = sub.add_parser("globalize", help="solve for connection corrections")
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    records = run_suite(args.suite, window=args.window, max_order=args.max_order)
+    records = run_suite(args.suite, window=args.window)
     sys.stdout.write(render_text(records))
     if args.json:
         emit_report(records, "json", args.json)

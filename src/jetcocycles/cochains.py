@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Dict, Optional, Tuple
 
 from .expr import (
@@ -252,97 +253,74 @@ def _cov_det(i: int, j: int, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
     return fi * gj - fj * gi
 
 
-@dataclass(frozen=True)
-class _Entry:
-    flat: DiffExpr
-    weight: int               # value weight of the flat/connection form
-    row_lambda: Optional[int]  # module parameter of the final generator
-    connection: Optional[DiffExpr]
-    covariant: Optional[DiffExpr]
-    has_omega: bool
-    trivial_action: bool = False
-
-
-def _entries() -> Dict[str, _Entry]:
+# name -> (value weight, module parameter of the generator, flat,
+# connection, covariant, has an omega-paired form).  The module parameter
+# None marks the trivial action (values pair to constants); cbar0, a cocycle
+# for every lam, keeps lam symbolic in its chart forms.
+def _rows() -> Dict[str, tuple]:
     return {
-        "cbar0": _Entry(det_expr(0, 1), -1, 0, det_expr(0, 1),
-                        _cov_det(0, 1), True),
-        "c0w": _Entry(_HALF * det_expr(0, 3), 1, 0,
-                      _HALF * det_expr(0, 3) - _R0 * det_expr(0, 1),
-                      None, False, trivial_action=True),
-        "c1": _Entry(det_expr(1, 2), 1, 1, DERIVED_C1, _cov_det(1, 2), False),
-        "cbar1": _Entry(det_expr(0, 2), 0, 1,
-                        det_expr(0, 2) - _T0 * det_expr(0, 1),
-                        _cov_det(0, 2), True),
-        "c2": _Entry(det_expr(1, 3), 2, 2, DERIVED_C2, _cov_det(1, 3), False),
-        "cbar2": _Entry(det_expr(0, 3), 1, 2,
-                        det_expr(0, 3) - 2 * _R0 * det_expr(0, 1),
-                        _cov_det(0, 3), True),
-        "c5": _Entry(det_expr(3, 4), 5, 5, DERIVED_C5, _cov_det(3, 4), False),
-        "c7": _Entry(2 * det_expr(3, 6) - 9 * det_expr(4, 5), 7, 7, None,
-                     2 * _cov_det(3, 6) - 9 * _cov_det(4, 5), False),
+        "cbar0": (-1, 0, det_expr(0, 1), det_expr(0, 1), _cov_det(0, 1), True),
+        "c0w": (1, None, _HALF * det_expr(0, 3),
+                _HALF * det_expr(0, 3) - _R0 * det_expr(0, 1), None, False),
+        "c1": (1, 1, det_expr(1, 2), DERIVED_C1, _cov_det(1, 2), False),
+        "cbar1": (0, 1, det_expr(0, 2), det_expr(0, 2) - _T0 * det_expr(0, 1),
+                  _cov_det(0, 2), True),
+        "c2": (2, 2, det_expr(1, 3), DERIVED_C2, _cov_det(1, 3), False),
+        "cbar2": (1, 2, det_expr(0, 3), det_expr(0, 3) - 2 * _R0 * det_expr(0, 1),
+                  _cov_det(0, 3), True),
+        "c5": (5, 5, det_expr(3, 4), DERIVED_C5, _cov_det(3, 4), False),
+        "c7": (7, 7, 2 * det_expr(3, 6) - 9 * det_expr(4, 5), None,
+               2 * _cov_det(3, 6) - 9 * _cov_det(4, 5), False),
     }
 
 
-_ENTRY_CACHE: Dict[str, _Entry] = {}
+@cache
+def _build() -> Dict[Tuple[str, str], Cochain2]:
+    """Every stored (name, form) cochain, built and cross-checked once.
+
+    Unbarred generators have module parameter equal to their value weight;
+    barred ones reach it after tensoring with the 1-form (omega form).
+    """
+    table: Dict[Tuple[str, str], Cochain2] = {}
+    for name, (weight, lam, *coeffs, has_omega) in _rows().items():
+        if has_omega and weight + 1 != lam:
+            raise ValueError(f"{name}: omega-paired weight {weight + 1} disagrees "
+                             f"with module parameter {lam}")
+        if not has_omega and lam is not None and weight != lam:
+            raise ValueError(f"{name}: value weight {weight} disagrees with "
+                             f"module parameter {lam}")
+        for form, coeff in zip(FORMS, coeffs):
+            if coeff is None:
+                continue
+            if lam is None:
+                c = Cochain2(coeff, weight, LamPoly.const(0), trivial_action=True)
+            else:
+                c = Cochain2(coeff, weight,
+                             LamPoly.lam() if name == "cbar0" else LamPoly.const(lam))
+            table[name, form] = c
+        if has_omega:
+            table[name, "omega"] = Cochain2(
+                table[name, "connection"].coeff * jet("w", 0), weight + 1,
+                LamPoly.const(lam))
+    return table
 
 
-def _entry(name: str) -> _Entry:
+_MISSING = {
+    "connection": "{} has no stored connection form; derive it with "
+                  "jetcocycles.charts.solve_corrections",
+    "covariant": "{} has no covariant form",
+    "omega": "{} has no omega-paired form",
+}
+
+
+def catalogue(name: str, form: str = "connection") -> Cochain2:
+    """Look up a generator in one of its shapes (see _build)."""
     key = _ALIASES.get(name, name)
     if key not in CATALOGUE_NAMES:
         raise KeyError(f"unknown cocycle name {name!r}")
-    if not _ENTRY_CACHE:
-        _ENTRY_CACHE.update(_entries())
-    return _ENTRY_CACHE[key]
-
-
-def catalogue(name: str, form: str = "connection",
-              cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
-    """Look up a generator in one of its shapes.
-
-    The weight/lambda bookkeeping is cross-checked on the way out: unbarred
-    generators have module parameter equal to their value weight, barred
-    ones reach it after tensoring with the 1-form (omega form).
-    """
-    ent = _entry(name)
-    key = _ALIASES.get(name, name)
     if form not in FORMS:
         raise KeyError(f"unknown form {form!r}; expected one of {FORMS}")
-    if form == "omega":
-        if not ent.has_omega:
-            raise KeyError(f"{key} has no omega-paired form")
-        weight = ent.weight + 1
-        if weight != ent.row_lambda:
-            raise ValueError(f"{key}: omega-paired weight {weight} disagrees "
-                             f"with module parameter {ent.row_lambda}")
-        conn = catalogue(key, "connection", cap)
-        return Cochain2(conn.coeff * jet("w", 0, cap), weight,
-                        LamPoly.const(ent.row_lambda))
-    if form == "flat":
-        coeff = ent.flat
-    elif form == "connection":
-        if ent.connection is None:
-            raise KeyError(
-                f"{key} has no stored connection form; derive it with "
-                "jetcocycles.charts.solve_corrections"
-            )
-        coeff = ent.connection
-    else:
-        if ent.covariant is None:
-            raise KeyError(f"{key} has no covariant form")
-        coeff = ent.covariant
-    if ent.trivial_action:
-        return Cochain2(coeff, ent.weight, LamPoly.const(0), trivial_action=True)
-    if not ent.has_omega and ent.weight != ent.row_lambda:
-        raise ValueError(f"{key}: value weight {ent.weight} disagrees with "
-                         f"module parameter {ent.row_lambda}")
-    lam = LamPoly.lam() if key == "cbar0" else LamPoly.const(ent.row_lambda)
-    return Cochain2(coeff, ent.weight, lam)
-
-
-def catalogue_weight(name: str) -> int:
-    return _entry(name).weight
-
-
-def catalogue_lambda(name: str) -> Optional[int]:
-    return _entry(name).row_lambda
+    try:
+        return _build()[key, form]
+    except KeyError:
+        raise KeyError(_MISSING[form].format(key)) from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
-from .charts import derive_c7, is_global
+from .charts import covariant_equivalence, derive_c7, is_global
 from .cochains import (
     Cochain1,
     Cochain2,
@@ -86,54 +86,40 @@ class CheckRecord:
         }
 
 
-def _lam_str(lam) -> str:
-    if lam is None:
-        return "symbolic"
-    if isinstance(lam, LamPoly):
-        return "symbolic" if lam.degree > 0 else str(lam.constant_value())
-    return str(Fraction(lam))
-
-
-def _zero_check(check_id: str, description: str, lam, residual: DiffExpr,
-                ref: str) -> CheckRecord:
+def _zero_check(check_id: str, description: str, lam: Optional[LamPoly],
+                residual: DiffExpr, ref: str) -> CheckRecord:
+    """lam None or of positive degree is reported as "symbolic"."""
     ok = residual.is_zero()
-    return CheckRecord(check_id, description, _lam_str(lam),
+    symbolic = lam is None or lam.degree > 0
+    return CheckRecord(check_id, description,
+                       "symbolic" if symbolic else str(lam.constant_value()),
                        "PASS" if ok else "FAIL",
                        "" if ok else to_text(residual), ref)
 
 
 # -- theorem1: cocycle identities ---------------------------------------
 
-_FLAT_ROWS = (
-    ("cbar0", None), ("c1", 1), ("cbar1", 1), ("c2", 2),
-    ("cbar2", 2), ("c5", 5), ("c7", 7),
-)
+
+def _closed_record(name: str, form: str, description: str, ref: str) -> CheckRecord:
+    c = catalogue(name, form)
+    return _zero_check(f"theorem1.{name}.{form}", description, c.module_lambda,
+                       ce_differential(c), ref)
 
 
 def suite_theorem1() -> List[CheckRecord]:
-    out: List[CheckRecord] = []
-    for name, lam in _FLAT_ROWS:
-        c = catalogue(name, "flat")
-        if lam is not None:
-            c = c.at_lambda(lam)
-        out.append(_zero_check(
-            f"theorem1.{name}.flat",
-            f"flat form of {name} satisfies the cocycle identity",
-            None if lam is None else lam,
-            ce_differential(c), "generator catalogue"))
+    out = [_closed_record(name, "flat",
+                          f"flat form of {name} satisfies the cocycle identity",
+                          "generator catalogue")
+           for name in ("cbar0", "c1", "cbar1", "c2", "cbar2", "c5", "c7")]
     out.append(_ratio_record())
-    for name, lam in (("c1", 1), ("cbar1", 1), ("c2", 2), ("cbar2", 2), ("c5", 5)):
-        out.append(_zero_check(
-            f"theorem1.{name}.connection",
-            f"connection form of {name} stays a cocycle with T, R background",
-            lam, ce_differential(catalogue(name, "connection")),
-            "corrected generator"))
-    for name, lam in (("cbar0", 0), ("cbar1", 1), ("cbar2", 2)):
-        out.append(_zero_check(
-            f"theorem1.{name}.omega",
-            f"1-form-paired family {name} stays a cocycle with w background",
-            lam, ce_differential(catalogue(name, "omega")),
-            "1-form pairing"))
+    out.extend(_closed_record(
+        name, "connection",
+        f"connection form of {name} stays a cocycle with T, R background",
+        "corrected generator") for name in ("c1", "cbar1", "c2", "cbar2", "c5"))
+    out.extend(_closed_record(
+        name, "omega",
+        f"1-form-paired family {name} stays a cocycle with w background",
+        "1-form pairing") for name in ("cbar0", "cbar1", "cbar2"))
     return out
 
 
@@ -199,22 +185,15 @@ def suite_table3() -> List[CheckRecord]:
 
 # -- global: chart covariance --------------------------------------------
 
-_GLOBAL_ROWS = (
-    ("cbar0", -1), ("cbar1", 0), ("c1", 1), ("cbar2", 1),
-    ("c2", 2), ("c5", 5), ("c0w", 1),
-)
-
-
-def suite_global(max_order: int = 12) -> List[CheckRecord]:
+def suite_global() -> List[CheckRecord]:
     out: List[CheckRecord] = []
-    for name, weight in _GLOBAL_ROWS:
+    for name in ("cbar0", "cbar1", "c1", "cbar2", "c2", "c5", "c0w"):
         c = catalogue(name, "connection")
-        res = is_global(c, weight)
         out.append(_zero_check(
             f"global.{name}",
-            f"connection form of {name} transforms as a weight {weight} density",
-            c.module_lambda, res.residual, "transformation check"))
-    c7 = derive_c7(max_order)
+            f"connection form of {name} transforms as a weight {c.value_weight} density",
+            c.module_lambda, is_global(c).residual, "transformation check"))
+    c7 = derive_c7()
     rep = c7.representative
     ok = (c7.feasible and is_global(rep).ok
           and ce_differential(rep).is_zero())
@@ -230,29 +209,20 @@ def suite_global(max_order: int = 12) -> List[CheckRecord]:
 # -- covariant: equivalence of formulations -------------------------------
 
 
-def suite_covariant(max_order: int = 12) -> List[CheckRecord]:
-    from .charts import covariant_equivalence
-
+def suite_covariant() -> List[CheckRecord]:
     out: List[CheckRecord] = []
     for name in ("c1", "cbar1", "c2", "cbar2", "c5", "c7"):
-        r = covariant_equivalence(name, max_order)
         out.append(_zero_check(
             f"covariant.{name}",
             f"covariant form of {name} equals the connection form under "
             "R = T' + T^2/2",
-            catalogue_lambda_str(name), r.residual, "covariant formulation"))
+            catalogue(name, "covariant").module_lambda,
+            covariant_equivalence(name).residual, "covariant formulation"))
     out.append(_zero_check(
         "covariant.action",
         "f*nabla(a) + lam*nabla(f)*a equals f*a' + lam*f'*a identically",
         None, _action_residual(), "covariant action"))
     return out
-
-
-def catalogue_lambda_str(name: str) -> str:
-    from .cochains import catalogue_lambda
-
-    lam = catalogue_lambda(name)
-    return "symbolic" if lam is None else str(lam)
 
 
 def _action_residual() -> DiffExpr:
@@ -270,7 +240,13 @@ def _action_residual() -> DiffExpr:
 # -- witt: Laurent realization --------------------------------------------
 
 
+def _require_window(window: int) -> None:
+    if window < 1:
+        raise ValueError(f"the window must be at least 1, got {window}")
+
+
 def suite_witt(window: int = 6) -> List[CheckRecord]:
+    _require_window(window)
     out: List[CheckRecord] = []
     base = kn_value(2, -2)
     ok_base = base == Fraction(-6)
@@ -345,6 +321,7 @@ def _kn_cocycle_record(window: int) -> CheckRecord:
 
 
 def suite_nontrivial(window: int = 6) -> List[CheckRecord]:
+    _require_window(window)
     out: List[CheckRecord] = []
     kn = nontriviality_certificate(catalogue("c0w", "flat"), window=window)
     out.append(_required_certificate(
@@ -377,26 +354,26 @@ def _required_certificate(check_id: str, description: str, lam: str,
 
 # -- runner ----------------------------------------------------------------
 
-# suite name -> records for (window, max_order); "all" runs them in this order
+# suite name -> records for a window; "all" runs them in this order
 _SUITE_FUNCTIONS = {
-    "theorem1": lambda window, max_order: suite_theorem1(),
-    "table3": lambda window, max_order: suite_table3(),
-    "global": lambda window, max_order: suite_global(max_order),
-    "covariant": lambda window, max_order: suite_covariant(max_order),
-    "witt": lambda window, max_order: suite_witt(window),
-    "nontrivial": lambda window, max_order: suite_nontrivial(window),
+    "theorem1": lambda window: suite_theorem1(),
+    "table3": lambda window: suite_table3(),
+    "global": lambda window: suite_global(),
+    "covariant": lambda window: suite_covariant(),
+    "witt": suite_witt,
+    "nontrivial": suite_nontrivial,
 }
 SUITES = ("all",) + tuple(_SUITE_FUNCTIONS)
 
 
-def run_suite(suite: str, window: int = 6, max_order: int = 12) -> List[CheckRecord]:
+def run_suite(suite: str, window: int = 6) -> List[CheckRecord]:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if suite != "all":
-        return _SUITE_FUNCTIONS[suite](window, max_order)
+        return _SUITE_FUNCTIONS[suite](window)
     out: List[CheckRecord] = []
     for name in _SUITE_FUNCTIONS:
-        out.extend(run_suite(name, window, max_order))
+        out.extend(run_suite(name, window))
     return out
 
 

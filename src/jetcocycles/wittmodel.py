@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .cochains import Cochain2, catalogue
 from .expr import DiffExpr, FAMILIES
@@ -210,12 +210,8 @@ class CertificateResult:
         return self.verdict == "NONTRIVIAL"
 
 
-ValueTable = Callable[[int, int], LaurentDensity]
-
-
-def nontriviality_certificate(c: Union[Cochain2, ValueTable], lam: Optional[Rat] = None,
-                              window: int = 6,
-                              trivial_action: Optional[bool] = None) -> CertificateResult:
+def nontriviality_certificate(c: Cochain2, lam: Optional[Rat] = None,
+                              window: int = 6) -> CertificateResult:
     """Exact graded obstruction to c = delta b on the window.
 
     For a graded density-valued cochain the unknowns are the coefficients
@@ -225,27 +221,18 @@ def nontriviality_certificate(c: Union[Cochain2, ValueTable], lam: Optional[Rat]
     infeasibility is a proof of non-triviality.  With trivial action the
     values pair to constants and the system is -(n-m) beta_{m+n} = c(m, n).
     """
-    if isinstance(c, Cochain2):
-        if trivial_action is None:
-            trivial_action = c.trivial_action
-        if lam is None and not c.is_symbolic() and not trivial_action:
-            lam = c.module_lambda.constant_value()
-        cochain = c
+    if lam is None and not c.trivial_action:
+        if c.is_symbolic():
+            raise ValueError("a concrete module parameter is required")
+        lam = c.module_lambda.constant_value()
 
-        def values(m: int, n: int) -> LaurentDensity:
-            return evaluate_cochain(cochain, m, n, lam_value=lam)
-
-    else:
-        values = c
-        if trivial_action is None:
-            trivial_action = False
-    if lam is None and not trivial_action:
-        raise ValueError("a concrete module parameter is required")
+    def values(m: int, n: int) -> LaurentDensity:
+        return evaluate_cochain(c, m, n, lam_value=lam)
 
     pairs = [(m, n) for m in range(-window, window + 1)
              for n in range(m + 1, window + 1) if abs(m + n) <= window]
 
-    if trivial_action:
+    if c.trivial_action:
         rows = []
         for m, n in pairs:
             v = residue_pair(values(m, n))

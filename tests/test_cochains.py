@@ -1,17 +1,20 @@
 """Cochains, the CE differential, the lambda solver, the catalogue."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from jetcocycles.cochains import (
     CATALOGUE_NAMES,
+    FORMS,
+    _ALIASES,
     Cochain1,
     Cochain2,
     catalogue,
-    catalogue_lambda,
-    catalogue_weight,
     ce_differential,
     coboundary,
     det_cochain,
@@ -109,16 +112,50 @@ def test_catalogue_unicode_aliases_and_errors():
         catalogue("c1", "nonsense")
 
 
-def test_catalogue_weight_lambda_agreement():
+def test_generator_weight_and_lambda_agree():
     for name in CATALOGUE_NAMES:
-        w, lam = catalogue_weight(name), catalogue_lambda(name)
-        if name == "c0w":
+        flat = catalogue(name, "flat")
+        if flat.trivial_action:           # c0w: values pair to constants
             continue
         if name.startswith("cbar"):
-            assert w + 1 == lam
-            assert catalogue(name, "omega").value_weight == lam
+            omega = catalogue(name, "omega")
+            assert omega.value_weight == flat.value_weight + 1
+            assert omega.module_lambda == LamPoly.const(omega.value_weight)
         else:
-            assert w == lam
+            assert flat.module_lambda == LamPoly.const(flat.value_weight)
+
+
+def test_catalogue_stores_one_cochain_per_pair():
+    pairs = []
+    for name in CATALOGUE_NAMES:
+        for form in FORMS:
+            try:
+                catalogue(name, form)
+            except KeyError:
+                continue
+            pairs.append((name, form))
+    missing = {(n, f) for n in CATALOGUE_NAMES for f in FORMS} - set(pairs)
+    assert missing == {("c7", "connection"), ("c0w", "covariant")} | {
+        (n, "omega") for n in CATALOGUE_NAMES if not n.startswith("cbar")}
+    for name, form in pairs:
+        assert catalogue(name, form) is catalogue(name, form)
+    for alias, name in _ALIASES.items():
+        for form in FORMS:
+            if (name, form) in pairs:
+                assert catalogue(alias, form) is catalogue(name, form)
+
+
+def test_catalogue_is_built_on_first_lookup_not_at_import():
+    import jetcocycles
+
+    script = ("import jetcocycles\n"
+              "from jetcocycles.cochains import _build, catalogue\n"
+              "assert _build.cache_info().currsize == 0\n"
+              "catalogue('c1', 'flat')\n"
+              "assert _build.cache_info().currsize == 1\n")
+    src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_omega_forms_carry_background_jet():

@@ -1,6 +1,7 @@
 """Report records, suites, serialization, CLI exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,29 @@ def test_cli_rejects_windows_below_one(window, capsys):
         main(["verify", "--suite", "witt", "--window", window])
     assert exc.value.code == 2
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["witt", "nontrivial"])
+@pytest.mark.parametrize("window", [0, -1])
+def test_api_rejects_windows_below_one(suite, window):
+    with pytest.raises(ValueError, match="window"):
+        run_suite(suite, window=window)
+
+
+def test_cli_verify_has_no_max_order_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "witt", "--max-order", "12"])
+    assert exc.value.code == 2
+    assert "--max-order" in capsys.readouterr().err
+
+
+def test_fast_suites_match_golden_report():
+    """The JSON of the four suites that need no weight-7 solve, at the
+    default window, is pinned byte for byte to tests/data/fast_suites.json."""
+    records = [r for suite in ("theorem1", "table3", "witt", "nontrivial")
+               for r in run_suite(suite)]
+    golden = Path(__file__).parent / "data" / "fast_suites.json"
+    assert render_json(records) == golden.read_text(encoding="utf-8")
 
 
 def test_inconclusive_generator_certificate_is_a_failure(tmp_path, capsys):
