@@ -1,8 +1,12 @@
 """Exact rational linear algebra for the correction solver and certificates.
 
-Systems arrive as sparse rows over Fraction.  Incremental row reduction
-keeps at most one pivot row per variable, so feeding many thousands of
-mostly-redundant equations is cheap.
+Systems arrive as sparse rows over Fraction, and the correction systems are
+mostly redundant: the weight-7 one has 2,624 rows, 964 of them distinct up
+to scale, and rank 249.  So ``solve_affine`` drops zero rows and rows that
+repeat another up to scale before any elimination, then reduces the
+distinct rows sparse-first against pivot rows that it keeps fully reduced.
+Its answer is the reduced echelon form, which does not depend on the order
+or the repetition of the rows.
 """
 
 from __future__ import annotations
@@ -38,58 +42,75 @@ class AffineSolution:
 def solve_affine(rows: Iterable[Tuple[Row, Fraction]], nvars: int) -> Optional[AffineSolution]:
     """Solve the sparse system; None when inconsistent.
 
-    The particular solution sets all free variables to zero.  Deterministic:
-    pivots are chosen as the smallest variable index in each reduced row.
+    Each row is scaled so that its entry of smallest index is 1, and rows
+    that are equal after scaling are kept once: a zero row with a nonzero
+    right-hand side, or two equal scaled rows with different right-hand
+    sides, is inconsistent at once.  The distinct rows are then reduced
+    sparse-first, by (nnz, leading index) and then arrival order.  The pivot
+    rows are kept fully reduced, so each row is cleared of pivot variables
+    in one pass and a redundant row costs at most one step per entry.
+
+    The result is the reduced echelon form, which does not depend on the
+    order or the repetition of the rows: the particular solution sets all
+    free variables to zero, there is one nullspace vector per free variable,
+    and every returned dict is keyed in increasing variable index.
     """
-    pivots: Dict[int, Tuple[Row, Fraction]] = {}
+    distinct: Dict[Tuple[Tuple[int, Fraction], ...], Fraction] = {}
     for row, rhs in rows:
-        work = {i: v for i, v in row.items() if v}
-        while work:
-            lead = min(work)
-            hit = pivots.get(lead)
-            if hit is None:
-                inv = Fraction(1) / work[lead]
-                norm = {i: v * inv for i, v in work.items()}
-                pivots[lead] = (norm, rhs * inv)
-                break
-            prow, prhs = hit
-            factor = work[lead]
-            for i, v in prow.items():
-                nv = work.get(i, Fraction(0)) - factor * v
-                if nv:
-                    work[i] = nv
-                else:
-                    work.pop(i, None)
-            rhs = rhs - factor * prhs
-        else:
-            if rhs != 0:
+        entries = sorted((i, v) for i, v in row.items() if v)
+        if not entries:
+            if rhs:
                 return None
+            continue
+        inv = Fraction(1) / entries[0][1]
+        key = tuple((i, v * inv) for i, v in entries)
+        if distinct.setdefault(key, rhs * inv) != rhs * inv:
+            return None
 
-    # back-substitute to reduced echelon form
-    for lead in sorted(pivots, reverse=True):
-        prow, prhs = pivots[lead]
-        for other in sorted(pivots):
-            if other >= lead:
-                break
-            orow, orhs = pivots[other]
-            factor = orow.get(lead)
-            if factor:
-                for i, v in prow.items():
-                    nv = orow.get(i, Fraction(0)) - factor * v
-                    if nv:
-                        orow[i] = nv
-                    else:
-                        orow.pop(i, None)
-                pivots[other] = (orow, orhs - factor * prhs)
+    # lead -> (tail, rhs): the pivot row is x_lead + tail = rhs, and its tail
+    # holds only free variables above lead
+    pivots: Dict[int, Tuple[Row, Fraction]] = {}
+    # the sort is stable, so ties keep arrival order
+    for key, rhs in sorted(distinct.items(), key=lambda item: (len(item[0]), item[0][0][0])):
+        work = dict(key)
+        for col in [i for i in work if i in pivots]:
+            tail, prhs = pivots[col]
+            rhs -= _eliminate(work, col, tail) * prhs
+        if not work:
+            if rhs:
+                return None
+            continue
+        lead = min(work)
+        inv = Fraction(1) / work.pop(lead)
+        work = {i: v * inv for i, v in work.items()}
+        rhs *= inv
+        for other, (otail, orhs) in pivots.items():
+            if lead in otail:
+                pivots[other] = (otail, orhs - _eliminate(otail, lead, work) * rhs)
+        pivots[lead] = (work, rhs)
 
-    particular = {lead: prhs for lead, (_prow, prhs) in pivots.items() if prhs}
-    free = [i for i in range(nvars) if i not in pivots]
+    leads = sorted(pivots)
+    particular = {lead: pivots[lead][1] for lead in leads if pivots[lead][1]}
     nullspace = []
-    for fv in free:
-        vec: Row = {fv: Fraction(1)}
-        for lead, (prow, _prhs) in pivots.items():
-            coef = prow.get(fv)
-            if coef:
-                vec[lead] = -coef
-        nullspace.append(vec)
+    for fv in range(nvars):
+        if fv not in pivots:
+            vec: Row = {lead: -pivots[lead][0][fv] for lead in leads if fv in pivots[lead][0]}
+            vec[fv] = Fraction(1)
+            nullspace.append(vec)
     return AffineSolution(nvars, particular, nullspace)
+
+
+def _eliminate(work: Row, col: int, tail: Row) -> Fraction:
+    """Subtract work[col] times the pivot row x_col + tail from work, in
+    place, and return that factor."""
+    factor = work.pop(col)
+    for i, v in tail.items():
+        if i in work:
+            nv = work[i] - factor * v
+            if nv:
+                work[i] = nv
+            else:
+                del work[i]
+        else:
+            work[i] = -factor * v
+    return factor

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Sequence
 
 from .charts import covariant_equivalence, derive_c7, is_global
@@ -299,13 +300,15 @@ def _module_axiom_records() -> List[CheckRecord]:
 def _kn_cocycle_record(window: int) -> CheckRecord:
     bad = ""
     rng = range(-window, window + 1)
+    # 3 (2 window + 1)^3 lookups of far fewer distinct (m, n)
+    kn = cache(kn_value)
     for m in rng:
         for n in rng:
             for p in rng:
                 total = (
-                    -(n - m) * kn_value(m + n, p)
-                    + (p - m) * kn_value(m + p, n)
-                    - (p - n) * kn_value(n + p, m)
+                    -(n - m) * kn(m + n, p)
+                    + (p - m) * kn(m + p, n)
+                    - (p - n) * kn(n + p, m)
                 )
                 if total != 0:
                     bad = f"cocycle identity fails at ({m},{n},{p})"

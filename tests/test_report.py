@@ -138,6 +138,13 @@ def test_fast_suites_match_golden_report():
     assert render_json(records) == golden.read_text(encoding="utf-8")
 
 
+def test_all_suites_match_golden_report():
+    """The JSON of `verify --suite all` at the default window is pinned byte
+    for byte to tests/data/all_suites.json."""
+    golden = Path(__file__).parent / "data" / "all_suites.json"
+    assert render_json(run_suite("all")) == golden.read_text(encoding="utf-8")
+
+
 def test_inconclusive_generator_certificate_is_a_failure(tmp_path, capsys):
     path = tmp_path / "out.json"
     code = main(["verify", "--suite", "nontrivial", "--window", "1", "--json", str(path)])
