@@ -86,10 +86,9 @@ def lie_action(
         raise ValueError(f"Lie action needs a weight -1 field, got weight {fld.weight}")
     if module_lambda is None:
         module_lambda = Fraction(a.twice_weight, 2)
-    lam = module_lambda if isinstance(module_lambda, LamPoly) else LamPoly.const(Fraction(module_lambda))
     coeff = fld.coeff * total_derivative(a.coeff, cap) + (
         total_derivative(fld.coeff, cap) * a.coeff
-    ).scale(lam)
+    ).scale(module_lambda)
     return Density(coeff, a.twice_weight, a.allow_half)
 
 
@@ -101,9 +100,9 @@ def bracket(x: Density, y: Density, cap: int = DEFAULT_ORDER_CAP) -> Density:
     return Density(coeff, -2)
 
 
-def bracket_expr(cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
-    """The bracket of the symbols f and g: f[0]g[1] - f[1]g[0]."""
-    return jet("f", 0, cap) * jet("g", 1, cap) - jet("f", 1, cap) * jet("g", 0, cap)
+def bracket_expr(x: str = "f", y: str = "g", cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+    """The bracket of two jet families, e.g. f[0]g[1] - f[1]g[0]."""
+    return bracket(vector_field(x, cap), vector_field(y, cap), cap).coeff
 
 
 def schwarzian(cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .calculus import Density, eta, projective_from_affine, schwarzian
-from .cochains import Cochain2, ce_differential, catalogue, det_expr
+from .cochains import Cochain2, catalogue, ce_parts, det_expr
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -286,20 +286,23 @@ def solve_corrections(
         expr = symbol
         if weight is None:
             raise ValueError("weight is required for a bare expression")
-    if module_lambda is None and not trivial:
-        module_lambda = Fraction(weight)
+    if trivial:
+        module_lambda = None
+    else:
+        module_lambda = Fraction(weight if module_lambda is None else module_lambda)
 
-    fams = expr.families()
-    if fams - {"f", "g"}:
+    if expr.is_zero():
+        raise ValueError("the symbol is zero")
+    if expr.families() - {"f", "g"}:
         raise ValueError("the symbol must be a flat bilinear expression in f and g")
+    if any(coef.degree for coef in expr.coefficient_polys()):
+        raise ValueError("the symbol must have rational coefficients, found lam")
+    Cochain2(expr, weight)  # raises unless bilinear and antisymmetric
 
-    pq_degrees = set()
-    top_single = 0
-    for mono, _c in expr.terms():
-        orders = [order for (rank, order), e in mono for _ in range(e)]
-        pq_degrees.add(sum(orders))
-        top_single = max(top_single, max(orders))
-    top_pq = max(pq_degrees)
+    orders = [[order for (_rank, order), e in mono for _ in range(e)]
+              for mono, _c in expr.terms()]
+    top_pq = max(map(sum, orders))
+    top_single = max(map(max, orders))
 
     ansatz: List[AnsatzTerm] = []
     for q in range(1, top_single + 1):
@@ -325,14 +328,14 @@ def solve_corrections(
         residual = frame.pushforward(e) - hinv_power(weight) * e
         _scalar_rows(residual, 0, index, rows)
 
+    lam = None if trivial else LamPoly.const(module_lambda)
+
     def add_cocycle(e: DiffExpr, index: Optional[int]):
+        delta = ce_parts(e, 2, weight, lam, max_order)[1]
         if trivial:
-            delta = _delta_expr(e, None, trivial=True, cap=max_order)
             for fam_i, fam in enumerate(_TRANSFORMABLE):
                 _scalar_rows(euler_derivative(delta, fam, max_order), 10 + fam_i, index, rows)
         else:
-            delta = _delta_expr(e, LamPoly.const(Fraction(module_lambda)), trivial=False,
-                                cap=max_order)
             _scalar_rows(delta, 1, index, rows)
 
     add_globality(expr, None)
@@ -341,24 +344,13 @@ def solve_corrections(
         add_globality(term.expr, i)
         add_cocycle(term.expr, i)
 
-    solution = solve_affine(
-        ((row, rhs) for row, rhs in rows.values()), len(ansatz)
-    )
+    solution = solve_affine(((row, rhs) for row, rhs in rows.values()), len(ansatz))
     if solution is None:
-        return CorrectionResult(expr, weight, None if trivial else Fraction(module_lambda),
-                                trivial, tuple(ansatz), False, 0, {}, ())
-    coeffs = _canonical_point(solution)
-    return CorrectionResult(
-        expr, weight, None if trivial else Fraction(module_lambda), trivial,
-        tuple(ansatz), True, solution.dimension, coeffs,
-        tuple(solution.nullspace),
-    )
-
-
-def _delta_expr(coeff: DiffExpr, lam: Optional[LamPoly], trivial: bool, cap: int) -> DiffExpr:
-    c = Cochain2(coeff, 0, lam if lam is not None else LamPoly.const(0),
-                 trivial_action=trivial)
-    return ce_differential(c, trivial=trivial, cap=cap)
+        return CorrectionResult(expr, weight, module_lambda, trivial, tuple(ansatz),
+                                False, 0, {}, ())
+    return CorrectionResult(expr, weight, module_lambda, trivial, tuple(ansatz), True,
+                            solution.dimension, _canonical_point(solution),
+                            tuple(solution.nullspace))
 
 
 def _canonical_point(solution: AffineSolution) -> Dict[int, Fraction]:

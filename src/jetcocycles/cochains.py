@@ -17,6 +17,7 @@ correction solver in jetcocycles.charts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -28,9 +29,8 @@ from .expr import (
     is_total_derivative,
     jet,
     substitute,
-    total_derivative,
 )
-from .calculus import bracket_expr, nabla_power, vector_field
+from .calculus import Density, bracket_expr, lie_action, nabla_power, vector_field
 from .lampoly import LamPoly, gcd_all, rational_roots
 
 
@@ -96,37 +96,49 @@ def det_cochain(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
     return Cochain2(det_expr(p, q, cap), p + q - 2, LamPoly.lam())
 
 
-def _lie(fam: str, x: DiffExpr, lam: LamPoly, cap: int) -> DiffExpr:
-    return jet(fam, 0, cap) * total_derivative(x, cap) + (jet(fam, 1, cap) * x).scale(lam)
+def ce_parts(coeff: DiffExpr, arity: int, weight: int, lam: Optional[LamPoly],
+             cap: int = DEFAULT_ORDER_CAP) -> Tuple[DiffExpr, DiffExpr]:
+    """(bracket insertions, delta c) of a 1- or 2-cochain on x_i = f, g[, k]:
+
+        delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...).
+
+    The insertions alone are the trivial-action differential (lam None); the
+    action L_x a = x a' + lam x' a on weight-`weight` values adds a part
+    linear in lam.
+    """
+    fams = "fgk"[:arity + 1]
+
+    def value(*args):
+        # c(args); a slot keeping its own family stays unbound, since a
+        # self-binding would prolong and rewrite the whole family
+        bindings = {slot: arg if isinstance(arg, DiffExpr) else jet(arg, 0, cap)
+                    for slot, arg in zip("fg", args)
+                    if isinstance(arg, DiffExpr) or arg != slot}
+        return substitute(coeff, bindings, cap) if bindings else coeff
+
+    insertions = DiffExpr.zero()
+    for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
+        term = value(bracket_expr(x, y, cap), *fams.replace(x, "").replace(y, ""))
+        insertions = insertions - term if (i + j) % 2 else insertions + term
+    if lam is None:
+        return insertions, insertions
+    delta = insertions
+    for i, x in enumerate(fams):
+        values = Density(value(*fams.replace(x, "")), 2 * weight)
+        term = lie_action(vector_field(x, cap), values, lam, cap).coeff
+        delta = delta - term if i % 2 else delta + term
+    return insertions, delta
 
 
-def ce_differential(c: Cochain2, trivial: Optional[bool] = None,
-                    cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def ce_differential(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
     """delta c (f,g,k); zero iff c is a 2-cocycle for its module.
 
-    The action follows the cochain's module parameter and differentiates
-    through background T, R, w jets; with trivial action only the bracket
-    insertions remain.
+    The trivial-action differential is the bracket insertions; the full one
+    adds a part linear in the module parameter, whose derivative goes
+    through the background T, R, w jets (see ce_parts).
     """
-    if trivial is None:
-        trivial = c.trivial_action
-    g0, k0 = jet("g", 0, cap), jet("k", 0, cap)
-    br_fg = bracket_expr(cap)
-    br_fk = jet("f", 0, cap) * jet("k", 1, cap) - jet("f", 1, cap) * k0
-    br_gk = g0 * jet("k", 1, cap) - jet("g", 1, cap) * k0
-
-    c_gk = substitute(c.coeff, {"f": g0, "g": k0}, cap)
-    c_fk = substitute(c.coeff, {"g": k0}, cap)
-    out = (
-        -substitute(c.coeff, {"f": br_fg, "g": k0}, cap)
-        + substitute(c.coeff, {"f": br_fk, "g": g0}, cap)
-        - substitute(c.coeff, {"f": br_gk, "g": jet("f", 0, cap)}, cap)
-    )
-    if not trivial:
-        lam = c.module_lambda
-        out = out + _lie("f", c_gk, lam, cap) - _lie("g", c_fk, lam, cap) \
-            + _lie("k", c.coeff, lam, cap)
-    return out
+    lam = None if c.trivial_action else c.module_lambda
+    return ce_parts(c.coeff, 2, c.value_weight, lam, cap)[1]
 
 
 @dataclass(frozen=True)
@@ -152,16 +164,16 @@ class LambdaVerdict:
 def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict:
     """All module parameters for which delta c vanishes identically.
 
-    Computed as common rational roots (gcd over Q[lam]) of the coefficient
-    polynomials of delta c.  The trivial-action verdict asks whether the
-    bracket-only differential is an exact total derivative, which is the
-    values-in-constants reading on the circle.
+    One ce_parts pass gives both: the trivial-action verdict asks whether
+    the bracket insertions are an exact total derivative (the values-in-
+    constants reading on the circle); the full differential adds a part
+    linear in lam, solved as the common rational roots (gcd over Q[lam]) of
+    its coefficient polynomials.
     """
     if not c.is_symbolic():
         raise ValueError("lambda_solutions needs a symbolic module parameter")
-    delta = ce_differential(c, trivial=False, cap=cap)
-    delta_triv = ce_differential(c, trivial=True, cap=cap)
-    trivial_pass = is_total_derivative(delta_triv, cap)
+    insertions, delta = ce_parts(c.coeff, 2, c.value_weight, c.module_lambda, cap)
+    trivial_pass = is_total_derivative(insertions, cap)
     if delta.is_zero():
         return LambdaVerdict("all", (), trivial_pass)
     g = gcd_all(delta.coefficient_polys())
@@ -176,10 +188,7 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
 def coboundary(b: Cochain1, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
     """delta b (f,g) = L_f b(g) - L_g b(f) - b([f,g]); always a cocycle."""
     lam = b.module_lambda
-    b_g = substitute(b.coeff, {"f": jet("g", 0, cap)}, cap)
-    b_br = substitute(b.coeff, {"f": bracket_expr(cap)}, cap)
-    coeff = _lie("f", b_g, lam, cap) - _lie("g", b.coeff, lam, cap) - b_br
-    return Cochain2(coeff, b.value_weight, lam)
+    return Cochain2(ce_parts(b.coeff, 1, b.value_weight, lam, cap)[1], b.value_weight, lam)
 
 
 # -- catalogue ----------------------------------------------------------

@@ -508,14 +508,11 @@ def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
 
 
 def euler_derivative(e: DiffExpr, family: str, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
-    """Variational derivative sum_j (-D)^j (d e / d family[j])."""
-    top = e.max_order(family)
+    """Variational derivative sum_j (-D)^j P_j, P_j = d e / d family[j], in
+    Horner form P_0 - D(P_1 - D(P_2 - ...)): one total derivative per order."""
     out = _ZERO
-    for j in range(top + 1):
-        piece = partial_derivative(e, family, j)
-        for _ in range(j):
-            piece = -total_derivative(piece, cap)
-        out = out + piece
+    for j in range(e.max_order(family), -1, -1):
+        out = partial_derivative(e, family, j) - total_derivative(out, cap)
     return out
 
 

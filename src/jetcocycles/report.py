@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Optional, Sequence
 
+from .calculus import Density, lie_action, vector_field
 from .charts import covariant_equivalence, derive_c7, is_global
 from .cochains import (
     Cochain1,
@@ -227,15 +228,14 @@ def suite_covariant() -> List[CheckRecord]:
 
 
 def _action_residual() -> DiffExpr:
-    # generic density coefficient carried by the w family, symbolic lam
+    # generic density coefficient carried by the w family, symbolic lam (so
+    # the Density weight is only a label)
     lam = LamPoly.lam()
-    f0, f1, w0 = jet("f", 0), jet("f", 1), jet("w", 0)
-    T0 = jet("T", 0)
+    f0, w0, T0 = jet("f", 0), jet("w", 0), jet("T", 0)
     nabla_w = total_derivative(w0) + (T0 * w0).scale(lam)
     nabla_f = total_derivative(f0) - T0 * f0
     via_nabla = f0 * nabla_w + (nabla_f * w0).scale(lam)
-    direct = f0 * total_derivative(w0) + (f1 * w0).scale(lam)
-    return via_nabla - direct
+    return via_nabla - lie_action(vector_field("f"), Density(w0, 0), lam).coeff
 
 
 # -- witt: Laurent realization --------------------------------------------

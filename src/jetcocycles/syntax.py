@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr import DEFAULT_ORDER_CAP, FAMILIES, DiffExpr, atom_name, jet, hinv, lam_expr
+from .cochains import det_expr
+from .expr import DEFAULT_ORDER_CAP, DiffExpr, atom_name, jet, hinv, lam_expr
 from .lampoly import LamPoly
 
 _JET_FAMILIES = {"f", "g", "k", "T", "R", "w", "h"}
@@ -150,7 +151,7 @@ def _atom(sc: _Scanner, cap: int) -> DiffExpr:
             sc.expect(")")
             if p >= q:
                 raise ExprSyntaxError(f"det({p},{q}) needs p < q", ppos if p > q else qpos)
-            return jet("f", p, cap) * jet("g", q, cap) - jet("f", q, cap) * jet("g", p, cap)
+            return det_expr(p, q, cap)
         if word in _JET_FAMILIES:
             sc.expect("[")
             pos = sc.pos

@@ -62,3 +62,12 @@ def eval_at(e: DiffExpr, point: dict, lam: Fraction) -> Fraction:
 
 def random_lambda(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+
+
+# symbols the correction solver must reject, with a word its message names
+BAD_SYMBOLS = (
+    ("0", "is zero"),
+    ("lam*det(1,2)", "found lam"),
+    ("f[0]", "bilinear"),
+    ("f[1]*g[2]", "antisymmetric"),
+)

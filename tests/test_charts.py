@@ -25,6 +25,7 @@ from jetcocycles.cochains import (
     DERIVED_C2,
     DERIVED_C5,
     PRINTED_CONNECTION_VARIANTS,
+    Cochain2,
     catalogue,
     det_expr,
 )
@@ -36,6 +37,10 @@ from jetcocycles.expr import (
     substitute_jets,
     total_derivative as D,
 )
+from jetcocycles.lampoly import LamPoly
+from jetcocycles.syntax import parse_expr
+
+from helpers import BAD_SYMBOLS
 
 _HJETS = 6
 
@@ -227,3 +232,15 @@ def test_covariant_equivalences_fast():
         covariant_equivalence("c0w")
     with pytest.raises(KeyError):
         covariant_equivalence("nope")
+
+
+@pytest.mark.parametrize("text, fault", BAD_SYMBOLS)
+def test_solve_corrections_names_a_bad_symbol(text, fault):
+    with pytest.raises(ValueError, match=fault):
+        solve_corrections(parse_expr(text), weight=1)
+
+
+def test_solve_corrections_rejects_lam_in_a_cochain_symbol():
+    c = Cochain2(det_expr(1, 2).scale(LamPoly.lam()), 1, LamPoly.const(1))
+    with pytest.raises(ValueError, match="found lam"):
+        solve_corrections(c)

@@ -1,10 +1,12 @@
 """Cochains, the CE differential, the lambda solver, the catalogue."""
 
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +18,14 @@ from jetcocycles.cochains import (
     Cochain2,
     catalogue,
     ce_differential,
+    ce_parts,
     coboundary,
     det_cochain,
     det_expr,
     lambda_solutions,
 )
 from jetcocycles.calculus import bracket_expr
-from jetcocycles.expr import jet, substitute
+from jetcocycles.expr import OrderCapExceeded, jet, substitute
 from jetcocycles.lampoly import LAM, LamPoly
 
 from helpers import random_coeff
@@ -183,3 +186,55 @@ def test_covariant_forms_reduce_to_flat_without_connection():
         cov = catalogue(name, "covariant").coeff
         flat_part = substitute(cov, {"T": jet("T", 0).scale(0)})
         assert flat_part == catalogue(name, "flat").coeff
+
+
+def test_bracket_expr_of_two_families():
+    assert bracket_expr() == jet("f", 0) * jet("g", 1) - jet("f", 1) * jet("g", 0)
+    assert bracket_expr("g", "k") == jet("g", 0) * jet("k", 1) - jet("g", 1) * jet("k", 0)
+    assert bracket_expr("k", "f") == -bracket_expr("f", "k")
+
+
+def test_ce_parts_split_insertions_from_the_action():
+    """The insertions are the trivial-action differential and carry no lam;
+    the full differential adds a part of degree at most one in lam."""
+    for p, q in ((0, 2), (2, 3), (1, 4), (2, 5)):
+        c = det_cochain(p, q)
+        insertions, delta = ce_parts(c.coeff, 2, c.value_weight, c.module_lambda)
+        trivial = Cochain2(c.coeff, c.value_weight, LamPoly.const(0), trivial_action=True)
+        assert ce_differential(trivial) == insertions
+        assert ce_differential(c) == delta
+        assert ce_parts(c.coeff, 2, c.value_weight, None) == (insertions, insertions)
+        assert all(poly.degree == 0 for poly in insertions.coefficient_polys())
+        assert all(poly.degree <= 1 for poly in (delta - insertions).coefficient_polys())
+
+
+_VERDICTS = {(row["p"], row["q"]): row for row in json.loads(
+    (Path(__file__).parent / "data" / "lambda_verdicts.json").read_text(encoding="utf-8"))}
+
+
+def _verdict_row(p, q, verdict):
+    return {"p": p, "q": q, "kind": verdict.kind,
+            "values": [str(v) for v in verdict.values],
+            "trivial_action_pass": verdict.trivial_action_pass}
+
+
+def test_lambda_verdicts_match_pinned_rows():
+    """Every det(p,q) with q <= 8 at cap 24, pinned in
+    tests/data/lambda_verdicts.json."""
+    assert sorted(_VERDICTS) == sorted((p, q) for q in range(1, 9) for p in range(q))
+    for (p, q), row in _VERDICTS.items():
+        assert _verdict_row(p, q, lambda_solutions(det_cochain(p, q, 24), 24)) == row
+
+
+@pytest.mark.parametrize("p, q", [(5, 7), (4, 8), (6, 8)])
+def test_lambda_verdicts_that_cancel_below_the_default_cap(p, q):
+    # the exactness test never differentiates the terms that cancel, so
+    # these finish at cap 12 with their cap-24 verdicts
+    assert _verdict_row(p, q, lambda_solutions(det_cochain(p, q))) == _VERDICTS[p, q]
+    assert _VERDICTS[p, q]["kind"] == "none" and _VERDICTS[p, q]["trivial_action_pass"]
+
+
+@pytest.mark.parametrize("p, q", [(6, 7), (5, 8), (7, 8)])
+def test_lambda_verdicts_past_the_default_cap_raise(p, q):
+    with pytest.raises(OrderCapExceeded):
+        lambda_solutions(det_cochain(p, q))

@@ -272,3 +272,24 @@ def test_euler_derivative_kills_exact_terms():
     e = D(F0 * F1 * G0)
     assert euler_derivative(e, "f").is_zero()
     assert euler_derivative(e, "g").is_zero()
+
+
+def test_euler_derivative_matches_the_definitional_sum():
+    """The Horner form against sum_j (-D)^j d e / d u^(j), summed term by
+    term, on seeded expressions that are mostly not exact; k never occurs."""
+    rng = random.Random(29)
+    nonzero = 0
+    for _ in range(40):
+        e = random_expr(rng, families=("f", "g", "T"), max_order=3, terms=4, factors=3)
+        for fam in ("f", "g", "T", "k"):
+            want = DiffExpr.zero()
+            for j in range(e.max_order(fam) + 1):
+                piece = partial_derivative(e, fam, j)
+                for _ in range(j):
+                    piece = -D(piece)
+                want = want + piece
+            got = euler_derivative(e, fam)
+            assert got == want
+            nonzero += not got.is_zero()
+        assert euler_derivative(e, "k").is_zero()
+    assert nonzero > 60

@@ -15,6 +15,8 @@ from jetcocycles.report import (
     run_suite,
 )
 
+from helpers import BAD_SYMBOLS
+
 
 def test_record_invariants():
     with pytest.raises(ValueError):
@@ -172,3 +174,11 @@ def test_cli_verify_writes_json(tmp_path, capsys):
     assert code == 0
     loaded = json.loads(path.read_text())
     assert {r["status"] for r in loaded} <= {"NONTRIVIAL", "INCONCLUSIVE", "PASS"}
+
+
+@pytest.mark.parametrize("text, fault", BAD_SYMBOLS)
+def test_cli_globalize_names_a_bad_symbol(text, fault, capsys):
+    assert main(["globalize", "--symbol", text, "--weight", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and fault in captured.err
