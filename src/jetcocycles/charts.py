@@ -34,7 +34,6 @@ from .expr import (
     substitute_jets,
     total_derivative,
 )
-from .lampoly import LamPoly
 from .linalg import AffineSolution, solve_affine
 
 _TRANSFORMABLE = ("f", "g", "k", "T", "R", "w")
@@ -215,8 +214,7 @@ class CorrectionResult:
         for i, v in coeffs.items():
             if v:
                 coeff = coeff + self.ansatz[i].expr.scale(v)
-        lam = LamPoly.const(0) if self.trivial_action else LamPoly.const(self.module_lambda)
-        return Cochain2(coeff, self.weight, lam, trivial_action=self.trivial_action)
+        return Cochain2(coeff, self.weight, self.module_lambda or 0, self.trivial_action)
 
     def contains(self, coeff: DiffExpr) -> bool:
         """Is the given cochain coefficient in the solution set?"""
@@ -286,10 +284,8 @@ def solve_corrections(
         expr = symbol
         if weight is None:
             raise ValueError("weight is required for a bare expression")
-    if trivial:
-        module_lambda = None
-    else:
-        module_lambda = Fraction(weight if module_lambda is None else module_lambda)
+    module_lambda = None if trivial else Fraction(
+        weight if module_lambda is None else module_lambda)
 
     if expr.is_zero():
         raise ValueError("the symbol is zero")
@@ -299,10 +295,13 @@ def solve_corrections(
         raise ValueError("the symbol must have rational coefficients, found lam")
     Cochain2(expr, weight)  # raises unless bilinear and antisymmetric
 
-    orders = [[order for (_rank, order), e in mono for _ in range(e)]
-              for mono, _c in expr.terms()]
-    top_pq = max(map(sum, orders))
-    top_single = max(map(max, orders))
+    pq_degrees = set()
+    top_single = 0
+    for mono, _c in expr.terms():
+        orders = [order for (rank, order), e in mono for _ in range(e)]
+        pq_degrees.add(sum(orders))
+        top_single = max(top_single, max(orders))
+    top_pq = max(pq_degrees)
 
     ansatz: List[AnsatzTerm] = []
     for q in range(1, top_single + 1):
@@ -328,10 +327,8 @@ def solve_corrections(
         residual = frame.pushforward(e) - hinv_power(weight) * e
         _scalar_rows(residual, 0, index, rows)
 
-    lam = None if trivial else LamPoly.const(module_lambda)
-
     def add_cocycle(e: DiffExpr, index: Optional[int]):
-        delta = ce_parts(e, 2, weight, lam, max_order)[1]
+        delta = ce_parts(e, 2, module_lambda, max_order)[1]
         if trivial:
             for fam_i, fam in enumerate(_TRANSFORMABLE):
                 _scalar_rows(euler_derivative(delta, fam, max_order), 10 + fam_i, index, rows)
@@ -344,13 +341,18 @@ def solve_corrections(
         add_globality(term.expr, i)
         add_cocycle(term.expr, i)
 
-    solution = solve_affine(((row, rhs) for row, rhs in rows.values()), len(ansatz))
+    solution = solve_affine(
+        ((row, rhs) for row, rhs in rows.values()), len(ansatz)
+    )
     if solution is None:
-        return CorrectionResult(expr, weight, module_lambda, trivial, tuple(ansatz),
-                                False, 0, {}, ())
-    return CorrectionResult(expr, weight, module_lambda, trivial, tuple(ansatz), True,
-                            solution.dimension, _canonical_point(solution),
-                            tuple(solution.nullspace))
+        return CorrectionResult(expr, weight, module_lambda,
+                                trivial, tuple(ansatz), False, 0, {}, ())
+    coeffs = _canonical_point(solution)
+    return CorrectionResult(
+        expr, weight, module_lambda, trivial,
+        tuple(ansatz), True, solution.dimension, coeffs,
+        tuple(solution.nullspace),
+    )
 
 
 def _canonical_point(solution: AffineSolution) -> Dict[int, Fraction]:

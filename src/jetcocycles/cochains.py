@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple, Union
 
 from .expr import (
     DEFAULT_ORDER_CAP,
@@ -81,8 +81,7 @@ class Cochain2:
         return self.module_lambda.degree > 0
 
     def at_lambda(self, lam_value) -> "Cochain2":
-        return Cochain2(self.coeff, self.value_weight,
-                        LamPoly.const(Fraction(lam_value)), self.trivial_action)
+        return Cochain2(self.coeff, self.value_weight, lam_value, self.trivial_action)
 
 
 def det_expr(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
@@ -96,15 +95,14 @@ def det_cochain(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
     return Cochain2(det_expr(p, q, cap), p + q - 2, LamPoly.lam())
 
 
-def ce_parts(coeff: DiffExpr, arity: int, weight: int, lam: Optional[LamPoly],
+def ce_parts(coeff: DiffExpr, arity: int, lam: Union[LamPoly, Fraction, None],
              cap: int = DEFAULT_ORDER_CAP) -> Tuple[DiffExpr, DiffExpr]:
     """(bracket insertions, delta c) of a 1- or 2-cochain on x_i = f, g[, k]:
 
         delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...).
 
     The insertions alone are the trivial-action differential (lam None); the
-    action L_x a = x a' + lam x' a on weight-`weight` values adds a part
-    linear in lam.
+    action L_x a = x a' + lam x' a adds a part linear in lam.
     """
     fams = "fgk"[:arity + 1]
 
@@ -124,7 +122,7 @@ def ce_parts(coeff: DiffExpr, arity: int, weight: int, lam: Optional[LamPoly],
         return insertions, insertions
     delta = insertions
     for i, x in enumerate(fams):
-        values = Density(value(*fams.replace(x, "")), 2 * weight)
+        values = Density(value(*fams.replace(x, "")), 0)  # weight 0 is a label: lam is explicit
         term = lie_action(vector_field(x, cap), values, lam, cap).coeff
         delta = delta - term if i % 2 else delta + term
     return insertions, delta
@@ -138,7 +136,7 @@ def ce_differential(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
     through the background T, R, w jets (see ce_parts).
     """
     lam = None if c.trivial_action else c.module_lambda
-    return ce_parts(c.coeff, 2, c.value_weight, lam, cap)[1]
+    return ce_parts(c.coeff, 2, lam, cap)[1]
 
 
 @dataclass(frozen=True)
@@ -172,13 +170,11 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
     """
     if not c.is_symbolic():
         raise ValueError("lambda_solutions needs a symbolic module parameter")
-    insertions, delta = ce_parts(c.coeff, 2, c.value_weight, c.module_lambda, cap)
+    insertions, delta = ce_parts(c.coeff, 2, c.module_lambda, cap)
     trivial_pass = is_total_derivative(insertions, cap)
     if delta.is_zero():
         return LambdaVerdict("all", (), trivial_pass)
     g = gcd_all(delta.coefficient_polys())
-    if g.is_constant():
-        return LambdaVerdict("none", (), trivial_pass)
     roots = tuple(rational_roots(g))
     if not roots:
         return LambdaVerdict("none", (), trivial_pass)
@@ -188,7 +184,7 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
 def coboundary(b: Cochain1, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
     """delta b (f,g) = L_f b(g) - L_g b(f) - b([f,g]); always a cocycle."""
     lam = b.module_lambda
-    return Cochain2(ce_parts(b.coeff, 1, b.value_weight, lam, cap)[1], b.value_weight, lam)
+    return Cochain2(ce_parts(b.coeff, 1, lam, cap)[1], b.value_weight, lam)
 
 
 # -- catalogue ----------------------------------------------------------

@@ -199,11 +199,11 @@ def test_ce_parts_split_insertions_from_the_action():
     the full differential adds a part of degree at most one in lam."""
     for p, q in ((0, 2), (2, 3), (1, 4), (2, 5)):
         c = det_cochain(p, q)
-        insertions, delta = ce_parts(c.coeff, 2, c.value_weight, c.module_lambda)
+        insertions, delta = ce_parts(c.coeff, 2, c.module_lambda)
         trivial = Cochain2(c.coeff, c.value_weight, LamPoly.const(0), trivial_action=True)
         assert ce_differential(trivial) == insertions
         assert ce_differential(c) == delta
-        assert ce_parts(c.coeff, 2, c.value_weight, None) == (insertions, insertions)
+        assert ce_parts(c.coeff, 2, None) == (insertions, insertions)
         assert all(poly.degree == 0 for poly in insertions.coefficient_polys())
         assert all(poly.degree <= 1 for poly in (delta - insertions).coefficient_polys())
 
