@@ -9,7 +9,23 @@ alpha-frame jets:
     f_beta = h' f,   T_beta = (T + h''/h')/h',   R_beta = (R + S)/h'^2,
     w_beta = w/h',
 
-with higher orders generated by D_beta = hinv * D.
+with higher orders generated by D_beta = hinv * D.  is_global checks this
+finite law.
+
+The correction solver imposes the infinitesimal law instead: the first-order
+part of the binding table at h = z + eps X, with X a free vector field
+carried by the family k,
+
+    delta f = X' f,   delta T = X'' - X' T,   delta R = X^(3) - 2 X' R,
+    delta w = -X' w,  delta u^(n+1) = D(delta u^(n)) - X' u^(n+1),
+
+and e is a weight-w density iff w X' e + sum_n (de/du^(n)) delta u^(n)
+vanishes.  The two laws give the same constraints.  The formal coordinate
+changes with h' > 0 form a connected group, so invariance under its Lie
+algebra is invariance under the group (Kolar, Michor and Slovak, Natural
+Operations in Differential Geometry, 1993, on natural operators and their
+infinitesimal characterization).  The finite residual is polynomial in the
+jets of h and in 1/h', so vanishing for h' > 0 it vanishes for h' < 0 too.
 """
 
 from __future__ import annotations
@@ -30,6 +46,7 @@ from .expr import (
     hinv,
     hinv_power,
     jet,
+    partial_derivative,
     substitute,
     substitute_jets,
     total_derivative,
@@ -243,6 +260,41 @@ class CorrectionResult:
         return solve_affine(rows, len(self.nullspace)) is not None
 
 
+def _jet_variation(family: str, order: int, table: Dict, cap: int) -> DiffExpr:
+    """delta family[order] under z -> z + eps X, X carried by the family k
+    (memoized in table): delta u^(n+1) = D(delta u^(n)) - X' u^(n+1)."""
+    key = (family, order)
+    got = table.get(key)
+    if got is not None:
+        return got
+    x1 = jet("k", 1, cap)
+    if order:
+        out = (total_derivative(_jet_variation(family, order - 1, table, cap), cap)
+               - x1 * jet(family, order, cap))
+    elif family in ("f", "g"):
+        out = x1 * jet(family, 0, cap)
+    elif family == "T":
+        out = jet("k", 2, cap) - x1 * jet("T", 0, cap)
+    elif family == "R":
+        out = jet("k", 3, cap) - 2 * x1 * jet("R", 0, cap)
+    else:
+        out = -x1 * jet("w", 0, cap)
+    table[key] = out
+    return out
+
+
+def _linear_residual(e: DiffExpr, weight: int, table: Dict, cap: int) -> DiffExpr:
+    """First-order part of pushforward(e) - hinv_power(weight) * e at
+    h = z + eps X: weight X' e + sum_n (de/du^(n)) delta u^(n)."""
+    out = (jet("k", 1, cap) * e).scale(weight)
+    for fam in ("f", "g", "T", "R", "w"):
+        for order in range(e.max_order(fam) + 1):
+            part = partial_derivative(e, fam, order)
+            if not part.is_zero():
+                out = out + part * _jet_variation(fam, order, table, cap)
+    return out
+
+
 def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):
     """Accumulate the coefficients of e into sparse constraint rows."""
     for mono, coef in e.terms():
@@ -268,7 +320,19 @@ def solve_corrections(
     determinants are excluded so the symbol is preserved.  Globality and the
     cocycle identity at the module parameter are imposed as exact linear
     constraints; the result is the full affine solution set with a canonical
-    representative.  That is the minimal-support point (ties broken
+    representative.
+
+    Globality is imposed by the infinitesimal law of the module docstring,
+    w X' e + sum_n (de/du^(n)) delta u^(n) = 0, whose solution set is that
+    of the finite law is_global checks, since the group of formal coordinate
+    changes with h' > 0 is connected (Kolar-Michor-Slovak 1993).  The cocycle
+    rows of an ansatz term m c, with m a T/R monomial and c = det(p,q), come
+    by Leibniz from delta c, computed once per (p,q):
+
+        delta(m c) = m delta c + D(m) (f c(g,k) - g c(f,k) + k c(f,g)),
+
+    and the trivial action drops the D(m) part.  The canonical
+    representative is the minimal-support point (ties broken
     lexicographically) when the gauge dimension is at most 3 and at most 26
     coordinates are involved, and otherwise the echelon particular solution
     with the free variables set to zero (c5 and c7).
@@ -320,26 +384,36 @@ def solve_corrections(
                 ansatz.append(AnsatzTerm(p, q, symbols, term))
     ansatz.sort(key=lambda t: (t.p, t.q, t.symbols))
 
-    frame = ChartFrame(max_order)
     rows: Dict = {}
+    variations: Dict[Tuple[str, int], DiffExpr] = {}
 
-    def add_globality(e: DiffExpr, index: Optional[int]):
-        residual = frame.pushforward(e) - hinv_power(weight) * e
-        _scalar_rows(residual, 0, index, rows)
-
-    def add_cocycle(e: DiffExpr, index: Optional[int]):
-        delta = ce_parts(e, 2, module_lambda, max_order)[1]
+    def add_cocycle(delta: DiffExpr, index: Optional[int]):
         if trivial:
             for fam_i, fam in enumerate(_TRANSFORMABLE):
                 _scalar_rows(euler_derivative(delta, fam, max_order), 10 + fam_i, index, rows)
         else:
             _scalar_rows(delta, 1, index, rows)
 
-    add_globality(expr, None)
-    add_cocycle(expr, None)
+    _scalar_rows(_linear_residual(expr, weight, variations, max_order), 0, None, rows)
+    add_cocycle(ce_parts(expr, 2, module_lambda, max_order)[1], None)
+    # (p, q) -> (delta c, f c(g,k) - g c(f,k) + k c(f,g)) for c = det(p,q)
+    dets: Dict[Tuple[int, int], Tuple[DiffExpr, DiffExpr]] = {}
     for i, term in enumerate(ansatz):
-        add_globality(term.expr, i)
-        add_cocycle(term.expr, i)
+        _scalar_rows(_linear_residual(term.expr, weight, variations, max_order), 0, i, rows)
+        p, q = term.p, term.q
+        if (p, q) not in dets:
+            alternating = sum(
+                jet(x, 0, max_order) * (jet(y, p, max_order) * jet(z, q, max_order)
+                                        - jet(y, q, max_order) * jet(z, p, max_order))
+                for x, y, z in ("fgk", "gkf", "kfg"))
+            dets[p, q] = (ce_parts(det_expr(p, q, max_order), 2, module_lambda, max_order)[1],
+                          alternating)
+        delta_c, alternating = dets[p, q]
+        m = _mono_expr(term.symbols, max_order)
+        delta = m * delta_c
+        if not trivial:
+            delta = delta + total_derivative(m, max_order) * alternating
+        add_cocycle(delta, i)
 
     solution = solve_affine(
         ((row, rhs) for row, rhs in rows.values()), len(ansatz)

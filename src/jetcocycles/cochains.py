@@ -25,10 +25,12 @@ from typing import Dict, Tuple, Union
 
 from .expr import (
     DEFAULT_ORDER_CAP,
+    _RANK,
     DiffExpr,
     is_total_derivative,
     jet,
     substitute,
+    substitute_jets,
 )
 from .calculus import Density, bracket_expr, lie_action, nabla_power, vector_field
 from .lampoly import LamPoly, gcd_all, rational_roots
@@ -73,8 +75,11 @@ class Cochain2:
         object.__setattr__(self, "module_lambda", _as_lampoly(self.module_lambda))
         if self.coeff.degree_in("f") - {1} or self.coeff.degree_in("g") - {1}:
             raise ValueError("2-cochain must be bilinear in the f and g jets")
-        swapped = substitute(self.coeff, {"f": jet("g", 0), "g": jet("f", 0)})
-        if not (swapped + self.coeff).is_zero():
+        # swap the families order by order: a rename raises no jet order,
+        # so no prolongation and no order cap are involved
+        swap = {(_RANK[a], n): jet(b, n, n) for a, b in ("fg", "gf")
+                for n in range(self.coeff.max_order(a) + 1)}
+        if not (substitute_jets(self.coeff, swap) + self.coeff).is_zero():
             raise ValueError("2-cochain must be antisymmetric under f <-> g")
 
     def is_symbolic(self) -> bool:

@@ -1,7 +1,7 @@
 """Exact rational linear algebra for the correction solver and certificates.
 
 Systems arrive as sparse rows over Fraction, and the correction systems are
-mostly redundant: the weight-7 one has 2,624 rows, 964 of them distinct up
+mostly redundant: the weight-7 one has 1,682 rows, 493 of them distinct up
 to scale, and rank 249.  So ``solve_affine`` drops zero rows and rows that
 repeat another up to scale before any elimination, then reduces the
 distinct rows sparse-first against pivot rows that it keeps fully reduced.

@@ -1,5 +1,6 @@
 """Chart transforms: pushforward, globality, corrections, equivalences."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,15 @@ from jetcocycles.calculus import (
 )
 from jetcocycles.charts import (
     ChartFrame,
+    _canonical_point,
+    _linear_residual,
     covariant_equivalence,
     is_global,
     pushforward,
     solve_corrections,
     transform_connection,
 )
+from jetcocycles.cli import main
 from jetcocycles.cochains import (
     DERIVED_C1,
     DERIVED_C2,
@@ -27,20 +31,25 @@ from jetcocycles.cochains import (
     PRINTED_CONNECTION_VARIANTS,
     Cochain2,
     catalogue,
+    ce_parts,
     det_expr,
 )
 from jetcocycles.expr import (
     DiffExpr,
     _RANK,
+    euler_derivative,
     hinv,
+    hinv_power,
     jet,
+    lam_expr,
     substitute_jets,
     total_derivative as D,
 )
 from jetcocycles.lampoly import LamPoly
+from jetcocycles.linalg import solve_affine
 from jetcocycles.syntax import parse_expr
 
-from helpers import BAD_SYMBOLS
+from helpers import BAD_SYMBOLS, random_expr
 
 _HJETS = 6
 
@@ -244,3 +253,107 @@ def test_solve_corrections_rejects_lam_in_a_cochain_symbol():
     c = Cochain2(det_expr(1, 2).scale(LamPoly.lam()), 1, LamPoly.const(1))
     with pytest.raises(ValueError, match="found lam"):
         solve_corrections(c)
+
+
+# -- the infinitesimal law against the finite one ---------------------------
+
+_VARIED = ("f", "g", "T", "R", "w")
+
+
+def _first_order_of_finite_law(e: DiffExpr, weight: int) -> DiffExpr:
+    """lam^1 part of pushforward(e) - hinv_power(weight) * e at h = z + lam X,
+    X carried by k: h[1] -> 1 + lam k[1], h[n] -> lam k[n], hinv -> 1 - lam k[1]."""
+    residual = pushforward(e) - hinv_power(weight) * e
+    eps = lam_expr()
+    table = {(_RANK["hinv"], 0): 1 - eps * jet("k", 1)}
+    for n in range(1, residual.max_order("h") + 1):
+        table[_RANK["h"], n] = (1 if n == 1 else 0) + eps * jet("k", n)
+    expanded = substitute_jets(residual, table)
+    return DiffExpr({mono: LamPoly.const(coef.coeffs[1])
+                     for mono, coef in expanded.terms() if coef.degree >= 1})
+
+
+@pytest.mark.parametrize("family", _VARIED)
+def test_linear_residual_is_first_order_part_of_binding_table_on_jets(family):
+    for order in range(5):
+        for weight in (-1, 0, 2):
+            e = jet(family, order)
+            first = _first_order_of_finite_law(e, weight)
+            # only a bare vector field is a density, of weight -1
+            assert first.is_zero() == (family in "fg" and order == 0 and weight == -1)
+            assert _linear_residual(e, weight, {}, 12) == first, (family, order, weight)
+
+
+def test_linear_residual_is_first_order_part_of_binding_table_on_random_expressions():
+    rng = random.Random(7)
+    table = {}  # one shared memo, as in a solve
+    nonzero = 0
+    for _ in range(40):
+        e = random_expr(rng, families=_VARIED, lam_degree=0)
+        weight = rng.randint(-2, 3)
+        first = _first_order_of_finite_law(e, weight)
+        assert _linear_residual(e, weight, table, 12) == first, (e, weight)
+        nonzero += not first.is_zero()
+    assert nonzero >= 30
+
+
+def _add_rows(e: DiffExpr, space: int, index, rows: dict):
+    for mono, coef in e.terms():
+        row = rows.setdefault((space, mono), [{}, Fraction(0)])
+        if index is None:
+            row[1] -= coef.constant_value()
+        else:
+            row[0][index] = row[0].get(index, Fraction(0)) + coef.constant_value()
+
+
+def _finite_law_solution(result):
+    """solve_affine of the finite-law system over result.ansatz: globality as
+    pushforward(e) - (h')^(-weight) e, cocycle rows from ce_parts per term."""
+    frame = ChartFrame()
+    rows: dict = {}
+    for index, e in [(None, result.symbol)] + list(enumerate(t.expr for t in result.ansatz)):
+        _add_rows(frame.pushforward(e) - hinv_power(result.weight) * e, 0, index, rows)
+        delta = ce_parts(e, 2, result.module_lambda)[1]
+        if result.trivial_action:
+            for i, fam in enumerate(("f", "g", "k", "T", "R", "w")):
+                _add_rows(euler_derivative(delta, fam), 10 + i, index, rows)
+        else:
+            _add_rows(delta, 1, index, rows)
+    return solve_affine(((row, rhs) for row, rhs in rows.values()), len(result.ansatz))
+
+
+# every 3 <= p+q <= 6 plus det(0,7) and det(1,6): 4 feasible, 8 infeasible
+_GLOBALIZE_DETS = tuple((p, q) for q in range(1, 7) for p in range(q)
+                        if 3 <= p + q <= 6) + ((0, 7), (1, 6))
+_FEASIBLE_DETS = ((1, 2), (1, 3), (2, 3), (2, 4))
+_SYSTEMS = (
+    [(name, catalogue(name, "flat"), None, True)
+     for name in ("cbar0", "c0w", "c1", "cbar1", "c2", "cbar2", "c5")]
+    + [(f"det({p},{q})", det_expr(p, q), p + q - 2, (p, q) in _FEASIBLE_DETS)
+       for p, q in _GLOBALIZE_DETS]
+    + [("3det(3,4)+2det(2,5)", 3 * det_expr(3, 4) + 2 * det_expr(2, 5), 5, True)]
+)
+
+
+@pytest.mark.parametrize("symbol, weight, feasible", [s[1:] for s in _SYSTEMS],
+                         ids=[s[0] for s in _SYSTEMS])
+def test_infinitesimal_rows_solve_like_the_finite_law(symbol, weight, feasible):
+    result = solve_corrections(symbol, weight)
+    finite = _finite_law_solution(result)
+    assert result.feasible == (finite is not None) == feasible
+    if feasible:
+        assert result.dimension == finite.dimension
+        assert result.nullspace == tuple(finite.nullspace)
+        assert result.coefficients == _canonical_point(finite)
+
+
+@pytest.mark.parametrize("symbol, weight, cap, code", [
+    ("det(1,2)", 1, 2, 2), ("det(1,2)", 1, 3, 0),
+    ("det(1,3)", 2, 3, 2), ("det(1,3)", 2, 4, 0),
+    ("det(3,4)", 5, 4, 2), ("det(3,4)", 5, 5, 2), ("det(3,4)", 5, 6, 2),
+])
+def test_globalize_exit_codes_at_low_caps(symbol, weight, cap, code, capsys):
+    argv = ["globalize", "--symbol", symbol, "--weight", str(weight), "--max-order", str(cap)]
+    assert main(argv) == code
+    if code:
+        assert f"cap {cap}" in capsys.readouterr().err

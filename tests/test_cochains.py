@@ -49,6 +49,12 @@ def test_cochain_validation():
         Cochain2(jet("f", 0) ** 2 * jet("g", 1) - jet("g", 0) ** 2 * jet("f", 1), 0)
     with pytest.raises(ValueError):
         Cochain1(jet("f", 0) ** 2, 0, LamPoly.const(0))
+    # swapping f and g raises no jet order, so a symbol past the default
+    # cap builds, and a symmetric one of the same order is still rejected
+    assert det_cochain(0, 13, 24).value_weight == 11
+    f0, f13, g0, g13 = (jet(x, n, 24) for x in "fg" for n in (0, 13))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        Cochain2(f0 * g13 + f13 * g0, 11)
 
 
 def test_ce_differential_table_rows():
