@@ -14,16 +14,23 @@ hinv is the single allowed "inverse": the unit relation hinv*h[1] = 1 is
 applied during monomial assembly, and d/dz maps hinv to -h[2]*hinv^2, so no
 localization machinery is needed.
 
-Everything is canonical by construction: monomials are sorted tuples keyed
-by (family rank, order), terms are keyed by monomial with nonzero LamPoly
-coefficients, and all operations return freshly normalized expressions.
-Expressions are immutable values; every function here is pure.
+Everything is canonical by construction: monomials are sorted tuples of
+(atom, exponent) with positive exponents, keyed by (family rank, order), and
+terms are keyed by monomial with nonzero LamPoly coefficients.  The kernel
+keeps that form without re-sorting: a product merges two sorted tuples, and
+a derivative shifts one tuple (atom i loses a power; its successor
+(rank, order+1) can only sit at i+1, where it is bumped or inserted).  The
+hinv*h[1] rule lives in one helper, ``_unit_rule``, which both the merge and
+the general assembler ``_mono_from_pairs`` end with.  Results are wrapped
+by the private ``_expr``, which trusts that form; ``DiffExpr(...)`` still
+drops zero coefficients.  Expressions are immutable values; every function
+here is pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .lampoly import LamPoly, Rat, _as_fraction
 
@@ -65,8 +72,33 @@ def atom_name(atom: Atom) -> str:
     return FAMILIES[rank] if rank == _HINV else f"{FAMILIES[rank]}[{order}]"
 
 
+def _unit_rule(items: List[Tuple[Atom, int]]) -> Monomial:
+    """Apply hinv*h[1] -> 1 to sorted (atom, exp) pairs with positive exponents.
+
+    hinv ranks last, and h[1] is the lowest h atom, so both checks look only
+    at the tail of the list.
+    """
+    if items and items[-1][0] == _HINV0:
+        j = len(items) - 2
+        while j >= 0 and items[j][0][0] == _H:
+            j -= 1
+        j += 1
+        if j < len(items) - 1 and items[j][0] == _H1:
+            a, b = items[-1][1], items[j][1]
+            m = min(a, b)
+            if a > m:
+                items[-1] = (_HINV0, a - m)
+            else:
+                del items[-1]
+            if b > m:
+                items[j] = (_H1, b - m)
+            else:
+                del items[j]
+    return tuple(items)
+
+
 def _mono_from_pairs(pairs: Iterable[Tuple[Atom, int]]) -> Monomial:
-    """Assemble a monomial from (atom, exp) pairs, applying hinv*h[1] -> 1."""
+    """Assemble a monomial from (atom, exp) pairs in any order."""
     acc: Dict[Atom, int] = {}
     for atom, exp in pairs:
         if exp == 0:
@@ -74,24 +106,32 @@ def _mono_from_pairs(pairs: Iterable[Tuple[Atom, int]]) -> Monomial:
         if exp < 0:
             raise ValueError("negative exponents are not representable; use hinv")
         acc[atom] = acc.get(atom, 0) + exp
-    a = acc.get(_HINV0, 0)
-    b = acc.get(_H1, 0)
-    if a and b:
-        m = min(a, b)
-        for atom, e in ((_HINV0, a - m), (_H1, b - m)):
-            if e:
-                acc[atom] = e
-            else:
-                del acc[atom]
-    return tuple(sorted(acc.items()))
+    return _unit_rule(sorted(acc.items()))
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two canonical monomials: merge the sorted tuples."""
     if not m1:
         return m2
     if not m2:
         return m1
-    return _mono_from_pairs(list(m1) + list(m2))
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        p, q = m1[i], m2[j]
+        if p[0] < q[0]:
+            out.append(p)
+            i += 1
+        elif q[0] < p[0]:
+            out.append(q)
+            j += 1
+        else:
+            out.append((p[0], p[1] + q[1]))
+            i += 1
+            j += 1
+    out += m1[i:] or m2[j:]
+    return _unit_rule(out)
 
 
 class DiffExpr:
@@ -186,28 +226,38 @@ class DiffExpr:
         for mono, coef in other._terms.items():
             acc = out.get(mono)
             s = coef if acc is None else acc + coef
-            if s.is_zero():
-                out.pop(mono, None)
-            else:
+            if s.coeffs:
                 out[mono] = s
-        return DiffExpr(out)
+            else:
+                del out[mono]
+        return _expr(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffExpr":
-        return DiffExpr({m: -c for m, c in self._terms.items()})
+        return _expr({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "DiffExpr":
         other = _coerce_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if not other._terms:
+            return self
+        out = dict(self._terms)
+        for mono, coef in other._terms.items():
+            acc = out.get(mono)
+            s = -coef if acc is None else acc - coef
+            if s.coeffs:
+                out[mono] = s
+            else:
+                del out[mono]
+        return _expr(out)
 
     def __rsub__(self, other) -> "DiffExpr":
         other = _coerce_expr(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "DiffExpr":
         if isinstance(other, (int, Fraction, LamPoly)):
@@ -226,11 +276,11 @@ class DiffExpr:
                 c = c1 * c2
                 acc = out.get(mono)
                 s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(mono, None)
-                else:
+                if s.coeffs:
                     out[mono] = s
-        return DiffExpr(out)
+                else:
+                    del out[mono]
+        return _expr(out)
 
     def __rmul__(self, other) -> "DiffExpr":
         if isinstance(other, (int, Fraction, LamPoly)):
@@ -238,10 +288,7 @@ class DiffExpr:
         return NotImplemented
 
     def scale(self, c: Union[Rat, LamPoly]) -> "DiffExpr":
-        poly = c if isinstance(c, LamPoly) else LamPoly.const(c)
-        if poly.is_zero():
-            return _ZERO
-        return DiffExpr({m: coef * poly for m, coef in self._terms.items()})
+        return DiffExpr({m: coef * c for m, coef in self._terms.items()})
 
     def __pow__(self, n: int) -> "DiffExpr":
         if not isinstance(n, int):
@@ -267,9 +314,16 @@ class DiffExpr:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # zero and constants hash like the Fraction they compare equal to
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            t = self._terms
+            if not t:
+                h = 0
+            elif len(t) == 1 and () in t:
+                h = hash(t[()])
+            else:
+                h = hash(frozenset(t.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -291,6 +345,19 @@ class DiffExpr:
 
     def coefficient_polys(self) -> Tuple[LamPoly, ...]:
         return tuple(self._terms.values())
+
+
+_set_terms = DiffExpr._terms.__set__
+_set_hash = DiffExpr._hash.__set__
+
+
+def _expr(terms: Dict[Monomial, LamPoly]) -> DiffExpr:
+    """The kernel's constructor: ``terms`` are canonical and every
+    coefficient is nonzero, so nothing is re-checked."""
+    e = object.__new__(DiffExpr)
+    _set_terms(e, terms)
+    _set_hash(e, None)
+    return e
 
 
 _ZERO = DiffExpr()
@@ -336,29 +403,40 @@ _D_HINV_MONO = _mono_from_pairs([((_H, 2), 1), (_HINV0, 2)])
 
 def total_derivative(e: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
     """Formal d/dz: Leibniz over monomials, family[n] -> family[n+1],
-    hinv -> -h[2]*hinv^2, lam and rationals constant."""
+    hinv -> -h[2]*hinv^2, lam and rationals constant.
+
+    The derived monomial is built by shifting the sorted tuple: atom i loses
+    one power, and its successor (rank, order+1) can only sit at i+1, where
+    it is bumped or inserted.  Neither step can meet the hinv*h[1] rule.
+    """
     out: Dict[Monomial, LamPoly] = {}
     for mono, coef in e._terms.items():
+        last = len(mono) - 1
         for i, (atom, exp) in enumerate(mono):
-            rest = mono[:i] + ((atom, exp - 1),) + mono[i + 1:]
             if atom == _HINV0:
-                new = _mono_mul(_mono_from_pairs(rest), _D_HINV_MONO)
-                c = coef * (-exp)
+                rest = mono[:i] + ((atom, exp - 1),) if exp > 1 else mono[:i]
+                new = _mono_mul(rest, _D_HINV_MONO)
+                c = coef * -exp
             else:
                 rank, order = atom
-                if order + 1 > cap:
+                if order >= cap:
                     raise OrderCapExceeded(
                         f"derivative pushes {atom_name(atom)} past order cap {cap}"
                     )
-                new = _mono_mul(_mono_from_pairs(rest), (((rank, order + 1), 1),))
-                c = coef * exp
+                head = mono[:i] + ((atom, exp - 1),) if exp > 1 else mono[:i]
+                up = (rank, order + 1)
+                if i < last and mono[i + 1][0] == up:
+                    new = head + ((up, mono[i + 1][1] + 1),) + mono[i + 2:]
+                else:
+                    new = head + ((up, 1),) + mono[i + 1:]
+                c = coef * exp if exp > 1 else coef
             acc = out.get(new)
             s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(new, None)
-            else:
+            if s.coeffs:
                 out[new] = s
-    return DiffExpr(out)
+            else:
+                del out[new]
+    return _expr(out)
 
 
 # -- substitution -----------------------------------------------------
@@ -426,17 +504,17 @@ def substitute_jets(e: DiffExpr, table: Mapping[Atom, DiffExpr]) -> DiffExpr:
                 )
             else:
                 keep.append((atom, exp))
-        piece = DiffExpr({_mono_from_pairs(keep): coef})
+        piece = _expr({tuple(keep): coef})
         for fac in factors:
             piece = piece * fac
         for m, c in piece._terms.items():
             acc = out.get(m)
             s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
+            if s.coeffs:
                 out[m] = s
-    return DiffExpr(out)
+            else:
+                del out[m]
+    return _expr(out)
 
 
 # -- evaluation oracle -------------------------------------------------
@@ -495,16 +573,20 @@ def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
     for mono, coef in e._terms.items():
         for i, (a, exp) in enumerate(mono):
             if a == atom:
-                rest = _mono_from_pairs(mono[:i] + ((a, exp - 1),) + mono[i + 1:])
-                c = coef * exp
+                if exp > 1:
+                    rest = mono[:i] + ((a, exp - 1),) + mono[i + 1:]
+                    c = coef * exp
+                else:
+                    rest = mono[:i] + mono[i + 1:]
+                    c = coef
                 acc = out.get(rest)
                 s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(rest, None)
-                else:
+                if s.coeffs:
                     out[rest] = s
+                else:
+                    del out[rest]
                 break
-    return DiffExpr(out)
+    return _expr(out)
 
 
 def euler_derivative(e: DiffExpr, family: str, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:

@@ -8,7 +8,8 @@ kept symbolic.  Degree-0 polynomials behave like plain Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from operator import add, neg, sub
+from typing import Iterable, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -72,51 +73,60 @@ class LamPoly:
         return len(self.coeffs) - 1
 
     def __add__(self, other) -> "LamPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LamPoly(out)
+        a = self.coeffs
+        if isinstance(other, LamPoly):
+            b = other.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            return _new(tuple(map(add, a, b)) + a[len(b):])
+        if isinstance(other, (int, Fraction)):
+            if not a:
+                return LamPoly.const(other)
+            return _new((a[0] + other,) + a[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "LamPoly":
-        return LamPoly(tuple(-c for c in self.coeffs))
+        return _new(tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other) -> "LamPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        a = self.coeffs
+        if isinstance(other, LamPoly):
+            b = other.coeffs
+            n = min(len(a), len(b))
+            return _new(tuple(map(sub, a, b)) + a[n:] + tuple(map(neg, b[n:])))
+        if isinstance(other, (int, Fraction)):
+            return self + -other
+        return NotImplemented
 
     def __rsub__(self, other) -> "LamPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other) -> "LamPoly":
-        other = _coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        if isinstance(other, LamPoly):
+            b = other.coeffs
+            if len(b) == 1:
+                other = b[0]
+            elif len(a) == 1:
+                a, other = b, a[0]
+            elif not a or not b:
+                return ZERO
+            else:
+                out = [Fraction(0)] * (len(a) + len(b) - 1)
+                for i, ca in enumerate(a):
+                    if ca:
+                        for j, cb in enumerate(b):
+                            out[i + j] += ca * cb
+                return _new(tuple(out))
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return LamPoly()
-        if len(a) == 1:
-            return LamPoly(tuple(a[0] * c for c in b))
-        if len(b) == 1:
-            return LamPoly(tuple(c * b[0] for c in a))
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return LamPoly(out)
+        if not other:
+            return ZERO
+        return _new(tuple([c * other for c in a]))
 
     __rmul__ = __mul__
 
@@ -124,11 +134,16 @@ class LamPoly:
         if isinstance(other, LamPoly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == LamPoly.const(other)
+            cs = self.coeffs
+            return len(cs) <= 1 and (cs[0] if cs else 0) == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant hashes like its Fraction value, since the two compare equal
+        cs = self.coeffs
+        if len(cs) > 1:
+            return hash(cs)
+        return hash(cs[0]) if cs else 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -231,14 +246,22 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+_set_coeffs = LamPoly.coeffs.__set__
+
+
+def _new(cs: Tuple[Fraction, ...]) -> LamPoly:
+    """The arithmetic's constructor: ``cs`` is already a tuple of Fractions,
+    so only trailing zeros are stripped (``LamPoly(...)`` validates each)."""
+    if cs and not cs[-1]:
+        n = len(cs) - 1
+        while n and not cs[n - 1]:
+            n -= 1
+        cs = cs[:n]
+    p = object.__new__(LamPoly)
+    _set_coeffs(p, cs)
+    return p
+
+
 ZERO = LamPoly.zero()
 ONE = LamPoly.one()
 LAM = LamPoly.lam()
-
-
-def _coerce(x):
-    if isinstance(x, LamPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return LamPoly.const(x)
-    return NotImplemented

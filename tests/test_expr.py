@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from jetcocycles.expr import (
     _RANK,
+    _mono_from_pairs,
+    _mono_mul,
     DiffExpr,
     OrderCapExceeded,
     eval_rational,
@@ -22,9 +24,9 @@ from jetcocycles.expr import (
     substitute_jets,
     total_derivative as D,
 )
-from jetcocycles.lampoly import LAM
+from jetcocycles.lampoly import LAM, LamPoly
 
-from helpers import eval_at, random_expr, random_lambda, random_point
+from helpers import eval_at, random_coeff, random_expr, random_lambda, random_point
 
 F0, F1, F2 = jet("f", 0), jet("f", 1), jet("f", 2)
 G0, G1 = jet("g", 0), jet("g", 1)
@@ -293,3 +295,158 @@ def test_euler_derivative_matches_the_definitional_sum():
             nonzero += not got.is_zero()
         assert euler_derivative(e, "k").is_zero()
     assert nonzero > 60
+
+
+# -- hashing agrees with equality ------------------------------------------
+
+
+def test_constants_hash_like_their_fraction():
+    for q in (3, 0, -1, Fraction(1, 2), Fraction(-7, 3)):
+        e = DiffExpr.rational(q)
+        assert e == q and hash(e) == hash(Fraction(q))
+        assert q in {e} and e in {q}
+    assert 0 in {DiffExpr.zero()} and hash(DiffExpr.zero()) == hash(0)
+    assert 3 in {DiffExpr.coefficient(LamPoly.const(3))}
+    assert 3 not in {DiffExpr.rational(3) + F0}
+
+
+# -- shifted and merged monomials against the definitional path -------------
+
+_H, _HINV0 = _RANK["h"], (_RANK["hinv"], 0)
+_H1 = (_H, 1)
+
+
+def _atom(fam, order):
+    return (_RANK[fam], order)
+
+
+def _mono(*factors):
+    return _mono_from_pairs([(_atom(fam, order), exp) for fam, order, exp in factors])
+
+
+# adjacent orders with repeated exponents, and the h / hinv corner cases
+_HAND_MONOS = (
+    _mono(("f", 2, 2), ("f", 3, 1)),
+    _mono(("f", 2, 1), ("f", 3, 2)),
+    _mono(("f", 0, 3), ("f", 1, 1), ("f", 2, 1), ("g", 0, 1)),
+    _mono(("T", 0, 1), ("T", 1, 2), ("R", 2, 1)),
+    _mono(("h", 1, 2), ("h", 2, 1)),
+    _mono(("h", 1, 1), ("h", 2, 1), ("h", 3, 1)),
+    _mono(("h", 2, 1), ("hinv", 0, 3)),
+    _mono(("f", 1, 1), ("h", 3, 2), ("hinv", 0, 1)),
+    (),
+)
+
+
+def _random_mono(rng):
+    pairs = []
+    for _ in range(rng.randrange(0, 5)):
+        fam = rng.choice(("f", "f", "g", "T", "h", "hinv"))
+        order = 0 if fam == "hinv" else rng.randrange(1 if fam == "h" else 0, 4)
+        pairs.append((_atom(fam, order), rng.randrange(1, 4)))
+    return _mono_from_pairs(pairs)
+
+
+def _random_kernel_expr(rng):
+    """Canonical terms assembled by _mono_from_pairs, not by the product."""
+    monos = [_random_mono(rng) for _ in range(rng.randrange(1, 5))]
+    monos += rng.sample(_HAND_MONOS, 2)
+    return DiffExpr({m: random_coeff(rng) for m in monos})
+
+
+def _assert_canonical(e):
+    for mono, coef in e.terms():
+        atoms = [atom for atom, _ in mono]
+        assert atoms == sorted(set(atoms)), mono
+        assert all(type(x) is int and x > 0 for _, x in mono), mono
+        assert not (_HINV0 in atoms and _H1 in atoms), mono
+        assert coef.coeffs
+
+
+def _from_reference(acc):
+    """Coefficient lists keyed by monomial, through the public constructors."""
+    return DiffExpr({m: LamPoly(cs) for m, cs in acc.items()})
+
+
+def _accumulate(acc, mono, coeffs):
+    old = acc.setdefault(mono, [])
+    old.extend([0] * (len(coeffs) - len(old)))
+    for i, c in enumerate(coeffs):
+        old[i] += c
+
+
+def _reference_total_derivative(e):
+    acc = {}
+    for mono, coef in e.terms():
+        for i, (atom, exp) in enumerate(mono):
+            rest = list(mono[:i]) + [(atom, exp - 1)] + list(mono[i + 1:])
+            if atom == _HINV0:
+                pairs, k = rest + [((_H, 2), 1), (_HINV0, 2)], -exp
+            else:
+                pairs, k = rest + [((atom[0], atom[1] + 1), 1)], exp
+            _accumulate(acc, _mono_from_pairs(pairs), [k * c for c in coef.coeffs])
+    return _from_reference(acc)
+
+
+def _reference_partial_derivative(e, atom):
+    acc = {}
+    for mono, coef in e.terms():
+        for i, (a, exp) in enumerate(mono):
+            if a == atom:
+                rest = list(mono[:i]) + [(a, exp - 1)] + list(mono[i + 1:])
+                _accumulate(acc, _mono_from_pairs(rest), [exp * c for c in coef.coeffs])
+    return _from_reference(acc)
+
+
+def _reference_difference(a, b):
+    acc = {}
+    for mono, coef in a.terms():
+        _accumulate(acc, mono, coef.coeffs)
+    for mono, coef in b.terms():
+        _accumulate(acc, mono, [-c for c in coef.coeffs])
+    return _from_reference(acc)
+
+
+def test_kernel_loops_match_the_definitional_path():
+    rng = random.Random(41)
+    exprs = [_random_kernel_expr(rng) for _ in range(60)]
+    exprs.append(DiffExpr({m: LamPoly.one() for m in _HAND_MONOS}))
+    for e in exprs:
+        got = D(e)
+        assert got == _reference_total_derivative(e)
+        _assert_canonical(got)
+        for fam, order in (("f", 2), ("f", 3), ("h", 1), ("h", 2), ("hinv", 0), ("T", 1)):
+            got = partial_derivative(e, fam, order)
+            assert got == _reference_partial_derivative(e, _atom(fam, order))
+            _assert_canonical(got)
+    for a, b in zip(exprs, exprs[1:] + exprs[:1]):
+        for x, y in ((a, b), (a, a), (a, a + b)):
+            got = x - y
+            assert got == _reference_difference(x, y)
+            _assert_canonical(got)
+
+
+def test_monomial_merge_matches_the_definitional_path():
+    rng = random.Random(43)
+    monos = list(_HAND_MONOS) + [_random_mono(rng) for _ in range(40)]
+    cancelled = 0
+    for m1 in monos:
+        for m2 in monos:
+            got = _mono_mul(m1, m2)
+            assert got == _mono_from_pairs(m1 + m2)
+            _assert_canonical(DiffExpr({got: LamPoly.one()}))
+            atoms = {a for a, _ in m1 + m2}
+            cancelled += _HINV0 in atoms and _H1 in atoms
+    assert cancelled > 50
+    assert _mono_mul(_mono(("hinv", 0, 2)), _mono(("h", 1, 3), ("h", 2, 1))) \
+        == _mono(("h", 1, 1), ("h", 2, 1))
+    assert _mono_mul(_mono(("f", 0, 1), ("hinv", 0, 1)), _mono(("h", 1, 1))) \
+        == _mono(("f", 0, 1))
+    assert _mono_mul(_mono(("h", 2, 1), ("hinv", 0, 3)), _mono(("h", 1, 1), ("h", 2, 1))) \
+        == _mono(("h", 2, 2), ("hinv", 0, 2))
+
+
+def test_derivative_of_adjacent_orders_merges():
+    f2, f3, f4 = jet("f", 2), jet("f", 3), jet("f", 4)
+    assert D(f2 ** 2 * f3) == 2 * f2 * f3 ** 2 + f2 ** 2 * f4
+    assert D(f2 * f3 ** 2) == f3 ** 3 + 2 * f2 * f3 * f4

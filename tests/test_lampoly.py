@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import product, zip_longest
 
 import pytest
 
@@ -40,3 +42,71 @@ def test_hashable_and_eq():
     assert hash(LAM + 1) == hash(LamPoly((1, 1)))
     assert LamPoly.const(2) == 2
     assert {LAM: "x"}[LamPoly((0, 1))] == "x"
+    assert 3 in {LamPoly.const(3)} and LamPoly.const(3) in {3}
+    assert Fraction(1, 2) in {LamPoly.const(Fraction(1, 2))}
+    assert 0 in {LamPoly.zero()} and LamPoly.zero() in {0}
+    assert hash(LamPoly.const(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+
+
+# -- the arithmetic's private constructor ----------------------------------
+
+_SCALARS = (0, 1, -3, Fraction(0), Fraction(2, 3), Fraction(-5, 2))
+
+
+def _random_coeffs(rng):
+    """Coefficient lists of degree -1..3 with some internal zeros."""
+    return [Fraction(rng.choice((0, rng.randint(-5, 5))), rng.randint(1, 3))
+            for _ in range(rng.randrange(0, 5))]
+
+
+def _same_as_public(got, want_coeffs):
+    """Fraction coefficients, no trailing zero, and equal (and hashing
+    equal) to the polynomial the validating constructor builds."""
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert not got.coeffs or got.coeffs[-1] != 0
+    want = LamPoly(want_coeffs)
+    assert got == want and got.coeffs == want.coeffs
+    assert hash(got) == hash(want)
+
+
+def _plus(a, b, sign=1):
+    return [x + sign * y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def _times(a, b):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for (i, x), (j, y) in product(enumerate(a), enumerate(b)):
+        out[i + j] += x * y
+    return out if a and b else []
+
+
+def test_arithmetic_results_are_canonical_fractions():
+    rng = random.Random(8)
+    polys = [_random_coeffs(rng) for _ in range(30)]
+    polys += [[], [0], [0, 0, 1], [Fraction(1, 2)], [1, -1]]
+    for a, b in product(polys[:20], polys):
+        pa, pb = LamPoly(a), LamPoly(b)
+        _same_as_public(pa + pb, _plus(a, b))
+        _same_as_public(pa - pb, _plus(a, b, -1))
+        _same_as_public(pa * pb, _times(a, b))
+    for a, s in product(polys, _SCALARS):
+        pa = LamPoly(a)
+        _same_as_public(-pa, [-x for x in a])
+        _same_as_public(pa * s, [x * s for x in a])
+        _same_as_public(s * pa, [x * s for x in a])
+        _same_as_public(pa + s, _plus(a, [s]))
+        _same_as_public(s + pa, _plus(a, [s]))
+        _same_as_public(pa - s, _plus(a, [s], -1))
+        _same_as_public(s - pa, _plus([s], a, -1))
+
+
+def test_zero_results_have_no_coefficients():
+    x = 3 * LAM * LAM - Fraction(1, 2)
+    assert (x * 0).coeffs == ()
+    assert (x * Fraction(0)).coeffs == ()
+    assert (x * LamPoly.zero()).coeffs == ()
+    assert (LamPoly.zero() * x).coeffs == ()
+    assert (LAM - LAM).coeffs == ()
+    assert (x - x).coeffs == ()
+    assert (x + (-x)).coeffs == ()
+    assert (LamPoly.const(2) - 2).coeffs == ()
