@@ -1,12 +1,12 @@
 """Exact symbolic verification of density-valued 2-cocycles of vector fields.
 
 The kernel (expr) carries differential polynomials in jet symbols over
-Q[lam]; calculus adds densities, the Lie action and the covariant
-derivative; cochains holds the Chevalley-Eilenberg machinery and the
-generator catalogue; charts certifies chart covariance and solves for
-connection corrections; wittmodel realizes everything on Laurent
-polynomials with residue pairing; report and cli expose the verification
-suites.
+Q[lam]; calculus adds the Lie action, the bracket and the covariant
+derivative on densities, which are plain expressions of a given weight;
+cochains holds the Chevalley-Eilenberg machinery and the generator
+catalogue; charts certifies chart covariance and solves for connection
+corrections; wittmodel realizes everything on Laurent polynomials with
+residue pairing; report and cli expose the verification suites.
 """
 
 from .expr import (
@@ -23,11 +23,9 @@ from .expr import (
 )
 from .lampoly import LAM, LamPoly
 from .calculus import (
-    Density,
     action_via_nabla,
     bracket,
     covariant_derivative,
-    density_product,
     lie_action,
     projective_from_affine,
     schwarzian,

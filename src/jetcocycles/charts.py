@@ -3,21 +3,24 @@ certification, connection transformation, and the correction solver.
 
 The transition h is kept formal (free jets h[1], h[2], ... plus hinv), so a
 single polynomial identity certifies covariance under every coordinate
-change.  The frame's binding table expresses each beta-frame jet in
-alpha-frame jets:
+change.  Each jet family u is a density of a weight w(u), and the affine
+and projective connections T and R carry an inhomogeneous part a(u):
 
-    f_beta = h' f,   T_beta = (T + h''/h')/h',   R_beta = (R + S)/h'^2,
-    w_beta = w/h',
+    w = -1 for f, g, k;   w = 1 for T, w;   w = 2 for R;
+    a(T) = h''/h' (eta),  a(R) = S (the Schwarzian),  a(u) = 0 otherwise.
 
-with higher orders generated by D_beta = hinv * D.  is_global checks this
-finite law.
+Both transformation laws are read from that one table.  The frame's
+binding table expresses each beta-frame jet in alpha-frame jets by the
+finite law
 
-The correction solver imposes the infinitesimal law instead: the first-order
-part of the binding table at h = z + eps X, with X a free vector field
-carried by the family k,
+    u_beta = (h')^(-w) (u + a(u)),   D_beta = hinv * D for higher orders,
 
-    delta f = X' f,   delta T = X'' - X' T,   delta R = X^(3) - 2 X' R,
-    delta w = -X' w,  delta u^(n+1) = D(delta u^(n)) - X' u^(n+1),
+which is_global checks.  The correction solver imposes the infinitesimal
+law instead: the first-order part of the finite law at h = z + eps X, with
+X a free vector field carried by the family k,
+
+    delta u = -w X' u + X^(w+1) (the last term for T and R only),
+    delta u^(n+1) = D(delta u^(n)) - X' u^(n+1),
 
 and e is a weight-w density iff w X' e + sum_n (de/du^(n)) delta u^(n)
 vanishes.  The two laws give the same constraints.  The formal coordinate
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .calculus import Density, eta, projective_from_affine, schwarzian
+from .calculus import eta, projective_from_affine, schwarzian
 from .cochains import Cochain2, catalogue, ce_parts, det_expr
 from .expr import (
     DEFAULT_ORDER_CAP,
@@ -53,43 +56,33 @@ from .expr import (
 )
 from .linalg import AffineSolution, solve_affine
 
-_TRANSFORMABLE = ("f", "g", "k", "T", "R", "w")
+# family -> density weight, and the inhomogeneous part of each connection
+_WEIGHTS = {"f": -1, "g": -1, "k": -1, "T": 1, "R": 2, "w": 1}
+_AFFINE = {"T": eta, "R": schwarzian}
 
 
 class ChartFrame:
     """Binding table for one formal coordinate change, built on demand."""
 
-    def __init__(self, cap: int = DEFAULT_ORDER_CAP):
-        self.cap = cap
+    def __init__(self):
         self._bindings: Dict[Tuple[str, int], DiffExpr] = {}
-
-    @property
-    def eta(self) -> DiffExpr:
-        return eta(self.cap)
-
-    @property
-    def schwarzian(self) -> DiffExpr:
-        return schwarzian(self.cap)
 
     def binding(self, family: str, order: int) -> DiffExpr:
         """Alpha-frame expression of the beta-frame jet family[order]."""
-        if family not in _TRANSFORMABLE:
+        if family not in _WEIGHTS:
             raise ValueError(f"no transformation law for family {family!r}")
         key = (family, order)
         got = self._bindings.get(key)
         if got is not None:
             return got
         if order == 0:
-            if family in ("f", "g", "k"):
-                out = jet("h", 1, self.cap) * jet(family, 0, self.cap)
-            elif family == "T":
-                out = hinv() * (jet("T", 0, self.cap) + self.eta)
-            elif family == "R":
-                out = hinv() ** 2 * (jet("R", 0, self.cap) + self.schwarzian)
-            else:
-                out = hinv() * jet("w", 0, self.cap)
+            u = jet(family, 0)
+            if family in _AFFINE:
+                u = u + _AFFINE[family]()
+            out = hinv_power(_WEIGHTS[family]) * u
         else:
-            out = hinv() * total_derivative(self.binding(family, order - 1), self.cap)
+            # order n reaches h[n + 3]: the Schwarzian starts at h[3]
+            out = hinv() * total_derivative(self.binding(family, order - 1), order + 3)
         self._bindings[key] = out
         return out
 
@@ -99,16 +92,16 @@ class ChartFrame:
         if bad:
             raise ValueError(f"pushforward input must be transition-free, found {sorted(bad)}")
         table: Dict[Tuple[int, int], DiffExpr] = {}
-        for fam in _TRANSFORMABLE:
+        for fam in _WEIGHTS:
             top = e.max_order(fam)
             for order in range(top + 1):
                 table[(_RANK[fam], order)] = self.binding(fam, order)
         return substitute_jets(e, table)
 
 
-def pushforward(e: DiffExpr, frame: Optional[ChartFrame] = None) -> DiffExpr:
+def pushforward(e: DiffExpr) -> DiffExpr:
     """Module-level convenience for ChartFrame.pushforward."""
-    return (frame or ChartFrame()).pushforward(e)
+    return ChartFrame().pushforward(e)
 
 
 @dataclass(frozen=True)
@@ -123,32 +116,33 @@ class GlobalityResult:
 
 
 def is_global(
-    target: Union[Cochain2, Density, DiffExpr],
+    target: Union[Cochain2, DiffExpr],
     weight: Optional[int] = None,
-    frame: Optional[ChartFrame] = None,
 ) -> GlobalityResult:
-    """Check pushforward(e) == (h')^(-weight) * e; FAIL keeps the residual."""
-    if isinstance(target, (Cochain2, Density)):
+    """Check pushforward(e) == (h')^(-weight) * e; FAIL keeps the residual.
+
+    The weight of a Cochain2 defaults to its value weight; a bare
+    expression needs one.  The weight must be an integer.
+    """
+    if isinstance(target, Cochain2):
         expr = target.coeff
         if weight is None:
-            w = target.value_weight if isinstance(target, Cochain2) else target.weight
-            if Fraction(w).denominator != 1:
-                raise ValueError("globality needs an integer weight")
-            weight = int(w)
+            weight = target.value_weight
     else:
         expr = target
         if weight is None:
             raise ValueError("weight is required for a bare expression")
-    frame = frame or ChartFrame()
-    residual = frame.pushforward(expr) - hinv_power(weight) * expr
+    if Fraction(weight).denominator != 1:
+        raise ValueError(f"globality needs an integer weight, got {weight}")
+    weight = int(weight)
+    residual = ChartFrame().pushforward(expr) - hinv_power(weight) * expr
     return GlobalityResult(residual.is_zero(), weight, residual)
 
 
-def transform_connection(which: str, frame: Optional[ChartFrame] = None) -> DiffExpr:
-    if which not in ("T", "R"):
+def transform_connection(which: str) -> DiffExpr:
+    if which not in _AFFINE:
         raise ValueError("which must be 'T' or 'R'")
-    frame = frame or ChartFrame()
-    return frame.binding(which, 0)
+    return ChartFrame().binding(which, 0)
 
 
 # -- correction solver ---------------------------------------------------
@@ -262,7 +256,8 @@ class CorrectionResult:
 
 def _jet_variation(family: str, order: int, table: Dict, cap: int) -> DiffExpr:
     """delta family[order] under z -> z + eps X, X carried by the family k
-    (memoized in table): delta u^(n+1) = D(delta u^(n)) - X' u^(n+1)."""
+    (memoized in table): delta u = -w X' u + X^(w+1) for the connections,
+    delta u^(n+1) = D(delta u^(n)) - X' u^(n+1)."""
     key = (family, order)
     got = table.get(key)
     if got is not None:
@@ -271,23 +266,23 @@ def _jet_variation(family: str, order: int, table: Dict, cap: int) -> DiffExpr:
     if order:
         out = (total_derivative(_jet_variation(family, order - 1, table, cap), cap)
                - x1 * jet(family, order, cap))
-    elif family in ("f", "g"):
-        out = x1 * jet(family, 0, cap)
-    elif family == "T":
-        out = jet("k", 2, cap) - x1 * jet("T", 0, cap)
-    elif family == "R":
-        out = jet("k", 3, cap) - 2 * x1 * jet("R", 0, cap)
     else:
-        out = -x1 * jet("w", 0, cap)
+        w = _WEIGHTS[family]
+        out = (x1 * jet(family, 0, cap)).scale(-w)
+        if family in _AFFINE:
+            out = jet("k", w + 1, cap) + out
     table[key] = out
     return out
 
 
 def _linear_residual(e: DiffExpr, weight: int, table: Dict, cap: int) -> DiffExpr:
     """First-order part of pushforward(e) - hinv_power(weight) * e at
-    h = z + eps X: weight X' e + sum_n (de/du^(n)) delta u^(n)."""
+    h = z + eps X: weight X' e + sum_n (de/du^(n)) delta u^(n).  The family
+    k carries X itself, so it takes no variation."""
     out = (jet("k", 1, cap) * e).scale(weight)
-    for fam in ("f", "g", "T", "R", "w"):
+    for fam in _WEIGHTS:
+        if fam == "k":
+            continue
         for order in range(e.max_order(fam) + 1):
             part = partial_derivative(e, fam, order)
             if not part.is_zero():
@@ -389,7 +384,7 @@ def solve_corrections(
 
     def add_cocycle(delta: DiffExpr, index: Optional[int]):
         if trivial:
-            for fam_i, fam in enumerate(_TRANSFORMABLE):
+            for fam_i, fam in enumerate(_WEIGHTS):
                 _scalar_rows(euler_derivative(delta, fam, max_order), 10 + fam_i, index, rows)
         else:
             _scalar_rows(delta, 1, index, rows)

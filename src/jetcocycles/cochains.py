@@ -6,8 +6,8 @@ The catalogue collects the classical generators in four shapes:
     connection  corrected with affine/projective connection symbols so the
                 chart-transform check passes (engine-verified; where a
                 commonly printed variant fails the check, the failing
-                variant is kept in PRINTED_CONNECTION_VARIANTS for the
-                discrepancy report),
+                variant is kept in PRINTED_CONNECTION_VARIANTS, which the
+                test suite checks and no report record uses),
     covariant   the same objects written through the covariant derivative,
     omega       the barred families tensored with a background 1-form.
 
@@ -32,7 +32,7 @@ from .expr import (
     substitute,
     substitute_jets,
 )
-from .calculus import Density, bracket_expr, lie_action, nabla_power, vector_field
+from .calculus import bracket, lie_action, nabla_power
 from .lampoly import LamPoly, gcd_all, rational_roots
 
 
@@ -121,14 +121,14 @@ def ce_parts(coeff: DiffExpr, arity: int, lam: Union[LamPoly, Fraction, None],
 
     insertions = DiffExpr.zero()
     for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
-        term = value(bracket_expr(x, y, cap), *fams.replace(x, "").replace(y, ""))
+        term = value(bracket(jet(x, 0, cap), jet(y, 0, cap), cap),
+                     *fams.replace(x, "").replace(y, ""))
         insertions = insertions - term if (i + j) % 2 else insertions + term
     if lam is None:
         return insertions, insertions
     delta = insertions
     for i, x in enumerate(fams):
-        values = Density(value(*fams.replace(x, "")), 0)  # weight 0 is a label: lam is explicit
-        term = lie_action(vector_field(x, cap), values, lam, cap).coeff
+        term = lie_action(jet(x, 0, cap), value(*fams.replace(x, "")), lam, cap)
         delta = delta - term if i % 2 else delta + term
     return insertions, delta
 
@@ -232,8 +232,8 @@ DERIVED_C5 = (
     - 2 * _R0 * det_expr(1, 4)
 )
 
-# literal connection variants as commonly printed; kept only so the report
-# can show where they miss the transform law (c1 and c2 each carry one
+# literal connection variants as commonly printed; kept only so the test
+# suite can show that they miss the transform law (c1 and c2 each carry one
 # flipped sign on the 0,1-determinant coefficient; c5 differs in the signs
 # of the 0,1 / 0,2 / 1,2 blocks, whose weight-consistent coefficients come
 # out as 3R'^2-2RR'', +2RR', +4R^2)
@@ -256,10 +256,10 @@ PRINTED_CONNECTION_VARIANTS: Dict[str, DiffExpr] = {
 
 def _cov_det(i: int, j: int, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
     """|nabla^i f  nabla^i g; nabla^j f  nabla^j g| on weight -1 inputs."""
-    fi = nabla_power(vector_field("f", cap), i, cap).coeff
-    fj = nabla_power(vector_field("f", cap), j, cap).coeff
-    gi = nabla_power(vector_field("g", cap), i, cap).coeff
-    gj = nabla_power(vector_field("g", cap), j, cap).coeff
+    fi = nabla_power(jet("f", 0, cap), -1, i, cap)
+    fj = nabla_power(jet("f", 0, cap), -1, j, cap)
+    gi = nabla_power(jet("g", 0, cap), -1, i, cap)
+    gj = nabla_power(jet("g", 0, cap), -1, j, cap)
     return fi * gj - fj * gi
 
 

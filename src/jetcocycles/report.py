@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Optional, Sequence
 
-from .calculus import Density, lie_action, vector_field
+from .calculus import action_via_nabla, lie_action
 from .charts import covariant_equivalence, derive_c7, is_global
 from .cochains import (
     Cochain1,
@@ -26,7 +26,7 @@ from .cochains import (
     det_expr,
     lambda_solutions,
 )
-from .expr import DiffExpr, jet, total_derivative
+from .expr import DiffExpr, jet
 from .lampoly import LamPoly
 from .linalg import solve_affine
 from .syntax import to_text
@@ -228,14 +228,10 @@ def suite_covariant() -> List[CheckRecord]:
 
 
 def _action_residual() -> DiffExpr:
-    # generic density coefficient carried by the w family, symbolic lam (so
-    # the Density weight is only a label)
+    # generic density coefficient carried by the w family, symbolic lam
     lam = LamPoly.lam()
-    f0, w0, T0 = jet("f", 0), jet("w", 0), jet("T", 0)
-    nabla_w = total_derivative(w0) + (T0 * w0).scale(lam)
-    nabla_f = total_derivative(f0) - T0 * f0
-    via_nabla = f0 * nabla_w + (nabla_f * w0).scale(lam)
-    return via_nabla - lie_action(vector_field("f"), Density(w0, 0), lam).coeff
+    f0, w0 = jet("f", 0), jet("w", 0)
+    return action_via_nabla(f0, w0, lam) - lie_action(f0, w0, lam)
 
 
 # -- witt: Laurent realization --------------------------------------------

@@ -177,13 +177,11 @@ def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
     return LaurentDensity.of(out, weight)
 
 
-def residue_pair(a: LaurentDensity, cycle_index: int = 0) -> Fraction:
+def residue_pair(a: LaurentDensity) -> Fraction:
     """Pairing of a 1-form with the cycle around the puncture: the z^-1
     coefficient.  Genus 0 with two punctures has a single cycle class."""
     if a.weight != 1:
         raise ValueError(f"residue pairing needs a 1-form, got weight {a.weight}")
-    if cycle_index != 0:
-        raise ValueError("only the puncture cycle (index 0) exists at genus 0, r=2")
     return a.as_dict().get(-1, Fraction(0))
 
 

@@ -1,0 +1,29 @@
+"""The program names that perfbench calls, wraps or rebinds still resolve.
+
+perfbench/tracer.py wraps every (module, attribute) in SPANNED and patches
+ChartFrame.pushforward on the class; a rename there would only show up when
+the benchmark runs, so the names are checked here.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from tracer import SPANNED  # noqa: E402
+
+
+@pytest.mark.parametrize("module, attr", SPANNED, ids=[f"{m}.{a}" for m, a in SPANNED])
+def test_spanned_names_resolve(module, attr):
+    assert callable(getattr(importlib.import_module(f"jetcocycles.{module}"), attr))
+
+
+def test_pushforward_entry_points_resolve():
+    from jetcocycles import charts
+
+    assert callable(charts.ChartFrame.pushforward)
+    assert callable(charts.pushforward)
+    assert callable(charts.ChartFrame.binding)

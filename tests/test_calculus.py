@@ -1,72 +1,50 @@
-"""Densities, the Lie action, Schwarzian, covariant derivative."""
+"""The Lie action, bracket, Schwarzian and covariant derivative on densities."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
 from jetcocycles.calculus import (
-    Density,
     action_via_nabla,
     bracket,
     covariant_derivative,
-    density_product,
     eta,
     lie_action,
     nabla_power,
     projective_from_affine,
     schwarzian,
-    vector_field,
 )
-from jetcocycles.expr import DiffExpr, eval_rational, jet, substitute, total_derivative as D
+from jetcocycles.expr import eval_rational, jet, substitute, total_derivative as D
+from jetcocycles.lampoly import LamPoly
 
 from helpers import random_expr
 
 
-def test_weights_and_gates():
-    with pytest.raises(ValueError):
-        Density.of(jet("f", 0), Fraction(1, 2))
-    half = Density.of(jet("f", 0), Fraction(-1, 2), allow_half=True)
-    assert half.weight == Fraction(-1, 2)
-    assert Density.of(jet("f", 0), -1).weight == -1
-    with pytest.raises(ValueError):
-        Density.of(jet("f", 0), Fraction(1, 3), allow_half=True)
-
-
 def test_lie_action_specializations():
-    f = vector_field("f")
-    a = Density.of(jet("g", 0), 0)
-    out = lie_action(f, a, 0)
-    assert out.coeff == jet("f", 0) * jet("g", 1)
+    f = jet("f", 0)
+    out = lie_action(f, jet("g", 0), 0)
+    assert out == jet("f", 0) * jet("g", 1)
     # adjoint action kills itself
-    self_act = lie_action(f, Density.of(jet("f", 0), -1), -1)
-    assert self_act.coeff.is_zero()
-    with pytest.raises(ValueError):
-        lie_action(a, a, 0)
+    assert lie_action(f, f, -1).is_zero()
+    # a symbolic lam enters linearly
+    lam = LamPoly.lam()
+    assert lie_action(f, jet("g", 0), lam) == out + (jet("f", 1) * jet("g", 0)).scale(lam)
 
 
 def test_lie_action_differentiates_backgrounds():
-    f = vector_field("f")
-    a = Density.of(jet("T", 0) * jet("g", 0), 1)
-    out = lie_action(f, a, 1)
+    out = lie_action(jet("f", 0), jet("T", 0) * jet("g", 0), 1)
     expected = jet("f", 0) * (jet("T", 1) * jet("g", 0) + jet("T", 0) * jet("g", 1)) \
         + jet("f", 1) * jet("T", 0) * jet("g", 0)
-    assert out.coeff == expected
+    assert out == expected
 
 
 def test_bracket_properties():
-    f, g = vector_field("f"), vector_field("g")
-    assert bracket(f, f).coeff.is_zero()
-    assert bracket(f, g).coeff == -bracket(g, f).coeff
-    with pytest.raises(ValueError):
-        bracket(f, Density.of(jet("g", 0), 0))
+    f, g, k = jet("f", 0), jet("g", 0), jet("k", 0)
+    assert bracket(f, f).is_zero()
+    assert bracket(f, g) == -bracket(g, f)
     # Jacobi through a third field
-    k = vector_field("k")
-    jac = bracket(bracket(f, g), k).coeff
-    jac = jac + substitute(bracket(f, g).coeff,
-                           {"f": bracket(g, k).coeff, "g": jet("f", 0)})
-    jac = jac + substitute(bracket(f, g).coeff,
-                           {"f": bracket(k, f).coeff, "g": jet("g", 0)})
+    jac = bracket(bracket(f, g), k)
+    jac = jac + substitute(bracket(f, g), {"f": bracket(g, k), "g": jet("f", 0)})
+    jac = jac + substitute(bracket(f, g), {"f": bracket(k, f), "g": jet("g", 0)})
     assert jac.is_zero()
 
 
@@ -80,55 +58,43 @@ def test_schwarzian():
 
 
 def test_covariant_derivative_weights():
-    phi = Density.of(jet("w", 0), 0)
-    assert covariant_derivative(phi).coeff == jet("w", 1)      # plain D on weight 0
-    assert covariant_derivative(phi).weight == 1
+    assert covariant_derivative(jet("w", 0), 0) == jet("w", 1)      # plain D on weight 0
     rng = random.Random(2)
     for w in (-1, 0, 1, 2, 5, 7):
-        a = Density.of(random_expr(rng, families=("f", "T", "R")), w)
-        assert covariant_derivative(a).weight == w + 1
+        a = random_expr(rng, families=("f", "T", "R"))
+        assert covariant_derivative(a, w) == D(a) + (jet("T", 0) * a).scale(w)
+        # the second step acts on weight w + 1
+        assert nabla_power(a, w, 2) == covariant_derivative(covariant_derivative(a, w), w + 1)
+    lam = LamPoly.lam()
+    assert covariant_derivative(jet("w", 0), lam) \
+        == jet("w", 1) + (jet("T", 0) * jet("w", 0)).scale(lam)
 
 
 def test_bracket_via_nabla():
-    f, g = vector_field("f"), vector_field("g")
-    nf, ng = covariant_derivative(f), covariant_derivative(g)
-    combo = f.coeff * ng.coeff - nf.coeff * g.coeff
-    assert combo == bracket(f, g).coeff  # the T terms cancel
+    f, g = jet("f", 0), jet("g", 0)
+    combo = f * covariant_derivative(g, -1) - covariant_derivative(f, -1) * g
+    assert combo == bracket(f, g)  # the T terms cancel
 
 
 def test_nabla_squared_on_half_density():
-    phi = Density.of(jet("w", 0), Fraction(-1, 2), allow_half=True)
-    out = nabla_power(phi, 2)
-    assert out.weight == Fraction(3, 2)
+    out = nabla_power(jet("w", 0), Fraction(-1, 2), 2)
     # equals (d^2 - R/2) phi under R = T' + T^2/2; the often-quoted +R/2
     # belongs to the opposite-sign package where R is negated
     R = projective_from_affine()
     expected = D(D(jet("w", 0))) - (R * jet("w", 0)).scale(Fraction(1, 2))
-    assert out.coeff == expected
-
-
-def test_density_product_weights():
-    a = Density.of(jet("f", 0), -1)
-    b = Density.of(jet("w", 0), 1)
-    assert density_product(a, b).weight == 0
-    assert density_product(b, b).weight == 2
-    unit = Density.of(DiffExpr.one(), 0)
-    assert density_product(a, unit).coeff == a.coeff
+    assert out == expected
 
 
 def test_action_via_nabla_matches_lie_action():
-    f = vector_field("f")
-    for w in (0, 1, 2, 5, 7, -1, 3):
-        a = Density.of(jet("w", 0) * jet("R", 0), w)
-        lhs = action_via_nabla(f, a)
-        rhs = lie_action(f, a, w)
-        assert (lhs.coeff - rhs.coeff).is_zero()
+    f = jet("f", 0)
+    a = jet("w", 0) * jet("R", 0)
+    for w in (0, 1, 2, 5, 7, -1, 3, Fraction(1, 2), LamPoly.lam()):
+        assert action_via_nabla(f, a, w) == lie_action(f, a, w)
 
 
 def test_worked_nabla_cubed_expansion():
     # nabla^3 on a vector field: f''' - T''f - 2T'f' - TT'f - T^2 f'
-    f = vector_field("f")
-    out = nabla_power(f, 3).coeff
+    out = nabla_power(jet("f", 0), -1, 3)
     T0, T1, T2 = jet("T", 0), jet("T", 1), jet("T", 2)
     expected = jet("f", 3) - T2 * jet("f", 0) - 2 * T1 * jet("f", 1) \
         - T0 * T1 * jet("f", 0) - T0 ** 2 * jet("f", 1)

@@ -6,12 +6,9 @@ from fractions import Fraction
 import pytest
 
 from jetcocycles.calculus import (
-    Density,
     covariant_derivative,
-    density_product,
     projective_from_affine,
     schwarzian,
-    vector_field,
 )
 from jetcocycles.charts import (
     ChartFrame,
@@ -113,10 +110,9 @@ def test_pushforward_rejects_transition_jets():
 
 
 def test_transform_connection():
-    fr = ChartFrame()
     identity_like = {1: Fraction(1), 2: 0, 3: 0}
-    assert _subs_h(transform_connection("T", fr), identity_like) == jet("T", 0)
-    R_binding = transform_connection("R", fr)
+    assert _subs_h(transform_connection("T"), identity_like) == jet("T", 0)
+    R_binding = transform_connection("R")
     assert (R_binding - hinv() ** 2 * (jet("R", 0) + schwarzian())).is_zero()
     with pytest.raises(ValueError):
         transform_connection("w")
@@ -132,43 +128,59 @@ def test_package_a_consistency():
 
 
 def test_globality_catalogue_and_naked_failures():
-    fr = ChartFrame()
     for name, weight in (("cbar0", -1), ("cbar1", 0), ("c1", 1), ("cbar2", 1),
                          ("c2", 2), ("c5", 5), ("c0w", 1)):
-        res = is_global(catalogue(name, "connection"), frame=fr)
+        res = is_global(catalogue(name, "connection"))
         assert res.weight == weight and res.ok, name
     for name, weight in (("cbar0", 0), ("cbar1", 1), ("cbar2", 2)):
-        assert is_global(catalogue(name, "omega"), frame=fr).ok
+        assert is_global(catalogue(name, "omega")).ok
     for p, q, w in ((1, 2, 1), (0, 2, 0), (0, 3, 1)):
-        res = is_global(det_expr(p, q), w, fr)
+        res = is_global(det_expr(p, q), w)
         assert not res.ok and not res.residual.is_zero()
         assert "h" in res.residual.families()
 
 
 def test_printed_variants_fail_transform_law():
-    fr = ChartFrame()
     for name, weight in (("c1", 1), ("c2", 2), ("c5", 5)):
-        res = is_global(PRINTED_CONNECTION_VARIANTS[name], weight, fr)
+        res = is_global(PRINTED_CONNECTION_VARIANTS[name], weight)
         assert not res.ok
 
 
 def test_nabla_commutes_with_frame_change():
-    fr = ChartFrame()
-    f = vector_field("f")
-    w = Density.of(jet("w", 0), 1)
-    cases = [f, w, density_product(f, w), covariant_derivative(w)]
-    for a in cases:
-        na = covariant_derivative(a)
-        assert is_global(a.coeff, int(a.weight), fr).ok
-        assert is_global(na.coeff, int(na.weight), fr).ok
+    f, w = jet("f", 0), jet("w", 0)
+    cases = [(f, -1), (w, 1), (f * w, 0), (covariant_derivative(w, 1), 2)]
+    for a, weight in cases:
+        assert is_global(a, weight).ok
+        assert is_global(covariant_derivative(a, weight), weight + 1).ok
 
 
 def test_is_global_accepts_densities():
-    w = Density.of(jet("w", 0), 1)
-    assert is_global(w).ok
-    assert is_global(covariant_derivative(w)).ok
-    nonglobal = Density.of(jet("T", 0), 1)
-    assert not is_global(nonglobal).ok
+    w = jet("w", 0)
+    assert is_global(w, 1).ok
+    assert is_global(covariant_derivative(w, 1), 2).ok
+    assert not is_global(jet("T", 0), 1).ok
+    assert not is_global(w, 2).ok
+    # an explicit weight overrides a cochain's value weight
+    assert not is_global(catalogue("c1", "connection"), 2).ok
+    # an integral Fraction is taken as its int
+    res = is_global(w, Fraction(1))
+    assert res.ok and type(res.weight) is int
+
+
+@pytest.mark.parametrize("target, weight", [
+    (jet("w", 0), Fraction(1, 2)),
+    (jet("f", 0) * jet("w", 0), Fraction(-1, 3)),
+    (catalogue("c1", "connection"), Fraction(3, 2)),
+])
+def test_is_global_rejects_non_integer_weights(target, weight):
+    with pytest.raises(ValueError, match="integer weight"):
+        is_global(target, weight)
+
+
+def test_is_global_reaches_the_default_cap():
+    # f[12] pushes forward to h[13]: the frame works its cap out from the order
+    res = is_global(det_expr(0, 12), 10)
+    assert not res.ok and "h" in res.residual.families()
 
 
 def test_frame_composition():

@@ -147,6 +147,19 @@ def test_all_suites_match_golden_report():
     assert render_json(run_suite("all")) == golden.read_text(encoding="utf-8")
 
 
+_CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_stdout.json")
+                         .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", _CLI_GOLDEN, ids=[" ".join(c["argv"]) for c in _CLI_GOLDEN])
+def test_cli_stdout_matches_golden(case, capsys):
+    """The text the CLI prints for the verify suites and globalize runs that
+    perfbench pins byte for byte, with its exit code (tests/data/cli_stdout.json)."""
+    code = main(case["argv"])
+    assert capsys.readouterr().out == case["stdout"]
+    assert code == case["exit"]
+
+
 def test_inconclusive_generator_certificate_is_a_failure(tmp_path, capsys):
     path = tmp_path / "out.json"
     code = main(["verify", "--suite", "nontrivial", "--window", "1", "--json", str(path)])

@@ -95,8 +95,6 @@ def test_residue_pair():
     assert residue_pair(LaurentDensity.monomial(4, 1)) == 0
     with pytest.raises(ValueError):
         residue_pair(LaurentDensity.monomial(-1, 2))
-    with pytest.raises(ValueError):
-        residue_pair(LaurentDensity.monomial(-1, 1), cycle_index=1)
 
 
 def test_kn_values():
