@@ -36,10 +36,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import Cochain2, catalogue, ce_parts, det_expr
+from .cochains import Cochain2, catalogue, ce_parts, coeff_and_weight, det_expr
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -124,14 +125,7 @@ def is_global(
     The weight of a Cochain2 defaults to its value weight; a bare
     expression needs one.  The weight must be an integer.
     """
-    if isinstance(target, Cochain2):
-        expr = target.coeff
-        if weight is None:
-            weight = target.value_weight
-    else:
-        expr = target
-        if weight is None:
-            raise ValueError("weight is required for a bare expression")
+    expr, weight = coeff_and_weight(target, weight)
     if Fraction(weight).denominator != 1:
         raise ValueError(f"globality needs an integer weight, got {weight}")
     weight = int(weight)
@@ -147,48 +141,43 @@ def transform_connection(which: str) -> DiffExpr:
 
 # -- correction solver ---------------------------------------------------
 
+# a T/R monomial as its (family, order) factors, with multiplicity
+_Symbols = Tuple[Tuple[str, int], ...]
 
-def _connection_monomials(weight: int, cap: int) -> List[Tuple[Tuple[str, int], ...]]:
-    """Multisets of T/R derivative symbols of the given total weight.
 
-    T^(j) weighs j+1, R^(j) weighs j+2.  Returned in a fixed deterministic
-    order as tuples of (family, order) with multiplicity.
+def _connection_monomials(weight: int, cap: int) -> List[Tuple[_Symbols, DiffExpr]]:
+    """Monomials in T/R derivative symbols of the given total weight.
+
+    T^(j) weighs j + w(T), R^(j) weighs j + w(R).  Each comes as its tuple
+    of (family, order) with multiplicity and its expression, in increasing
+    order of the tuples: the search picks from the sorted symbols in
+    nondecreasing position, so it meets the tuples in that order.
     """
-    items: List[Tuple[str, int, int]] = []  # (family, order, weight)
-    for w in range(1, weight + 1):
-        items.append(("T", w - 1, w))
-        if w >= 2:
-            items.append(("R", w - 2, w))
-    items.sort()
-    out: List[Tuple[Tuple[str, int], ...]] = []
+    items = sorted((fam, w - _WEIGHTS[fam], w)
+                   for fam in _AFFINE for w in range(_WEIGHTS[fam], weight + 1))
+    out: List[Tuple[_Symbols, DiffExpr]] = []
 
-    def rec(start: int, remaining: int, picked: List[Tuple[str, int]]):
+    def rec(start: int, remaining: int, picked: _Symbols, m: DiffExpr):
         if remaining == 0:
-            out.append(tuple(picked))
+            out.append((picked, m))
             return
         for i in range(start, len(items)):
             fam, order, w = items[i]
-            if w <= remaining and order <= cap:
-                picked.append((fam, order))
-                rec(i, remaining - w, picked)
-                picked.pop()
+            if w <= remaining:
+                rec(i, remaining - w, picked + ((fam, order),), m * jet(fam, order, cap))
 
-    rec(0, weight, [])
-    return sorted(out)
-
-
-def _mono_expr(symbols: Sequence[Tuple[str, int]], cap: int) -> DiffExpr:
-    out = DiffExpr.one()
-    for fam, order in symbols:
-        out = out * jet(fam, order, cap)
+    rec(0, weight, (), DiffExpr.one())
     return out
 
 
 @dataclass(frozen=True)
 class AnsatzTerm:
+    """The ansatz term m det(p,q), m a monomial in T, R and their derivatives."""
+
     p: int
     q: int
-    symbols: Tuple[Tuple[str, int], ...]
+    symbols: _Symbols
+    m: DiffExpr
     expr: DiffExpr
 
     def label(self) -> str:
@@ -196,62 +185,70 @@ class AnsatzTerm:
         return f"{coef}*det({self.p},{self.q})" if coef else f"det({self.p},{self.q})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrectionResult:
-    """Affine solution set of the globality+cocycle constraints."""
+    """Affine solution set of the globality and cocycle constraints.
+
+    A point x of the solution (None when the constraints are inconsistent)
+    stands for symbol + sum_i x_i ansatz[i].expr; the particular point of
+    the stored solution is the canonical representative.  module_lambda is
+    None for the trivial action.
+    """
 
     symbol: DiffExpr
     weight: int
     module_lambda: Optional[Fraction]
-    trivial_action: bool
     ansatz: Tuple[AnsatzTerm, ...]
-    feasible: bool
-    dimension: int
-    coefficients: Dict[int, Fraction]
-    nullspace: Tuple[Dict[int, Fraction], ...]
+    solution: Optional[AffineSolution]
+
+    @property
+    def trivial_action(self) -> bool:
+        return self.module_lambda is None
+
+    @property
+    def feasible(self) -> bool:
+        return self.solution is not None
+
+    @property
+    def dimension(self) -> int:
+        return self.solution.dimension if self.feasible else 0
+
+    @property
+    def coefficients(self) -> Dict[int, Fraction]:
+        return dict(self.solution.particular) if self.feasible else {}
+
+    @property
+    def nullspace(self) -> Tuple[Dict[int, Fraction], ...]:
+        return tuple(self.solution.nullspace) if self.feasible else ()
 
     @property
     def representative(self) -> Optional[Cochain2]:
         return self.member(()) if self.feasible else None
 
+    def _combination(self, coords: Dict[int, Fraction]) -> DiffExpr:
+        out = DiffExpr.zero()
+        for i, v in coords.items():
+            out = out + self.ansatz[i].expr.scale(v)
+        return out
+
     def member(self, gauge: Sequence[Fraction]) -> Cochain2:
+        """The solution point at the given gauge coordinates, as a cochain."""
         if not self.feasible:
             raise ValueError("empty solution set")
-        coeffs = dict(self.coefficients)
-        for t, vec in zip(gauge, self.nullspace):
-            for i, v in vec.items():
-                coeffs[i] = coeffs.get(i, Fraction(0)) + t * v
-        coeff = self.symbol
-        for i, v in coeffs.items():
-            if v:
-                coeff = coeff + self.ansatz[i].expr.scale(v)
+        coeff = self.symbol + self._combination(self.solution.point(gauge))
         return Cochain2(coeff, self.weight, self.module_lambda or 0, self.trivial_action)
 
     def contains(self, coeff: DiffExpr) -> bool:
-        """Is the given cochain coefficient in the solution set?"""
-        if not self.feasible:
+        """Is the given cochain coefficient in the solution set, that is, is
+        coeff - representative in the span of the nullspace directions?"""
+        if not self.feasible or any(c.degree for c in coeff.coefficient_polys()):
             return False
-        # decompose by matching leading monomials against the (independent)
-        # ansatz expressions
-        remaining = coeff - self.symbol
-        coords: Dict[int, Fraction] = {}
-        for i, term in enumerate(self.ansatz):
-            mono, c0 = term.expr.terms()[0]
-            c = remaining.coefficient_of(mono)
-            if not c.is_zero():
-                ratio = c.constant_value() / c0.constant_value()
-                coords[i] = ratio
-                remaining = remaining - term.expr.scale(ratio)
-        if not remaining.is_zero():
-            return False
-        # verify coords solve the constraints: compare against particular
-        # modulo the nullspace
-        delta = {i: coords.get(i, Fraction(0)) - self.coefficients.get(i, Fraction(0))
-                 for i in range(len(self.ansatz))}
-        rows = []
-        for i, v in delta.items():
-            rows.append(({j: vec.get(i, Fraction(0)) for j, vec in enumerate(self.nullspace)}, v))
-        return solve_affine(rows, len(self.nullspace)) is not None
+        rows: Dict = {}
+        _scalar_rows(self.representative.coeff - coeff, 0, None, rows)
+        for j, vec in enumerate(self.solution.nullspace):
+            _scalar_rows(self._combination(vec), 0, j, rows)
+        return solve_affine(((row, rhs) for row, rhs in rows.values()),
+                            self.dimension) is not None
 
 
 def _jet_variation(family: str, order: int, table: Dict, cap: int) -> DiffExpr:
@@ -314,8 +311,9 @@ def solve_corrections(
     symbol's, and single jets no deeper than the symbol's top order; pure
     determinants are excluded so the symbol is preserved.  Globality and the
     cocycle identity at the module parameter are imposed as exact linear
-    constraints; the result is the full affine solution set with a canonical
-    representative.
+    constraints.  The result holds the ansatz, in increasing (p, q, symbols)
+    order, and the full affine solution set over it, whose particular point
+    is the canonical representative (None when the set is empty).
 
     Globality is imposed by the infinitesimal law of the module docstring,
     w X' e + sum_n (de/du^(n)) delta u^(n) = 0, whose solution set is that
@@ -332,17 +330,12 @@ def solve_corrections(
     coordinates are involved, and otherwise the echelon particular solution
     with the free variables set to zero (c5 and c7).
     """
+    expr, weight = coeff_and_weight(symbol, weight)
     trivial = False
     if isinstance(symbol, Cochain2):
-        expr = symbol.coeff
-        weight = symbol.value_weight if weight is None else weight
         trivial = symbol.trivial_action
         if module_lambda is None and not trivial and not symbol.is_symbolic():
             module_lambda = symbol.module_lambda.constant_value()
-    else:
-        expr = symbol
-        if weight is None:
-            raise ValueError("weight is required for a bare expression")
     module_lambda = None if trivial else Fraction(
         weight if module_lambda is None else module_lambda)
 
@@ -363,8 +356,8 @@ def solve_corrections(
     top_pq = max(pq_degrees)
 
     ansatz: List[AnsatzTerm] = []
-    for q in range(1, top_single + 1):
-        for p in range(0, q):
+    for p in range(top_single):
+        for q in range(p + 1, top_single + 1):
             if p + q >= top_pq:
                 continue
             coef_weight = weight - (p + q - 2)
@@ -374,10 +367,9 @@ def solve_corrections(
                 raise OrderCapExceeded(
                     f"ansatz needs connection jets of order {coef_weight - 1} > cap {max_order}"
                 )
-            for symbols in _connection_monomials(coef_weight, max_order):
-                term = _mono_expr(symbols, max_order) * det_expr(p, q, max_order)
-                ansatz.append(AnsatzTerm(p, q, symbols, term))
-    ansatz.sort(key=lambda t: (t.p, t.q, t.symbols))
+            det = det_expr(p, q, max_order)
+            for symbols, m in _connection_monomials(coef_weight, max_order):
+                ansatz.append(AnsatzTerm(p, q, symbols, m, m * det))
 
     rows: Dict = {}
     variations: Dict[Tuple[str, int], DiffExpr] = {}
@@ -404,24 +396,18 @@ def solve_corrections(
             dets[p, q] = (ce_parts(det_expr(p, q, max_order), 2, module_lambda, max_order)[1],
                           alternating)
         delta_c, alternating = dets[p, q]
-        m = _mono_expr(term.symbols, max_order)
-        delta = m * delta_c
+        delta = term.m * delta_c
         if not trivial:
-            delta = delta + total_derivative(m, max_order) * alternating
+            delta = delta + total_derivative(term.m, max_order) * alternating
         add_cocycle(delta, i)
 
     solution = solve_affine(
         ((row, rhs) for row, rhs in rows.values()), len(ansatz)
     )
-    if solution is None:
-        return CorrectionResult(expr, weight, module_lambda,
-                                trivial, tuple(ansatz), False, 0, {}, ())
-    coeffs = _canonical_point(solution)
-    return CorrectionResult(
-        expr, weight, module_lambda, trivial,
-        tuple(ansatz), True, solution.dimension, coeffs,
-        tuple(solution.nullspace),
-    )
+    if solution is not None:
+        solution = AffineSolution(solution.nvars, _canonical_point(solution),
+                                  solution.nullspace)
+    return CorrectionResult(expr, weight, module_lambda, tuple(ansatz), solution)
 
 
 def _canonical_point(solution: AffineSolution) -> Dict[int, Fraction]:
@@ -477,31 +463,26 @@ class EquivalenceResult:
         return "PASS" if self.ok else "FAIL"
 
 
-_C7_CACHE: Dict[int, CorrectionResult] = {}
+@cache
+def derive_c7() -> CorrectionResult:
+    """Connection form of the weight-7 generator, from the solver; solved
+    once per process (derive_c7.cache_clear() forgets it)."""
+    return solve_corrections(catalogue("c7", "flat"))
 
 
-def derive_c7(max_order: int = DEFAULT_ORDER_CAP) -> CorrectionResult:
-    """Connection form of the weight-7 generator, from the solver (cached)."""
-    got = _C7_CACHE.get(max_order)
-    if got is None:
-        got = solve_corrections(catalogue("c7", "flat"), max_order=max_order)
-        _C7_CACHE[max_order] = got
-    return got
-
-
-def connection_form(name: str, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
+def connection_form(name: str) -> Cochain2:
     """Catalogue connection form; the weight-7 one comes from the solver."""
     from .cochains import _ALIASES
 
     if _ALIASES.get(name, name) == "c7":
-        result = derive_c7(cap)
+        result = derive_c7()
         if not result.feasible:
             raise RuntimeError("the weight-7 correction system is infeasible")
         return result.representative
     return catalogue(name, "connection")
 
 
-def covariant_equivalence(name: str, cap: int = DEFAULT_ORDER_CAP) -> EquivalenceResult:
+def covariant_equivalence(name: str) -> EquivalenceResult:
     """Covariant form == connection form under R := T' + T^2/2.
 
     Both sides are written in the same sign package (nabla a = a' + w T a);
@@ -509,7 +490,7 @@ def covariant_equivalence(name: str, cap: int = DEFAULT_ORDER_CAP) -> Equivalenc
     needs no extra normalization here beyond that documented flip.
     """
     cov = catalogue(name, "covariant")
-    conn = connection_form(name, cap)
-    conn_in_T = substitute(conn.coeff, {"R": projective_from_affine(cap)}, cap)
+    conn = connection_form(name)
+    conn_in_T = substitute(conn.coeff, {"R": projective_from_affine()})
     residual = conn_in_T - cov.coeff
     return EquivalenceResult(name, residual.is_zero(), residual)

@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .expr import (
     DEFAULT_ORDER_CAP,
@@ -87,6 +87,18 @@ class Cochain2:
 
     def at_lambda(self, lam_value) -> "Cochain2":
         return Cochain2(self.coeff, self.value_weight, lam_value, self.trivial_action)
+
+
+def coeff_and_weight(target: Union[Cochain2, DiffExpr],
+                     weight: Optional[int]) -> Tuple[DiffExpr, int]:
+    """The coefficient of a Cochain2 or of a bare expression, with its
+    weight: a Cochain2 defaults to its value weight, a bare expression
+    needs one."""
+    if isinstance(target, Cochain2):
+        return target.coeff, target.value_weight if weight is None else weight
+    if weight is None:
+        raise ValueError("weight is required for a bare expression")
+    return target, weight
 
 
 def det_expr(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:

@@ -385,6 +385,8 @@ def hinv() -> DiffExpr:
 
 def hinv_power(n: int) -> DiffExpr:
     """(h')^(-n) for n >= 0, (h')^(+|n|) for n < 0."""
+    if not isinstance(n, int):
+        raise ValueError(f"non-integer exponent {n!r}")
     if n >= 0:
         mono = ((_HINV0, n),) if n else ()
     else:

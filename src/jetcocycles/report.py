@@ -88,15 +88,21 @@ class CheckRecord:
         }
 
 
+def _checked(check_id: str, description: str, lam: str, failure: str,
+             ref: str) -> CheckRecord:
+    """PASS when there is no failure to report, else FAIL with the failure
+    text as residual."""
+    return CheckRecord(check_id, description, lam, "FAIL" if failure else "PASS",
+                       failure, ref)
+
+
 def _zero_check(check_id: str, description: str, lam: Optional[LamPoly],
                 residual: DiffExpr, ref: str) -> CheckRecord:
     """lam None or of positive degree is reported as "symbolic"."""
-    ok = residual.is_zero()
     symbolic = lam is None or lam.degree > 0
-    return CheckRecord(check_id, description,
-                       "symbolic" if symbolic else str(lam.constant_value()),
-                       "PASS" if ok else "FAIL",
-                       "" if ok else to_text(residual), ref)
+    return _checked(check_id, description,
+                    "symbolic" if symbolic else str(lam.constant_value()),
+                    "" if residual.is_zero() else to_text(residual), ref)
 
 
 # -- theorem1: cocycle identities ---------------------------------------
@@ -139,12 +145,11 @@ def _ratio_record() -> CheckRecord:
         vec = solution.nullspace[0]
         a, b = vec.get(0, Fraction(0)), vec.get(1, Fraction(0))
         ok = a != 0 and b / a == Fraction(-9, 2)
-    return CheckRecord(
+    return _checked(
         "theorem1.c7.ratio",
         "solution space of a*det(3,6)+b*det(4,5) being a lam=7 cocycle is "
         "one-dimensional, spanned by the 2:-9 combination",
-        "7", "PASS" if ok else "FAIL",
-        "" if ok else "unexpected solution space", "derived")
+        "7", "" if ok else "unexpected solution space", "derived")
 
 
 # -- table3: the nine determinant rows -----------------------------------
@@ -177,11 +182,10 @@ def suite_table3() -> List[CheckRecord]:
             if (p, q) == (1, 2):
                 residual += ("; det(1,2) is exactly the coboundary of "
                              "b(f) = f[2]/(lam-1) for lam != 1")
-        out.append(CheckRecord(
+        out.append(_checked(
             f"table3.det{p}{q}",
             f"cocycle solution set of det({p},{q}): {verdict.describe()}",
-            "symbolic", "PASS" if ok else "FAIL", residual,
-            "determinant cochain table"))
+            "symbolic", residual, "determinant cochain table"))
     return out
 
 
@@ -199,12 +203,11 @@ def suite_global() -> List[CheckRecord]:
     rep = c7.representative
     ok = (c7.feasible and is_global(rep).ok
           and ce_differential(rep).is_zero())
-    out.append(CheckRecord(
+    out.append(_checked(
         "global.c7.derived",
         ("derived weight-7 connection form (solution space dimension "
          f"{c7.dimension}): {to_text(rep.coeff) if rep else 'none'}"),
-        "7", "PASS" if ok else "FAIL",
-        "" if ok else "derived form failed verification", "derived"))
+        "7", "" if ok else "derived form failed verification", "derived"))
     return out
 
 
@@ -246,26 +249,22 @@ def suite_witt(window: int = 6) -> List[CheckRecord]:
     _require_window(window)
     out: List[CheckRecord] = []
     base = kn_value(2, -2)
-    ok_base = base == Fraction(-6)
-    out.append(CheckRecord(
+    out.append(_checked(
         "witt.kn.normalization", "kn_value(2,-2) = -6 under the residue pairing",
-        "0", "PASS" if ok_base else "FAIL",
-        "" if ok_base else f"got {base}", "residue pairing"))
+        "0", "" if base == Fraction(-6) else f"got {base}", "residue pairing"))
     for m in range(1, 11):
         v = kn_value(m, -m)
         expected = Fraction(-(m ** 3 - m))
         ok = v == expected and (m < 2 or v * 6 == base * (m ** 3 - m))
-        out.append(CheckRecord(
+        out.append(_checked(
             f"witt.kn.m{m}",
             f"kn_value({m},{-m}) = -(m^3-m) = {expected}",
-            "0", "PASS" if ok else "FAIL", "" if ok else f"got {v}",
-            "residue pairing"))
+            "0", "" if ok else f"got {v}", "residue pairing"))
     off = [(m, n) for m in range(-4, 5) for n in range(-4, 5) if m + n != 0]
     bad = [(m, n) for m, n in off if kn_value(m, n) != 0]
-    out.append(CheckRecord(
+    out.append(_checked(
         "witt.kn.offdiagonal", "kn_value vanishes off the line m+n=0",
-        "0", "PASS" if not bad else "FAIL",
-        "" if not bad else f"nonzero at {bad[:3]}", "residue pairing"))
+        "0", f"nonzero at {bad[:3]}" if bad else "", "residue pairing"))
     out.extend(_module_axiom_records())
     out.append(_kn_cocycle_record(window))
     return out
@@ -285,11 +284,11 @@ def _module_axiom_records() -> List[CheckRecord]:
                 if lhs != rhs:
                     bad = f"module axiom fails at L_{m}, L_{n}, weight {lam}"
                     break
-        out.append(CheckRecord(
+        out.append(_checked(
             f"witt.module-axiom.lam{lam}",
             "L_f L_g - L_g L_f = L_[f,g] on a Laurent density of weight "
             f"{lam}, all |m|,|n| <= 3",
-            str(lam), "PASS" if not bad else "FAIL", bad, "module structure"))
+            str(lam), bad, "module structure"))
     return out
 
 
@@ -309,11 +308,11 @@ def _kn_cocycle_record(window: int) -> CheckRecord:
                 if total != 0:
                     bad = f"cocycle identity fails at ({m},{n},{p})"
                     break
-    return CheckRecord(
+    return _checked(
         "witt.kn.cocycle",
         "residue-paired values satisfy the trivial-action cocycle identity "
         f"for |m|,|n|,|p| <= {window}",
-        "0", "PASS" if not bad else "FAIL", bad, "derived")
+        "0", bad, "derived")
 
 
 # -- nontrivial: graded certificates --------------------------------------

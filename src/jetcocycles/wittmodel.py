@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .cochains import Cochain2, catalogue
+from .cochains import Cochain2, catalogue, coeff_and_weight
 from .expr import DiffExpr, FAMILIES
 from .linalg import solve_affine
 
@@ -144,13 +144,7 @@ def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
                      weight: Optional[int] = None) -> LaurentDensity:
     """Value of a flat cochain on (L_m, L_n): substitute f = z^(m+1),
     g = z^(n+1) and differentiate exactly."""
-    if isinstance(c, Cochain2):
-        expr = c.coeff
-        weight = c.value_weight if weight is None else weight
-    else:
-        expr = c
-        if weight is None:
-            raise ValueError("weight is required for a bare expression")
+    expr, weight = coeff_and_weight(c, weight)
     fams = expr.families()
     if fams - {"f", "g"}:
         raise ValueError(f"flat cochain expected; found families {sorted(fams - {'f', 'g'})}")
@@ -201,15 +195,17 @@ class CertificateResult:
     window: int
     module_lambda: Optional[Fraction]
     degree_shift: Optional[int]
-    trivial_action: bool
+
+    @property
+    def trivial_action(self) -> bool:
+        return self.module_lambda is None
 
     @property
     def ok(self) -> bool:
         return self.verdict == "NONTRIVIAL"
 
 
-def nontriviality_certificate(c: Cochain2, lam: Optional[Rat] = None,
-                              window: int = 6) -> CertificateResult:
+def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult:
     """Exact graded obstruction to c = delta b on the window.
 
     For a graded density-valued cochain the unknowns are the coefficients
@@ -218,8 +214,10 @@ def nontriviality_certificate(c: Cochain2, lam: Optional[Rat] = None,
     global primitive restricts to a solution of this projected system, so
     infeasibility is a proof of non-triviality.  With trivial action the
     values pair to constants and the system is -(n-m) beta_{m+n} = c(m, n).
+    The module parameter is the cochain's own, which must be concrete.
     """
-    if lam is None and not c.trivial_action:
+    lam = None
+    if not c.trivial_action:
         if c.is_symbolic():
             raise ValueError("a concrete module parameter is required")
         lam = c.module_lambda.constant_value()
@@ -237,9 +235,8 @@ def nontriviality_certificate(c: Cochain2, lam: Optional[Rat] = None,
             rows.append(({window + m + n: Fraction(-(n - m))}, v))
         feasible = solve_affine(rows, 2 * window + 1) is not None
         return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",
-                                 window, None, None, True)
+                                 window, None, None)
 
-    lam = Fraction(lam)
     # infer and check the grading
     shift: Optional[int] = None
     table: Dict[Tuple[int, int], LaurentDensity] = {}
@@ -257,7 +254,7 @@ def nontriviality_certificate(c: Cochain2, lam: Optional[Rat] = None,
         elif shift != d:
             raise ValueError(f"cochain is not graded: shifts {shift} and {d} both occur")
     if shift is None:
-        return CertificateResult("INCONCLUSIVE", window, lam, None, False)
+        return CertificateResult("INCONCLUSIVE", window, lam, None)
 
     rows = []
     for m, n in pairs:
@@ -271,4 +268,4 @@ def nontriviality_certificate(c: Cochain2, lam: Optional[Rat] = None,
         rows.append(({i: q for i, q in row.items() if q}, rhs))
     feasible = solve_affine(rows, 2 * window + 1) is not None
     return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",
-                             window, lam, shift, False)
+                             window, lam, shift)

@@ -233,10 +233,31 @@ def test_solve_corrections_reproduces_derived_forms(name, dimension, derived):
     assert res.representative.coeff == derived
 
 
+@pytest.mark.parametrize("name", ["c1", "c5"])
+def test_contains_members_and_rejects_moves_off_the_solution_set(name):
+    res = solve_corrections(catalogue(name, "flat"))
+    rng = random.Random(11)
+    for _ in range(3):
+        gauge = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(res.dimension)]
+        assert res.contains(res.member(gauge).coeff)
+    # ansatz directions that no gauge reaches, found by their own solve
+    nvars = len(res.ansatz)
+    outside = [i for i in range(nvars) if solve_affine(
+        [({j: vec.get(k, Fraction(0)) for j, vec in enumerate(res.nullspace)},
+          Fraction(int(k == i))) for k in range(nvars)], res.dimension) is None]
+    assert outside
+    rep = res.representative.coeff
+    for i in outside[:4]:
+        assert not res.contains(rep + res.ansatz[i].expr), res.ansatz[i].label()
+    # every member has rational coefficients
+    assert not res.contains(rep.scale(LamPoly.lam()))
+
+
 def test_solve_corrections_empty_outcome():
     res = solve_corrections(det_expr(0, 4), weight=2)
     assert not res.feasible
     assert res.representative is None
+    assert not res.contains(res.symbol)
 
 
 def test_solve_corrections_input_validation():

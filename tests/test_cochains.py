@@ -20,11 +20,14 @@ from jetcocycles.cochains import (
     ce_differential,
     ce_parts,
     coboundary,
+    coeff_and_weight,
     det_cochain,
     det_expr,
     lambda_solutions,
 )
 from jetcocycles.calculus import bracket
+from jetcocycles.charts import is_global, solve_corrections
+from jetcocycles.wittmodel import evaluate_cochain
 from jetcocycles.expr import OrderCapExceeded, jet, substitute
 from jetcocycles.lampoly import LAM, LamPoly
 
@@ -55,6 +58,20 @@ def test_cochain_validation():
     f0, f13, g0, g13 = (jet(x, n, 24) for x in "fg" for n in (0, 13))
     with pytest.raises(ValueError, match="antisymmetric"):
         Cochain2(f0 * g13 + f13 * g0, 11)
+
+
+@pytest.mark.parametrize("call", [
+    lambda e: is_global(e),
+    lambda e: solve_corrections(e),
+    lambda e: evaluate_cochain(e, 1, 2),
+], ids=["is_global", "solve_corrections", "evaluate_cochain"])
+def test_a_bare_expression_needs_a_weight(call):
+    c = det_cochain(1, 3)
+    assert coeff_and_weight(c, None) == (c.coeff, 2)
+    assert coeff_and_weight(c, 5) == (c.coeff, 5)
+    assert coeff_and_weight(c.coeff, 2) == (c.coeff, 2)
+    with pytest.raises(ValueError, match="weight is required for a bare expression"):
+        call(c.coeff)
 
 
 def test_ce_differential_table_rows():

@@ -71,6 +71,8 @@ def test_negative_and_fractional_powers_rejected():
         F0 ** -1
     with pytest.raises(ValueError):
         F0 ** Fraction(1, 2)  # type: ignore[arg-type]
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        hinv_power(Fraction(1, 2))  # type: ignore[arg-type]
 
 
 def test_order_cap():

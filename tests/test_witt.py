@@ -115,6 +115,7 @@ def test_c5_certificate_nontrivial():
     res = nontriviality_certificate(catalogue("c5", "flat"), window=6)
     assert res.verdict == "NONTRIVIAL"
     assert res.degree_shift == -5 and res.module_lambda == 5
+    assert not res.trivial_action
 
 
 def test_c7_certificate_nontrivial():
@@ -179,8 +180,11 @@ def test_symbolic_and_graded_verdicts_agree():
 def test_certificate_inconclusive_cases():
     # zero cochain on the window: feasible by construction
     zero = coboundary(Cochain1(jet("f", 1), 0, LamPoly.const(0)))
-    assert nontriviality_certificate(zero, lam=0, window=4).verdict == "INCONCLUSIVE"
+    assert nontriviality_certificate(zero, window=4).verdict == "INCONCLUSIVE"
     # the weight-0 block at lam=1: the window-5 graded system happens to be
     # feasible, so the certificate (soundly) refuses to claim anything
     c = det_cochain(0, 2).at_lambda(1)
     assert nontriviality_certificate(c, window=5).verdict == "INCONCLUSIVE"
+    # the certificate reads the cochain's own parameter, which must be concrete
+    with pytest.raises(ValueError, match="a concrete module parameter is required"):
+        nontriviality_certificate(det_cochain(0, 2), window=5)
