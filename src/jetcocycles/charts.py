@@ -55,7 +55,8 @@ from .expr import (
     substitute_jets,
     total_derivative,
 )
-from .linalg import AffineSolution, solve_affine
+from .lampoly import Rat, _rat
+from .linalg import AffineSolution, Row, solve_affine
 
 # family -> density weight, and the inhomogeneous part of each connection
 _WEIGHTS = {"f": -1, "g": -1, "k": -1, "T": 1, "R": 2, "w": 1}
@@ -197,7 +198,7 @@ class CorrectionResult:
 
     symbol: DiffExpr
     weight: int
-    module_lambda: Optional[Fraction]
+    module_lambda: Optional[Rat]
     ansatz: Tuple[AnsatzTerm, ...]
     solution: Optional[AffineSolution]
 
@@ -214,24 +215,24 @@ class CorrectionResult:
         return self.solution.dimension if self.feasible else 0
 
     @property
-    def coefficients(self) -> Dict[int, Fraction]:
+    def coefficients(self) -> Row:
         return dict(self.solution.particular) if self.feasible else {}
 
     @property
-    def nullspace(self) -> Tuple[Dict[int, Fraction], ...]:
+    def nullspace(self) -> Tuple[Row, ...]:
         return tuple(self.solution.nullspace) if self.feasible else ()
 
     @property
     def representative(self) -> Optional[Cochain2]:
         return self.member(()) if self.feasible else None
 
-    def _combination(self, coords: Dict[int, Fraction]) -> DiffExpr:
+    def _combination(self, coords: Row) -> DiffExpr:
         out = DiffExpr.zero()
         for i, v in coords.items():
             out = out + self.ansatz[i].expr.scale(v)
         return out
 
-    def member(self, gauge: Sequence[Fraction]) -> Cochain2:
+    def member(self, gauge: Sequence[Rat]) -> Cochain2:
         """The solution point at the given gauge coordinates, as a cochain."""
         if not self.feasible:
             raise ValueError("empty solution set")
@@ -291,18 +292,18 @@ def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):
     """Accumulate the coefficients of e into sparse constraint rows."""
     for mono, coef in e.terms():
         c = coef.constant_value()
-        row = rows.setdefault((space, mono), [{}, Fraction(0)])
+        row = rows.setdefault((space, mono), [{}, 0])
         if index is None:
             row[1] -= c
         else:
-            row[0][index] = row[0].get(index, Fraction(0)) + c
+            row[0][index] = row[0].get(index, 0) + c
 
 
 def solve_corrections(
     symbol: Union[Cochain2, DiffExpr],
     weight: Optional[int] = None,
     max_order: int = DEFAULT_ORDER_CAP,
-    module_lambda: Optional[Union[int, Fraction]] = None,
+    module_lambda: Optional[Rat] = None,
 ) -> CorrectionResult:
     """Solve for connection corrections making the symbol global and closed.
 
@@ -336,7 +337,7 @@ def solve_corrections(
         trivial = symbol.trivial_action
         if module_lambda is None and not trivial and not symbol.is_symbolic():
             module_lambda = symbol.module_lambda.constant_value()
-    module_lambda = None if trivial else Fraction(
+    module_lambda = None if trivial else _rat(
         weight if module_lambda is None else module_lambda)
 
     if expr.is_zero():
@@ -410,7 +411,7 @@ def solve_corrections(
     return CorrectionResult(expr, weight, module_lambda, tuple(ansatz), solution)
 
 
-def _canonical_point(solution: AffineSolution) -> Dict[int, Fraction]:
+def _canonical_point(solution: AffineSolution) -> Row:
     """Canonical point of the affine set.
 
     When the gauge dimension is at most 3 and at most 26 coordinates occur
@@ -433,17 +434,17 @@ def _canonical_point(solution: AffineSolution) -> Dict[int, Fraction]:
         if zero_set:
             rows = []
             for i in zero_set:
-                coefrow = {j: vec.get(i, Fraction(0)) for j, vec in enumerate(solution.nullspace)}
-                rhs = -solution.particular.get(i, Fraction(0))
+                coefrow = {j: vec.get(i, 0) for j, vec in enumerate(solution.nullspace)}
+                rhs = -solution.particular.get(i, 0)
                 rows.append((coefrow, rhs))
             sub = solve_affine(rows, d)
             if sub is None or sub.dimension != 0:
                 continue
-            gauge = [sub.particular.get(j, Fraction(0)) for j in range(d)]
+            gauge = [sub.particular.get(j, 0) for j in range(d)]
         else:
-            gauge = [Fraction(0)] * d
+            gauge = [0] * d
         point = solution.point(gauge)
-        key = (len(point), tuple(point.get(i, Fraction(0)) for i in range(solution.nvars)))
+        key = (len(point), tuple(point.get(i, 0) for i in range(solution.nvars)))
         if best is None or key < best[0]:
             best = (key, point)
     return best[1]

@@ -33,13 +33,13 @@ from .expr import (
     substitute_jets,
 )
 from .calculus import bracket, lie_action, nabla_power
-from .lampoly import LamPoly, gcd_all, rational_roots
+from .lampoly import LamPoly, Rat, gcd_all, rational_roots
 
 
 def _as_lampoly(module_lambda) -> LamPoly:
     if isinstance(module_lambda, LamPoly):
         return module_lambda
-    return LamPoly.const(Fraction(module_lambda))
+    return LamPoly.const(module_lambda)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class LambdaVerdict:
     """Solution set of the cocycle identity in the module parameter."""
 
     kind: str                      # "all" | "none" | "finite"
-    values: Tuple[Fraction, ...]   # nonempty iff kind == "finite"
+    values: Tuple[Rat, ...]        # nonempty iff kind == "finite"
     trivial_action_pass: bool      # bracket-only differential is exact
 
     def describe(self) -> str:

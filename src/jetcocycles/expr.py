@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from .lampoly import LamPoly, Rat, _as_fraction
+from .lampoly import LamPoly, Rat, _rat
 
 FAMILIES = ("f", "g", "k", "T", "R", "w", "h", "hinv")
 _RANK = {name: i for i, name in enumerate(FAMILIES)}
@@ -181,9 +181,6 @@ class DiffExpr:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient_of(self, mono: Monomial) -> LamPoly:
-        return self._terms.get(mono, LamPoly.zero())
-
     def constant_term(self) -> LamPoly:
         return self._terms.get((), LamPoly.zero())
 
@@ -314,7 +311,7 @@ class DiffExpr:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # zero and constants hash like the Fraction they compare equal to
+        # zero and constants hash like the rational they compare equal to
         h = self._hash
         if h is None:
             t = self._terms
@@ -526,16 +523,16 @@ def eval_rational(
     e: DiffExpr,
     point: Mapping[Tuple[str, int], Rat],
     lam_value: Optional[Rat] = None,
-) -> Fraction:
+) -> Rat:
     """Evaluate at an exact rational point.
 
     ``point`` maps (family, order) to rationals.  hinv is taken to be the
     reciprocal of h[1]'s value (assigning it explicitly and inconsistently is
     an error), and lam_value must be supplied when lam occurs.
     """
-    values: Dict[Atom, Fraction] = {}
+    values: Dict[Atom, Rat] = {}
     for (fam, order), v in point.items():
-        values[_check_atom(fam, order, cap=10**9)] = _as_fraction(v)
+        values[_check_atom(fam, order, cap=10**9)] = _rat(v)
     h1 = values.get(_H1)
     if _HINV0 in values:
         if h1 is None or values[_HINV0] * h1 != 1:
@@ -543,9 +540,9 @@ def eval_rational(
     elif h1 is not None:
         if h1 == 0:
             raise ValueError("h[1] assigned 0; the transition must be invertible")
-        values[_HINV0] = Fraction(1) / h1
+        values[_HINV0] = _rat(Fraction(1) / h1)
 
-    total = Fraction(0)
+    total = 0
     for mono, coef in e._terms.items():
         if coef.degree > 0:
             if lam_value is None:
@@ -562,7 +559,7 @@ def eval_rational(
                 raise ValueError(f"unassigned jet symbol {atom_name(atom)}")
             acc *= v ** exp
         total += acc
-    return total
+    return _rat(total)
 
 
 # -- variational calculus ----------------------------------------------

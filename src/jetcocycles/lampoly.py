@@ -2,7 +2,15 @@
 
 These are the coefficients of the differential-polynomial kernel: exact
 rationals when the module parameter is fixed, honest polynomials when it is
-kept symbolic.  Degree-0 polynomials behave like plain Fractions.
+kept symbolic.  Degree-0 polynomials compare and hash like their value.
+
+Every exact rational here, and in the layers built on it, has one canonical
+form (``_rat``): an integral value is a plain ``int``, and a ``Fraction``
+always has denominator > 1.  Almost every coefficient the paper needs is an
+integer, so the arithmetic mostly stays on ``int``.  ``int`` and ``Fraction``
+compare and hash alike, so the form changes no verdict and no printed text.
+The one hazard is true division: ``int / int`` is a float, so every ``/`` on
+a value has a ``Fraction`` operand, as in ``Fraction(a) / b``.
 """
 
 from __future__ import annotations
@@ -14,25 +22,31 @@ from typing import Iterable, Tuple, Union
 Rat = Union[int, Fraction]
 
 
-def _as_fraction(q) -> Fraction:
-    if isinstance(q, Fraction):
+def _rat(q) -> Rat:
+    """The canonical form of an exact rational: an int when integral (a bool
+    becomes its int), otherwise a Fraction.  Anything else, floats included,
+    is a TypeError."""
+    if type(q) is int:
         return q
+    if isinstance(q, Fraction):
+        return q.numerator if q.denominator == 1 else q
     if isinstance(q, int):
-        return Fraction(q)
+        return int(q)
     raise TypeError(f"expected an exact rational, got {type(q).__name__}")
 
 
 class LamPoly:
-    """Immutable polynomial in ``lam`` with Fraction coefficients.
+    """Immutable polynomial in ``lam`` with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of ``lam**i``; trailing zeros are
-    stripped, so the zero polynomial has an empty coefficient tuple.
+    ``coeffs[i]`` is the coefficient of ``lam**i``, in the ``_rat`` form;
+    trailing zeros are stripped, so the zero polynomial has an empty
+    coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -62,10 +76,10 @@ class LamPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rat:
         if not self.is_constant():
             raise ValueError(f"{self!r} is not a constant")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return self.coeffs[0] if self.coeffs else 0
 
     @property
     def degree(self) -> int:
@@ -116,7 +130,7 @@ class LamPoly:
             elif not a or not b:
                 return ZERO
             else:
-                out = [Fraction(0)] * (len(a) + len(b) - 1)
+                out = [0] * (len(a) + len(b) - 1)
                 for i, ca in enumerate(a):
                     if ca:
                         for j, cb in enumerate(b):
@@ -139,7 +153,7 @@ class LamPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a constant hashes like its Fraction value, since the two compare equal
+        # a constant hashes like its value, since the two compare equal
         cs = self.coeffs
         if len(cs) > 1:
             return hash(cs)
@@ -151,19 +165,19 @@ class LamPoly:
     def __repr__(self) -> str:
         return f"LamPoly({self.coeffs})"
 
-    def eval(self, lam_value: Rat) -> Fraction:
+    def eval(self, lam_value: Rat) -> Rat:
         """Evaluate at a rational value of lam (Horner)."""
-        x = _as_fraction(lam_value)
-        acc = Fraction(0)
+        x = _rat(lam_value)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _rat(acc)
 
     def monic(self) -> "LamPoly":
         if self.is_zero():
             return self
         lead = self.coeffs[-1]
-        return LamPoly(tuple(c / lead for c in self.coeffs))
+        return LamPoly(tuple(Fraction(c) / lead for c in self.coeffs))
 
     def divmod(self, other: "LamPoly"):
         if other.is_zero():
@@ -172,14 +186,14 @@ class LamPoly:
         div = other.coeffs
         dd = len(div) - 1
         lead = div[-1]
-        quo = [Fraction(0)] * max(0, len(rem) - dd)
+        quo = [0] * max(0, len(rem) - dd)
         while len(rem) - 1 >= dd and any(rem):
             while rem and rem[-1] == 0:
                 rem.pop()
             if len(rem) - 1 < dd:
                 break
             shift = len(rem) - 1 - dd
-            factor = rem[-1] / lead
+            factor = Fraction(rem[-1]) / lead
             quo[shift] = factor
             for i, c in enumerate(div):
                 rem[shift + i] -= factor * c
@@ -204,7 +218,7 @@ def gcd_all(polys: Iterable[LamPoly]) -> LamPoly:
     return acc
 
 
-def rational_roots(p: LamPoly) -> list[Fraction]:
+def rational_roots(p: LamPoly) -> list[Rat]:
     """All rational roots of p, ascending.  p must be nonzero."""
     if p.is_zero():
         raise ValueError("the zero polynomial has every root")
@@ -216,7 +230,7 @@ def rational_roots(p: LamPoly) -> list[Fraction]:
         coeffs.pop(0)
         v += 1
     if v:
-        roots.append(Fraction(0))
+        roots.append(0)
     if len(coeffs) > 1:
         from math import gcd as igcd
 
@@ -228,7 +242,7 @@ def rational_roots(p: LamPoly) -> list[Fraction]:
         q = LamPoly(coeffs)
         for num in _divisors(a0):
             for d in _divisors(an):
-                for cand in (Fraction(num, d), Fraction(-num, d)):
+                for cand in (_rat(Fraction(num, d)), _rat(Fraction(-num, d))):
                     if cand not in roots and q.eval(cand) == 0:
                         roots.append(cand)
     return sorted(roots)
@@ -249,9 +263,14 @@ def _divisors(n: int) -> list[int]:
 _set_coeffs = LamPoly.coeffs.__set__
 
 
-def _new(cs: Tuple[Fraction, ...]) -> LamPoly:
-    """The arithmetic's constructor: ``cs`` is already a tuple of Fractions,
-    so only trailing zeros are stripped (``LamPoly(...)`` validates each)."""
+def _new(cs: Tuple[Rat, ...]) -> LamPoly:
+    """The arithmetic's constructor: ``cs`` holds only ints and Fractions, so
+    each is only brought to the ``_rat`` form and trailing zeros are stripped
+    (``LamPoly(...)`` validates each)."""
+    for c in cs:
+        if type(c) is not int:
+            cs = tuple(map(_rat, cs))
+            break
     if cs and not cs[-1]:
         n = len(cs) - 1
         while n and not cs[n - 1]:

@@ -143,8 +143,8 @@ def _ratio_record() -> CheckRecord:
     ok = (solution is not None and solution.dimension == 1)
     if ok:
         vec = solution.nullspace[0]
-        a, b = vec.get(0, Fraction(0)), vec.get(1, Fraction(0))
-        ok = a != 0 and b / a == Fraction(-9, 2)
+        a, b = vec.get(0, 0), vec.get(1, 0)
+        ok = a != 0 and Fraction(b) / a == Fraction(-9, 2)
     return _checked(
         "theorem1.c7.ratio",
         "solution space of a*det(3,6)+b*det(4,5) being a lam=7 cocycle is "

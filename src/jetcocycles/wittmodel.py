@@ -17,37 +17,36 @@ nothing (hence INCONCLUSIVE).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .cochains import Cochain2, catalogue, coeff_and_weight
-from .expr import DiffExpr, FAMILIES
+from .cochains import Cochain2, catalogue, ce_differential, coeff_and_weight
+from .expr import DiffExpr, FAMILIES, is_total_derivative
+from .lampoly import Rat, _rat
 from .linalg import solve_affine
 
-Rat = Union[int, Fraction]
 
-
-def _clean(coeffs: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    return {s: c for s, c in coeffs.items() if c}
+def _laurent_coeffs(coeffs: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
+    """Sorted (degree, coefficient) pairs in the ``_rat`` form, zeros dropped."""
+    clean = {int(s): _rat(c) for s, c in coeffs.items()}
+    return tuple(sorted((s, q) for s, q in clean.items() if q))
 
 
 @dataclass(frozen=True)
 class LaurentDensity:
     """Finite Laurent polynomial sum a_s z^s carrying (dz)^weight."""
 
-    coeffs: Tuple[Tuple[int, Fraction], ...]
+    coeffs: Tuple[Tuple[int, Rat], ...]
     weight: int
 
     @staticmethod
     def of(coeffs: Dict[int, Rat], weight: int) -> "LaurentDensity":
-        clean = _clean({int(s): Fraction(c) for s, c in coeffs.items()})
-        return LaurentDensity(tuple(sorted(clean.items())), weight)
+        return LaurentDensity(_laurent_coeffs(coeffs), weight)
 
     @staticmethod
     def monomial(s: int, weight: int, coeff: Rat = 1) -> "LaurentDensity":
-        return LaurentDensity.of({s: Fraction(coeff)}, weight)
+        return LaurentDensity.of({s: coeff}, weight)
 
-    def as_dict(self) -> Dict[int, Fraction]:
+    def as_dict(self) -> Dict[int, Rat]:
         return dict(self.coeffs)
 
     def is_zero(self) -> bool:
@@ -58,7 +57,7 @@ class LaurentDensity:
             raise ValueError("cannot add densities of different weights")
         out = self.as_dict()
         for s, c in other.coeffs:
-            out[s] = out.get(s, Fraction(0)) + c
+            out[s] = out.get(s, 0) + c
         return LaurentDensity.of(out, self.weight)
 
     def __neg__(self) -> "LaurentDensity":
@@ -68,20 +67,20 @@ class LaurentDensity:
         return self + (-other)
 
     def scale(self, q: Rat) -> "LaurentDensity":
-        q = Fraction(q)
+        q = _rat(q)
         if not q:
             return LaurentDensity((), self.weight)
-        return LaurentDensity(tuple((s, c * q) for s, c in self.coeffs), self.weight)
+        return LaurentDensity(tuple((s, _rat(c * q)) for s, c in self.coeffs), self.weight)
 
     def derivative(self) -> "LaurentDensity":
         return LaurentDensity.of({s - 1: c * s for s, c in self.coeffs}, self.weight)
 
     def multiply(self, other: "LaurentDensity") -> "LaurentDensity":
-        out: Dict[int, Fraction] = {}
+        out: Dict[int, Rat] = {}
         for s, c in self.coeffs:
             for t, d in other.coeffs:
                 st = s + t
-                out[st] = out.get(st, Fraction(0)) + c * d
+                out[st] = out.get(st, 0) + c * d
         return LaurentDensity.of(out, self.weight + other.weight)
 
     def degrees(self) -> Tuple[int, ...]:
@@ -109,16 +108,15 @@ class LaurentDensity:
 class WittField:
     """Laurent vector field: coefficient of d/dz; L_m is z^(m+1) d/dz."""
 
-    coeffs: Tuple[Tuple[int, Fraction], ...]
+    coeffs: Tuple[Tuple[int, Rat], ...]
 
     @staticmethod
     def basis(m: int) -> "WittField":
-        return WittField(((m + 1, Fraction(1)),))
+        return WittField(((m + 1, 1),))
 
     @staticmethod
     def of(coeffs: Dict[int, Rat]) -> "WittField":
-        clean = _clean({int(s): Fraction(c) for s, c in coeffs.items()})
-        return WittField(tuple(sorted(clean.items())))
+        return WittField(_laurent_coeffs(coeffs))
 
     def as_density(self) -> LaurentDensity:
         return LaurentDensity(self.coeffs, -1)
@@ -133,7 +131,7 @@ def laurent_action(fld: WittField, a: LaurentDensity,
                    module_lambda: Optional[Rat] = None) -> LaurentDensity:
     """L_fld a = fld a' + lam fld' a; on basis elements
     L_m z^s (dz)^lam = (s + lam (m+1)) z^(m+s) (dz)^lam."""
-    lam = Fraction(a.weight if module_lambda is None else module_lambda)
+    lam = _rat(a.weight if module_lambda is None else module_lambda)
     f = fld.as_density()
     out = f.multiply(a.derivative()) + f.derivative().multiply(a).scale(lam)
     return LaurentDensity(out.coeffs, a.weight)
@@ -149,7 +147,7 @@ def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
     if fams - {"f", "g"}:
         raise ValueError(f"flat cochain expected; found families {sorted(fams - {'f', 'g'})}")
     exps = {"f": m + 1, "g": n + 1}
-    out: Dict[int, Fraction] = {}
+    out: Dict[int, Rat] = {}
     for mono, coef in expr.terms():
         if coef.is_constant():
             cval = coef.constant_value()
@@ -161,25 +159,25 @@ def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
         for (rank, order), e in mono:
             base = exps[FAMILIES[rank]]
             for _ in range(e):
-                fall = Fraction(1)
+                fall = 1
                 for i in range(order):
                     fall *= base - i
                 cval *= fall
                 z += base - order
         if cval:
-            out[z] = out.get(z, Fraction(0)) + cval
+            out[z] = out.get(z, 0) + cval
     return LaurentDensity.of(out, weight)
 
 
-def residue_pair(a: LaurentDensity) -> Fraction:
+def residue_pair(a: LaurentDensity) -> Rat:
     """Pairing of a 1-form with the cycle around the puncture: the z^-1
     coefficient.  Genus 0 with two punctures has a single cycle class."""
     if a.weight != 1:
         raise ValueError(f"residue pairing needs a 1-form, got weight {a.weight}")
-    return a.as_dict().get(-1, Fraction(0))
+    return a.as_dict().get(-1, 0)
 
 
-def kn_value(m: int, n: int) -> Fraction:
+def kn_value(m: int, n: int) -> Rat:
     """Residue-paired value of the weight-1 integrand (flat chart, R = 0):
     Res_0[ (f g''' - g f''')/2 ] = -(m^3 - m) when n = -m, else 0."""
     integrand = evaluate_cochain(catalogue("c0w", "flat"), m, n)
@@ -193,7 +191,7 @@ def kn_value(m: int, n: int) -> Fraction:
 class CertificateResult:
     verdict: str            # "NONTRIVIAL" | "INCONCLUSIVE"
     window: int
-    module_lambda: Optional[Fraction]
+    module_lambda: Optional[Rat]
     degree_shift: Optional[int]
 
     @property
@@ -214,13 +212,19 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     global primitive restricts to a solution of this projected system, so
     infeasibility is a proof of non-triviality.  With trivial action the
     values pair to constants and the system is -(n-m) beta_{m+n} = c(m, n).
-    The module parameter is the cochain's own, which must be concrete.
+    The module parameter is the cochain's own, which must be concrete, and
+    c must be a cocycle for its module: delta c = 0, or for the trivial
+    action a total derivative (zero once paired on the circle).  A
+    non-cocycle would make the system infeasible without being non-trivial.
     """
     lam = None
     if not c.trivial_action:
         if c.is_symbolic():
             raise ValueError("a concrete module parameter is required")
         lam = c.module_lambda.constant_value()
+    delta = ce_differential(c)
+    if not (is_total_derivative(delta) if c.trivial_action else delta.is_zero()):
+        raise ValueError("the cochain is not a cocycle for its module")
 
     def values(m: int, n: int) -> LaurentDensity:
         return evaluate_cochain(c, m, n, lam_value=lam)
@@ -232,7 +236,7 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
         rows = []
         for m, n in pairs:
             v = residue_pair(values(m, n))
-            rows.append(({window + m + n: Fraction(-(n - m))}, v))
+            rows.append(({window + m + n: -(n - m)}, v))
         feasible = solve_affine(rows, 2 * window + 1) is not None
         return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",
                                  window, None, None)
@@ -259,12 +263,12 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     rows = []
     for m, n in pairs:
         v = table[(m, n)]
-        rhs = v.as_dict().get(m + n + shift, Fraction(0))
+        rhs = v.as_dict().get(m + n + shift, 0)
         row = {
-            window + n: Fraction(n + shift) + lam * (m + 1),
-            window + m: -(Fraction(m + shift) + lam * (n + 1)),
+            window + n: n + shift + lam * (m + 1),
+            window + m: -(m + shift + lam * (n + 1)),
         }
-        row[window + m + n] = row.get(window + m + n, Fraction(0)) - (n - m)
+        row[window + m + n] = row.get(window + m + n, 0) - (n - m)
         rows.append(({i: q for i, q in row.items() if q}, rhs))
     feasible = solve_affine(rows, 2 * window + 1) is not None
     return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",

@@ -64,6 +64,12 @@ def random_lambda(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
 
 
+def is_canonical(q) -> bool:
+    """The one form of an exact rational: an int when integral, otherwise a
+    Fraction with denominator > 1; never a bool or a float."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
 # symbols the correction solver must reject, with a word its message names
 BAD_SYMBOLS = (
     ("0", "is zero"),

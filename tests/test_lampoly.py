@@ -6,6 +6,8 @@ import pytest
 
 from jetcocycles.lampoly import LAM, LamPoly, gcd_all, rational_roots
 
+from helpers import is_canonical
+
 
 def test_normalization_strips_zeros():
     assert LamPoly((1, 0, 0)).coeffs == (Fraction(1),)
@@ -60,9 +62,10 @@ def _random_coeffs(rng):
 
 
 def _same_as_public(got, want_coeffs):
-    """Fraction coefficients, no trailing zero, and equal (and hashing
-    equal) to the polynomial the validating constructor builds."""
-    assert all(type(c) is Fraction for c in got.coeffs)
+    """Canonical coefficients (an int when integral, otherwise a Fraction
+    with denominator > 1), no trailing zero, and equal (and hashing equal)
+    to the polynomial the validating constructor builds."""
+    assert all(is_canonical(c) for c in got.coeffs), got.coeffs
     assert not got.coeffs or got.coeffs[-1] != 0
     want = LamPoly(want_coeffs)
     assert got == want and got.coeffs == want.coeffs
@@ -110,3 +113,28 @@ def test_zero_results_have_no_coefficients():
     assert (x - x).coeffs == ()
     assert (x + (-x)).coeffs == ()
     assert (LamPoly.const(2) - 2).coeffs == ()
+
+
+def test_constructor_stores_the_canonical_form():
+    p = LamPoly((Fraction(4, 2), True, Fraction(1, 3), False, Fraction(-6, 3)))
+    assert p.coeffs == (2, 1, Fraction(1, 3), 0, -2)
+    assert [type(c) for c in p.coeffs] == [int, int, Fraction, int, int]
+    assert type(LamPoly((True,)).coeffs[0]) is int
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            LamPoly((bad,))
+
+
+def test_division_stays_exact():
+    assert LamPoly((2, 4)).monic().coeffs == (Fraction(1, 2), 1)
+    assert all(is_canonical(c) for c in LamPoly((2, 4)).monic().coeffs)
+    p = LamPoly((3, 0, 2))                       # 2 lam^2 + 3
+    quo, rem = p.divmod(LamPoly((1, 2)))         # by 2 lam + 1
+    assert quo.coeffs == (Fraction(-1, 2), 1) and rem.coeffs == (Fraction(7, 2),)
+    assert quo * LamPoly((1, 2)) + rem == p
+    quo, rem = (LamPoly((-1, 0, 1))).divmod(LamPoly((1, 1)))
+    assert quo.coeffs == (-1, 1) and rem.is_zero()
+    for c in quo.coeffs + rem.coeffs + p.gcd(LamPoly((0, 2))).coeffs:
+        assert is_canonical(c)
+    assert all(is_canonical(r) for r in rational_roots((2 * LAM - 3) * (LAM + 1) * LAM))
+    assert type(LAM.eval(Fraction(4, 2))) is int

@@ -1,0 +1,85 @@
+"""One exact-rational form on every layer: an integral value is an int, and a
+Fraction always has denominator > 1.  No float ever appears."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jetcocycles.charts import solve_corrections
+from jetcocycles.cochains import Cochain2, det_expr
+from jetcocycles.expr import euler_derivative, jet, substitute_jets, total_derivative
+from jetcocycles.lampoly import LamPoly
+from jetcocycles.linalg import solve_affine
+from jetcocycles.wittmodel import LaurentDensity, WittField, evaluate_cochain, laurent_action
+
+from helpers import is_canonical, random_expr
+
+
+def _expr_ok(e):
+    return all(is_canonical(c) for p in e.coefficient_polys() for c in p.coeffs)
+
+
+def _density_ok(a):
+    return all(type(s) is int and is_canonical(c) for s, c in a.coeffs)
+
+
+def test_kernel_results_are_canonical():
+    rng = random.Random(1101)
+    seen_fraction = False
+    for _ in range(40):
+        a = random_expr(rng, families=("f", "g", "T"), lam_degree=2)
+        b = random_expr(rng, families=("f", "g", "T"), lam_degree=2)
+        # the scale by 2 turns halves into integers inside Fraction arithmetic
+        results = [a * b, a + b, a - b, (a * 2) * b.scale(Fraction(1, 2)),
+                   total_derivative(a), euler_derivative(a * b, "f"),
+                   substitute_jets(a, {(0, o): b for o in range(4)})]
+        for r in results:
+            assert _expr_ok(r), r
+        seen_fraction |= any(type(c) is Fraction for r in results
+                             for p in r.coefficient_polys() for c in p.coeffs)
+    assert seen_fraction
+
+
+def test_laurent_model_results_are_canonical():
+    rng = random.Random(1102)
+    for _ in range(40):
+        x = WittField.of({rng.randint(-3, 4): rng.randint(-5, 5) for _ in range(2)})
+        a = LaurentDensity.of({rng.randint(-4, 4): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                               for _ in range(3)}, rng.choice((0, 1, 2, 5)))
+        b = LaurentDensity.of({rng.randint(-4, 4): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                               for _ in range(3)}, 1)
+        lam = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+        for r in (a, b, a.multiply(b), a.derivative(), a.scale(Fraction(6, 1)),
+                  a.scale(Fraction(3, 2)), laurent_action(x, a),
+                  laurent_action(x, a, module_lambda=lam), x.as_density()):
+            assert _density_ok(r), r
+    assert LaurentDensity.monomial(2, 0, Fraction(1, 2)).derivative().coeffs == ((1, 1),)
+    assert type(LaurentDensity.monomial(2, 0, Fraction(1, 2)).derivative().coeffs[0][1]) is int
+    c = Cochain2(det_expr(0, 2).scale(Fraction(1, 2)), 1, LamPoly.const(Fraction(1, 2)))
+    for m, n in ((2, 3), (-3, 2), (1, 5)):
+        assert _density_ok(evaluate_cochain(c, m, n))
+
+
+def test_solve_affine_values_are_canonical():
+    res = solve_corrections(Cochain2(det_expr(3, 4), 5, LamPoly.const(5)))
+    values = list(res.solution.particular.values())
+    values += [v for vec in res.solution.nullspace for v in vec.values()]
+    assert values and all(is_canonical(v) for v in values)
+    # fractional rows whose echelon form is integral, and one that is not
+    sol = solve_affine([({0: Fraction(1, 2), 1: Fraction(3, 2)}, Fraction(5, 2)),
+                        ({1: Fraction(2, 3), 2: Fraction(4, 3)}, Fraction(1, 3))], 3)
+    values = list(sol.particular.values()) + [v for vec in sol.nullspace for v in vec.values()]
+    assert all(is_canonical(v) for v in values) and Fraction(1, 2) in values
+    assert all(is_canonical(v) for v in sol.point([Fraction(2, 3)]).values())
+
+
+def test_float_module_parameters_are_refused():
+    # a float would become its binary approximation, e.g. 0.1 -> 3602879701896397/2^55
+    for make in (lambda: Cochain2(det_expr(0, 2), 0, 0.1),
+                 lambda: Cochain2(det_expr(0, 2), 0).at_lambda(1.0),
+                 lambda: LaurentDensity.monomial(1, 0).scale(0.5),
+                 lambda: laurent_action(WittField.basis(1), LaurentDensity.monomial(1, 0), 0.5)):
+        with pytest.raises(TypeError):
+            make()
+    assert Cochain2(det_expr(0, 2), 0, Fraction(4, 2)).module_lambda.coeffs == (2,)

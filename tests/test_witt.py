@@ -143,6 +143,18 @@ def test_certificate_rejects_ungraded():
         nontriviality_certificate(mixed, window=4)
 
 
+def test_certificate_rejects_non_cocycles():
+    from jetcocycles.cochains import Cochain2, det_expr
+
+    # det(0,2) is closed only at lam = 1, so at lam = 0 no primitive exists
+    # and the infeasible window system would read NONTRIVIAL
+    with pytest.raises(ValueError, match="not a cocycle"):
+        nontriviality_certificate(Cochain2(det_expr(0, 2), 1, LamPoly.const(0)))
+    # det(2,3) fails the trivial-action identity modulo total derivatives
+    with pytest.raises(ValueError, match="not a cocycle"):
+        nontriviality_certificate(Cochain2(det_expr(2, 3), 3, trivial_action=True))
+
+
 def _numeric_witt_delta(c, m: int, n: int, p: int):
     """Cocycle identity on (L_m, L_n, L_p) computed purely in the Laurent
     model; independent of the symbolic normalizer."""
