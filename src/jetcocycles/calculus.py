@@ -44,40 +44,37 @@ def bracket(x: DiffExpr, y: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
     return lie_action(x, y, -1, cap)
 
 
-def schwarzian(cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def schwarzian() -> DiffExpr:
     """S(h) = h'''/h' - (3/2)(h''/h')^2, written with hinv."""
-    return jet("h", 3, cap) * hinv() - jet("h", 2, cap) ** 2 * hinv() ** 2 * Fraction(3, 2)
+    return jet("h", 3) * hinv() - jet("h", 2) ** 2 * hinv() ** 2 * Fraction(3, 2)
 
 
-def eta(cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def eta() -> DiffExpr:
     """h''/h', the logarithmic derivative of h'."""
-    return jet("h", 2, cap) * hinv()
+    return jet("h", 2) * hinv()
 
 
-def covariant_derivative(a: DiffExpr, weight: Weight,
-                         cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def covariant_derivative(a: DiffExpr, weight: Weight) -> DiffExpr:
     """nabla a = a' + weight * T * a, a density of weight one higher."""
-    return total_derivative(a, cap) + (jet("T", 0, cap) * a).scale(weight)
+    return total_derivative(a) + (jet("T", 0) * a).scale(weight)
 
 
-def nabla_power(a: DiffExpr, weight: Weight, n: int,
-                cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def nabla_power(a: DiffExpr, weight: Weight, n: int) -> DiffExpr:
     """nabla^n a for a of the given weight."""
     for i in range(n):
-        a = covariant_derivative(a, weight + i, cap)
+        a = covariant_derivative(a, weight + i)
     return a
 
 
-def action_via_nabla(x: DiffExpr, a: DiffExpr, lam: Weight,
-                     cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def action_via_nabla(x: DiffExpr, a: DiffExpr, lam: Weight) -> DiffExpr:
     """L_x a = x nabla(a) + lam nabla(x) a for a of weight lam.
 
     Identical to lie_action: the connection terms cancel.
     """
-    return (x * covariant_derivative(a, lam, cap)
-            + (covariant_derivative(x, -1, cap) * a).scale(lam))
+    return (x * covariant_derivative(a, lam)
+            + (covariant_derivative(x, -1) * a).scale(lam))
 
 
-def projective_from_affine(cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def projective_from_affine() -> DiffExpr:
     """The associated projective connection R = T' + T^2/2."""
-    return jet("T", 1, cap) + jet("T", 0, cap) ** 2 * Fraction(1, 2)
+    return jet("T", 1) + jet("T", 0) ** 2 * Fraction(1, 2)

@@ -55,7 +55,7 @@ from .expr import (
     substitute_jets,
     total_derivative,
 )
-from .lampoly import Rat, _rat
+from .lampoly import LamPoly, Rat, _rat
 from .linalg import AffineSolution, Row, solve_affine
 
 # family -> density weight, and the inhomogeneous part of each connection
@@ -237,7 +237,7 @@ class CorrectionResult:
         if not self.feasible:
             raise ValueError("empty solution set")
         coeff = self.symbol + self._combination(self.solution.point(gauge))
-        return Cochain2(coeff, self.weight, self.module_lambda or 0, self.trivial_action)
+        return Cochain2(coeff, self.weight, self.module_lambda)
 
     def contains(self, coeff: DiffExpr) -> bool:
         """Is the given cochain coefficient in the solution set, that is, is
@@ -312,9 +312,12 @@ def solve_corrections(
     symbol's, and single jets no deeper than the symbol's top order; pure
     determinants are excluded so the symbol is preserved.  Globality and the
     cocycle identity at the module parameter are imposed as exact linear
-    constraints.  The result holds the ansatz, in increasing (p, q, symbols)
-    order, and the full affine solution set over it, whose particular point
-    is the canonical representative (None when the set is empty).
+    constraints.  The module parameter is module_lambda when given, else
+    the cochain's own, where None is the trivial action and a symbolic
+    module, like a bare expression, reads lam = weight.  The result holds
+    the ansatz, in increasing (p, q, symbols) order, and the full affine
+    solution set over it, whose particular point is the canonical
+    representative (None when the set is empty).
 
     Globality is imposed by the infinitesimal law of the module docstring,
     w X' e + sum_n (de/du^(n)) delta u^(n) = 0, whose solution set is that
@@ -332,13 +335,12 @@ def solve_corrections(
     with the free variables set to zero (c5 and c7).
     """
     expr, weight = coeff_and_weight(symbol, weight)
-    trivial = False
-    if isinstance(symbol, Cochain2):
-        trivial = symbol.trivial_action
-        if module_lambda is None and not trivial and not symbol.is_symbolic():
-            module_lambda = symbol.module_lambda.constant_value()
-    module_lambda = None if trivial else _rat(
-        weight if module_lambda is None else module_lambda)
+    if module_lambda is None:
+        module = symbol.module_lambda if isinstance(symbol, Cochain2) else LamPoly.lam()
+        module_lambda = None if module is None else module.eval(weight)
+    else:
+        module_lambda = _rat(module_lambda)
+    trivial = module_lambda is None
 
     if expr.is_zero():
         raise ValueError("the symbol is zero")

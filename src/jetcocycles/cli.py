@@ -2,7 +2,7 @@
 
     jetcocycles verify --suite all [--window N] [--json PATH]
     jetcocycles globalize --symbol "2*det(3,6) - 9*det(4,5)" --weight 7
-    jetcocycles eval --cocycle c5 --m 3 --n -3 [--lambda Q]
+    jetcocycles eval --cocycle c5 --m 3 --n -3
     jetcocycles table3
 
 Exit status: 0 when every check passes, 1 when any check FAILs, 2 on usage
@@ -63,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--cocycle", required=True, choices=CATALOGUE_NAMES)
     p_eval.add_argument("--m", type=int, required=True)
     p_eval.add_argument("--n", type=int, required=True)
-    p_eval.add_argument("--lambda", dest="lam", type=_fraction, default=None)
 
     sub.add_parser("table3", help="reproduce the nine-determinant cocycle table")
     return parser
@@ -109,7 +108,7 @@ def _cmd_globalize(args) -> int:
 
 def _cmd_eval(args) -> int:
     c = catalogue(args.cocycle, "flat")
-    value = evaluate_cochain(c, args.m, args.n, lam_value=args.lam)
+    value = evaluate_cochain(c, args.m, args.n)
     print(f"{args.cocycle}(L_{args.m}, L_{args.n}) = {value.describe()}")
     return 0
 

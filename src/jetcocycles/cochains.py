@@ -36,22 +36,29 @@ from .calculus import bracket, lie_action, nabla_power
 from .lampoly import LamPoly, Rat, gcd_all, rational_roots
 
 
-def _as_lampoly(module_lambda) -> LamPoly:
-    if isinstance(module_lambda, LamPoly):
-        return module_lambda
-    return LamPoly.const(module_lambda)
+def _module(coeff: DiffExpr, module_lambda) -> Optional[LamPoly]:
+    """module_lambda as a LamPoly, or None for the trivial action.  Beside a
+    concrete or trivial module a free lam in the coefficient would be a
+    second, unsubstituted module parameter, so it is refused."""
+    if module_lambda is not None and not isinstance(module_lambda, LamPoly):
+        module_lambda = LamPoly.const(module_lambda)
+    if ((module_lambda is None or module_lambda.degree < 1)
+            and any(poly.degree > 0 for poly in coeff.coefficient_polys())):
+        raise ValueError("lam in the coefficient needs a symbolic module parameter")
+    return module_lambda
 
 
 @dataclass(frozen=True)
 class Cochain1:
-    """Linear 1-cochain on vector fields, written in the f jets."""
+    """Linear 1-cochain on vector fields, written in the f jets; module_lambda
+    as for Cochain2."""
 
     coeff: DiffExpr
     value_weight: int
-    module_lambda: LamPoly
+    module_lambda: Optional[LamPoly]
 
     def __post_init__(self):
-        object.__setattr__(self, "module_lambda", _as_lampoly(self.module_lambda))
+        object.__setattr__(self, "module_lambda", _module(self.coeff, self.module_lambda))
         if self.coeff.degree_in("f") - {1}:
             raise ValueError("1-cochain must be linear in the f jets")
 
@@ -62,17 +69,18 @@ class Cochain2:
 
     value_weight is the density grading of the values (what the chart
     transform tests); module_lambda is the action parameter (what the
-    cocycle identity uses).  trivial_action marks cochains whose values
-    land in constants after pairing, where the action is dropped.
+    cocycle identity uses): a LamPoly, symbolic or constant, or None for
+    the trivial action, where the values pair to constants and the action
+    is dropped.  Only a symbolic module leaves lam in the coefficient;
+    at_lambda substitutes a value into both.
     """
 
     coeff: DiffExpr
     value_weight: int
-    module_lambda: LamPoly = field(default_factory=LamPoly.lam)
-    trivial_action: bool = False
+    module_lambda: Optional[LamPoly] = field(default_factory=LamPoly.lam)
 
     def __post_init__(self):
-        object.__setattr__(self, "module_lambda", _as_lampoly(self.module_lambda))
+        object.__setattr__(self, "module_lambda", _module(self.coeff, self.module_lambda))
         if self.coeff.degree_in("f") - {1} or self.coeff.degree_in("g") - {1}:
             raise ValueError("2-cochain must be bilinear in the f and g jets")
         # swap the families order by order: a rename raises no jet order,
@@ -82,11 +90,17 @@ class Cochain2:
         if not (substitute_jets(self.coeff, swap) + self.coeff).is_zero():
             raise ValueError("2-cochain must be antisymmetric under f <-> g")
 
-    def is_symbolic(self) -> bool:
-        return self.module_lambda.degree > 0
+    @property
+    def trivial_action(self) -> bool:
+        return self.module_lambda is None
 
-    def at_lambda(self, lam_value) -> "Cochain2":
-        return Cochain2(self.coeff, self.value_weight, lam_value, self.trivial_action)
+    def is_symbolic(self) -> bool:
+        return self.module_lambda is not None and self.module_lambda.degree > 0
+
+    def at_lambda(self, lam_value: Rat) -> "Cochain2":
+        """The cochain in the module F_lam_value, with lam_value substituted
+        for lam in the coefficient."""
+        return Cochain2(self.coeff.subst_lambda(lam_value), self.value_weight, lam_value)
 
 
 def coeff_and_weight(target: Union[Cochain2, DiffExpr],
@@ -152,8 +166,7 @@ def ce_differential(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
     adds a part linear in the module parameter, whose derivative goes
     through the background T, R, w jets (see ce_parts).
     """
-    lam = None if c.trivial_action else c.module_lambda
-    return ce_parts(c.coeff, 2, lam, cap)[1]
+    return ce_parts(c.coeff, 2, c.module_lambda, cap)[1]
 
 
 @dataclass(frozen=True)
@@ -198,10 +211,10 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
     return LambdaVerdict("finite", roots, trivial_pass)
 
 
-def coboundary(b: Cochain1, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
+def coboundary(b: Cochain1) -> Cochain2:
     """delta b (f,g) = L_f b(g) - L_g b(f) - b([f,g]); always a cocycle."""
     lam = b.module_lambda
-    return Cochain2(ce_parts(b.coeff, 1, lam, cap)[1], b.value_weight, lam)
+    return Cochain2(ce_parts(b.coeff, 1, lam)[1], b.value_weight, lam)
 
 
 # -- catalogue ----------------------------------------------------------
@@ -266,12 +279,12 @@ PRINTED_CONNECTION_VARIANTS: Dict[str, DiffExpr] = {
 }
 
 
-def _cov_det(i: int, j: int, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def _cov_det(i: int, j: int) -> DiffExpr:
     """|nabla^i f  nabla^i g; nabla^j f  nabla^j g| on weight -1 inputs."""
-    fi = nabla_power(jet("f", 0, cap), -1, i, cap)
-    fj = nabla_power(jet("f", 0, cap), -1, j, cap)
-    gi = nabla_power(jet("g", 0, cap), -1, i, cap)
-    gj = nabla_power(jet("g", 0, cap), -1, j, cap)
+    fi = nabla_power(jet("f", 0), -1, i)
+    fj = nabla_power(jet("f", 0), -1, j)
+    gi = nabla_power(jet("g", 0), -1, i)
+    gj = nabla_power(jet("g", 0), -1, j)
     return fi * gj - fj * gi
 
 
@@ -314,16 +327,11 @@ def _build() -> Dict[Tuple[str, str], Cochain2]:
         for form, coeff in zip(FORMS, coeffs):
             if coeff is None:
                 continue
-            if lam is None:
-                c = Cochain2(coeff, weight, LamPoly.const(0), trivial_action=True)
-            else:
-                c = Cochain2(coeff, weight,
-                             LamPoly.lam() if name == "cbar0" else LamPoly.const(lam))
-            table[name, form] = c
+            table[name, form] = Cochain2(
+                coeff, weight, LamPoly.lam() if name == "cbar0" else lam)
         if has_omega:
             table[name, "omega"] = Cochain2(
-                table[name, "connection"].coeff * jet("w", 0), weight + 1,
-                LamPoly.const(lam))
+                table[name, "connection"].coeff * jet("w", 0), weight + 1, lam)
     return table
 
 

@@ -96,12 +96,17 @@ def _checked(check_id: str, description: str, lam: str, failure: str,
                        failure, ref)
 
 
-def _zero_check(check_id: str, description: str, lam: Optional[LamPoly],
+def _module_text(module_lambda: Optional[LamPoly]) -> str:
+    """The lambda column: "0" for the trivial action (None), "symbolic" for
+    a symbolic module, and the value of a concrete one."""
+    if module_lambda is None:
+        return "0"
+    return "symbolic" if module_lambda.degree > 0 else str(module_lambda.constant_value())
+
+
+def _zero_check(check_id: str, description: str, module_lambda: Optional[LamPoly],
                 residual: DiffExpr, ref: str) -> CheckRecord:
-    """lam None or of positive degree is reported as "symbolic"."""
-    symbolic = lam is None or lam.degree > 0
-    return _checked(check_id, description,
-                    "symbolic" if symbolic else str(lam.constant_value()),
+    return _checked(check_id, description, _module_text(module_lambda),
                     "" if residual.is_zero() else to_text(residual), ref)
 
 
@@ -226,7 +231,7 @@ def suite_covariant() -> List[CheckRecord]:
     out.append(_zero_check(
         "covariant.action",
         "f*nabla(a) + lam*nabla(f)*a equals f*a' + lam*f'*a identically",
-        None, _action_residual(), "covariant action"))
+        LamPoly.lam(), _action_residual(), "covariant action"))
     return out
 
 
@@ -324,28 +329,28 @@ def suite_nontrivial(window: int = 6) -> List[CheckRecord]:
     kn = nontriviality_certificate(catalogue("c0w", "flat"), window=window)
     out.append(_required_certificate(
         "nontrivial.kn", "graded coboundary system for the residue-paired "
-        "cocycle is infeasible", "0", kn))
+        "cocycle is infeasible", kn))
     c5 = nontriviality_certificate(catalogue("c5", "flat"), window=window)
     out.append(_required_certificate(
         "nontrivial.c5", "graded coboundary system for the weight-5 "
-        "generator is infeasible", "5", c5))
+        "generator is infeasible", c5))
     for j, lam in ((2, 0), (1, 1), (3, 5)):
-        b = Cochain1(jet("f", j), lam, LamPoly.const(lam))
-        cert = nontriviality_certificate(coboundary(b), window=window)
+        cert = nontriviality_certificate(coboundary(Cochain1(jet("f", j), lam, lam)),
+                                         window=window)
         out.append(CheckRecord(
             f"nontrivial.coboundary.f{j}.lam{lam}",
             f"delta(f -> f[{j}]) at lam={lam} is detected as possibly trivial",
-            str(lam), cert.verdict, "", "derived"))
+            _module_text(cert.module_lambda), cert.verdict, "", "derived"))
     return out
 
 
-def _required_certificate(check_id: str, description: str, lam: str,
+def _required_certificate(check_id: str, description: str,
                           cert: CertificateResult) -> CheckRecord:
     """A generator must be certified NONTRIVIAL; anything else is a FAIL."""
     residual = "" if cert.ok else (
         f"certificate {cert.verdict} on window {cert.window}: the graded "
         "coboundary system is feasible there")
-    return CheckRecord(check_id, description, lam,
+    return CheckRecord(check_id, description, _module_text(cert.module_lambda),
                        cert.verdict if cert.ok else "FAIL", residual,
                        "restriction argument, desk-scale replacement")
 

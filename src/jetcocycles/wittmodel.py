@@ -16,18 +16,20 @@ nothing (hence INCONCLUSIVE).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from .cochains import Cochain2, catalogue, ce_differential, coeff_and_weight
 from .expr import DiffExpr, FAMILIES, is_total_derivative
-from .lampoly import Rat, _rat
+from .lampoly import LamPoly, Rat, _rat
 from .linalg import solve_affine
 
 
 def _laurent_coeffs(coeffs: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
-    """Sorted (degree, coefficient) pairs in the ``_rat`` form, zeros dropped."""
-    clean = {int(s): _rat(c) for s, c in coeffs.items()}
+    """Sorted (degree, coefficient) pairs in the ``_rat`` form, zeros dropped;
+    a degree that is not an integer is a TypeError."""
+    clean = {operator.index(s): _rat(c) for s, c in coeffs.items()}
     return tuple(sorted((s, q) for s, q in clean.items() if q))
 
 
@@ -83,9 +85,6 @@ class LaurentDensity:
                 out[st] = out.get(st, 0) + c * d
         return LaurentDensity.of(out, self.weight + other.weight)
 
-    def degrees(self) -> Tuple[int, ...]:
-        return tuple(s for s, _ in self.coeffs)
-
     def describe(self) -> str:
         if not self.coeffs:
             body = "0"
@@ -122,9 +121,8 @@ class WittField:
         return LaurentDensity(self.coeffs, -1)
 
     def bracket(self, other: "WittField") -> "WittField":
-        a, b = self.as_density(), other.as_density()
-        out = a.multiply(b.derivative()) - a.derivative().multiply(b)
-        return WittField(out.coeffs)
+        """[x, y] = x y' - x' y: the action on vector fields, at lam = -1."""
+        return WittField(laurent_action(self, other.as_density(), -1).coeffs)
 
 
 def laurent_action(fld: WittField, a: LaurentDensity,
@@ -138,10 +136,10 @@ def laurent_action(fld: WittField, a: LaurentDensity,
 
 
 def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
-                     lam_value: Optional[Rat] = None,
                      weight: Optional[int] = None) -> LaurentDensity:
     """Value of a flat cochain on (L_m, L_n): substitute f = z^(m+1),
-    g = z^(n+1) and differentiate exactly."""
+    g = z^(n+1) and differentiate exactly.  The coefficient must be free of
+    lam (see Cochain2.at_lambda)."""
     expr, weight = coeff_and_weight(c, weight)
     fams = expr.families()
     if fams - {"f", "g"}:
@@ -149,12 +147,9 @@ def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
     exps = {"f": m + 1, "g": n + 1}
     out: Dict[int, Rat] = {}
     for mono, coef in expr.terms():
-        if coef.is_constant():
-            cval = coef.constant_value()
-        elif lam_value is not None:
-            cval = coef.eval(lam_value)
-        else:
-            raise ValueError("cochain depends on lam; supply lam_value")
+        if not coef.is_constant():
+            raise ValueError("cochain depends on lam; substitute a value first")
+        cval = coef.constant_value()
         z = 0
         for (rank, order), e in mono:
             base = exps[FAMILIES[rank]]
@@ -191,7 +186,7 @@ def kn_value(m: int, n: int) -> Rat:
 class CertificateResult:
     verdict: str            # "NONTRIVIAL" | "INCONCLUSIVE"
     window: int
-    module_lambda: Optional[Rat]
+    module_lambda: Optional[LamPoly]   # the cochain's own
     degree_shift: Optional[int]
 
     @property
@@ -210,24 +205,21 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     b(L_m) = beta_m z^(m+d) (dz)^lam for |m| <= window; the equations are
     delta b (L_m, L_n) = c(L_m, L_n) for all |m|, |n|, |m+n| <= window.  Any
     global primitive restricts to a solution of this projected system, so
-    infeasibility is a proof of non-triviality.  With trivial action the
-    values pair to constants and the system is -(n-m) beta_{m+n} = c(m, n).
-    The module parameter is the cochain's own, which must be concrete, and
-    c must be a cocycle for its module: delta c = 0, or for the trivial
-    action a total derivative (zero once paired on the circle).  A
-    non-cocycle would make the system infeasible without being non-trivial.
+    infeasibility is a proof of non-triviality.  The grading is read from
+    the symbol: f^(a) g^(b) sends (L_m, L_n) to degree m + n + 2 - (a+b), so
+    every monomial must have the same derivative count a+b, and the shift
+    is d = 2 - (a+b).  With trivial action (module_lambda None) the values
+    pair to constants and the system is -(n-m) beta_{m+n} = c(m, n).  A
+    symbolic module is refused, and c must be a cocycle for its module:
+    delta c = 0, or for the trivial action a total derivative (zero once
+    paired on the circle).  A non-cocycle would make the system infeasible
+    without being non-trivial.
     """
-    lam = None
-    if not c.trivial_action:
-        if c.is_symbolic():
-            raise ValueError("a concrete module parameter is required")
-        lam = c.module_lambda.constant_value()
+    if c.is_symbolic():
+        raise ValueError("a concrete module parameter is required")
     delta = ce_differential(c)
     if not (is_total_derivative(delta) if c.trivial_action else delta.is_zero()):
         raise ValueError("the cochain is not a cocycle for its module")
-
-    def values(m: int, n: int) -> LaurentDensity:
-        return evaluate_cochain(c, m, n, lam_value=lam)
 
     pairs = [(m, n) for m in range(-window, window + 1)
              for n in range(m + 1, window + 1) if abs(m + n) <= window]
@@ -235,35 +227,23 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     if c.trivial_action:
         rows = []
         for m, n in pairs:
-            v = residue_pair(values(m, n))
+            v = residue_pair(evaluate_cochain(c, m, n))
             rows.append(({window + m + n: -(n - m)}, v))
         feasible = solve_affine(rows, 2 * window + 1) is not None
         return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",
                                  window, None, None)
 
-    # infer and check the grading
-    shift: Optional[int] = None
-    table: Dict[Tuple[int, int], LaurentDensity] = {}
-    for m, n in pairs:
-        v = values(m, n)
-        table[(m, n)] = v
-        degs = v.degrees()
-        if not degs:
-            continue
-        if len(degs) > 1:
-            raise ValueError(f"cochain is not graded: value at ({m},{n}) has degrees {degs}")
-        d = degs[0] - (m + n)
-        if shift is None:
-            shift = d
-        elif shift != d:
-            raise ValueError(f"cochain is not graded: shifts {shift} and {d} both occur")
-    if shift is None:
-        return CertificateResult("INCONCLUSIVE", window, lam, None)
+    lam = c.module_lambda.constant_value()
+    counts = {sum(order * e for (_rank, order), e in mono) for mono, _ in c.coeff.terms()}
+    if not counts:
+        return CertificateResult("INCONCLUSIVE", window, c.module_lambda, None)
+    if len(counts) > 1:
+        raise ValueError(f"cochain is not graded: derivative counts {sorted(counts)} occur")
+    shift = 2 - counts.pop()
 
     rows = []
     for m, n in pairs:
-        v = table[(m, n)]
-        rhs = v.as_dict().get(m + n + shift, 0)
+        rhs = evaluate_cochain(c, m, n).as_dict().get(m + n + shift, 0)
         row = {
             window + n: n + shift + lam * (m + 1),
             window + m: -(m + shift + lam * (n + 1)),
@@ -272,4 +252,4 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
         rows.append(({i: q for i, q in row.items() if q}, rhs))
     feasible = solve_affine(rows, 2 * window + 1) is not None
     return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",
-                             window, lam, shift)
+                             window, c.module_lambda, shift)

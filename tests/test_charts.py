@@ -283,9 +283,15 @@ def test_solve_corrections_names_a_bad_symbol(text, fault):
 
 
 def test_solve_corrections_rejects_lam_in_a_cochain_symbol():
-    c = Cochain2(det_expr(1, 2).scale(LamPoly.lam()), 1, LamPoly.const(1))
+    # a concrete module leaves no lam in the coefficient, so such a cochain
+    # is refused before it reaches the solver
+    lam_carrying = det_expr(1, 2).scale(LamPoly.lam())
+    with pytest.raises(ValueError, match="needs a symbolic module parameter"):
+        Cochain2(lam_carrying, 1, LamPoly.const(1))
     with pytest.raises(ValueError, match="found lam"):
-        solve_corrections(c)
+        solve_corrections(lam_carrying, weight=1)
+    with pytest.raises(ValueError, match="found lam"):
+        solve_corrections(Cochain2(lam_carrying, 1))
 
 
 # -- the infinitesimal law against the finite one ---------------------------

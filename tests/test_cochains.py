@@ -92,6 +92,15 @@ def test_lambda_solutions_examples():
         lambda_solutions(det_cochain(0, 2).at_lambda(1))
 
 
+def test_lambda_solutions_needs_a_symbolic_module():
+    # the solution set in lam is a module-action verdict, which the trivial
+    # action (module None) has none of
+    with pytest.raises(ValueError, match="symbolic"):
+        lambda_solutions(Cochain2(det_expr(0, 3).scale(Fraction(1, 2)), 1, None))
+    with pytest.raises(ValueError, match="symbolic"):
+        lambda_solutions(catalogue("c0w", "flat"))
+
+
 def test_coboundary_examples():
     # Leibniz-compatible: delta(f -> f') vanishes at lam = 0
     b = Cochain1(jet("f", 1), 0, LamPoly.const(0))
@@ -224,7 +233,7 @@ def test_ce_parts_split_insertions_from_the_action():
     for p, q in ((0, 2), (2, 3), (1, 4), (2, 5)):
         c = det_cochain(p, q)
         insertions, delta = ce_parts(c.coeff, 2, c.module_lambda)
-        trivial = Cochain2(c.coeff, c.value_weight, LamPoly.const(0), trivial_action=True)
+        trivial = Cochain2(c.coeff, c.value_weight, None)
         assert ce_differential(trivial) == insertions
         assert ce_differential(c) == delta
         assert ce_parts(c.coeff, 2, None) == (insertions, insertions)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from jetcocycles.cli import main
+from jetcocycles.cochains import CATALOGUE_NAMES, catalogue
 from jetcocycles.report import (
     CheckRecord,
     any_fail,
@@ -129,6 +130,16 @@ def test_cli_verify_has_no_max_order_option(capsys):
         main(["verify", "--suite", "witt", "--max-order", "12"])
     assert exc.value.code == 2
     assert "--max-order" in capsys.readouterr().err
+
+
+def test_cli_eval_has_no_lambda_option(capsys):
+    # no catalogue flat form carries lam, so a value for it could change nothing
+    assert not any(poly.degree > 0 for name in CATALOGUE_NAMES
+                   for poly in catalogue(name, "flat").coeff.coefficient_polys())
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--cocycle", "c5", "--m", "3", "--n", "-3", "--lambda", "2"])
+    assert exc.value.code == 2
+    assert "--lambda" in capsys.readouterr().err
 
 
 def test_fast_suites_match_golden_report():

@@ -87,7 +87,7 @@ def test_evaluate_cochain_rejects_backgrounds_and_symbolic():
     lam_carrying = det_cochain(0, 2).coeff.scale(LAM)
     with pytest.raises(ValueError):
         evaluate_cochain(lam_carrying, 1, 2, weight=0)
-    assert not evaluate_cochain(lam_carrying, 1, 2, lam_value=3, weight=0).is_zero()
+    assert not evaluate_cochain(lam_carrying.subst_lambda(3), 1, 2, weight=0).is_zero()
 
 
 def test_residue_pair():
@@ -143,6 +143,42 @@ def test_certificate_rejects_ungraded():
         nontriviality_certificate(mixed, window=4)
 
 
+def test_certificate_reads_the_grading_from_the_symbol():
+    from jetcocycles.cochains import Cochain2, det_expr
+
+    # derivative counts 4 and 1 are two gradings; det(1,3) vanishes on the
+    # window-1 pairs, so reading the grading off the values missed it there
+    mixed = Cochain2(det_expr(1, 3) + det_expr(0, 1), 2, 2)
+    for window in range(1, 5):
+        with pytest.raises(ValueError, match="not graded"):
+            nontriviality_certificate(mixed, window=window)
+    assert nontriviality_certificate(catalogue("c5", "flat"), window=1).degree_shift == -5
+    zero = nontriviality_certificate(Cochain2(DiffExpr.zero(), 2, 2), window=3)
+    assert zero.verdict == "INCONCLUSIVE" and zero.degree_shift is None
+
+
+def test_a_concrete_module_leaves_no_lam_in_the_coefficient():
+    from jetcocycles.cochains import Cochain2, det_expr
+    from jetcocycles.lampoly import LAM
+
+    coeff = det_expr(1, 3) + det_expr(0, 4).scale(LAM - 2)
+    for module in (2, None):
+        with pytest.raises(ValueError, match="needs a symbolic module parameter"):
+            Cochain2(coeff, 2, module)
+        with pytest.raises(ValueError, match="needs a symbolic module parameter"):
+            Cochain1(jet("f", 2).scale(LAM), 2, module)
+    c = Cochain2(coeff, 2, LAM).at_lambda(2)
+    assert c == Cochain2(det_expr(1, 3), 2, 2)
+    assert nontriviality_certificate(c, window=4).verdict == "NONTRIVIAL"
+
+
+def test_laurent_degrees_must_be_integers():
+    for make in (lambda: LaurentDensity.of({1.5: 1, 2.9: 3}, 0),
+                 lambda: WittField.of({0.5: 2})):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_certificate_rejects_non_cocycles():
     from jetcocycles.cochains import Cochain2, det_expr
 
@@ -152,7 +188,7 @@ def test_certificate_rejects_non_cocycles():
         nontriviality_certificate(Cochain2(det_expr(0, 2), 1, LamPoly.const(0)))
     # det(2,3) fails the trivial-action identity modulo total derivatives
     with pytest.raises(ValueError, match="not a cocycle"):
-        nontriviality_certificate(Cochain2(det_expr(2, 3), 3, trivial_action=True))
+        nontriviality_certificate(Cochain2(det_expr(2, 3), 3, None))
 
 
 def _numeric_witt_delta(c, m: int, n: int, p: int):
