@@ -18,30 +18,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .expr import (
-    DEFAULT_ORDER_CAP,
-    DiffExpr,
-    hinv,
-    jet,
-    total_derivative,
-)
+from .expr import DiffExpr, hinv, jet, total_derivative
 from .lampoly import LamPoly
 
 Weight = Union[int, Fraction, LamPoly]
 
 
-def lie_action(x: DiffExpr, a: DiffExpr, lam: Weight,
-               cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def lie_action(x: DiffExpr, a: DiffExpr, lam: Weight) -> DiffExpr:
     """L_x a = x a' + lam x' a for a vector field x and a weight-lam density a.
 
     The derivative goes through every background jet (T, R, w) in a.
     """
-    return x * total_derivative(a, cap) + (total_derivative(x, cap) * a).scale(lam)
+    return x * total_derivative(a) + (total_derivative(x) * a).scale(lam)
 
 
-def bracket(x: DiffExpr, y: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def bracket(x: DiffExpr, y: DiffExpr) -> DiffExpr:
     """[x, y] = x y' - x' y on vector fields: the action at lam = -1."""
-    return lie_action(x, y, -1, cap)
+    return lie_action(x, y, -1)
 
 
 def schwarzian() -> DiffExpr:

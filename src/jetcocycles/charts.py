@@ -40,12 +40,13 @@ from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import Cochain2, catalogue, ce_parts, coeff_and_weight, det_expr
+from .cochains import _ALIASES, Cochain2, catalogue, ce_parts, coeff_and_weight, det_expr
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
     DiffExpr,
     OrderCapExceeded,
+    check_order_cap,
     euler_derivative,
     hinv,
     hinv_power,
@@ -83,8 +84,7 @@ class ChartFrame:
                 u = u + _AFFINE[family]()
             out = hinv_power(_WEIGHTS[family]) * u
         else:
-            # order n reaches h[n + 3]: the Schwarzian starts at h[3]
-            out = hinv() * total_derivative(self.binding(family, order - 1), order + 3)
+            out = hinv() * total_derivative(self.binding(family, order - 1))
         self._bindings[key] = out
         return out
 
@@ -146,7 +146,7 @@ def transform_connection(which: str) -> DiffExpr:
 _Symbols = Tuple[Tuple[str, int], ...]
 
 
-def _connection_monomials(weight: int, cap: int) -> List[Tuple[_Symbols, DiffExpr]]:
+def _connection_monomials(weight: int) -> List[Tuple[_Symbols, DiffExpr]]:
     """Monomials in T/R derivative symbols of the given total weight.
 
     T^(j) weighs j + w(T), R^(j) weighs j + w(R).  Each comes as its tuple
@@ -165,7 +165,7 @@ def _connection_monomials(weight: int, cap: int) -> List[Tuple[_Symbols, DiffExp
         for i in range(start, len(items)):
             fam, order, w = items[i]
             if w <= remaining:
-                rec(i, remaining - w, picked + ((fam, order),), m * jet(fam, order, cap))
+                rec(i, remaining - w, picked + ((fam, order),), m * jet(fam, order))
 
     rec(0, weight, (), DiffExpr.one())
     return out
@@ -252,7 +252,7 @@ class CorrectionResult:
                             self.dimension) is not None
 
 
-def _jet_variation(family: str, order: int, table: Dict, cap: int) -> DiffExpr:
+def _jet_variation(family: str, order: int, table: Dict) -> DiffExpr:
     """delta family[order] under z -> z + eps X, X carried by the family k
     (memoized in table): delta u = -w X' u + X^(w+1) for the connections,
     delta u^(n+1) = D(delta u^(n)) - X' u^(n+1)."""
@@ -260,31 +260,31 @@ def _jet_variation(family: str, order: int, table: Dict, cap: int) -> DiffExpr:
     got = table.get(key)
     if got is not None:
         return got
-    x1 = jet("k", 1, cap)
+    x1 = jet("k", 1)
     if order:
-        out = (total_derivative(_jet_variation(family, order - 1, table, cap), cap)
-               - x1 * jet(family, order, cap))
+        out = (total_derivative(_jet_variation(family, order - 1, table))
+               - x1 * jet(family, order))
     else:
         w = _WEIGHTS[family]
-        out = (x1 * jet(family, 0, cap)).scale(-w)
+        out = (x1 * jet(family, 0)).scale(-w)
         if family in _AFFINE:
-            out = jet("k", w + 1, cap) + out
+            out = jet("k", w + 1) + out
     table[key] = out
     return out
 
 
-def _linear_residual(e: DiffExpr, weight: int, table: Dict, cap: int) -> DiffExpr:
+def _linear_residual(e: DiffExpr, weight: int, table: Dict) -> DiffExpr:
     """First-order part of pushforward(e) - hinv_power(weight) * e at
     h = z + eps X: weight X' e + sum_n (de/du^(n)) delta u^(n).  The family
     k carries X itself, so it takes no variation."""
-    out = (jet("k", 1, cap) * e).scale(weight)
+    out = (jet("k", 1) * e).scale(weight)
     for fam in _WEIGHTS:
         if fam == "k":
             continue
         for order in range(e.max_order(fam) + 1):
             part = partial_derivative(e, fam, order)
             if not part.is_zero():
-                out = out + part * _jet_variation(fam, order, table, cap)
+                out = out + part * _jet_variation(fam, order, table)
     return out
 
 
@@ -317,7 +317,8 @@ def solve_corrections(
     module, like a bare expression, reads lam = weight.  The result holds
     the ansatz, in increasing (p, q, symbols) order, and the full affine
     solution set over it, whose particular point is the canonical
-    representative (None when the set is empty).
+    representative (None when the set is empty).  max_order bounds the
+    symbol's jets and the connection jets of the ansatz (OrderCapExceeded).
 
     Globality is imposed by the infinitesimal law of the module docstring,
     w X' e + sum_n (de/du^(n)) delta u^(n) = 0, whose solution set is that
@@ -348,6 +349,7 @@ def solve_corrections(
         raise ValueError("the symbol must be a flat bilinear expression in f and g")
     if any(coef.degree for coef in expr.coefficient_polys()):
         raise ValueError("the symbol must have rational coefficients, found lam")
+    check_order_cap(expr, max_order)
     Cochain2(expr, weight)  # raises unless bilinear and antisymmetric
 
     pq_degrees = set()
@@ -370,8 +372,8 @@ def solve_corrections(
                 raise OrderCapExceeded(
                     f"ansatz needs connection jets of order {coef_weight - 1} > cap {max_order}"
                 )
-            det = det_expr(p, q, max_order)
-            for symbols, m in _connection_monomials(coef_weight, max_order):
+            det = det_expr(p, q)
+            for symbols, m in _connection_monomials(coef_weight):
                 ansatz.append(AnsatzTerm(p, q, symbols, m, m * det))
 
     rows: Dict = {}
@@ -380,28 +382,26 @@ def solve_corrections(
     def add_cocycle(delta: DiffExpr, index: Optional[int]):
         if trivial:
             for fam_i, fam in enumerate(_WEIGHTS):
-                _scalar_rows(euler_derivative(delta, fam, max_order), 10 + fam_i, index, rows)
+                _scalar_rows(euler_derivative(delta, fam), 10 + fam_i, index, rows)
         else:
             _scalar_rows(delta, 1, index, rows)
 
-    _scalar_rows(_linear_residual(expr, weight, variations, max_order), 0, None, rows)
-    add_cocycle(ce_parts(expr, 2, module_lambda, max_order)[1], None)
+    _scalar_rows(_linear_residual(expr, weight, variations), 0, None, rows)
+    add_cocycle(ce_parts(expr, 2, module_lambda)[1], None)
     # (p, q) -> (delta c, f c(g,k) - g c(f,k) + k c(f,g)) for c = det(p,q)
     dets: Dict[Tuple[int, int], Tuple[DiffExpr, DiffExpr]] = {}
     for i, term in enumerate(ansatz):
-        _scalar_rows(_linear_residual(term.expr, weight, variations, max_order), 0, i, rows)
+        _scalar_rows(_linear_residual(term.expr, weight, variations), 0, i, rows)
         p, q = term.p, term.q
         if (p, q) not in dets:
             alternating = sum(
-                jet(x, 0, max_order) * (jet(y, p, max_order) * jet(z, q, max_order)
-                                        - jet(y, q, max_order) * jet(z, p, max_order))
+                jet(x, 0) * (jet(y, p) * jet(z, q) - jet(y, q) * jet(z, p))
                 for x, y, z in ("fgk", "gkf", "kfg"))
-            dets[p, q] = (ce_parts(det_expr(p, q, max_order), 2, module_lambda, max_order)[1],
-                          alternating)
+            dets[p, q] = (ce_parts(det_expr(p, q), 2, module_lambda)[1], alternating)
         delta_c, alternating = dets[p, q]
         delta = term.m * delta_c
         if not trivial:
-            delta = delta + total_derivative(term.m, max_order) * alternating
+            delta = delta + total_derivative(term.m) * alternating
         add_cocycle(delta, i)
 
     solution = solve_affine(
@@ -475,8 +475,6 @@ def derive_c7() -> CorrectionResult:
 
 def connection_form(name: str) -> Cochain2:
     """Catalogue connection form; the weight-7 one comes from the solver."""
-    from .cochains import _ALIASES
-
     if _ALIASES.get(name, name) == "c7":
         result = derive_c7()
         if not result.feasible:

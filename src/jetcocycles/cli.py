@@ -2,8 +2,12 @@
 
     jetcocycles verify --suite all [--window N] [--json PATH]
     jetcocycles globalize --symbol "2*det(3,6) - 9*det(4,5)" --weight 7
+                          [--max-order N] [--lambda L]
     jetcocycles eval --cocycle c5 --m 3 --n -3
     jetcocycles table3
+
+globalize's --max-order (default 12) bounds only the jet orders of the
+symbol and of the connection jets its ansatz needs; past it, exit 2.
 
 Exit status: 0 when every check passes, 1 when any check FAILs, 2 on usage
 or expression syntax errors.
@@ -17,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .charts import is_global, solve_corrections
-from .expr import OrderCapExceeded
+from .expr import DEFAULT_ORDER_CAP, OrderCapExceeded
 from .cochains import CATALOGUE_NAMES, catalogue, ce_differential
 from .report import SUITES, any_fail, emit_report, render_text, run_suite
 from .syntax import ExprSyntaxError, parse_expr, to_text
@@ -54,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_glob.add_argument("--symbol", required=True,
                         help="flat bilinear expression, e.g. 'det(1,2)'")
     p_glob.add_argument("--weight", type=int, required=True)
-    p_glob.add_argument("--max-order", type=int, default=12)
+    p_glob.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP,
+                        help="bound on the jet orders of the symbol and of its ansatz")
     p_glob.add_argument("--lambda", dest="lam", type=_fraction, default=None,
                         help="module parameter for the cocycle constraint "
                              "(default: the weight)")
@@ -78,7 +83,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_globalize(args) -> int:
     try:
-        symbol = parse_expr(args.symbol, cap=args.max_order)
+        symbol = parse_expr(args.symbol, args.max_order)
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 2

@@ -25,12 +25,11 @@ from typing import Dict, Optional, Tuple, Union
 
 from .expr import (
     DEFAULT_ORDER_CAP,
-    _RANK,
     DiffExpr,
+    check_order_cap,
     is_total_derivative,
     jet,
     substitute,
-    substitute_jets,
 )
 from .calculus import bracket, lie_action, nabla_power
 from .lampoly import LamPoly, Rat, gcd_all, rational_roots
@@ -83,11 +82,8 @@ class Cochain2:
         object.__setattr__(self, "module_lambda", _module(self.coeff, self.module_lambda))
         if self.coeff.degree_in("f") - {1} or self.coeff.degree_in("g") - {1}:
             raise ValueError("2-cochain must be bilinear in the f and g jets")
-        # swap the families order by order: a rename raises no jet order,
-        # so no prolongation and no order cap are involved
-        swap = {(_RANK[a], n): jet(b, n, n) for a, b in ("fg", "gf")
-                for n in range(self.coeff.max_order(a) + 1)}
-        if not (substitute_jets(self.coeff, swap) + self.coeff).is_zero():
+        swap = {"f": jet("g", 0), "g": jet("f", 0)}
+        if not (substitute(self.coeff, swap) + self.coeff).is_zero():
             raise ValueError("2-cochain must be antisymmetric under f <-> g")
 
     @property
@@ -115,19 +111,20 @@ def coeff_and_weight(target: Union[Cochain2, DiffExpr],
     return target, weight
 
 
-def det_expr(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def det_expr(p: int, q: int) -> DiffExpr:
     if p >= q:
         raise ValueError(f"det({p},{q}) needs p < q")
-    return jet("f", p, cap) * jet("g", q, cap) - jet("f", q, cap) * jet("g", p, cap)
+    return jet("f", p) * jet("g", q) - jet("f", q) * jet("g", p)
 
 
 def det_cochain(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
-    """The determinant block |f^(p) g^(p); f^(q) g^(q)| with weight p+q-2."""
-    return Cochain2(det_expr(p, q, cap), p + q - 2, LamPoly.lam())
+    """The determinant block |f^(p) g^(p); f^(q) g^(q)| with weight p+q-2;
+    q above cap raises OrderCapExceeded (cap bounds the input only)."""
+    return Cochain2(check_order_cap(det_expr(p, q), cap), p + q - 2, LamPoly.lam())
 
 
-def ce_parts(coeff: DiffExpr, arity: int, lam: Union[LamPoly, Fraction, None],
-             cap: int = DEFAULT_ORDER_CAP) -> Tuple[DiffExpr, DiffExpr]:
+def ce_parts(coeff: DiffExpr, arity: int,
+             lam: Union[LamPoly, Fraction, None]) -> Tuple[DiffExpr, DiffExpr]:
     """(bracket insertions, delta c) of a 1- or 2-cochain on x_i = f, g[, k]:
 
         delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...).
@@ -140,33 +137,33 @@ def ce_parts(coeff: DiffExpr, arity: int, lam: Union[LamPoly, Fraction, None],
     def value(*args):
         # c(args); a slot keeping its own family stays unbound, since a
         # self-binding would prolong and rewrite the whole family
-        bindings = {slot: arg if isinstance(arg, DiffExpr) else jet(arg, 0, cap)
+        bindings = {slot: arg if isinstance(arg, DiffExpr) else jet(arg, 0)
                     for slot, arg in zip("fg", args)
                     if isinstance(arg, DiffExpr) or arg != slot}
-        return substitute(coeff, bindings, cap) if bindings else coeff
+        return substitute(coeff, bindings) if bindings else coeff
 
     insertions = DiffExpr.zero()
     for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
-        term = value(bracket(jet(x, 0, cap), jet(y, 0, cap), cap),
+        term = value(bracket(jet(x, 0), jet(y, 0)),
                      *fams.replace(x, "").replace(y, ""))
         insertions = insertions - term if (i + j) % 2 else insertions + term
     if lam is None:
         return insertions, insertions
     delta = insertions
     for i, x in enumerate(fams):
-        term = lie_action(jet(x, 0, cap), value(*fams.replace(x, "")), lam, cap)
+        term = lie_action(jet(x, 0), value(*fams.replace(x, "")), lam)
         delta = delta - term if i % 2 else delta + term
     return insertions, delta
 
 
-def ce_differential(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def ce_differential(c: Cochain2) -> DiffExpr:
     """delta c (f,g,k); zero iff c is a 2-cocycle for its module.
 
     The trivial-action differential is the bracket insertions; the full one
     adds a part linear in the module parameter, whose derivative goes
     through the background T, R, w jets (see ce_parts).
     """
-    return ce_parts(c.coeff, 2, c.module_lambda, cap)[1]
+    return ce_parts(c.coeff, 2, c.module_lambda)[1]
 
 
 @dataclass(frozen=True)
@@ -196,12 +193,13 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
     the bracket insertions are an exact total derivative (the values-in-
     constants reading on the circle); the full differential adds a part
     linear in lam, solved as the common rational roots (gcd over Q[lam]) of
-    its coefficient polynomials.
+    its coefficient polynomials.  cap bounds the jet orders of c only
+    (OrderCapExceeded); the variational derivatives go beyond them.
     """
     if not c.is_symbolic():
         raise ValueError("lambda_solutions needs a symbolic module parameter")
-    insertions, delta = ce_parts(c.coeff, 2, c.module_lambda, cap)
-    trivial_pass = is_total_derivative(insertions, cap)
+    insertions, delta = ce_parts(check_order_cap(c.coeff, cap), 2, c.module_lambda)
+    trivial_pass = is_total_derivative(insertions)
     if delta.is_zero():
         return LambdaVerdict("all", (), trivial_pass)
     g = gcd_all(delta.coefficient_polys())

@@ -37,6 +37,7 @@ from .lampoly import LamPoly, Rat, _rat
 FAMILIES = ("f", "g", "k", "T", "R", "w", "h", "hinv")
 _RANK = {name: i for i, name in enumerate(FAMILIES)}
 
+# default bound on the jet orders of an input (check_order_cap)
 DEFAULT_ORDER_CAP = 12
 
 # atom: (rank, order); monomial: tuple of (atom, exponent) sorted by atom
@@ -50,10 +51,10 @@ _HINV0: Atom = (_HINV, 0)
 
 
 class OrderCapExceeded(ValueError):
-    """A jet order went past the configured cap."""
+    """An input carries a jet order above its bound (see check_order_cap)."""
 
 
-def _check_atom(family: str, order: int, cap: int) -> Atom:
+def _check_atom(family: str, order: int) -> Atom:
     if family not in _RANK:
         raise ValueError(f"unknown jet family {family!r}")
     if not isinstance(order, int) or order < 0:
@@ -62,8 +63,6 @@ def _check_atom(family: str, order: int, cap: int) -> Atom:
         raise ValueError("h jets start at order 1 (h[1] is h')")
     if family == "hinv" and order != 0:
         raise ValueError("hinv carries no independent jets")
-    if order > cap:
-        raise OrderCapExceeded(f"jet order {order} exceeds cap {cap} for family {family!r}")
     return (_RANK[family], order)
 
 
@@ -371,9 +370,9 @@ def _coerce_expr(x):
     return NotImplemented
 
 
-def jet(family: str, order: int, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def jet(family: str, order: int) -> DiffExpr:
     """The jet symbol family[order] as an expression."""
-    return DiffExpr({((_check_atom(family, order, cap), 1),): LamPoly.one()})
+    return DiffExpr({((_check_atom(family, order), 1),): LamPoly.one()})
 
 
 def hinv() -> DiffExpr:
@@ -395,12 +394,23 @@ def lam_expr() -> DiffExpr:
     return DiffExpr.coefficient(LamPoly.lam())
 
 
+def check_order_cap(e: DiffExpr, cap: int) -> DiffExpr:
+    """e, unless a jet of e has order above cap (OrderCapExceeded).  The
+    kernel bounds no order: this bounds an input from outside."""
+    for mono in e._terms:
+        for (rank, order), _exp in mono:
+            if order > cap:
+                raise OrderCapExceeded(
+                    f"jet order {order} exceeds cap {cap} for family {FAMILIES[rank]!r}")
+    return e
+
+
 # -- total derivative -------------------------------------------------
 
 _D_HINV_MONO = _mono_from_pairs([((_H, 2), 1), (_HINV0, 2)])
 
 
-def total_derivative(e: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def total_derivative(e: DiffExpr) -> DiffExpr:
     """Formal d/dz: Leibniz over monomials, family[n] -> family[n+1],
     hinv -> -h[2]*hinv^2, lam and rationals constant.
 
@@ -418,10 +428,6 @@ def total_derivative(e: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
                 c = coef * -exp
             else:
                 rank, order = atom
-                if order >= cap:
-                    raise OrderCapExceeded(
-                        f"derivative pushes {atom_name(atom)} past order cap {cap}"
-                    )
                 head = mono[:i] + ((atom, exp - 1),) if exp > 1 else mono[:i]
                 up = (rank, order + 1)
                 if i < last and mono[i + 1][0] == up:
@@ -441,11 +447,7 @@ def total_derivative(e: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
 # -- substitution -----------------------------------------------------
 
 
-def substitute(
-    e: DiffExpr,
-    bindings: Mapping[str, DiffExpr],
-    cap: int = DEFAULT_ORDER_CAP,
-) -> DiffExpr:
+def substitute(e: DiffExpr, bindings: Mapping[str, DiffExpr]) -> DiffExpr:
     """Simultaneously replace whole families.
 
     Each binding gives the order-0 replacement; family[n] is replaced by the
@@ -467,7 +469,7 @@ def substitute(
         for order in range(0, need + 1):
             table[(rank, order)] = cur
             if order < need:
-                cur = total_derivative(cur, cap)
+                cur = total_derivative(cur)
     return substitute_jets(e, table)
 
 
@@ -532,7 +534,7 @@ def eval_rational(
     """
     values: Dict[Atom, Rat] = {}
     for (fam, order), v in point.items():
-        values[_check_atom(fam, order, cap=10**9)] = _rat(v)
+        values[_check_atom(fam, order)] = _rat(v)
     h1 = values.get(_H1)
     if _HINV0 in values:
         if h1 is None or values[_HINV0] * h1 != 1:
@@ -567,7 +569,7 @@ def eval_rational(
 
 def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
     """Formal partial derivative with respect to one jet symbol."""
-    atom = _check_atom(family, order, cap=10**9)
+    atom = _check_atom(family, order)
     out: Dict[Monomial, LamPoly] = {}
     for mono, coef in e._terms.items():
         for i, (a, exp) in enumerate(mono):
@@ -588,16 +590,16 @@ def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
     return _expr(out)
 
 
-def euler_derivative(e: DiffExpr, family: str, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
+def euler_derivative(e: DiffExpr, family: str) -> DiffExpr:
     """Variational derivative sum_j (-D)^j P_j, P_j = d e / d family[j], in
     Horner form P_0 - D(P_1 - D(P_2 - ...)): one total derivative per order."""
     out = _ZERO
     for j in range(e.max_order(family), -1, -1):
-        out = partial_derivative(e, family, j) - total_derivative(out, cap)
+        out = partial_derivative(e, family, j) - total_derivative(out)
     return out
 
 
-def is_total_derivative(e: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> bool:
+def is_total_derivative(e: DiffExpr) -> bool:
     """Exactness test: e = D(Y) for some differential polynomial Y.
 
     Valid for expressions in free jet families only (hinv's derivative rule
@@ -610,4 +612,4 @@ def is_total_derivative(e: DiffExpr, cap: int = DEFAULT_ORDER_CAP) -> bool:
         raise ValueError("exactness test is only defined for hinv-free expressions")
     if not e.constant_term().is_zero():
         return False
-    return all(euler_derivative(e, fam, cap).is_zero() for fam in fams)
+    return all(euler_derivative(e, fam).is_zero() for fam in fams)

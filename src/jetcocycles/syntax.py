@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochains import det_expr
-from .expr import DEFAULT_ORDER_CAP, DiffExpr, atom_name, jet, hinv, lam_expr
+from .expr import DEFAULT_ORDER_CAP, DiffExpr, atom_name, check_order_cap, jet, hinv, lam_expr
 from .lampoly import LamPoly
 
 _JET_FAMILIES = {"f", "g", "k", "T", "R", "w", "h"}
@@ -66,41 +66,42 @@ class _Scanner:
 
 
 def parse_expr(text: str, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
-    """Parse text into a canonical DiffExpr."""
+    """Parse text into a canonical DiffExpr; a jet of the result above cap
+    raises OrderCapExceeded."""
     sc = _Scanner(text)
-    e = _expr(sc, cap)
+    e = _expr(sc)
     sc.skip_ws()
     if sc.pos != len(sc.text):
         raise ExprSyntaxError("unexpected trailing input", sc.pos)
-    return e
+    return check_order_cap(e, cap)
 
 
-def _expr(sc: _Scanner, cap: int) -> DiffExpr:
+def _expr(sc: _Scanner) -> DiffExpr:
     negate = False
     if sc.peek() == "-":
         sc.expect("-")
         negate = True
-    acc = _term(sc, cap)
+    acc = _term(sc)
     if negate:
         acc = -acc
     while sc.peek() in ("+", "-"):
         op = sc.peek()
         sc.expect(op)
-        rhs = _term(sc, cap)
+        rhs = _term(sc)
         acc = acc + rhs if op == "+" else acc - rhs
     return acc
 
 
-def _term(sc: _Scanner, cap: int) -> DiffExpr:
-    acc = _factor(sc, cap)
+def _term(sc: _Scanner) -> DiffExpr:
+    acc = _factor(sc)
     while sc.peek() == "*":
         sc.expect("*")
-        acc = acc * _factor(sc, cap)
+        acc = acc * _factor(sc)
     return acc
 
 
-def _factor(sc: _Scanner, cap: int) -> DiffExpr:
-    base = _atom(sc, cap)
+def _factor(sc: _Scanner) -> DiffExpr:
+    base = _atom(sc)
     if sc.peek() == "^":
         sc.expect("^")
         sc.skip_ws()
@@ -113,11 +114,11 @@ def _factor(sc: _Scanner, cap: int) -> DiffExpr:
     return base
 
 
-def _atom(sc: _Scanner, cap: int) -> DiffExpr:
+def _atom(sc: _Scanner) -> DiffExpr:
     ch = sc.peek()
     if ch == "(":
         sc.expect("(")
-        e = _expr(sc, cap)
+        e = _expr(sc)
         sc.expect(")")
         return e
     if ch.isdigit():
@@ -151,14 +152,14 @@ def _atom(sc: _Scanner, cap: int) -> DiffExpr:
             sc.expect(")")
             if p >= q:
                 raise ExprSyntaxError(f"det({p},{q}) needs p < q", ppos if p > q else qpos)
-            return det_expr(p, q, cap)
+            return det_expr(p, q)
         if word in _JET_FAMILIES:
             sc.expect("[")
             pos = sc.pos
             order = sc.integer()
             sc.expect("]")
             try:
-                return jet(word, order, cap)
+                return jet(word, order)
             except ValueError as exc:
                 raise ExprSyntaxError(str(exc), pos) from None
         raise ExprSyntaxError(f"unknown name {word!r}", start)
@@ -170,11 +171,9 @@ def _atom(sc: _Scanner, cap: int) -> DiffExpr:
 
 def poly_text(p: LamPoly) -> str:
     """Grammar-compatible rendering of a lam polynomial (descending degree)."""
-    if p.is_zero():
-        return "0"
     pieces = []
     for deg in range(p.degree, -1, -1):
-        c = p.coeffs[deg] if deg < len(p.coeffs) else Fraction(0)
+        c = p.coeffs[deg]
         if c == 0:
             continue
         mag = abs(c)
@@ -184,11 +183,13 @@ def poly_text(p: LamPoly) -> str:
             var = "lam" if deg == 1 else f"lam^{deg}"
             body = var if mag == 1 else f"{mag}*{var}"
         pieces.append(("-" if c < 0 else "+", body))
-    sign0, body0 = pieces[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _join(pieces)
+
+
+def _join(pieces) -> str:
+    """(sign, body) pieces as "a - b + c", with no leading '+'; "0" if none."""
+    out = " ".join(f"{sign} {body}" for sign, body in pieces)
+    return "0" if not out else out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def _mono_text(mono) -> str:
@@ -201,8 +202,6 @@ def _mono_text(mono) -> str:
 
 def to_text(e: DiffExpr) -> str:
     """Deterministic canonical rendering; parse_expr(to_text(e)) == e."""
-    if e.is_zero():
-        return "0"
     pieces = []
     for mono, coef in e.terms():
         mono_s = _mono_text(mono)
@@ -221,8 +220,4 @@ def to_text(e: DiffExpr) -> str:
             inner = f"({poly_text(coef)})"
             body = inner if not mono_s else f"{inner}*{mono_s}"
         pieces.append((sign, body))
-    sign0, body0 = pieces[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return _join(pieces)

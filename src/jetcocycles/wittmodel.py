@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .cochains import Cochain2, catalogue, ce_differential, coeff_and_weight
 from .expr import DiffExpr, FAMILIES, is_total_derivative
 from .lampoly import LamPoly, Rat, _rat
 from .linalg import solve_affine
+from .syntax import _join
 
 
 def _laurent_coeffs(coeffs: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
@@ -86,21 +87,13 @@ class LaurentDensity:
         return LaurentDensity.of(out, self.weight + other.weight)
 
     def describe(self) -> str:
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for s, c in self.coeffs:
-                mag = abs(c)
-                z = "1" if s == 0 else ("z" if s == 1 else f"z^{s}")
-                piece = z if (mag == 1 and s != 0) else (str(mag) if s == 0 else f"{mag}*{z}")
-                parts.append(("- " if c < 0 else "+ ") + piece)
-            body = " ".join(parts)
-            if body.startswith("+ "):
-                body = body[2:]
-            else:
-                body = "-" + body[2:]
-        return f"({body}) (dz)^{self.weight}"
+        pieces = []
+        for s, c in self.coeffs:
+            mag = abs(c)
+            z = "1" if s == 0 else ("z" if s == 1 else f"z^{s}")
+            piece = z if (mag == 1 and s != 0) else (str(mag) if s == 0 else f"{mag}*{z}")
+            pieces.append(("-" if c < 0 else "+", piece))
+        return f"({_join(pieces)}) (dz)^{self.weight}"
 
 
 @dataclass(frozen=True)
@@ -198,6 +191,24 @@ class CertificateResult:
         return self.verdict == "NONTRIVIAL"
 
 
+def _coboundary_rows(window: int, lam: Optional[Rat],
+                     shift: Optional[int]) -> Iterator[Tuple[int, int, Dict[int, Rat]]]:
+    """(m, n, row) for m < n and |m|, |n|, |m+n| <= window: the row holds
+    delta b(L_m, L_n) = L_m b(L_n) - L_n b(L_m) - b([L_m, L_n]) in the
+    unknowns b(L_j) = beta_j z^(j+shift) (dz)^lam, beta_j in column
+    window + j; the trivial action (lam None) keeps -b([L_m, L_n]) alone."""
+    for m in range(-window, window + 1):
+        for n in range(m + 1, window + 1):
+            if abs(m + n) > window:
+                continue
+            row: Dict[int, Rat] = {}
+            if lam is not None:
+                row[window + n] = n + shift + lam * (m + 1)
+                row[window + m] = -(m + shift + lam * (n + 1))
+            row[window + m + n] = row.get(window + m + n, 0) - (n - m)
+            yield m, n, {i: q for i, q in row.items() if q}
+
+
 def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult:
     """Exact graded obstruction to c = delta b on the window.
 
@@ -209,8 +220,8 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     the symbol: f^(a) g^(b) sends (L_m, L_n) to degree m + n + 2 - (a+b), so
     every monomial must have the same derivative count a+b, and the shift
     is d = 2 - (a+b).  With trivial action (module_lambda None) the values
-    pair to constants and the system is -(n-m) beta_{m+n} = c(m, n).  A
-    symbolic module is refused, and c must be a cocycle for its module:
+    pair to constants: the right-hand side is the residue.  A symbolic
+    module is refused, and c must be a cocycle for its module:
     delta c = 0, or for the trivial action a total derivative (zero once
     paired on the circle).  A non-cocycle would make the system infeasible
     without being non-trivial.
@@ -221,35 +232,21 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     if not (is_total_derivative(delta) if c.trivial_action else delta.is_zero()):
         raise ValueError("the cochain is not a cocycle for its module")
 
-    pairs = [(m, n) for m in range(-window, window + 1)
-             for n in range(m + 1, window + 1) if abs(m + n) <= window]
-
-    if c.trivial_action:
-        rows = []
-        for m, n in pairs:
-            v = residue_pair(evaluate_cochain(c, m, n))
-            rows.append(({window + m + n: -(n - m)}, v))
-        feasible = solve_affine(rows, 2 * window + 1) is not None
-        return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",
-                                 window, None, None)
-
-    lam = c.module_lambda.constant_value()
-    counts = {sum(order * e for (_rank, order), e in mono) for mono, _ in c.coeff.terms()}
-    if not counts:
-        return CertificateResult("INCONCLUSIVE", window, c.module_lambda, None)
-    if len(counts) > 1:
-        raise ValueError(f"cochain is not graded: derivative counts {sorted(counts)} occur")
-    shift = 2 - counts.pop()
+    lam = shift = None
+    if not c.trivial_action:
+        lam = c.module_lambda.constant_value()
+        counts = {sum(order * e for (_rank, order), e in mono) for mono, _ in c.coeff.terms()}
+        if not counts:
+            return CertificateResult("INCONCLUSIVE", window, c.module_lambda, None)
+        if len(counts) > 1:
+            raise ValueError(f"cochain is not graded: derivative counts {sorted(counts)} occur")
+        shift = 2 - counts.pop()
 
     rows = []
-    for m, n in pairs:
-        rhs = evaluate_cochain(c, m, n).as_dict().get(m + n + shift, 0)
-        row = {
-            window + n: n + shift + lam * (m + 1),
-            window + m: -(m + shift + lam * (n + 1)),
-        }
-        row[window + m + n] = row.get(window + m + n, 0) - (n - m)
-        rows.append(({i: q for i, q in row.items() if q}, rhs))
+    for m, n, row in _coboundary_rows(window, lam, shift):
+        value = evaluate_cochain(c, m, n)
+        rhs = residue_pair(value) if lam is None else value.as_dict().get(m + n + shift, 0)
+        rows.append((row, rhs))
     feasible = solve_affine(rows, 2 * window + 1) is not None
     return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",
                              window, c.module_lambda, shift)

@@ -52,10 +52,10 @@ def test_cochain_validation():
         Cochain2(jet("f", 0) ** 2 * jet("g", 1) - jet("g", 0) ** 2 * jet("f", 1), 0)
     with pytest.raises(ValueError):
         Cochain1(jet("f", 0) ** 2, 0, LamPoly.const(0))
-    # swapping f and g raises no jet order, so a symbol past the default
-    # cap builds, and a symmetric one of the same order is still rejected
+    # Cochain2 bounds no jet order, so a symbol past the default cap
+    # builds, and a symmetric one of the same order is still rejected
     assert det_cochain(0, 13, 24).value_weight == 11
-    f0, f13, g0, g13 = (jet(x, n, 24) for x in "fg" for n in (0, 13))
+    f0, f13, g0, g13 = (jet(x, n) for x in "fg" for n in (0, 13))
     with pytest.raises(ValueError, match="antisymmetric"):
         Cochain2(f0 * g13 + f13 * g0, 11)
 
@@ -252,22 +252,29 @@ def _verdict_row(p, q, verdict):
 
 
 def test_lambda_verdicts_match_pinned_rows():
-    """Every det(p,q) with q <= 8 at cap 24, pinned in
-    tests/data/lambda_verdicts.json."""
+    """Every det(p,q) with q <= 8, pinned in tests/data/lambda_verdicts.json
+    (computed at cap 24): at the default cap, and through the positional
+    det_cochain(p, q, 24) / lambda_solutions(c, 24) calls perfbench makes."""
     assert sorted(_VERDICTS) == sorted((p, q) for q in range(1, 9) for p in range(q))
     for (p, q), row in _VERDICTS.items():
+        assert _verdict_row(p, q, lambda_solutions(det_cochain(p, q))) == row
         assert _verdict_row(p, q, lambda_solutions(det_cochain(p, q, 24), 24)) == row
 
 
 @pytest.mark.parametrize("p, q", [(5, 7), (4, 8), (6, 8)])
 def test_lambda_verdicts_that_cancel_below_the_default_cap(p, q):
     # the exactness test never differentiates the terms that cancel, so
-    # these finish at cap 12 with their cap-24 verdicts
+    # these stay within order 12 (unlike the three below)
     assert _verdict_row(p, q, lambda_solutions(det_cochain(p, q))) == _VERDICTS[p, q]
     assert _VERDICTS[p, q]["kind"] == "none" and _VERDICTS[p, q]["trivial_action_pass"]
 
 
 @pytest.mark.parametrize("p, q", [(6, 7), (5, 8), (7, 8)])
-def test_lambda_verdicts_past_the_default_cap_raise(p, q):
-    with pytest.raises(OrderCapExceeded):
-        lambda_solutions(det_cochain(p, q))
+def test_lambda_verdicts_that_reach_jets_past_the_default_cap(p, q):
+    # the variational derivatives of these go past order 12; the cap bounds
+    # only the input's orders, so they finish at the default with their
+    # pinned rows, and a cap below q refuses the input
+    c = det_cochain(p, q)
+    assert _verdict_row(p, q, lambda_solutions(c)) == _VERDICTS[p, q]
+    with pytest.raises(OrderCapExceeded, match=f"jet order {q} exceeds cap {q - 1}"):
+        lambda_solutions(c, q - 1)

@@ -10,8 +10,10 @@ from jetcocycles.expr import (
     _RANK,
     _mono_from_pairs,
     _mono_mul,
+    DEFAULT_ORDER_CAP,
     DiffExpr,
     OrderCapExceeded,
+    check_order_cap,
     eval_rational,
     euler_derivative,
     hinv,
@@ -76,11 +78,12 @@ def test_negative_and_fractional_powers_rejected():
 
 
 def test_order_cap():
-    with pytest.raises(OrderCapExceeded):
-        jet("f", 13)
-    jet("f", 13, cap=14)
-    with pytest.raises(OrderCapExceeded):
-        D(jet("f", 12))
+    # the kernel bounds no order; check_order_cap bounds an input's orders
+    f13 = jet("f", 13)
+    assert D(jet("f", 12)) == f13
+    assert check_order_cap(f13, 13) is f13
+    with pytest.raises(OrderCapExceeded, match="jet order 13 exceeds cap 12 for family 'f'"):
+        check_order_cap(jet("g", 0) * f13, DEFAULT_ORDER_CAP)
     with pytest.raises(ValueError):
         jet("h", 0)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from jetcocycles.cochains import catalogue, det_expr
-from jetcocycles.expr import DiffExpr, hinv, jet
+from jetcocycles.expr import DiffExpr, OrderCapExceeded, hinv, jet
 from jetcocycles.calculus import schwarzian
 from jetcocycles.syntax import ExprSyntaxError, parse_expr, poly_text, to_text
 from jetcocycles.lampoly import LAM
@@ -56,9 +56,11 @@ def test_error_positions(text, offset):
 
 
 def test_order_cap_in_parser():
-    with pytest.raises(ExprSyntaxError):
-        parse_expr("f[13]")
-    assert parse_expr("f[13]", cap=13) == jet("f", 13, cap=13)
+    # the cap bounds the parsed expression, det(p,q) included
+    for text in ("f[13]", "det(0,13)", "f[0] + T[13]*R[2]"):
+        with pytest.raises(OrderCapExceeded, match="jet order 13 exceeds cap 12"):
+            parse_expr(text)
+    assert parse_expr("f[13]", 13) == jet("f", 13)
 
 
 def test_round_trip_fixed():

@@ -11,6 +11,7 @@ from jetcocycles.lampoly import LamPoly
 from jetcocycles.wittmodel import (
     LaurentDensity,
     WittField,
+    _coboundary_rows,
     evaluate_cochain,
     kn_value,
     laurent_action,
@@ -133,6 +134,41 @@ def test_coboundaries_inconclusive():
                      lam, LamPoly.const(lam))
         res = nontriviality_certificate(coboundary(b), window=6)
         assert res.verdict == "INCONCLUSIVE"
+
+
+def _unit_primitive(j: int, shift: int, weight: int):
+    """The 1-cochain b with b(L_i) = z^(i+shift) (dz)^weight for i = j and
+    0 otherwise, extended linearly to Laurent vector fields."""
+    def b(x: WittField) -> LaurentDensity:
+        return LaurentDensity.monomial(j + shift, weight, dict(x.coeffs).get(j + 1, 0))
+    return b
+
+
+@pytest.mark.parametrize("lam, shift", [(lam, shift) for lam in (0, 1, 5)
+                                        for shift in (-5, -1, 0, 1)] + [(None, None)])
+def test_certificate_rows_are_the_coboundary_of_the_unknowns(lam, shift):
+    """Each certificate row is rebuilt from the Laurent model: column
+    window + j holds the z^(m+n+shift) coefficient of
+    delta b(L_m, L_n) = L_m b(L_n) - L_n b(L_m) - b([L_m, L_n]) for the unit
+    primitive b at L_j; the trivial action (lam None) keeps -b([L_m, L_n])."""
+    for window in range(1, 5):
+        rows = list(_coboundary_rows(window, lam, shift))
+        assert [(m, n) for m, n, _row in rows] == [
+            (m, n) for m in range(-window, window + 1) for n in range(m + 1, window + 1)
+            if abs(m + n) <= window]
+        for m, n, row in rows:
+            lm, ln = WittField.basis(m), WittField.basis(n)
+            degree = m + n + (shift or 0)
+            expected = {}
+            for j in range(-window, window + 1):
+                b = _unit_primitive(j, shift or 0, lam or 0)
+                delta = -b(lm.bracket(ln))
+                if lam is not None:
+                    delta = laurent_action(lm, b(ln)) - laurent_action(ln, b(lm)) + delta
+                assert set(delta.as_dict()) <= {degree}
+                if delta.as_dict():
+                    expected[window + j] = delta.as_dict()[degree]
+            assert row == expected, (window, m, n)
 
 
 def test_certificate_rejects_ungraded():
