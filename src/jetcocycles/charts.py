@@ -44,6 +44,7 @@ from .cochains import _ALIASES, Cochain2, catalogue, ce_parts, coeff_and_weight,
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
+    _items,
     DiffExpr,
     OrderCapExceeded,
     check_order_cap,
@@ -290,8 +291,9 @@ def _linear_residual(e: DiffExpr, weight: int, table: Dict) -> DiffExpr:
 
 def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):
     """Accumulate the coefficients of e into sparse constraint rows."""
-    for mono, coef in e.terms():
-        c = coef.constant_value()
+    for mono, c in _items(e):
+        if type(c) is LamPoly:
+            raise ValueError("a constraint row depends on lam")
         row = rows.setdefault((space, mono), [{}, 0])
         if index is None:
             row[1] -= c

@@ -82,15 +82,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_globalize(args) -> int:
-    try:
-        symbol = parse_expr(args.symbol, args.max_order)
-    except ExprSyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return 2
+    symbol = parse_expr(args.symbol, args.max_order)
     try:
         result = solve_corrections(symbol, weight=args.weight,
                                    max_order=args.max_order,
                                    module_lambda=args.lam)
+    except OrderCapExceeded:
+        raise  # main's handler adds the --max-order hint
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,15 +16,23 @@ localization machinery is needed.
 
 Everything is canonical by construction: monomials are sorted tuples of
 (atom, exponent) with positive exponents, keyed by (family rank, order), and
-terms are keyed by monomial with nonzero LamPoly coefficients.  The kernel
-keeps that form without re-sorting: a product merges two sorted tuples, and
-a derivative shifts one tuple (atom i loses a power; its successor
+terms are keyed by monomial with nonzero coefficients.  The kernel keeps
+that form without re-sorting: a product merges two sorted tuples, and a
+derivative shifts one tuple (atom i loses a power; its successor
 (rank, order+1) can only sit at i+1, where it is bumped or inserted).  The
 hinv*h[1] rule lives in one helper, ``_unit_rule``, which both the merge and
 the general assembler ``_mono_from_pairs`` end with.  Results are wrapped
-by the private ``_expr``, which trusts that form; ``DiffExpr(...)`` still
-drops zero coefficients.  Expressions are immutable values; every function
-here is pure.
+by the private ``_expr``, which trusts that form; ``DiffExpr(...)``
+normalizes coefficients and drops zeros.
+
+A stored coefficient is an exact rational in the ``_rat`` form unless it
+has degree >= 1 in lam; only then is it a LamPoly.  lam enters only through
+the module action, so lam-free work builds no LamPoly.  One normalizer,
+``_coef``, keeps the rule in ``DiffExpr(...)`` and in every loop that
+accumulates coefficients.  The public ``terms()``, ``coefficient_polys()``
+and ``constant_term()`` give LamPolys; the kernel's own readers take the
+stored form, in monomial order, from ``_items``.  Expressions are immutable
+values; every function here is pure.
 """
 
 from __future__ import annotations
@@ -50,14 +58,31 @@ _H1: Atom = (_H, 1)
 _HINV0: Atom = (_HINV, 0)
 
 
+# a stored coefficient: a Rat, or a LamPoly of degree >= 1
+Coef = Union[Rat, LamPoly]
+
+
 class OrderCapExceeded(ValueError):
     """An input carries a jet order above its bound (see check_order_cap)."""
+
+
+def _coef(c) -> Coef:
+    """The stored form of a coefficient (zero is 0): a LamPoly of degree
+    >= 1 stays, any other value becomes its ``_rat`` form."""
+    if type(c) is LamPoly:
+        cs = c.coeffs
+        return c if len(cs) > 1 else cs[0] if cs else 0
+    return _rat(c)
+
+
+def _poly(c: Coef) -> LamPoly:
+    return c if type(c) is LamPoly else LamPoly.const(c)
 
 
 def _check_atom(family: str, order: int) -> Atom:
     if family not in _RANK:
         raise ValueError(f"unknown jet family {family!r}")
-    if not isinstance(order, int) or order < 0:
+    if type(order) is not int or order < 0:
         raise ValueError(f"jet order must be a non-negative integer, got {order!r}")
     if family == "h" and order < 1:
         raise ValueError("h jets start at order 1 (h[1] is h')")
@@ -138,12 +163,14 @@ class DiffExpr:
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Optional[Mapping[Monomial, LamPoly]] = None):
-        # terms are assumed canonical apart from zero stripping
-        clean: Dict[Monomial, LamPoly] = {}
+    def __init__(self, terms: Optional[Mapping[Monomial, Union[Rat, LamPoly]]] = None):
+        # monomials are assumed canonical; coefficients are brought to the
+        # stored form and zeros dropped
+        clean: Dict[Monomial, Coef] = {}
         if terms:
             for mono, coef in terms.items():
-                if not coef.is_zero():
+                coef = _coef(coef)
+                if coef:
                     clean[mono] = coef
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
@@ -163,7 +190,7 @@ class DiffExpr:
 
     @staticmethod
     def rational(q: Rat) -> "DiffExpr":
-        return DiffExpr({(): LamPoly.const(q)})
+        return DiffExpr({(): q})
 
     @staticmethod
     def coefficient(poly: LamPoly) -> "DiffExpr":
@@ -172,7 +199,7 @@ class DiffExpr:
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Tuple[Tuple[Monomial, LamPoly], ...]:
-        return tuple(sorted(self._terms.items()))
+        return tuple((mono, _poly(coef)) for mono, coef in _items(self))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -181,7 +208,7 @@ class DiffExpr:
         return len(self._terms)
 
     def constant_term(self) -> LamPoly:
-        return self._terms.get((), LamPoly.zero())
+        return _poly(self._terms.get((), 0))
 
     def families(self) -> set:
         out = set()
@@ -222,7 +249,9 @@ class DiffExpr:
         for mono, coef in other._terms.items():
             acc = out.get(mono)
             s = coef if acc is None else acc + coef
-            if s.coeffs:
+            if type(s) is not int:
+                s = _coef(s)
+            if s:
                 out[mono] = s
             else:
                 del out[mono]
@@ -243,7 +272,9 @@ class DiffExpr:
         for mono, coef in other._terms.items():
             acc = out.get(mono)
             s = -coef if acc is None else acc - coef
-            if s.coeffs:
+            if type(s) is not int:
+                s = _coef(s)
+            if s:
                 out[mono] = s
             else:
                 del out[mono]
@@ -265,14 +296,16 @@ class DiffExpr:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        out: Dict[Monomial, LamPoly] = {}
+        out: Dict[Monomial, Coef] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
                 c = c1 * c2
                 acc = out.get(mono)
                 s = c if acc is None else acc + c
-                if s.coeffs:
+                if type(s) is not int:
+                    s = _coef(s)
+                if s:
                     out[mono] = s
                 else:
                     del out[mono]
@@ -284,7 +317,10 @@ class DiffExpr:
         return NotImplemented
 
     def scale(self, c: Union[Rat, LamPoly]) -> "DiffExpr":
-        return DiffExpr({m: coef * c for m, coef in self._terms.items()})
+        c = _coef(c)
+        if not c:
+            return _ZERO
+        return _expr({m: _coef(coef * c) for m, coef in self._terms.items()})
 
     def __pow__(self, n: int) -> "DiffExpr":
         if not isinstance(n, int):
@@ -305,7 +341,7 @@ class DiffExpr:
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffExpr):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, LamPoly)):
             return self._terms == _coerce_expr(other)._terms
         return NotImplemented
 
@@ -332,32 +368,39 @@ class DiffExpr:
 
     def subst_lambda(self, lam_value: Rat) -> "DiffExpr":
         """Evaluate all coefficients at a rational value of lam."""
-        out: Dict[Monomial, LamPoly] = {}
+        x = _rat(lam_value)
+        out: Dict[Monomial, Coef] = {}
         for mono, coef in self._terms.items():
-            v = coef.eval(lam_value)
+            v = coef.eval(x) if type(coef) is LamPoly else coef
             if v:
-                out[mono] = LamPoly.const(v)
-        return DiffExpr(out)
+                out[mono] = v
+        return _expr(out)
 
     def coefficient_polys(self) -> Tuple[LamPoly, ...]:
-        return tuple(self._terms.values())
+        return tuple(map(_poly, self._terms.values()))
 
 
 _set_terms = DiffExpr._terms.__set__
 _set_hash = DiffExpr._hash.__set__
 
 
-def _expr(terms: Dict[Monomial, LamPoly]) -> DiffExpr:
+def _expr(terms: Dict[Monomial, Coef]) -> DiffExpr:
     """The kernel's constructor: ``terms`` are canonical and every
-    coefficient is nonzero, so nothing is re-checked."""
+    coefficient is nonzero and in the stored form, so nothing is
+    re-checked."""
     e = object.__new__(DiffExpr)
     _set_terms(e, terms)
     _set_hash(e, None)
     return e
 
 
+def _items(e: DiffExpr) -> List[Tuple[Monomial, Coef]]:
+    """The terms of e in monomial order, with their stored coefficients."""
+    return sorted(e._terms.items())
+
+
 _ZERO = DiffExpr()
-_ONE = DiffExpr({(): LamPoly.one()})
+_ONE = DiffExpr({(): 1})
 
 
 def _coerce_expr(x):
@@ -372,11 +415,11 @@ def _coerce_expr(x):
 
 def jet(family: str, order: int) -> DiffExpr:
     """The jet symbol family[order] as an expression."""
-    return DiffExpr({((_check_atom(family, order), 1),): LamPoly.one()})
+    return DiffExpr({((_check_atom(family, order), 1),): 1})
 
 
 def hinv() -> DiffExpr:
-    return DiffExpr({((_HINV0, 1),): LamPoly.one()})
+    return DiffExpr({((_HINV0, 1),): 1})
 
 
 def hinv_power(n: int) -> DiffExpr:
@@ -387,7 +430,7 @@ def hinv_power(n: int) -> DiffExpr:
         mono = ((_HINV0, n),) if n else ()
     else:
         mono = ((_H1, -n),)
-    return DiffExpr({mono: LamPoly.one()})
+    return DiffExpr({mono: 1})
 
 
 def lam_expr() -> DiffExpr:
@@ -418,7 +461,7 @@ def total_derivative(e: DiffExpr) -> DiffExpr:
     one power, and its successor (rank, order+1) can only sit at i+1, where
     it is bumped or inserted.  Neither step can meet the hinv*h[1] rule.
     """
-    out: Dict[Monomial, LamPoly] = {}
+    out: Dict[Monomial, Coef] = {}
     for mono, coef in e._terms.items():
         last = len(mono) - 1
         for i, (atom, exp) in enumerate(mono):
@@ -437,7 +480,9 @@ def total_derivative(e: DiffExpr) -> DiffExpr:
                 c = coef * exp if exp > 1 else coef
             acc = out.get(new)
             s = c if acc is None else acc + c
-            if s.coeffs:
+            if type(s) is not int:
+                s = _coef(s)
+            if s:
                 out[new] = s
             else:
                 del out[new]
@@ -491,7 +536,7 @@ def substitute_jets(e: DiffExpr, table: Mapping[Atom, DiffExpr]) -> DiffExpr:
             powers[key] = got
         return got
 
-    out: Dict[Monomial, LamPoly] = {}
+    out: Dict[Monomial, Coef] = {}
     for mono, coef in e._terms.items():
         keep = []
         factors = []
@@ -511,7 +556,9 @@ def substitute_jets(e: DiffExpr, table: Mapping[Atom, DiffExpr]) -> DiffExpr:
         for m, c in piece._terms.items():
             acc = out.get(m)
             s = c if acc is None else acc + c
-            if s.coeffs:
+            if type(s) is not int:
+                s = _coef(s)
+            if s:
                 out[m] = s
             else:
                 del out[m]
@@ -546,13 +593,11 @@ def eval_rational(
 
     total = 0
     for mono, coef in e._terms.items():
-        if coef.degree > 0:
+        if type(coef) is LamPoly:
             if lam_value is None:
                 raise ValueError("expression depends on lam; supply lam_value")
-            c = coef.eval(lam_value)
-        else:
-            c = coef.constant_value()
-        acc = c
+            coef = coef.eval(lam_value)
+        acc = coef
         for atom, exp in mono:
             v = values.get(atom)
             if v is None:
@@ -570,7 +615,7 @@ def eval_rational(
 def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
     """Formal partial derivative with respect to one jet symbol."""
     atom = _check_atom(family, order)
-    out: Dict[Monomial, LamPoly] = {}
+    out: Dict[Monomial, Coef] = {}
     for mono, coef in e._terms.items():
         for i, (a, exp) in enumerate(mono):
             if a == atom:
@@ -582,7 +627,9 @@ def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
                     c = coef
                 acc = out.get(rest)
                 s = c if acc is None else acc + c
-                if s.coeffs:
+                if type(s) is not int:
+                    s = _coef(s)
+                if s:
                     out[rest] = s
                 else:
                     del out[rest]
@@ -610,6 +657,6 @@ def is_total_derivative(e: DiffExpr) -> bool:
     fams = e.families()
     if "hinv" in fams:
         raise ValueError("exactness test is only defined for hinv-free expressions")
-    if not e.constant_term().is_zero():
+    if () in e._terms:
         return False
     return all(euler_derivative(e, fam).is_zero() for fam in fams)

@@ -1,8 +1,10 @@
 """Univariate polynomials over Q in the module parameter ``lam``.
 
-These are the coefficients of the differential-polynomial kernel: exact
-rationals when the module parameter is fixed, honest polynomials when it is
-kept symbolic.  Degree-0 polynomials compare and hash like their value.
+These are the coefficients of the differential-polynomial kernel where
+they depend on lam: the kernel stores a LamPoly only for a coefficient of
+degree >= 1, and any other coefficient as an exact rational in the form
+below.  Its public readers hand out LamPolys, and a degree-0 polynomial
+compares and hashes like its value, so the two forms agree.
 
 Every exact rational here, and in the layers built on it, has one canonical
 form (``_rat``): an integral value is a plain ``int``, and a ``Fraction``

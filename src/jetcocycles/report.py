@@ -26,7 +26,7 @@ from .cochains import (
     det_expr,
     lambda_solutions,
 )
-from .expr import DiffExpr, jet
+from .expr import DiffExpr, _items, jet
 from .lampoly import LamPoly
 from .linalg import solve_affine
 from .syntax import to_text
@@ -142,8 +142,8 @@ def _ratio_record() -> CheckRecord:
     d45 = ce_differential(Cochain2(det_expr(4, 5), 7, LamPoly.const(7)))
     rows = {}
     for i, delta in enumerate((d36, d45)):
-        for mono, coef in delta.terms():
-            rows.setdefault(mono, {})[i] = coef.constant_value()
+        for mono, coef in _items(delta):
+            rows.setdefault(mono, {})[i] = coef
     solution = solve_affine(((row, Fraction(0)) for row in rows.values()), 2)
     ok = (solution is not None and solution.dimension == 1)
     if ok:

@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochains import det_expr
-from .expr import DEFAULT_ORDER_CAP, DiffExpr, atom_name, check_order_cap, jet, hinv, lam_expr
+from .expr import (DEFAULT_ORDER_CAP, DiffExpr, _items, atom_name, check_order_cap, jet, hinv,
+                   lam_expr)
 from .lampoly import LamPoly
 
 _JET_FAMILIES = {"f", "g", "k", "T", "R", "w", "h"}
@@ -203,10 +204,9 @@ def _mono_text(mono) -> str:
 def to_text(e: DiffExpr) -> str:
     """Deterministic canonical rendering; parse_expr(to_text(e)) == e."""
     pieces = []
-    for mono, coef in e.terms():
+    for mono, c in _items(e):
         mono_s = _mono_text(mono)
-        if coef.is_constant():
-            c = coef.constant_value()
+        if type(c) is not LamPoly:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if not mono_s:
@@ -217,7 +217,7 @@ def to_text(e: DiffExpr) -> str:
                 body = f"{mag}*{mono_s}"
         else:
             sign = "+"
-            inner = f"({poly_text(coef)})"
+            inner = f"({poly_text(c)})"
             body = inner if not mono_s else f"{inner}*{mono_s}"
         pieces.append((sign, body))
     return _join(pieces)

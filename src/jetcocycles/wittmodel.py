@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .cochains import Cochain2, catalogue, ce_differential, coeff_and_weight
-from .expr import DiffExpr, FAMILIES, is_total_derivative
+from .expr import DiffExpr, FAMILIES, _items, is_total_derivative
 from .lampoly import LamPoly, Rat, _rat
 from .linalg import solve_affine
 from .syntax import _join
@@ -139,10 +139,9 @@ def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
         raise ValueError(f"flat cochain expected; found families {sorted(fams - {'f', 'g'})}")
     exps = {"f": m + 1, "g": n + 1}
     out: Dict[int, Rat] = {}
-    for mono, coef in expr.terms():
-        if not coef.is_constant():
+    for mono, cval in _items(expr):
+        if type(cval) is LamPoly:
             raise ValueError("cochain depends on lam; substitute a value first")
-        cval = coef.constant_value()
         z = 0
         for (rank, order), e in mono:
             base = exps[FAMILIES[rank]]

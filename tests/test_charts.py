@@ -407,7 +407,7 @@ def test_globalize_exit_codes_at_low_caps(symbol, weight, cap, code, capsys):
     assert main(argv + ["--max-order", str(cap)]) == code
     out, err = capsys.readouterr()
     if code:
-        assert f"cap {cap}" in err and not out
+        assert f"cap {cap}" in err and err.endswith("(raise --max-order)\n") and not out
         return
     golden = _CLI_GOLDEN.get(tuple(argv))
     if golden is None:

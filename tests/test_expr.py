@@ -90,6 +90,16 @@ def test_order_cap():
         jet("q", 0)
 
 
+def test_bool_jet_orders_are_refused():
+    # f[True] would print a name that parse_expr rejects
+    for order in (True, False):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            jet("f", order)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            partial_derivative(F0, "f", order)
+    assert jet("f", 1) == F1
+
+
 # -- total derivative ---------------------------------------------------
 
 

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 
 from jetcocycles.charts import solve_corrections
-from jetcocycles.cochains import Cochain2, det_expr
-from jetcocycles.expr import euler_derivative, jet, substitute_jets, total_derivative
-from jetcocycles.lampoly import LamPoly
+from jetcocycles.cochains import Cochain2, ce_parts, det_expr
+from jetcocycles.expr import (DiffExpr, _items, euler_derivative, jet, lam_expr, substitute,
+                              substitute_jets, total_derivative)
+from jetcocycles.lampoly import LAM, LamPoly
 from jetcocycles.linalg import solve_affine
 from jetcocycles.wittmodel import LaurentDensity, WittField, evaluate_cochain, laurent_action
 
-from helpers import is_canonical, random_expr
+from helpers import is_canonical, random_coeff, random_expr
 
 
 def _expr_ok(e):
@@ -83,3 +84,62 @@ def test_float_module_parameters_are_refused():
         with pytest.raises(TypeError):
             make()
     assert Cochain2(det_expr(0, 2), 0, Fraction(4, 2)).module_lambda.coeffs == (2,)
+
+
+# -- the stored coefficient: a Rat, or a LamPoly only where lam occurs ---------
+
+
+def _stored_ok(e):
+    return all(c.degree >= 1 and all(is_canonical(x) for x in c.coeffs)
+               if type(c) is LamPoly else is_canonical(c) and c != 0
+               for _mono, c in _items(e))
+
+
+def test_a_coefficient_is_a_lam_poly_only_where_lam_occurs():
+    rng = random.Random(1401)
+    kinds = set()
+    for _ in range(40):
+        a = random_expr(rng, families=("f", "g", "T"), lam_degree=2)
+        b = random_expr(rng, families=("f", "g", "T"), lam_degree=2)
+        # a + (b - a) and (a + b) * 1 - a cancel every lam that b lacks
+        results = [a + b, a - b, a * b, a + (b - a), (a + b) - a,
+                   a.scale(random_coeff(rng, 1)), a.scale(LamPoly.const(Fraction(2, 3))),
+                   total_derivative(a), substitute(a, {"f": b, "g": jet("f", 1)}),
+                   euler_derivative(a * b, "g"), a.subst_lambda(Fraction(rng.randint(-3, 3), 2))]
+        coeff = det_expr(rng.randrange(3), rng.randrange(3, 6)).scale(random_coeff(rng, 1))
+        for lam in (None, LAM, LamPoly.const(3), Fraction(1, 2)):
+            results += ce_parts(coeff, 2, lam)
+        for r in results:
+            assert _stored_ok(r), r
+            kinds.update(type(c) for _mono, c in _items(r))
+    assert kinds == {int, Fraction, LamPoly}
+
+
+def test_lam_cancellations_store_ints():
+    f = jet("f", 0)
+    (f_mono, _one), = _items(f)
+    lam = lam_expr()
+    for e, mono in (((lam + 1) * f - lam * f, f_mono), (lam * f - lam * f + 1, ()),
+                    (lam * f + (1 - lam) * f, f_mono), (f.scale(LAM + 1) - f.scale(LAM), f_mono)):
+        (got, c), = _items(e)
+        assert got == mono and type(c) is int and c == 1
+
+
+def test_constants_compare_and_hash_alike_in_every_form():
+    forms = (DiffExpr.rational(3), DiffExpr.coefficient(LamPoly.const(3)), 3,
+             LamPoly.const(3), Fraction(6, 2))
+    for x in forms:
+        for y in forms:
+            assert x == y and hash(x) == hash(y)
+    assert DiffExpr.coefficient(LAM) == LAM and hash(DiffExpr.coefficient(LAM)) == hash(LAM)
+    assert DiffExpr.rational(3) != LamPoly.const(4) and DiffExpr.coefficient(LAM) != 3
+
+
+def test_the_public_readers_give_lam_polys():
+    e = jet("f", 0) * 2 + jet("g", 1).scale(LAM) + Fraction(1, 2)
+    assert all(type(c) is LamPoly for _mono, c in e.terms())
+    assert all(type(c) is LamPoly for c in e.coefficient_polys())
+    assert e.constant_term() == LamPoly.const(Fraction(1, 2))
+    assert type(e.constant_term()) is LamPoly
+    assert type((e - Fraction(1, 2)).constant_term()) is LamPoly
+    assert sorted(c.degree for c in e.coefficient_polys()) == [0, 0, 1]

@@ -1,10 +1,14 @@
 """Report records, suites, serialization, CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import jetcocycles
 from jetcocycles.cli import main
 from jetcocycles.cochains import CATALOGUE_NAMES, catalogue
 from jetcocycles.report import (
@@ -108,6 +112,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--cocycle", "c9", "--m", "0", "--n", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--suite", "witt"], 0), (["table3"], 1),
+    (["globalize", "--symbol", "f[", "--weight", "1"], 2),
+])
+def test_python_dash_m_runs_main(argv, code, capsys):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    src = Path(jetcocycles.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-m", "jetcocycles", *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert (run.returncode, run.stdout) == (code, out)
 
 
 @pytest.mark.parametrize("window", ["0", "-1"])
