@@ -47,6 +47,7 @@ from .expr import (
     _items,
     DiffExpr,
     OrderCapExceeded,
+    _has_lam,
     check_order_cap,
     euler_derivative,
     hinv,
@@ -118,6 +119,15 @@ class GlobalityResult:
         return "PASS" if self.ok else "FAIL"
 
 
+def _integer_weight(weight) -> int:
+    """A density weight as an int: an exact rational (TypeError otherwise)
+    that is integral (ValueError otherwise)."""
+    weight = _rat(weight)
+    if type(weight) is not int:
+        raise ValueError(f"globality needs an integer weight, got {weight}")
+    return weight
+
+
 def is_global(
     target: Union[Cochain2, DiffExpr],
     weight: Optional[int] = None,
@@ -128,9 +138,7 @@ def is_global(
     expression needs one.  The weight must be an integer.
     """
     expr, weight = coeff_and_weight(target, weight)
-    if Fraction(weight).denominator != 1:
-        raise ValueError(f"globality needs an integer weight, got {weight}")
-    weight = int(weight)
+    weight = _integer_weight(weight)
     residual = ChartFrame().pushforward(expr) - hinv_power(weight) * expr
     return GlobalityResult(residual.is_zero(), weight, residual)
 
@@ -243,7 +251,7 @@ class CorrectionResult:
     def contains(self, coeff: DiffExpr) -> bool:
         """Is the given cochain coefficient in the solution set, that is, is
         coeff - representative in the span of the nullspace directions?"""
-        if not self.feasible or any(c.degree for c in coeff.coefficient_polys()):
+        if not self.feasible or _has_lam(coeff):
             return False
         rows: Dict = {}
         _scalar_rows(self.representative.coeff - coeff, 0, None, rows)
@@ -325,19 +333,26 @@ def solve_corrections(
     Globality is imposed by the infinitesimal law of the module docstring,
     w X' e + sum_n (de/du^(n)) delta u^(n) = 0, whose solution set is that
     of the finite law is_global checks, since the group of formal coordinate
-    changes with h' > 0 is connected (Kolar-Michor-Slovak 1993).  The cocycle
-    rows of an ansatz term m c, with m a T/R monomial and c = det(p,q), come
-    by Leibniz from delta c, computed once per (p,q):
+    changes with h' > 0 is connected (Kolar-Michor-Slovak 1993).  Both row
+    kinds of an ansatz term m c, with m a T/R monomial and c = det(p,q), come
+    by Leibniz.  The globality rows are those of the first-order operator
+    L_w(e) = w X' e + sum_n (de/du^(n)) delta u^(n), which splits over any
+    a + b = w as L_w(m c) = m L_b(c) + c L_a(m); L(c) at b = p+q-2 is
+    computed once per (p,q), and L(m) once per monomial.  The cocycle rows
+    come from delta c, also computed once per (p,q):
 
         delta(m c) = m delta c + D(m) (f c(g,k) - g c(f,k) + k c(f,g)),
 
-    and the trivial action drops the D(m) part.  The canonical
-    representative is the minimal-support point (ties broken
-    lexicographically) when the gauge dimension is at most 3 and at most 26
-    coordinates are involved, and otherwise the echelon particular solution
-    with the free variables set to zero (c5 and c7).
+    and the trivial action drops the D(m) part.  The weight must be an
+    integer (a float is a TypeError).  The canonical representative is the
+    minimal-support point (ties broken lexicographically) when the gauge
+    dimension is at most 3 and at most 26 coordinates are involved, found by
+    one vertex try per distinct gauge hyperplane (see _canonical_point), and
+    otherwise the echelon particular solution with the free variables set to
+    zero (c5 and c7).
     """
     expr, weight = coeff_and_weight(symbol, weight)
+    weight = _integer_weight(weight)
     if module_lambda is None:
         module = symbol.module_lambda if isinstance(symbol, Cochain2) else LamPoly.lam()
         module_lambda = None if module is None else module.eval(weight)
@@ -349,7 +364,7 @@ def solve_corrections(
         raise ValueError("the symbol is zero")
     if expr.families() - {"f", "g"}:
         raise ValueError("the symbol must be a flat bilinear expression in f and g")
-    if any(coef.degree for coef in expr.coefficient_polys()):
+    if _has_lam(expr):
         raise ValueError("the symbol must have rational coefficients, found lam")
     check_order_cap(expr, max_order)
     Cochain2(expr, weight)  # raises unless bilinear and antisymmetric
@@ -390,17 +405,26 @@ def solve_corrections(
 
     _scalar_rows(_linear_residual(expr, weight, variations), 0, None, rows)
     add_cocycle(ce_parts(expr, 2, module_lambda)[1], None)
-    # (p, q) -> (delta c, f c(g,k) - g c(f,k) + k c(f,g)) for c = det(p,q)
-    dets: Dict[Tuple[int, int], Tuple[DiffExpr, DiffExpr]] = {}
+    # (p, q) -> (c, L(c), delta c, f c(g,k) - g c(f,k) + k c(f,g)) for
+    # c = det(p,q), L the linear residual at the weight p+q-2
+    dets: Dict[Tuple[int, int], Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]] = {}
+    # T/R monomial m -> L(m) at the weight of m
+    monomials: Dict[_Symbols, DiffExpr] = {}
     for i, term in enumerate(ansatz):
-        _scalar_rows(_linear_residual(term.expr, weight, variations), 0, i, rows)
         p, q = term.p, term.q
         if (p, q) not in dets:
+            c = det_expr(p, q)
             alternating = sum(
                 jet(x, 0) * (jet(y, p) * jet(z, q) - jet(y, q) * jet(z, p))
                 for x, y, z in ("fgk", "gkf", "kfg"))
-            dets[p, q] = (ce_parts(det_expr(p, q), 2, module_lambda)[1], alternating)
-        delta_c, alternating = dets[p, q]
+            dets[p, q] = (c, _linear_residual(c, p + q - 2, variations),
+                          ce_parts(c, 2, module_lambda)[1], alternating)
+        c, residual_c, delta_c, alternating = dets[p, q]
+        residual_m = monomials.get(term.symbols)
+        if residual_m is None:
+            residual_m = _linear_residual(term.m, weight - (p + q - 2), variations)
+            monomials[term.symbols] = residual_m
+        _scalar_rows(term.m * residual_c + c * residual_m, 0, i, rows)
         delta = term.m * delta_c
         if not trivial:
             delta = delta + total_derivative(term.m) * alternating
@@ -418,11 +442,17 @@ def solve_corrections(
 def _canonical_point(solution: AffineSolution) -> Row:
     """Canonical point of the affine set.
 
-    When the gauge dimension is at most 3 and at most 26 coordinates occur
-    in the nullspace, vertex enumeration over the gauge coordinates picks
-    the point of minimal support, ties broken lexicographically.  Otherwise
-    it is the echelon particular solution with the free variables set to
-    zero; this applies to c5 (dimension 8) and c7 (dimension 17).
+    When the gauge dimension d is at most 3 and at most 26 coordinates occur
+    in the nullspace, vertex enumeration picks the point of minimal support,
+    ties broken lexicographically.  Coordinate i vanishes on the gauge
+    hyperplane sum_j N_j[i] t_j = -p_i (N the nullspace, p the particular
+    point), and coordinates often share one, so the enumeration solves for
+    the vertex of each d-subset of distinct hyperplanes: d coordinates with
+    two on one hyperplane fix no vertex, so the candidates are those of
+    every d-subset of coordinates (det(2,3) at weight 3: 16 coordinates on
+    10 hyperplanes, 120 sub-solves instead of 560).  Otherwise it is the
+    echelon particular solution with the free variables set to zero; this
+    applies to c5 (dimension 8) and c7 (dimension 17).
     """
     d = solution.dimension
     if d == 0:
@@ -431,16 +461,21 @@ def _canonical_point(solution: AffineSolution) -> Row:
     if d > 3 or len(relevant) > 26:
         return dict(solution.particular)
 
-    candidates = [tuple()]
-    candidates += list(itertools.combinations(relevant, d))
+    # each distinct hyperplane, keyed by its equation scaled to a leading 1,
+    # keeps its first coordinate
+    hyperplanes: Dict[Tuple[Rat, ...], Tuple[Row, Rat]] = {}
+    for i in relevant:
+        coefrow = {j: vec[i] for j, vec in enumerate(solution.nullspace) if i in vec}
+        rhs = -solution.particular.get(i, 0)
+        inv = Fraction(1) / coefrow[min(coefrow)]
+        plane = tuple(_rat(coefrow.get(j, 0) * inv) for j in range(d)) + (_rat(rhs * inv),)
+        hyperplanes.setdefault(plane, (coefrow, rhs))
+
+    candidates = [()]
+    candidates += itertools.combinations(hyperplanes.values(), d)
     best = None
-    for zero_set in candidates:
-        if zero_set:
-            rows = []
-            for i in zero_set:
-                coefrow = {j: vec.get(i, 0) for j, vec in enumerate(solution.nullspace)}
-                rhs = -solution.particular.get(i, 0)
-                rows.append((coefrow, rhs))
+    for rows in candidates:
+        if rows:
             sub = solve_affine(rows, d)
             if sub is None or sub.dimension != 0:
                 continue

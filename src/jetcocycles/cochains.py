@@ -26,6 +26,7 @@ from typing import Dict, Optional, Tuple, Union
 from .expr import (
     DEFAULT_ORDER_CAP,
     DiffExpr,
+    _has_lam,
     check_order_cap,
     is_total_derivative,
     jet,
@@ -41,8 +42,7 @@ def _module(coeff: DiffExpr, module_lambda) -> Optional[LamPoly]:
     second, unsubstituted module parameter, so it is refused."""
     if module_lambda is not None and not isinstance(module_lambda, LamPoly):
         module_lambda = LamPoly.const(module_lambda)
-    if ((module_lambda is None or module_lambda.degree < 1)
-            and any(poly.degree > 0 for poly in coeff.coefficient_polys())):
+    if (module_lambda is None or module_lambda.degree < 1) and _has_lam(coeff):
         raise ValueError("lam in the coefficient needs a symbolic module parameter")
     return module_lambda
 

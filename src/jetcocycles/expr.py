@@ -31,8 +31,9 @@ the module action, so lam-free work builds no LamPoly.  One normalizer,
 ``_coef``, keeps the rule in ``DiffExpr(...)`` and in every loop that
 accumulates coefficients.  The public ``terms()``, ``coefficient_polys()``
 and ``constant_term()`` give LamPolys; the kernel's own readers take the
-stored form, in monomial order, from ``_items``.  Expressions are immutable
-values; every function here is pure.
+stored form, in monomial order, from ``_items``, and ``_has_lam`` reads
+off that form whether an expression carries lam.  Expressions are
+immutable values; every function here is pure.
 """
 
 from __future__ import annotations
@@ -397,6 +398,12 @@ def _expr(terms: Dict[Monomial, Coef]) -> DiffExpr:
 def _items(e: DiffExpr) -> List[Tuple[Monomial, Coef]]:
     """The terms of e in monomial order, with their stored coefficients."""
     return sorted(e._terms.items())
+
+
+def _has_lam(e: DiffExpr) -> bool:
+    """Does a coefficient of e carry lam?  A stored coefficient is a LamPoly
+    exactly when it does."""
+    return any(type(c) is LamPoly for c in e._terms.values())
 
 
 _ZERO = DiffExpr()

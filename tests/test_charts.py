@@ -1,5 +1,6 @@
 """Chart transforms: pushforward, globality, corrections, equivalences."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from jetcocycles.calculus import (
     projective_from_affine,
     schwarzian,
 )
+from jetcocycles import charts
 from jetcocycles.charts import (
     ChartFrame,
     _canonical_point,
@@ -45,7 +47,7 @@ from jetcocycles.expr import (
     total_derivative as D,
 )
 from jetcocycles.lampoly import LamPoly
-from jetcocycles.linalg import solve_affine
+from jetcocycles.linalg import AffineSolution, solve_affine
 from jetcocycles.syntax import parse_expr
 
 from helpers import BAD_SYMBOLS, random_expr
@@ -414,3 +416,146 @@ def test_globalize_exit_codes_at_low_caps(symbol, weight, cap, code, capsys):
         assert main(argv) == 0
         golden = capsys.readouterr().out
     assert out == golden
+
+
+# -- golden solutions --------------------------------------------------------
+
+_SOLUTIONS_PATH = Path(__file__).parent / "data" / "solver_solutions.json"
+_MODULES = (("default", None), ("0", 0), ("3", 3))
+
+
+def _solution_record(result) -> dict:
+    """feasible, dimension, ansatz labels, canonical point and nullspace of a
+    solve, with rationals as text and coordinates as string keys."""
+    def row(vec):
+        return {str(i): str(v) for i, v in sorted(vec.items())}
+
+    return {"feasible": result.feasible, "dimension": result.dimension,
+            "ansatz": [term.label() for term in result.ansatz],
+            "coefficients": row(result.coefficients),
+            "nullspace": [row(vec) for vec in result.nullspace]}
+
+
+def _golden_solutions() -> dict:
+    return {f"{name}@{module}": _solution_record(
+                solve_corrections(symbol, weight, module_lambda=value))
+            for name, symbol, weight, _ in _SYSTEMS for module, value in _MODULES}
+
+
+def test_solutions_match_the_golden_fixture():
+    """Every _SYSTEMS solve at the default module and at module_lambda 0 and
+    3, canonical point included, as pinned in tests/data/solver_solutions.json
+    (written by _golden_solutions)."""
+    golden = json.loads(_SOLUTIONS_PATH.read_text(encoding="utf-8"))
+    got = _golden_solutions()
+    assert sorted(got) == sorted(golden)
+    for key, record in got.items():
+        assert record == golden[key], key
+
+
+# -- the vertex search against its definition --------------------------------
+
+def _every_coordinate_subset_point(solution):
+    """The canonical point by its definition: the minimal-support point, ties
+    broken lexicographically, over the particular point and the vertices where
+    every d-subset of the involved coordinates vanishes (d <= 3, at most 26
+    coordinates; else the echelon particular point)."""
+    d = solution.dimension
+    relevant = sorted({i for vec in solution.nullspace for i in vec})
+    if d == 0 or d > 3 or len(relevant) > 26:
+        return dict(solution.particular)
+    points = [dict(solution.point([0] * d))]
+    for zero_set in itertools.combinations(relevant, d):
+        sub = solve_affine([({j: vec.get(i, 0) for j, vec in enumerate(solution.nullspace)},
+                             -solution.particular.get(i, 0)) for i in zero_set], d)
+        if sub is not None and sub.dimension == 0:
+            points.append(solution.point([sub.particular.get(j, 0) for j in range(d)]))
+    return min(points, key=lambda point: (
+        len(point), tuple(point.get(i, 0) for i in range(solution.nvars))))
+
+
+def _solver_inputs(monkeypatch, symbol, weight, module_lambda=None):
+    """The echelon solutions solve_corrections hands to _canonical_point."""
+    seen = []
+
+    def spy(solution):
+        seen.append(solution)
+        return _canonical_point(solution)
+
+    monkeypatch.setattr(charts, "_canonical_point", spy)
+    solve_corrections(symbol, weight, module_lambda=module_lambda)
+    monkeypatch.undo()
+    return seen
+
+
+def test_vertex_search_matches_its_definition(monkeypatch):
+    """On the solver's echelon solutions, and on the same sets handed over
+    through a point off every vertex, where the search alone finds the
+    canonical point."""
+    searched = 0
+    for name, symbol, weight, _ in _SYSTEMS:
+        for _module_name, value in _MODULES:
+            for solution in _solver_inputs(monkeypatch, symbol, weight, value):
+                d = solution.dimension
+                if d > 3:
+                    continue
+                canonical = _canonical_point(solution)
+                assert canonical == _every_coordinate_subset_point(solution), name
+                moved = AffineSolution(solution.nvars, solution.point(
+                    [Fraction(7, 3), Fraction(-5, 2), Fraction(11, 13)][:d]), solution.nullspace)
+                assert _canonical_point(moved) == canonical == \
+                    _every_coordinate_subset_point(moved), name
+                searched += 0 < d
+    assert searched >= 8
+
+
+def test_vertex_search_tries_each_gauge_hyperplane_once(monkeypatch):
+    (solution,) = _solver_inputs(monkeypatch, det_expr(2, 3), 3)
+    relevant = {i for vec in solution.nullspace for i in vec}
+    assert (solution.dimension, len(relevant)) == (3, 16)
+    calls = []
+
+    def counting(rows, nvars):
+        calls.append(nvars)
+        return solve_affine(rows, nvars)
+
+    monkeypatch.setattr(charts, "solve_affine", counting)
+    point = _canonical_point(solution)
+    monkeypatch.undo()
+    # 16 coordinates lie on 10 hyperplanes: C(10,3) = 120, not C(16,3) = 560
+    assert 0 < len(calls) <= 120
+    assert point == _every_coordinate_subset_point(solution)
+
+
+# -- globality rows by Leibniz -------------------------------------------------
+
+def test_linear_residual_obeys_leibniz_on_ansatz_terms():
+    """L_{a+b}(m c) = m L_b(c) + c L_a(m) for every split of the weight,
+    L = _linear_residual, m a T/R monomial and c = det(p,q)."""
+    rng = random.Random(15)
+    table = {}
+    for q in range(1, 8):
+        for p in range(min(q, 8 - q)):
+            c = det_expr(p, q)
+            for _ in range(3):
+                m = DiffExpr.one()
+                for _ in range(rng.randrange(4)):
+                    m = m * jet(rng.choice("TR"), rng.randrange(4))
+                weight = rng.randint(-2, 6)
+                for a in (-1, 0, 2, weight):
+                    b = weight - a
+                    assert _linear_residual(m * c, weight, table) == \
+                        m * _linear_residual(c, b, table) + c * _linear_residual(m, a, table), \
+                        (p, q, m, a, b)
+
+
+# -- one integer-weight rule -----------------------------------------------------
+
+@pytest.mark.parametrize("solve", [is_global, solve_corrections])
+@pytest.mark.parametrize("weight, error, message", [
+    (Fraction(3, 2), ValueError, "globality needs an integer weight"),
+    (1.0, TypeError, "expected an exact rational, got float"),
+], ids=["fraction", "float"])
+def test_one_weight_rule_for_globality_and_the_solver(solve, weight, error, message):
+    with pytest.raises(error, match=message):
+        solve(det_expr(1, 2), weight)

@@ -8,8 +8,8 @@ import pytest
 
 from jetcocycles.charts import solve_corrections
 from jetcocycles.cochains import Cochain2, ce_parts, det_expr
-from jetcocycles.expr import (DiffExpr, _items, euler_derivative, jet, lam_expr, substitute,
-                              substitute_jets, total_derivative)
+from jetcocycles.expr import (DiffExpr, _has_lam, _items, euler_derivative, jet, lam_expr,
+                              substitute, substitute_jets, total_derivative)
 from jetcocycles.lampoly import LAM, LamPoly
 from jetcocycles.linalg import solve_affine
 from jetcocycles.wittmodel import LaurentDensity, WittField, evaluate_cochain, laurent_action
@@ -143,3 +143,19 @@ def test_the_public_readers_give_lam_polys():
     assert type(e.constant_term()) is LamPoly
     assert type((e - Fraction(1, 2)).constant_term()) is LamPoly
     assert sorted(c.degree for c in e.coefficient_polys()) == [0, 0, 1]
+
+
+def test_has_lam_reads_the_stored_form(monkeypatch):
+    """_has_lam agrees with the degrees of coefficient_polys() and builds no
+    LamPoly to find out."""
+    rng = random.Random(1115)
+    exprs = [random_expr(rng, families=("f", "g", "T"), lam_degree=rng.randrange(3))
+             for _ in range(60)]
+    exprs.append(jet("f", 0).scale(LAM) - lam_expr() * jet("f", 0) + 1)  # lam cancels
+    expected = [any(p.degree > 0 for p in e.coefficient_polys()) for e in exprs]
+    assert 10 < sum(expected) < len(exprs) - 10 and not expected[-1]
+    built = []
+    init = LamPoly.__init__
+    monkeypatch.setattr(LamPoly, "__init__", lambda self, *a: (built.append(a), init(self, *a))[1])
+    assert [_has_lam(e) for e in exprs] == expected
+    assert not built
