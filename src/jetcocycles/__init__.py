@@ -47,7 +47,6 @@ from .charts import (
     is_global,
     pushforward,
     solve_corrections,
-    transform_connection,
 )
 from .syntax import ExprSyntaxError, parse_expr, to_text
 from .wittmodel import (

@@ -1,5 +1,5 @@
 """Chart transforms: pushforward through a formal transition, globality
-certification, connection transformation, and the correction solver.
+certification, and the correction solver.
 
 The transition h is kept formal (free jets h[1], h[2], ... plus hinv), so a
 single polynomial identity certifies covariance under every coordinate
@@ -44,7 +44,6 @@ from .cochains import _ALIASES, Cochain2, catalogue, ce_parts, coeff_and_weight,
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
-    _items,
     DiffExpr,
     OrderCapExceeded,
     _has_lam,
@@ -143,12 +142,6 @@ def is_global(
     return GlobalityResult(residual.is_zero(), weight, residual)
 
 
-def transform_connection(which: str) -> DiffExpr:
-    if which not in _AFFINE:
-        raise ValueError("which must be 'T' or 'R'")
-    return ChartFrame().binding(which, 0)
-
-
 # -- correction solver ---------------------------------------------------
 
 # a T/R monomial as its (family, order) factors, with multiplicity
@@ -224,14 +217,6 @@ class CorrectionResult:
         return self.solution.dimension if self.feasible else 0
 
     @property
-    def coefficients(self) -> Row:
-        return dict(self.solution.particular) if self.feasible else {}
-
-    @property
-    def nullspace(self) -> Tuple[Row, ...]:
-        return tuple(self.solution.nullspace) if self.feasible else ()
-
-    @property
     def representative(self) -> Optional[Cochain2]:
         return self.member(()) if self.feasible else None
 
@@ -299,7 +284,7 @@ def _linear_residual(e: DiffExpr, weight: int, table: Dict) -> DiffExpr:
 
 def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):
     """Accumulate the coefficients of e into sparse constraint rows."""
-    for mono, c in _items(e):
+    for mono, c in e.terms():
         if type(c) is LamPoly:
             raise ValueError("a constraint row depends on lam")
         row = rows.setdefault((space, mono), [{}, 0])

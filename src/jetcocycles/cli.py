@@ -10,7 +10,7 @@ globalize's --max-order (default 12) bounds only the jet orders of the
 symbol and of the connection jets its ansatz needs; past it, exit 2.
 
 Exit status: 0 when every check passes, 1 when any check FAILs, 2 on usage
-or expression syntax errors.
+or expression syntax errors, or when the --json path cannot be written.
 """
 
 from __future__ import annotations
@@ -77,7 +77,11 @@ def _cmd_verify(args) -> int:
     records = run_suite(args.suite, window=args.window)
     sys.stdout.write(render_text(records))
     if args.json:
-        emit_report(records, "json", args.json)
+        try:
+            emit_report(records, "json", args.json)
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 1 if any_fail(records) else 0
 
 

@@ -202,8 +202,10 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
     trivial_pass = is_total_derivative(insertions)
     if delta.is_zero():
         return LambdaVerdict("all", (), trivial_pass)
-    g = gcd_all(delta.coefficient_polys())
-    roots = tuple(rational_roots(g))
+    coeffs = [coef for _mono, coef in delta.terms()]
+    # a stored rational is a nonzero constant, which no value of lam kills
+    symbolic = all(type(coef) is LamPoly for coef in coeffs)
+    roots = tuple(rational_roots(gcd_all(coeffs))) if symbolic else ()
     if not roots:
         return LambdaVerdict("none", (), trivial_pass)
     return LambdaVerdict("finite", roots, trivial_pass)

@@ -29,10 +29,9 @@ A stored coefficient is an exact rational in the ``_rat`` form unless it
 has degree >= 1 in lam; only then is it a LamPoly.  lam enters only through
 the module action, so lam-free work builds no LamPoly.  One normalizer,
 ``_coef``, keeps the rule in ``DiffExpr(...)`` and in every loop that
-accumulates coefficients.  The public ``terms()``, ``coefficient_polys()``
-and ``constant_term()`` give LamPolys; the kernel's own readers take the
-stored form, in monomial order, from ``_items``, and ``_has_lam`` reads
-off that form whether an expression carries lam.  Expressions are
+accumulates coefficients.  ``terms()`` is the one reader: it gives each
+monomial with its stored coefficient, in monomial order, and ``_has_lam``
+reads off that form whether an expression carries lam.  Expressions are
 immutable values; every function here is pure.
 """
 
@@ -74,10 +73,6 @@ def _coef(c) -> Coef:
         cs = c.coeffs
         return c if len(cs) > 1 else cs[0] if cs else 0
     return _rat(c)
-
-
-def _poly(c: Coef) -> LamPoly:
-    return c if type(c) is LamPoly else LamPoly.const(c)
 
 
 def _check_atom(family: str, order: int) -> Atom:
@@ -199,17 +194,16 @@ class DiffExpr:
 
     # -- inspection ---------------------------------------------------
 
-    def terms(self) -> Tuple[Tuple[Monomial, LamPoly], ...]:
-        return tuple((mono, _poly(coef)) for mono, coef in _items(self))
+    def terms(self) -> List[Tuple[Monomial, Coef]]:
+        """(monomial, coefficient) pairs in monomial order; a coefficient is
+        a rational in the ``_rat`` form, or a LamPoly of degree >= 1."""
+        return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def constant_term(self) -> LamPoly:
-        return _poly(self._terms.get((), 0))
 
     def families(self) -> set:
         out = set()
@@ -377,9 +371,6 @@ class DiffExpr:
                 out[mono] = v
         return _expr(out)
 
-    def coefficient_polys(self) -> Tuple[LamPoly, ...]:
-        return tuple(map(_poly, self._terms.values()))
-
 
 _set_terms = DiffExpr._terms.__set__
 _set_hash = DiffExpr._hash.__set__
@@ -393,11 +384,6 @@ def _expr(terms: Dict[Monomial, Coef]) -> DiffExpr:
     _set_terms(e, terms)
     _set_hash(e, None)
     return e
-
-
-def _items(e: DiffExpr) -> List[Tuple[Monomial, Coef]]:
-    """The terms of e in monomial order, with their stored coefficients."""
-    return sorted(e._terms.items())
 
 
 def _has_lam(e: DiffExpr) -> bool:

@@ -3,8 +3,8 @@
 These are the coefficients of the differential-polynomial kernel where
 they depend on lam: the kernel stores a LamPoly only for a coefficient of
 degree >= 1, and any other coefficient as an exact rational in the form
-below.  Its public readers hand out LamPolys, and a degree-0 polynomial
-compares and hashes like its value, so the two forms agree.
+below; ``DiffExpr.terms()`` hands out that stored form.  A degree-0
+polynomial compares and hashes like its value, so the two forms agree.
 
 Every exact rational here, and in the layers built on it, has one canonical
 form (``_rat``): an integral value is a plain ``int``, and a ``Fraction``
@@ -284,5 +284,4 @@ def _new(cs: Tuple[Rat, ...]) -> LamPoly:
 
 
 ZERO = LamPoly.zero()
-ONE = LamPoly.one()
 LAM = LamPoly.lam()

@@ -26,7 +26,7 @@ from .cochains import (
     det_expr,
     lambda_solutions,
 )
-from .expr import DiffExpr, _items, jet
+from .expr import DiffExpr, jet
 from .lampoly import LamPoly
 from .linalg import solve_affine
 from .syntax import to_text
@@ -34,6 +34,7 @@ from .wittmodel import (
     CertificateResult,
     LaurentDensity,
     WittField,
+    _require_window,
     kn_value,
     laurent_action,
     nontriviality_certificate,
@@ -142,7 +143,7 @@ def _ratio_record() -> CheckRecord:
     d45 = ce_differential(Cochain2(det_expr(4, 5), 7, LamPoly.const(7)))
     rows = {}
     for i, delta in enumerate((d36, d45)):
-        for mono, coef in _items(delta):
+        for mono, coef in delta.terms():
             rows.setdefault(mono, {})[i] = coef
     solution = solve_affine(((row, Fraction(0)) for row in rows.values()), 2)
     ok = (solution is not None and solution.dimension == 1)
@@ -245,11 +246,6 @@ def _action_residual() -> DiffExpr:
 # -- witt: Laurent realization --------------------------------------------
 
 
-def _require_window(window: int) -> None:
-    if window < 1:
-        raise ValueError(f"the window must be at least 1, got {window}")
-
-
 def suite_witt(window: int = 6) -> List[CheckRecord]:
     _require_window(window)
     out: List[CheckRecord] = []
@@ -324,7 +320,6 @@ def _kn_cocycle_record(window: int) -> CheckRecord:
 
 
 def suite_nontrivial(window: int = 6) -> List[CheckRecord]:
-    _require_window(window)
     out: List[CheckRecord] = []
     kn = nontriviality_certificate(catalogue("c0w", "flat"), window=window)
     out.append(_required_certificate(

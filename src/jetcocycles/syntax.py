@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochains import det_expr
-from .expr import (DEFAULT_ORDER_CAP, DiffExpr, _items, atom_name, check_order_cap, jet, hinv,
+from .expr import (DEFAULT_ORDER_CAP, DiffExpr, atom_name, check_order_cap, jet, hinv,
                    lam_expr)
 from .lampoly import LamPoly
 
@@ -204,7 +204,7 @@ def _mono_text(mono) -> str:
 def to_text(e: DiffExpr) -> str:
     """Deterministic canonical rendering; parse_expr(to_text(e)) == e."""
     pieces = []
-    for mono, c in _items(e):
+    for mono, c in e.terms():
         mono_s = _mono_text(mono)
         if type(c) is not LamPoly:
             sign = "-" if c < 0 else "+"

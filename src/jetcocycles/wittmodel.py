@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .cochains import Cochain2, catalogue, ce_differential, coeff_and_weight
-from .expr import DiffExpr, FAMILIES, _items, is_total_derivative
+from .expr import DiffExpr, FAMILIES, is_total_derivative
 from .lampoly import LamPoly, Rat, _rat
 from .linalg import solve_affine
 from .syntax import _join
@@ -139,7 +139,7 @@ def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
         raise ValueError(f"flat cochain expected; found families {sorted(fams - {'f', 'g'})}")
     exps = {"f": m + 1, "g": n + 1}
     out: Dict[int, Rat] = {}
-    for mono, cval in _items(expr):
+    for mono, cval in expr.terms():
         if type(cval) is LamPoly:
             raise ValueError("cochain depends on lam; substitute a value first")
         z = 0
@@ -208,6 +208,11 @@ def _coboundary_rows(window: int, lam: Optional[Rat],
             yield m, n, {i: q for i, q in row.items() if q}
 
 
+def _require_window(window: int) -> None:
+    if window < 1:
+        raise ValueError(f"the window must be at least 1, got {window}")
+
+
 def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult:
     """Exact graded obstruction to c = delta b on the window.
 
@@ -223,8 +228,9 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     module is refused, and c must be a cocycle for its module:
     delta c = 0, or for the trivial action a total derivative (zero once
     paired on the circle).  A non-cocycle would make the system infeasible
-    without being non-trivial.
+    without being non-trivial.  The window must be at least 1.
     """
+    _require_window(window)
     if c.is_symbolic():
         raise ValueError("a concrete module parameter is required")
     delta = ce_differential(c)

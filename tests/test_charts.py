@@ -22,7 +22,6 @@ from jetcocycles.charts import (
     is_global,
     pushforward,
     solve_corrections,
-    transform_connection,
 )
 from jetcocycles.cli import main
 from jetcocycles.cochains import (
@@ -114,12 +113,15 @@ def test_pushforward_rejects_transition_jets():
 
 
 def test_transform_connection():
+    fr = ChartFrame()
     identity_like = {1: Fraction(1), 2: 0, 3: 0}
-    assert _subs_h(transform_connection("T"), identity_like) == jet("T", 0)
-    R_binding = transform_connection("R")
+    assert _subs_h(fr.binding("T", 0), identity_like) == jet("T", 0)
+    R_binding = fr.binding("R", 0)
     assert (R_binding - hinv() ** 2 * (jet("R", 0) + schwarzian())).is_zero()
+    # a 1-form has no inhomogeneous part, and h has no law of its own
+    assert fr.binding("w", 0) == hinv() * jet("w", 0)
     with pytest.raises(ValueError):
-        transform_connection("w")
+        fr.binding("h", 1)
 
 
 def test_package_a_consistency():
@@ -248,7 +250,7 @@ def test_contains_members_and_rejects_moves_off_the_solution_set(name):
     # ansatz directions that no gauge reaches, found by their own solve
     nvars = len(res.ansatz)
     outside = [i for i in range(nvars) if solve_affine(
-        [({j: vec.get(k, Fraction(0)) for j, vec in enumerate(res.nullspace)},
+        [({j: vec.get(k, Fraction(0)) for j, vec in enumerate(res.solution.nullspace)},
           Fraction(int(k == i))) for k in range(nvars)], res.dimension) is None]
     assert outside
     rep = res.representative.coeff
@@ -313,8 +315,8 @@ def _first_order_of_finite_law(e: DiffExpr, weight: int) -> DiffExpr:
     for n in range(1, residual.max_order("h") + 1):
         table[_RANK["h"], n] = (1 if n == 1 else 0) + eps * jet("k", n)
     expanded = substitute_jets(residual, table)
-    return DiffExpr({mono: LamPoly.const(coef.coeffs[1])
-                     for mono, coef in expanded.terms() if coef.degree >= 1})
+    return DiffExpr({mono: coef.coeffs[1]
+                     for mono, coef in expanded.terms() if type(coef) is LamPoly})
 
 
 @pytest.mark.parametrize("family", _VARIED)
@@ -343,11 +345,12 @@ def test_linear_residual_is_first_order_part_of_binding_table_on_random_expressi
 
 def _add_rows(e: DiffExpr, space: int, index, rows: dict):
     for mono, coef in e.terms():
+        assert type(coef) is not LamPoly, "a constraint row depends on lam"
         row = rows.setdefault((space, mono), [{}, Fraction(0)])
         if index is None:
-            row[1] -= coef.constant_value()
+            row[1] -= coef
         else:
-            row[0][index] = row[0].get(index, Fraction(0)) + coef.constant_value()
+            row[0][index] = row[0].get(index, Fraction(0)) + coef
 
 
 def _finite_law_solution(result):
@@ -387,8 +390,8 @@ def test_infinitesimal_rows_solve_like_the_finite_law(symbol, weight, feasible):
     assert result.feasible == (finite is not None) == feasible
     if feasible:
         assert result.dimension == finite.dimension
-        assert result.nullspace == tuple(finite.nullspace)
-        assert result.coefficients == _canonical_point(finite)
+        assert result.solution.nullspace == finite.nullspace
+        assert result.solution.particular == _canonical_point(finite)
 
 
 _CLI_GOLDEN = {tuple(case["argv"]): case["stdout"] for case in json.loads(
@@ -430,10 +433,11 @@ def _solution_record(result) -> dict:
     def row(vec):
         return {str(i): str(v) for i, v in sorted(vec.items())}
 
+    solution = result.solution
     return {"feasible": result.feasible, "dimension": result.dimension,
             "ansatz": [term.label() for term in result.ansatz],
-            "coefficients": row(result.coefficients),
-            "nullspace": [row(vec) for vec in result.nullspace]}
+            "coefficients": row(solution.particular) if solution else {},
+            "nullspace": [row(vec) for vec in solution.nullspace] if solution else []}
 
 
 def _golden_solutions() -> dict:

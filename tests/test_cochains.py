@@ -237,8 +237,9 @@ def test_ce_parts_split_insertions_from_the_action():
         assert ce_differential(trivial) == insertions
         assert ce_differential(c) == delta
         assert ce_parts(c.coeff, 2, None) == (insertions, insertions)
-        assert all(poly.degree == 0 for poly in insertions.coefficient_polys())
-        assert all(poly.degree <= 1 for poly in (delta - insertions).coefficient_polys())
+        assert all(type(coef) is not LamPoly for _mono, coef in insertions.terms())
+        assert all(type(coef) is not LamPoly or coef.degree <= 1
+                   for _mono, coef in (delta - insertions).terms())
 
 
 _VERDICTS = {(row["p"], row["q"]): row for row in json.loads(

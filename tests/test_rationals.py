@@ -8,7 +8,7 @@ import pytest
 
 from jetcocycles.charts import solve_corrections
 from jetcocycles.cochains import Cochain2, ce_parts, det_expr
-from jetcocycles.expr import (DiffExpr, _has_lam, _items, euler_derivative, jet, lam_expr,
+from jetcocycles.expr import (DiffExpr, _has_lam, euler_derivative, jet, lam_expr,
                               substitute, substitute_jets, total_derivative)
 from jetcocycles.lampoly import LAM, LamPoly
 from jetcocycles.linalg import solve_affine
@@ -17,8 +17,13 @@ from jetcocycles.wittmodel import LaurentDensity, WittField, evaluate_cochain, l
 from helpers import is_canonical, random_coeff, random_expr
 
 
+def _values(e):
+    """Every rational in the stored coefficients of e, lam coefficients included."""
+    return [x for _mono, c in e.terms() for x in (c.coeffs if type(c) is LamPoly else (c,))]
+
+
 def _expr_ok(e):
-    return all(is_canonical(c) for p in e.coefficient_polys() for c in p.coeffs)
+    return all(is_canonical(x) for x in _values(e))
 
 
 def _density_ok(a):
@@ -37,8 +42,7 @@ def test_kernel_results_are_canonical():
                    substitute_jets(a, {(0, o): b for o in range(4)})]
         for r in results:
             assert _expr_ok(r), r
-        seen_fraction |= any(type(c) is Fraction for r in results
-                             for p in r.coefficient_polys() for c in p.coeffs)
+        seen_fraction |= any(type(x) is Fraction for r in results for x in _values(r))
     assert seen_fraction
 
 
@@ -92,7 +96,7 @@ def test_float_module_parameters_are_refused():
 def _stored_ok(e):
     return all(c.degree >= 1 and all(is_canonical(x) for x in c.coeffs)
                if type(c) is LamPoly else is_canonical(c) and c != 0
-               for _mono, c in _items(e))
+               for _mono, c in e.terms())
 
 
 def test_a_coefficient_is_a_lam_poly_only_where_lam_occurs():
@@ -111,17 +115,17 @@ def test_a_coefficient_is_a_lam_poly_only_where_lam_occurs():
             results += ce_parts(coeff, 2, lam)
         for r in results:
             assert _stored_ok(r), r
-            kinds.update(type(c) for _mono, c in _items(r))
+            kinds.update(type(c) for _mono, c in r.terms())
     assert kinds == {int, Fraction, LamPoly}
 
 
 def test_lam_cancellations_store_ints():
     f = jet("f", 0)
-    (f_mono, _one), = _items(f)
+    (f_mono, _one), = f.terms()
     lam = lam_expr()
     for e, mono in (((lam + 1) * f - lam * f, f_mono), (lam * f - lam * f + 1, ()),
                     (lam * f + (1 - lam) * f, f_mono), (f.scale(LAM + 1) - f.scale(LAM), f_mono)):
-        (got, c), = _items(e)
+        (got, c), = e.terms()
         assert got == mono and type(c) is int and c == 1
 
 
@@ -135,24 +139,30 @@ def test_constants_compare_and_hash_alike_in_every_form():
     assert DiffExpr.rational(3) != LamPoly.const(4) and DiffExpr.coefficient(LAM) != 3
 
 
-def test_the_public_readers_give_lam_polys():
-    e = jet("f", 0) * 2 + jet("g", 1).scale(LAM) + Fraction(1, 2)
-    assert all(type(c) is LamPoly for _mono, c in e.terms())
-    assert all(type(c) is LamPoly for c in e.coefficient_polys())
-    assert e.constant_term() == LamPoly.const(Fraction(1, 2))
-    assert type(e.constant_term()) is LamPoly
-    assert type((e - Fraction(1, 2)).constant_term()) is LamPoly
-    assert sorted(c.degree for c in e.coefficient_polys()) == [0, 0, 1]
+def test_terms_gives_the_stored_form():
+    """terms() hands out the stored coefficients in monomial order: a rational
+    in the _rat form, or a LamPoly of degree >= 1 where lam occurs."""
+    e = jet("g", 1).scale(LAM) + jet("f", 0) * 2 + Fraction(1, 2)
+    (f_mono, _one), = jet("f", 0).terms()
+    (g_mono, _one), = jet("g", 1).terms()
+    got = e.terms()
+    assert got == [((), Fraction(1, 2)), (f_mono, 2), (g_mono, LAM)]
+    assert [type(c) for _mono, c in got] == [Fraction, int, LamPoly]
+    assert got[2][1].degree == 1
+    assert [mono for mono, _c in (e - Fraction(1, 2)).terms()] == [f_mono, g_mono]
+    assert DiffExpr.zero().terms() == []
 
 
 def test_has_lam_reads_the_stored_form(monkeypatch):
-    """_has_lam agrees with the degrees of coefficient_polys() and builds no
-    LamPoly to find out."""
+    """_has_lam agrees with an oracle that never looks at the stored form, and
+    builds no LamPoly to find out.  random_expr coefficients have lam-degree
+    <= 2, so an expression carries lam iff its values at three points of lam
+    differ."""
     rng = random.Random(1115)
     exprs = [random_expr(rng, families=("f", "g", "T"), lam_degree=rng.randrange(3))
              for _ in range(60)]
     exprs.append(jet("f", 0).scale(LAM) - lam_expr() * jet("f", 0) + 1)  # lam cancels
-    expected = [any(p.degree > 0 for p in e.coefficient_polys()) for e in exprs]
+    expected = [len({e.subst_lambda(x) for x in (0, 1, 2)}) > 1 for e in exprs]
     assert 10 < sum(expected) < len(exprs) - 10 and not expected[-1]
     built = []
     init = LamPoly.__init__

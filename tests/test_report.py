@@ -11,6 +11,7 @@ import pytest
 import jetcocycles
 from jetcocycles.cli import main
 from jetcocycles.cochains import CATALOGUE_NAMES, catalogue
+from jetcocycles.lampoly import LamPoly
 from jetcocycles.report import (
     CheckRecord,
     any_fail,
@@ -142,6 +143,17 @@ def test_api_rejects_windows_below_one(suite, window):
         run_suite(suite, window=window)
 
 
+def test_cli_unwritable_json_path_exits_2_without_a_traceback(tmp_path):
+    src = Path(jetcocycles.__file__).parents[1]
+    path = tmp_path / "missing" / "x.json"
+    run = subprocess.run([sys.executable, "-m", "jetcocycles", "verify", "--suite", "theorem1",
+                          "--json", str(path)], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 2
+    assert run.stderr.startswith(f"error: cannot write {path}")
+    assert "Traceback" not in run.stderr and not path.exists()
+
+
 def test_cli_verify_has_no_max_order_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "witt", "--max-order", "12"])
@@ -151,8 +163,8 @@ def test_cli_verify_has_no_max_order_option(capsys):
 
 def test_cli_eval_has_no_lambda_option(capsys):
     # no catalogue flat form carries lam, so a value for it could change nothing
-    assert not any(poly.degree > 0 for name in CATALOGUE_NAMES
-                   for poly in catalogue(name, "flat").coeff.coefficient_polys())
+    assert not any(type(c) is LamPoly for name in CATALOGUE_NAMES
+                   for _mono, c in catalogue(name, "flat").coeff.terms())
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--cocycle", "c5", "--m", "3", "--n", "-3", "--lambda", "2"])
     assert exc.value.code == 2

@@ -193,6 +193,14 @@ def test_certificate_reads_the_grading_from_the_symbol():
     assert zero.verdict == "INCONCLUSIVE" and zero.degree_shift is None
 
 
+@pytest.mark.parametrize("name", ["c5", "c0w"])
+@pytest.mark.parametrize("window", [0, -2])
+def test_certificate_refuses_windows_below_one(name, window):
+    # an empty window leaves no equation, so the verdict would say nothing
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        nontriviality_certificate(catalogue(name, "flat"), window=window)
+
+
 def test_a_concrete_module_leaves_no_lam_in_the_coefficient():
     from jetcocycles.cochains import Cochain2, det_expr
     from jetcocycles.lampoly import LAM
