@@ -195,7 +195,7 @@ class CorrectionResult:
     A point x of the solution (None when the constraints are inconsistent)
     stands for symbol + sum_i x_i ansatz[i].expr; the particular point of
     the stored solution is the canonical representative.  module_lambda is
-    None for the trivial action.
+    the concrete module, a ``_rat`` rational, or None for the trivial action.
     """
 
     symbol: DiffExpr
@@ -298,7 +298,7 @@ def solve_corrections(
     symbol: Union[Cochain2, DiffExpr],
     weight: Optional[int] = None,
     max_order: int = DEFAULT_ORDER_CAP,
-    module_lambda: Optional[Rat] = None,
+    module_lambda: Union[Rat, LamPoly, None] = None,
 ) -> CorrectionResult:
     """Solve for connection corrections making the symbol global and closed.
 
@@ -308,9 +308,9 @@ def solve_corrections(
     determinants are excluded so the symbol is preserved.  Globality and the
     cocycle identity at the module parameter are imposed as exact linear
     constraints.  The module parameter is module_lambda when given, else
-    the cochain's own, where None is the trivial action and a symbolic
-    module, like a bare expression, reads lam = weight.  The result holds
-    the ansatz, in increasing (p, q, symbols) order, and the full affine
+    the cochain's own, where None is the trivial action; a LamPoly, given or
+    a cochain's (a bare expression's is lam), reads lam = weight, so
+    LamPoly.const(1) is the module 1.  The result holds the ansatz, in increasing (p, q, symbols) order, and the full affine
     solution set over it, whose particular point is the canonical
     representative (None when the set is empty).  max_order bounds the
     symbol's jets and the connection jets of the ansatz (OrderCapExceeded).
@@ -339,9 +339,10 @@ def solve_corrections(
     expr, weight = coeff_and_weight(symbol, weight)
     weight = _integer_weight(weight)
     if module_lambda is None:
-        module = symbol.module_lambda if isinstance(symbol, Cochain2) else LamPoly.lam()
-        module_lambda = None if module is None else module.eval(weight)
-    else:
+        module_lambda = symbol.module_lambda if isinstance(symbol, Cochain2) else LamPoly.lam()
+    if isinstance(module_lambda, LamPoly):
+        module_lambda = module_lambda.eval(weight)
+    elif module_lambda is not None:
         module_lambda = _rat(module_lambda)
     trivial = module_lambda is None
 

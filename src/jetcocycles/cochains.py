@@ -25,7 +25,9 @@ from typing import Dict, Optional, Tuple, Union
 
 from .expr import (
     DEFAULT_ORDER_CAP,
+    Coef,
     DiffExpr,
+    _coef,
     _has_lam,
     check_order_cap,
     is_total_derivative,
@@ -33,30 +35,32 @@ from .expr import (
     substitute,
 )
 from .calculus import bracket, lie_action, nabla_power
-from .lampoly import LamPoly, Rat, gcd_all, rational_roots
+from .lampoly import LamPoly, Rat, _rat, gcd_all, rational_roots
 
 
-def _module(coeff: DiffExpr, module_lambda) -> Optional[LamPoly]:
-    """module_lambda as a LamPoly, or None for the trivial action.  Beside a
-    concrete or trivial module a free lam in the coefficient would be a
-    second, unsubstituted module parameter, so it is refused."""
-    if module_lambda is not None and not isinstance(module_lambda, LamPoly):
-        module_lambda = LamPoly.const(module_lambda)
-    if (module_lambda is None or module_lambda.degree < 1) and _has_lam(coeff):
+def _module(coeff: DiffExpr, module_lambda) -> Optional[Coef]:
+    """module_lambda in the stored-coefficient form (expr._coef): a concrete
+    module is a ``_rat`` rational, a symbolic one a LamPoly of degree >= 1,
+    and None the trivial action and nothing else.  Beside a concrete or
+    trivial module a free lam in the coefficient would be a second,
+    unsubstituted module parameter, so it is refused."""
+    module_lambda = None if module_lambda is None else _coef(module_lambda)
+    if type(module_lambda) is not LamPoly and _has_lam(coeff):
         raise ValueError("lam in the coefficient needs a symbolic module parameter")
     return module_lambda
 
 
 @dataclass(frozen=True)
 class Cochain1:
-    """Linear 1-cochain on vector fields, written in the f jets; module_lambda
-    as for Cochain2."""
+    """Linear 1-cochain on vector fields, written in the f jets; value_weight
+    and module_lambda as for Cochain2."""
 
     coeff: DiffExpr
-    value_weight: int
-    module_lambda: Optional[LamPoly]
+    value_weight: Rat
+    module_lambda: Optional[Coef]
 
     def __post_init__(self):
+        object.__setattr__(self, "value_weight", _rat(self.value_weight))
         object.__setattr__(self, "module_lambda", _module(self.coeff, self.module_lambda))
         if self.coeff.degree_in("f") - {1}:
             raise ValueError("1-cochain must be linear in the f jets")
@@ -67,18 +71,21 @@ class Cochain2:
     """Antisymmetric bilinear 2-cochain in the f and g jet families.
 
     value_weight is the density grading of the values (what the chart
-    transform tests); module_lambda is the action parameter (what the
-    cocycle identity uses): a LamPoly, symbolic or constant, or None for
-    the trivial action, where the values pair to constants and the action
-    is dropped.  Only a symbolic module leaves lam in the coefficient;
-    at_lambda substitutes a value into both.
+    transform tests), a ``_rat`` rational; module_lambda is the action
+    parameter (what the cocycle identity uses), in the one form of _module:
+    a ``_rat`` rational (``LamPoly.const(2)`` is stored as ``2``), a LamPoly
+    of degree >= 1, or None for the trivial action, where the values pair
+    to constants and the action is dropped.  A float is a TypeError.  Only
+    a symbolic module leaves lam in the coefficient; at_lambda substitutes a
+    value into both.
     """
 
     coeff: DiffExpr
-    value_weight: int
-    module_lambda: Optional[LamPoly] = field(default_factory=LamPoly.lam)
+    value_weight: Rat
+    module_lambda: Optional[Coef] = field(default_factory=LamPoly.lam)
 
     def __post_init__(self):
+        object.__setattr__(self, "value_weight", _rat(self.value_weight))
         object.__setattr__(self, "module_lambda", _module(self.coeff, self.module_lambda))
         if self.coeff.degree_in("f") - {1} or self.coeff.degree_in("g") - {1}:
             raise ValueError("2-cochain must be bilinear in the f and g jets")
@@ -91,7 +98,7 @@ class Cochain2:
         return self.module_lambda is None
 
     def is_symbolic(self) -> bool:
-        return self.module_lambda is not None and self.module_lambda.degree > 0
+        return type(self.module_lambda) is LamPoly
 
     def at_lambda(self, lam_value: Rat) -> "Cochain2":
         """The cochain in the module F_lam_value, with lam_value substituted
@@ -124,7 +131,7 @@ def det_cochain(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
 
 
 def ce_parts(coeff: DiffExpr, arity: int,
-             lam: Union[LamPoly, Fraction, None]) -> Tuple[DiffExpr, DiffExpr]:
+             lam: Optional[Coef]) -> Tuple[DiffExpr, DiffExpr]:
     """(bracket insertions, delta c) of a 1- or 2-cochain on x_i = f, g[, k]:
 
         delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...).

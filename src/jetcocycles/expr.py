@@ -612,20 +612,12 @@ def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
     for mono, coef in e._terms.items():
         for i, (a, exp) in enumerate(mono):
             if a == atom:
+                # removing one power of the same atom keeps distinct
+                # monomials distinct, so no two output terms meet
                 if exp > 1:
-                    rest = mono[:i] + ((a, exp - 1),) + mono[i + 1:]
-                    c = coef * exp
+                    out[mono[:i] + ((a, exp - 1),) + mono[i + 1:]] = _coef(coef * exp)
                 else:
-                    rest = mono[:i] + mono[i + 1:]
-                    c = coef
-                acc = out.get(rest)
-                s = c if acc is None else acc + c
-                if type(s) is not int:
-                    s = _coef(s)
-                if s:
-                    out[rest] = s
-                else:
-                    del out[rest]
+                    out[mono[:i] + mono[i + 1:]] = coef
                 break
     return _expr(out)
 

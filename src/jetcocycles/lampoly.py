@@ -78,11 +78,6 @@ class LamPoly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def constant_value(self) -> Rat:
-        if not self.is_constant():
-            raise ValueError(f"{self!r} is not a constant")
-        return self.coeffs[0] if self.coeffs else 0
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""

@@ -36,17 +36,18 @@ def _laurent_coeffs(coeffs: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
 
 @dataclass(frozen=True)
 class LaurentDensity:
-    """Finite Laurent polynomial sum a_s z^s carrying (dz)^weight."""
+    """Finite Laurent polynomial sum a_s z^s carrying (dz)^weight, a ``_rat``
+    rational (``of`` refuses any other): the lam of laurent_action."""
 
     coeffs: Tuple[Tuple[int, Rat], ...]
-    weight: int
+    weight: Rat
 
     @staticmethod
-    def of(coeffs: Dict[int, Rat], weight: int) -> "LaurentDensity":
-        return LaurentDensity(_laurent_coeffs(coeffs), weight)
+    def of(coeffs: Dict[int, Rat], weight: Rat) -> "LaurentDensity":
+        return LaurentDensity(_laurent_coeffs(coeffs), _rat(weight))
 
     @staticmethod
-    def monomial(s: int, weight: int, coeff: Rat = 1) -> "LaurentDensity":
+    def monomial(s: int, weight: Rat, coeff: Rat = 1) -> "LaurentDensity":
         return LaurentDensity.of({s: coeff}, weight)
 
     def as_dict(self) -> Dict[int, Rat]:
@@ -75,17 +76,6 @@ class LaurentDensity:
             return LaurentDensity((), self.weight)
         return LaurentDensity(tuple((s, _rat(c * q)) for s, c in self.coeffs), self.weight)
 
-    def derivative(self) -> "LaurentDensity":
-        return LaurentDensity.of({s - 1: c * s for s, c in self.coeffs}, self.weight)
-
-    def multiply(self, other: "LaurentDensity") -> "LaurentDensity":
-        out: Dict[int, Rat] = {}
-        for s, c in self.coeffs:
-            for t, d in other.coeffs:
-                st = s + t
-                out[st] = out.get(st, 0) + c * d
-        return LaurentDensity.of(out, self.weight + other.weight)
-
     def describe(self) -> str:
         pieces = []
         for s, c in self.coeffs:
@@ -104,7 +94,7 @@ class WittField:
 
     @staticmethod
     def basis(m: int) -> "WittField":
-        return WittField(((m + 1, 1),))
+        return WittField.of({m + 1: 1})
 
     @staticmethod
     def of(coeffs: Dict[int, Rat]) -> "WittField":
@@ -115,17 +105,23 @@ class WittField:
 
     def bracket(self, other: "WittField") -> "WittField":
         """[x, y] = x y' - x' y: the action on vector fields, at lam = -1."""
-        return WittField(laurent_action(self, other.as_density(), -1).coeffs)
+        return WittField(laurent_action(self, other.as_density()).coeffs)
 
 
-def laurent_action(fld: WittField, a: LaurentDensity,
-                   module_lambda: Optional[Rat] = None) -> LaurentDensity:
-    """L_fld a = fld a' + lam fld' a; on basis elements
-    L_m z^s (dz)^lam = (s + lam (m+1)) z^(m+s) (dz)^lam."""
-    lam = _rat(a.weight if module_lambda is None else module_lambda)
-    f = fld.as_density()
-    out = f.multiply(a.derivative()) + f.derivative().multiply(a).scale(lam)
-    return LaurentDensity(out.coeffs, a.weight)
+def laurent_action(fld: WittField, a: LaurentDensity) -> LaurentDensity:
+    """L_fld a = fld a' + lam fld' a, where lam is the weight of a: the one
+    module parameter of the Laurent layer, a ``_rat`` rational.  Computed by
+    the basis rule, summed over the terms x z^(m+1) d/dz of fld and c z^s of a:
+
+        L_m z^s (dz)^lam = (s + lam (m+1)) z^(m+s) (dz)^lam.
+    """
+    lam = a.weight
+    out: Dict[int, Rat] = {}
+    for k, x in fld.coeffs:      # k = m + 1
+        for s, c in a.coeffs:
+            d = k - 1 + s
+            out[d] = out.get(d, 0) + x * c * (s + lam * k)
+    return LaurentDensity.of(out, lam)
 
 
 def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
@@ -178,7 +174,7 @@ def kn_value(m: int, n: int) -> Rat:
 class CertificateResult:
     verdict: str            # "NONTRIVIAL" | "INCONCLUSIVE"
     window: int
-    module_lambda: Optional[LamPoly]   # the cochain's own
+    module_lambda: Optional[Rat]   # the cochain's own; None: trivial action
     degree_shift: Optional[int]
 
     @property
@@ -239,7 +235,7 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
 
     lam = shift = None
     if not c.trivial_action:
-        lam = c.module_lambda.constant_value()
+        lam = c.module_lambda
         counts = {sum(order * e for (_rank, order), e in mono) for mono, _ in c.coeff.terms()}
         if not counts:
             return CertificateResult("INCONCLUSIVE", window, c.module_lambda, None)

@@ -3,10 +3,13 @@
 perfbench/tracer.py wraps every (module, attribute) in SPANNED and patches
 ChartFrame.pushforward on the class, and perfbench/workloads.py reads the
 fields of a solve_corrections result; a rename there would only show up when
-the benchmark runs, so the names are checked here.
+the benchmark runs, so the names are checked here.  So are the kernel
+workload's module-axiom items and one of its lambda items, through the
+workload's own run_item and the harness's own checks.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -14,7 +17,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import run as bench_run  # noqa: E402
 from tracer import SPANNED  # noqa: E402
+from workloads import make_items, run_item  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", SPANNED, ids=[f"{m}.{a}" for m, a in SPANNED])
@@ -39,3 +44,35 @@ def test_correction_result_exposes_what_the_solver_workload_reads():
     rep = result.representative
     assert J.to_text(rep.coeff) and J.is_global(rep).ok
     assert J.ce_differential(rep).is_zero()
+
+
+# -- the benchmark's own Laurent and lambda checks, on the program as it is --
+
+_KERNEL_SEEDS = (1, 2, 3)
+
+
+def _kernel_items(op):
+    return [item for seed in _KERNEL_SEEDS for item in make_items("kernel", seed)
+            if item["op"] == op]
+
+
+def test_kernel_axiom_items_pass_the_benchmark_check(tmp_path):
+    """Each seeded module-axiom item goes through LaurentDensity.of,
+    WittField.of, .bracket and two-argument laurent_action exactly as the
+    kernel workload calls them, and must satisfy the axiom and match the
+    harness's closed-form L_m z^s (dz)^lam = (s + lam (m+1)) z^(m+s) (dz)^lam."""
+    items = _kernel_items("axiom")
+    assert len(items) == 48 * len(_KERNEL_SEEDS)
+    for item in items:
+        got = run_item(item, str(tmp_path))
+        assert got["axiom"] is True, item["id"]
+        assert got["lx"] == bench_run._laurent_action_reference(item), item["id"]
+
+
+def test_a_kernel_lambda_combo_matches_the_reference(tmp_path):
+    """One seeded two-determinant lambda item, built with Cochain2(...,
+    LamPoly.lam()) as the workload does, against perfbench/reference/kernel.json."""
+    item = next(it for it in _kernel_items("lambda") if len(it["terms"]) == 2)
+    reference = json.loads(Path(bench_run.reference_path(
+        str(Path(__file__).resolve().parents[1]), "kernel")).read_text(encoding="utf-8"))
+    assert run_item(item, str(tmp_path)) == reference["items"][item["id"]]

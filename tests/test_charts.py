@@ -457,6 +457,24 @@ def test_solutions_match_the_golden_fixture():
         assert record == golden[key], key
 
 
+def test_solver_reads_a_lam_poly_module_like_a_cochains_own():
+    """A LamPoly module_lambda is read in the one form of a module parameter:
+    LamPoly.const(1) is the concrete module 1, and LamPoly.lam() is the
+    symbolic module that reads lam = weight, as the default does."""
+    symbol = det_expr(1, 2)
+    for given, same_as in ((LamPoly.const(1), 1), (LamPoly.lam(), None)):
+        got = solve_corrections(symbol, 1, module_lambda=given)
+        want = solve_corrections(symbol, 1, module_lambda=same_as)
+        assert got.module_lambda == want.module_lambda == 1
+        assert type(got.module_lambda) is int
+        assert got.solution == want.solution and got.ansatz == want.ansatz
+        assert got.representative == want.representative
+    shifted = solve_corrections(symbol, 1, module_lambda=LamPoly((1, 1)))  # lam + 1 at lam = 1
+    assert shifted.module_lambda == 2
+    assert _solution_record(shifted) == _solution_record(
+        solve_corrections(symbol, 1, module_lambda=2))
+
+
 # -- the vertex search against its definition --------------------------------
 
 def _every_coordinate_subset_point(solution):

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from jetcocycles.charts import solve_corrections
-from jetcocycles.cochains import Cochain2, ce_parts, det_expr
+from jetcocycles.charts import is_global, solve_corrections
+from jetcocycles.cochains import Cochain1, Cochain2, catalogue, ce_parts, det_cochain, det_expr
 from jetcocycles.expr import (DiffExpr, _has_lam, euler_derivative, jet, lam_expr,
                               substitute, substitute_jets, total_derivative)
 from jetcocycles.lampoly import LAM, LamPoly
 from jetcocycles.linalg import solve_affine
-from jetcocycles.wittmodel import LaurentDensity, WittField, evaluate_cochain, laurent_action
+from jetcocycles.wittmodel import (LaurentDensity, WittField, evaluate_cochain, laurent_action,
+                                  nontriviality_certificate)
 
 from helpers import is_canonical, random_coeff, random_expr
 
@@ -55,12 +56,13 @@ def test_laurent_model_results_are_canonical():
         b = LaurentDensity.of({rng.randint(-4, 4): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                                for _ in range(3)}, 1)
         lam = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-        for r in (a, b, a.multiply(b), a.derivative(), a.scale(Fraction(6, 1)),
+        for r in (a, b, a.scale(Fraction(6, 1)),
                   a.scale(Fraction(3, 2)), laurent_action(x, a),
-                  laurent_action(x, a, module_lambda=lam), x.as_density()):
+                  laurent_action(x, LaurentDensity(a.coeffs, lam)), x.as_density()):
             assert _density_ok(r), r
-    assert LaurentDensity.monomial(2, 0, Fraction(1, 2)).derivative().coeffs == ((1, 1),)
-    assert type(LaurentDensity.monomial(2, 0, Fraction(1, 2)).derivative().coeffs[0][1]) is int
+    # L_0 (1/2) z^2 = 2 * (1/2) z^2: an integral Fraction product is stored as an int
+    out = laurent_action(WittField.basis(0), LaurentDensity.monomial(2, 0, Fraction(1, 2)))
+    assert out.coeffs == ((2, 1),) and type(out.coeffs[0][1]) is int
     c = Cochain2(det_expr(0, 2).scale(Fraction(1, 2)), 1, LamPoly.const(Fraction(1, 2)))
     for m, n in ((2, 3), (-3, 2), (1, 5)):
         assert _density_ok(evaluate_cochain(c, m, n))
@@ -84,10 +86,68 @@ def test_float_module_parameters_are_refused():
     for make in (lambda: Cochain2(det_expr(0, 2), 0, 0.1),
                  lambda: Cochain2(det_expr(0, 2), 0).at_lambda(1.0),
                  lambda: LaurentDensity.monomial(1, 0).scale(0.5),
-                 lambda: laurent_action(WittField.basis(1), LaurentDensity.monomial(1, 0), 0.5)):
+                 lambda: LaurentDensity.monomial(1, 0.5)):
         with pytest.raises(TypeError):
             make()
-    assert Cochain2(det_expr(0, 2), 0, Fraction(4, 2)).module_lambda.coeffs == (2,)
+    lam = Cochain2(det_expr(0, 2), 0, Fraction(4, 2)).module_lambda
+    assert lam == 2 and type(lam) is int
+
+
+# -- the module parameter: one stored form in every layer ----------------------
+
+
+def _same_form(got, want):
+    """got is want in the one stored form of a module parameter: a _rat
+    rational, a LamPoly of degree >= 1, or None for the trivial action."""
+    if want is None:
+        return got is None
+    if type(want) is LamPoly:
+        return type(got) is LamPoly and got.degree >= 1 and got == want
+    return is_canonical(got) and got == want
+
+
+def test_the_module_parameter_has_one_form_in_every_layer():
+    half = Fraction(1, 2)
+    for given, want in ((2, 2), (Fraction(4, 2), 2), (LamPoly.const(2), 2), (half, half),
+                        (LamPoly.const(half), half), (LAM, LAM), (None, None)):
+        for c in (Cochain1(jet("f", 1), 2, given), Cochain2(det_expr(1, 3), 2, given)):
+            assert _same_form(c.module_lambda, want), (given, c)
+    assert _same_form(Cochain2(det_expr(1, 3), 2).module_lambda, LAM)
+    for value, want in ((2, 2), (Fraction(4, 2), 2), (half, half)):
+        assert _same_form(det_cochain(1, 3).at_lambda(value).module_lambda, want)
+    for symbol, want in ((det_expr(1, 2), 1), (catalogue("c1", "flat"), 1),
+                         (Cochain2(det_expr(1, 2), 1, LamPoly.const(1)), 1),
+                         (catalogue("c0w", "flat"), None)):
+        res = solve_corrections(symbol, 1)
+        for lam in (res.module_lambda, res.representative.module_lambda,
+                    res.member([0] * res.dimension).module_lambda):
+            assert _same_form(lam, want), (symbol, lam)
+    for c, want in ((Cochain2(det_expr(3, 4), 5, LamPoly.const(5)), 5),
+                    (catalogue("c0w", "flat"), None)):
+        assert _same_form(nontriviality_certificate(c, window=3).module_lambda, want)
+
+
+def test_value_weights_are_exact_rationals():
+    """A value weight is an exact rational in the _rat form on every layer; a
+    float or a string is a TypeError, not a density in the exact model."""
+    for bad in ("x", 1.5):
+        for make in (lambda: Cochain2(det_expr(1, 2), bad),
+                     lambda: Cochain1(jet("f", 1), bad, None),
+                     lambda: LaurentDensity.of({0: 1}, bad),
+                     lambda: LaurentDensity.monomial(0, bad)):
+            with pytest.raises(TypeError):
+                make()
+    c = Cochain2(det_expr(1, 2), Fraction(2, 2), 1)
+    assert c.value_weight == 1 and type(c.value_weight) is int
+    assert type(Cochain1(jet("f", 1), Fraction(4, 2), None).value_weight) is int
+    value = evaluate_cochain(c, 1, 2)
+    assert value == LaurentDensity.of({2: 6}, 1) and type(value.weight) is int
+    # the chart layer keeps its integer rule for a rational weight
+    half = Cochain2(det_expr(1, 2), Fraction(3, 2), 1)
+    with pytest.raises(ValueError, match="integer weight"):
+        is_global(half)
+    with pytest.raises(ValueError, match="integer weight"):
+        solve_corrections(half)
 
 
 # -- the stored coefficient: a Rat, or a LamPoly only where lam occurs ---------

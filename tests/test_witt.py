@@ -237,14 +237,16 @@ def test_certificate_rejects_non_cocycles():
 
 def _numeric_witt_delta(c, m: int, n: int, p: int):
     """Cocycle identity on (L_m, L_n, L_p) computed purely in the Laurent
-    model; independent of the symbolic normalizer."""
-    lam = c.module_lambda.constant_value()
+    model; independent of the symbolic normalizer.  The values are read as
+    densities of the cochain's module parameter, the weight the action uses,
+    which differs from the value weight for the barred generators."""
+    lam = c.module_lambda
 
     def act(i, val):
-        return laurent_action(WittField.basis(i), val, module_lambda=lam)
+        return laurent_action(WittField.basis(i), val)
 
     def c_at(i, j):
-        return evaluate_cochain(c, i, j)
+        return evaluate_cochain(c, i, j, lam)
 
     total = act(m, c_at(n, p))
     total = total - act(n, c_at(m, p))
