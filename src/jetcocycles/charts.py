@@ -40,7 +40,8 @@ from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import _ALIASES, Cochain2, catalogue, ce_parts, coeff_and_weight, det_expr
+from .cochains import (_ALIASES, Cochain2, _exact_class, catalogue, ce_parts, coeff_and_weight,
+                       det_expr)
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -48,7 +49,6 @@ from .expr import (
     OrderCapExceeded,
     _has_lam,
     check_order_cap,
-    euler_derivative,
     hinv,
     hinv_power,
     jet,
@@ -181,7 +181,10 @@ class AnsatzTerm:
     q: int
     symbols: _Symbols
     m: DiffExpr
-    expr: DiffExpr
+
+    @property
+    def expr(self) -> DiffExpr:
+        return self.m * det_expr(self.p, self.q)
 
     def label(self) -> str:
         coef = "*".join(f"{fam}[{order}]" for fam, order in self.symbols)
@@ -310,10 +313,10 @@ def solve_corrections(
     constraints.  The module parameter is module_lambda when given, else
     the cochain's own, where None is the trivial action; a LamPoly, given or
     a cochain's (a bare expression's is lam), reads lam = weight, so
-    LamPoly.const(1) is the module 1.  The result holds the ansatz, in increasing (p, q, symbols) order, and the full affine
-    solution set over it, whose particular point is the canonical
-    representative (None when the set is empty).  max_order bounds the
-    symbol's jets and the connection jets of the ansatz (OrderCapExceeded).
+    LamPoly.const(1) is the module 1.  The result holds the ansatz, sorted by
+    (p, q, symbols), and its affine solution set, whose particular point is
+    the canonical representative (None if empty).  max_order bounds the
+    symbol's jets and the ansatz's connection jets (OrderCapExceeded).
 
     Globality is imposed by the infinitesimal law of the module docstring,
     w X' e + sum_n (de/du^(n)) delta u^(n) = 0, whose solution set is that
@@ -328,13 +331,14 @@ def solve_corrections(
 
         delta(m c) = m delta c + D(m) (f c(g,k) - g c(f,k) + k c(f,g)),
 
-    and the trivial action drops the D(m) part.  The weight must be an
-    integer (a float is a TypeError).  The canonical representative is the
-    minimal-support point (ties broken lexicographically) when the gauge
-    dimension is at most 3 and at most 26 coordinates are involved, found by
-    one vertex try per distinct gauge hyperplane (see _canonical_point), and
-    otherwise the echelon particular solution with the free variables set to
-    zero (c5 and c7).
+    and the trivial action drops the D(m) part and keeps the class of delta
+    modulo total derivatives (_exact_class).  The weight must be an integer
+    (a float is a TypeError).  The canonical representative is the minimal-
+    support point (ties broken lexicographically) when the gauge dimension
+    is at most 3 and at most 26 coordinates are involved, found by one
+    vertex try per distinct gauge hyperplane (see _canonical_point), and
+    otherwise the echelon particular solution with the free variables set
+    to zero (c5 and c7).
     """
     expr, weight = coeff_and_weight(symbol, weight)
     weight = _integer_weight(weight)
@@ -375,19 +379,14 @@ def solve_corrections(
                 raise OrderCapExceeded(
                     f"ansatz needs connection jets of order {coef_weight - 1} > cap {max_order}"
                 )
-            det = det_expr(p, q)
             for symbols, m in _connection_monomials(coef_weight):
-                ansatz.append(AnsatzTerm(p, q, symbols, m, m * det))
+                ansatz.append(AnsatzTerm(p, q, symbols, m))
 
     rows: Dict = {}
     variations: Dict[Tuple[str, int], DiffExpr] = {}
 
     def add_cocycle(delta: DiffExpr, index: Optional[int]):
-        if trivial:
-            for fam_i, fam in enumerate(_WEIGHTS):
-                _scalar_rows(euler_derivative(delta, fam), 10 + fam_i, index, rows)
-        else:
-            _scalar_rows(delta, 1, index, rows)
+        _scalar_rows(_exact_class(delta) if trivial else delta, 1, index, rows)
 
     _scalar_rows(_linear_residual(expr, weight, variations), 0, None, rows)
     add_cocycle(ce_parts(expr, 2, module_lambda)[1], None)

@@ -30,7 +30,7 @@ from .expr import (
     _coef,
     _has_lam,
     check_order_cap,
-    is_total_derivative,
+    euler_derivative,
     jet,
     substitute,
 )
@@ -100,9 +100,12 @@ class Cochain2:
     def is_symbolic(self) -> bool:
         return type(self.module_lambda) is LamPoly
 
-    def at_lambda(self, lam_value: Rat) -> "Cochain2":
+    def at_lambda(self, lam_value: Union[Rat, LamPoly]) -> "Cochain2":
         """The cochain in the module F_lam_value, with lam_value substituted
-        for lam in the coefficient."""
+        for lam in the coefficient; a constant LamPoly reads as its value."""
+        lam_value = _coef(lam_value)
+        if type(lam_value) is LamPoly:
+            raise TypeError("at_lambda needs a concrete module parameter, not a LamPoly in lam")
         return Cochain2(self.coeff.subst_lambda(lam_value), self.value_weight, lam_value)
 
 
@@ -163,14 +166,20 @@ def ce_parts(coeff: DiffExpr, arity: int,
     return insertions, delta
 
 
+def _exact_class(delta: DiffExpr) -> DiffExpr:
+    """delta, linear in k, modulo total derivatives: delta = k E_k(delta) + D(...)."""
+    return jet("k", 0) * euler_derivative(delta, "k")
+
+
 def ce_differential(c: Cochain2) -> DiffExpr:
     """delta c (f,g,k); zero iff c is a 2-cocycle for its module.
 
-    The trivial-action differential is the bracket insertions; the full one
-    adds a part linear in the module parameter, whose derivative goes
-    through the background T, R, w jets (see ce_parts).
+    The full differential adds to the bracket insertions a part linear in
+    the module parameter (see ce_parts); under the trivial action the
+    insertions are read modulo total derivatives, through _exact_class.
     """
-    return ce_parts(c.coeff, 2, c.module_lambda)[1]
+    delta = ce_parts(c.coeff, 2, c.module_lambda)[1]
+    return _exact_class(delta) if c.trivial_action else delta
 
 
 @dataclass(frozen=True)
@@ -179,7 +188,7 @@ class LambdaVerdict:
 
     kind: str                      # "all" | "none" | "finite"
     values: Tuple[Rat, ...]        # nonempty iff kind == "finite"
-    trivial_action_pass: bool      # bracket-only differential is exact
+    trivial_action_pass: bool      # insertions are a total derivative
 
     def describe(self) -> str:
         if self.kind == "all":
@@ -198,24 +207,22 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
 
     One ce_parts pass gives both: the trivial-action verdict asks whether
     the bracket insertions are an exact total derivative (the values-in-
-    constants reading on the circle); the full differential adds a part
-    linear in lam, solved as the common rational roots (gcd over Q[lam]) of
-    its coefficient polynomials.  cap bounds the jet orders of c only
-    (OrderCapExceeded); the variational derivatives go beyond them.
+    constants reading on the circle, _exact_class); the full differential
+    adds a part linear in lam, solved as the common rational roots (gcd
+    over Q[lam]) of its coefficient polynomials.  cap bounds the jet orders
+    of c only (OrderCapExceeded); the variational derivative goes beyond them.
     """
     if not c.is_symbolic():
         raise ValueError("lambda_solutions needs a symbolic module parameter")
     insertions, delta = ce_parts(check_order_cap(c.coeff, cap), 2, c.module_lambda)
-    trivial_pass = is_total_derivative(insertions)
+    trivial_pass = _exact_class(insertions).is_zero()
     if delta.is_zero():
         return LambdaVerdict("all", (), trivial_pass)
     coeffs = [coef for _mono, coef in delta.terms()]
     # a stored rational is a nonzero constant, which no value of lam kills
     symbolic = all(type(coef) is LamPoly for coef in coeffs)
     roots = tuple(rational_roots(gcd_all(coeffs))) if symbolic else ()
-    if not roots:
-        return LambdaVerdict("none", (), trivial_pass)
-    return LambdaVerdict("finite", roots, trivial_pass)
+    return LambdaVerdict("finite" if roots else "none", roots, trivial_pass)
 
 
 def coboundary(b: Cochain1) -> Cochain2:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from .cochains import Cochain2, catalogue, ce_differential, coeff_and_weight
-from .expr import DiffExpr, FAMILIES, is_total_derivative
+from .expr import DiffExpr, FAMILIES
 from .lampoly import LamPoly, Rat, _rat
 from .linalg import solve_affine
 from .syntax import _join
@@ -125,10 +125,14 @@ def laurent_action(fld: WittField, a: LaurentDensity) -> LaurentDensity:
 
 
 def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
-                     weight: Optional[int] = None) -> LaurentDensity:
+                     weight: Optional[Rat] = None) -> LaurentDensity:
     """Value of a flat cochain on (L_m, L_n): substitute f = z^(m+1),
     g = z^(n+1) and differentiate exactly.  The coefficient must be free of
-    lam (see Cochain2.at_lambda)."""
+    lam (see Cochain2.at_lambda).  The value's weight, which laurent_action
+    acts at, is a given weight, else a Cochain2's concrete module parameter,
+    else its value weight (trivial action or symbolic module)."""
+    if weight is None and isinstance(c, Cochain2) and not (c.trivial_action or c.is_symbolic()):
+        weight = c.module_lambda
     expr, weight = coeff_and_weight(c, weight)
     fams = expr.families()
     if fams - {"f", "g"}:
@@ -221,21 +225,18 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     every monomial must have the same derivative count a+b, and the shift
     is d = 2 - (a+b).  With trivial action (module_lambda None) the values
     pair to constants: the right-hand side is the residue.  A symbolic
-    module is refused, and c must be a cocycle for its module:
-    delta c = 0, or for the trivial action a total derivative (zero once
-    paired on the circle).  A non-cocycle would make the system infeasible
+    module is refused, and c must be a cocycle for its module (zero
+    ce_differential).  A non-cocycle would make the system infeasible
     without being non-trivial.  The window must be at least 1.
     """
     _require_window(window)
     if c.is_symbolic():
         raise ValueError("a concrete module parameter is required")
-    delta = ce_differential(c)
-    if not (is_total_derivative(delta) if c.trivial_action else delta.is_zero()):
+    if not ce_differential(c).is_zero():
         raise ValueError("the cochain is not a cocycle for its module")
 
-    lam = shift = None
-    if not c.trivial_action:
-        lam = c.module_lambda
+    lam, shift = c.module_lambda, None
+    if lam is not None:
         counts = {sum(order * e for (_rank, order), e in mono) for mono, _ in c.coeff.terms()}
         if not counts:
             return CertificateResult("INCONCLUSIVE", window, c.module_lambda, None)

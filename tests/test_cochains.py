@@ -16,6 +16,7 @@ from jetcocycles.cochains import (
     _ALIASES,
     Cochain1,
     Cochain2,
+    _exact_class,
     catalogue,
     ce_differential,
     ce_parts,
@@ -28,7 +29,8 @@ from jetcocycles.cochains import (
 from jetcocycles.calculus import bracket
 from jetcocycles.charts import is_global, solve_corrections
 from jetcocycles.wittmodel import evaluate_cochain
-from jetcocycles.expr import OrderCapExceeded, jet, substitute
+from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, is_total_derivative,
+                              jet, substitute, total_derivative)
 from jetcocycles.lampoly import LAM, LamPoly
 
 from helpers import random_coeff
@@ -228,18 +230,56 @@ def test_bracket_expr_of_two_families():
 
 
 def test_ce_parts_split_insertions_from_the_action():
-    """The insertions are the trivial-action differential and carry no lam;
-    the full differential adds a part of degree at most one in lam."""
+    """The insertions carry no lam, and the full differential adds a part of
+    degree at most one in lam.  For the trivial action ce_differential is
+    the class k E_k of the insertions, zero iff they are a total derivative."""
     for p, q in ((0, 2), (2, 3), (1, 4), (2, 5)):
         c = det_cochain(p, q)
         insertions, delta = ce_parts(c.coeff, 2, c.module_lambda)
-        trivial = Cochain2(c.coeff, c.value_weight, None)
-        assert ce_differential(trivial) == insertions
+        trivial = ce_differential(Cochain2(c.coeff, c.value_weight, None))
+        assert trivial == jet("k", 0) * euler_derivative(insertions, "k")
+        assert trivial.is_zero() == is_total_derivative(insertions)
         assert ce_differential(c) == delta
         assert ce_parts(c.coeff, 2, None) == (insertions, insertions)
         assert all(type(coef) is not LamPoly for _mono, coef in insertions.terms())
         assert all(type(coef) is not LamPoly or coef.degree <= 1
                    for _mono, coef in (delta - insertions).terms())
+
+
+def test_trivial_action_cocycles_are_read_modulo_total_derivatives():
+    """The insertions of c0w are a nonzero total derivative, so it is a
+    trivial-action cocycle, and ce_differential says so in both forms."""
+    for form in ("flat", "connection"):
+        c = catalogue("c0w", form)
+        assert c.trivial_action and not ce_parts(c.coeff, 2, None)[0].is_zero()
+        assert ce_differential(c).is_zero(), form
+
+
+def _random_trilinear(rng):
+    """A sum of terms c f^(a) g^(b) k^(c) times up to two T, R, w jets."""
+    out = DiffExpr.zero()
+    for _ in range(rng.randint(1, 4)):
+        term = DiffExpr.coefficient(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        for fam in "fgk":
+            term = term * jet(fam, rng.randint(0, 3))
+        for _ in range(rng.randint(0, 2)):
+            term = term * jet(rng.choice("TRw"), rng.randint(0, 2))
+        out = out + term
+    return out
+
+
+def test_the_exact_class_agrees_with_the_exactness_test():
+    """_exact_class(e) vanishes iff e is a total derivative: on the
+    trivial-action insertions of every det(p,q) with q <= 9, and on seeded
+    random trilinear expressions, half of them exact by construction."""
+    exprs = [ce_parts(det_expr(p, q), 2, None)[0] for q in range(1, 10) for p in range(q)]
+    rng = random.Random(1801)
+    for _ in range(40):
+        e = total_derivative(_random_trilinear(rng))
+        exprs.append(e + _random_trilinear(rng) if rng.random() < 0.5 else e)
+    verdicts = [is_total_derivative(e) for e in exprs]
+    assert True in verdicts and False in verdicts
+    assert [_exact_class(e).is_zero() for e in exprs] == verdicts
 
 
 _VERDICTS = {(row["p"], row["q"]): row for row in json.loads(

@@ -113,8 +113,11 @@ def test_the_module_parameter_has_one_form_in_every_layer():
         for c in (Cochain1(jet("f", 1), 2, given), Cochain2(det_expr(1, 3), 2, given)):
             assert _same_form(c.module_lambda, want), (given, c)
     assert _same_form(Cochain2(det_expr(1, 3), 2).module_lambda, LAM)
-    for value, want in ((2, 2), (Fraction(4, 2), 2), (half, half)):
+    for value, want in ((2, 2), (Fraction(4, 2), 2), (half, half), (LamPoly.const(2), 2),
+                        (LamPoly.const(half), half)):
         assert _same_form(det_cochain(1, 3).at_lambda(value).module_lambda, want)
+    with pytest.raises(TypeError, match="at_lambda"):
+        det_cochain(1, 3).at_lambda(LAM)
     for symbol, want in ((det_expr(1, 2), 1), (catalogue("c1", "flat"), 1),
                          (Cochain2(det_expr(1, 2), 1, LamPoly.const(1)), 1),
                          (catalogue("c0w", "flat"), None)):

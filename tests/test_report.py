@@ -187,6 +187,20 @@ def test_all_suites_match_golden_report():
     assert render_json(run_suite("all")) == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_cli_report_does_not_depend_on_the_hash_seed(seed, tmp_path):
+    """`verify --suite all --json PATH` in a fresh process under two
+    PYTHONHASHSEED values exits 1 (the table3.det12 FAIL) and writes the
+    bytes of tests/data/all_suites.json."""
+    src = Path(jetcocycles.__file__).parents[1]
+    path = tmp_path / "all.json"
+    run = subprocess.run([sys.executable, "-m", "jetcocycles", "verify", "--suite", "all",
+                          "--json", str(path)], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+    assert run.returncode == 1, run.stderr
+    assert path.read_bytes() == (Path(__file__).parent / "data" / "all_suites.json").read_bytes()
+
+
 _CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_stdout.json")
                          .read_text(encoding="utf-8"))
 

@@ -71,6 +71,21 @@ def test_evaluate_cochain_bracket_and_antisymmetry():
     assert evaluate_cochain(catalogue("c5", "flat"), 3, 3).is_zero()
 
 
+def test_evaluate_cochain_labels_values_with_the_module(capsys):
+    """A concrete module parameter is the weight of the values, the weight
+    laurent_action reads; the trivial action and a symbolic module keep the
+    value weight, and a given weight wins."""
+    cbar1 = catalogue("cbar1", "flat")
+    assert (cbar1.value_weight, cbar1.module_lambda) == (0, 1)
+    assert evaluate_cochain(cbar1, 1, 2) == LaurentDensity.of({3: 4}, 1)
+    assert evaluate_cochain(cbar1, 1, 2, weight=0).weight == 0
+    assert evaluate_cochain(det_cochain(0, 2), 1, 2).weight == 0
+    assert evaluate_cochain(catalogue("c0w", "flat"), 1, -1).weight == 1
+    from jetcocycles.cli import main
+    assert main(["eval", "--cocycle", "cbar1", "--m", "1", "--n", "2"]) == 0
+    assert capsys.readouterr().out == "cbar1(L_1, L_2) = (4*z^3) (dz)^1\n"
+
+
 def test_evaluate_cochain_commutes_with_normalization():
     # evaluating term by term equals evaluating the canonical sum
     c = catalogue("c7", "flat")
@@ -237,16 +252,15 @@ def test_certificate_rejects_non_cocycles():
 
 def _numeric_witt_delta(c, m: int, n: int, p: int):
     """Cocycle identity on (L_m, L_n, L_p) computed purely in the Laurent
-    model; independent of the symbolic normalizer.  The values are read as
-    densities of the cochain's module parameter, the weight the action uses,
-    which differs from the value weight for the barred generators."""
-    lam = c.module_lambda
+    model; independent of the symbolic normalizer.  evaluate_cochain labels
+    the values with the module parameter, the weight the action uses, which
+    differs from the value weight for the barred generators."""
 
     def act(i, val):
         return laurent_action(WittField.basis(i), val)
 
     def c_at(i, j):
-        return evaluate_cochain(c, i, j, lam)
+        return evaluate_cochain(c, i, j)
 
     total = act(m, c_at(n, p))
     total = total - act(n, c_at(m, p))
