@@ -43,7 +43,7 @@ from .cochains import (
 from .charts import (
     ChartFrame,
     covariant_equivalence,
-    derive_c7,
+    derive,
     is_global,
     pushforward,
     solve_corrections,

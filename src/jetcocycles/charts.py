@@ -40,8 +40,7 @@ from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import (_ALIASES, Cochain2, _exact_class, catalogue, ce_parts, coeff_and_weight,
-                       det_expr)
+from .cochains import Cochain2, _exact_class, catalogue, ce_parts, coeff_and_weight, det_expr
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -148,7 +147,8 @@ def is_global(
 _Symbols = Tuple[Tuple[str, int], ...]
 
 
-def _connection_monomials(weight: int) -> List[Tuple[_Symbols, DiffExpr]]:
+@cache
+def _connection_monomials(weight: int) -> Tuple[Tuple[_Symbols, DiffExpr], ...]:
     """Monomials in T/R derivative symbols of the given total weight.
 
     T^(j) weighs j + w(T), R^(j) weighs j + w(R).  Each comes as its tuple
@@ -170,7 +170,7 @@ def _connection_monomials(weight: int) -> List[Tuple[_Symbols, DiffExpr]]:
                 rec(i, remaining - w, picked + ((fam, order),), m * jet(fam, order))
 
     rec(0, weight, (), DiffExpr.one())
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -249,28 +249,21 @@ class CorrectionResult:
                             self.dimension) is not None
 
 
-def _jet_variation(family: str, order: int, table: Dict) -> DiffExpr:
-    """delta family[order] under z -> z + eps X, X carried by the family k
-    (memoized in table): delta u = -w X' u + X^(w+1) for the connections,
+@cache
+def _jet_variation(family: str, order: int) -> DiffExpr:
+    """delta family[order] under z -> z + eps X, X carried by the family k:
+    delta u = -w X' u + X^(w+1) for the connections,
     delta u^(n+1) = D(delta u^(n)) - X' u^(n+1)."""
-    key = (family, order)
-    got = table.get(key)
-    if got is not None:
-        return got
     x1 = jet("k", 1)
     if order:
-        out = (total_derivative(_jet_variation(family, order - 1, table))
-               - x1 * jet(family, order))
-    else:
-        w = _WEIGHTS[family]
-        out = (x1 * jet(family, 0)).scale(-w)
-        if family in _AFFINE:
-            out = jet("k", w + 1) + out
-    table[key] = out
-    return out
+        return total_derivative(_jet_variation(family, order - 1)) - x1 * jet(family, order)
+    w = _WEIGHTS[family]
+    out = (x1 * jet(family, 0)).scale(-w)
+    return jet("k", w + 1) + out if family in _AFFINE else out
 
 
-def _linear_residual(e: DiffExpr, weight: int, table: Dict) -> DiffExpr:
+@cache
+def _linear_residual(e: DiffExpr, weight: int) -> DiffExpr:
     """First-order part of pushforward(e) - hinv_power(weight) * e at
     h = z + eps X: weight X' e + sum_n (de/du^(n)) delta u^(n).  The family
     k carries X itself, so it takes no variation."""
@@ -281,8 +274,18 @@ def _linear_residual(e: DiffExpr, weight: int, table: Dict) -> DiffExpr:
         for order in range(e.max_order(fam) + 1):
             part = partial_derivative(e, fam, order)
             if not part.is_zero():
-                out = out + part * _jet_variation(fam, order, table)
+                out = out + part * _jet_variation(fam, order)
     return out
+
+
+@cache
+def _det_pieces(p: int, q: int,
+                module_lambda: Optional[Rat]) -> Tuple[DiffExpr, DiffExpr, DiffExpr]:
+    """(c, delta c at the module, f c(g,k) - g c(f,k) + k c(f,g)) for c = det(p,q)."""
+    c = det_expr(p, q)
+    alternating = sum(jet(x, 0) * (jet(y, p) * jet(z, q) - jet(y, q) * jet(z, p))
+                      for x, y, z in ("fgk", "gkf", "kfg"))
+    return c, ce_parts(c, 2, module_lambda)[1], alternating
 
 
 def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):
@@ -325,20 +328,22 @@ def solve_corrections(
     kinds of an ansatz term m c, with m a T/R monomial and c = det(p,q), come
     by Leibniz.  The globality rows are those of the first-order operator
     L_w(e) = w X' e + sum_n (de/du^(n)) delta u^(n), which splits over any
-    a + b = w as L_w(m c) = m L_b(c) + c L_a(m); L(c) at b = p+q-2 is
-    computed once per (p,q), and L(m) once per monomial.  The cocycle rows
-    come from delta c, also computed once per (p,q):
+    a + b = w as L_w(m c) = m L_b(c) + c L_a(m), with L(c) at b = p+q-2.
+    The cocycle rows come from delta c:
 
         delta(m c) = m delta c + D(m) (f c(g,k) - g c(f,k) + k c(f,g)),
 
     and the trivial action drops the D(m) part and keeps the class of delta
-    modulo total derivatives (_exact_class).  The weight must be an integer
-    (a float is a TypeError).  The canonical representative is the minimal-
-    support point (ties broken lexicographically) when the gauge dimension
-    is at most 3 and at most 26 coordinates are involved, found by one
-    vertex try per distinct gauge hyperplane (see _canonical_point), and
-    otherwise the echelon particular solution with the free variables set
-    to zero (c5 and c7).
+    modulo total derivatives (_exact_class).  These pieces are pure, so each
+    is built once per process and shared by every solve: the jet variations,
+    the monomials of a weight, L per expression and weight (so L(c) and L(m)
+    once each), and (c, delta c, the alternating sum) per (p, q, module).
+    The weight must be an integer (a float is a TypeError).  The canonical
+    representative is the minimal-support point (ties broken
+    lexicographically) when the gauge dimension is at most 3 and at most 26
+    coordinates are involved, found by one vertex try per distinct gauge
+    hyperplane (see _canonical_point), and otherwise the echelon particular
+    solution with the free variables set to zero (c5 and c7).
     """
     expr, weight = coeff_and_weight(symbol, weight)
     weight = _integer_weight(weight)
@@ -383,33 +388,17 @@ def solve_corrections(
                 ansatz.append(AnsatzTerm(p, q, symbols, m))
 
     rows: Dict = {}
-    variations: Dict[Tuple[str, int], DiffExpr] = {}
 
     def add_cocycle(delta: DiffExpr, index: Optional[int]):
         _scalar_rows(_exact_class(delta) if trivial else delta, 1, index, rows)
 
-    _scalar_rows(_linear_residual(expr, weight, variations), 0, None, rows)
+    _scalar_rows(_linear_residual(expr, weight), 0, None, rows)
     add_cocycle(ce_parts(expr, 2, module_lambda)[1], None)
-    # (p, q) -> (c, L(c), delta c, f c(g,k) - g c(f,k) + k c(f,g)) for
-    # c = det(p,q), L the linear residual at the weight p+q-2
-    dets: Dict[Tuple[int, int], Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]] = {}
-    # T/R monomial m -> L(m) at the weight of m
-    monomials: Dict[_Symbols, DiffExpr] = {}
     for i, term in enumerate(ansatz):
         p, q = term.p, term.q
-        if (p, q) not in dets:
-            c = det_expr(p, q)
-            alternating = sum(
-                jet(x, 0) * (jet(y, p) * jet(z, q) - jet(y, q) * jet(z, p))
-                for x, y, z in ("fgk", "gkf", "kfg"))
-            dets[p, q] = (c, _linear_residual(c, p + q - 2, variations),
-                          ce_parts(c, 2, module_lambda)[1], alternating)
-        c, residual_c, delta_c, alternating = dets[p, q]
-        residual_m = monomials.get(term.symbols)
-        if residual_m is None:
-            residual_m = _linear_residual(term.m, weight - (p + q - 2), variations)
-            monomials[term.symbols] = residual_m
-        _scalar_rows(term.m * residual_c + c * residual_m, 0, i, rows)
+        c, delta_c, alternating = _det_pieces(p, q, module_lambda)
+        _scalar_rows(term.m * _linear_residual(c, p + q - 2)
+                     + c * _linear_residual(term.m, weight - (p + q - 2)), 0, i, rows)
         delta = term.m * delta_c
         if not trivial:
             delta = delta + total_derivative(term.m) * alternating
@@ -489,20 +478,11 @@ class EquivalenceResult:
 
 
 @cache
-def derive_c7() -> CorrectionResult:
-    """Connection form of the weight-7 generator, from the solver; solved
-    once per process (derive_c7.cache_clear() forgets it)."""
-    return solve_corrections(catalogue("c7", "flat"))
-
-
-def connection_form(name: str) -> Cochain2:
-    """Catalogue connection form; the weight-7 one comes from the solver."""
-    if _ALIASES.get(name, name) == "c7":
-        result = derive_c7()
-        if not result.feasible:
-            raise RuntimeError("the weight-7 correction system is infeasible")
-        return result.representative
-    return catalogue(name, "connection")
+def derive(name: str) -> CorrectionResult:
+    """The correction solve of a catalogued generator's flat form, whose
+    representative is its connection form; solved once per name and process
+    (derive.cache_clear() forgets them)."""
+    return solve_corrections(catalogue(name, "flat"))
 
 
 def covariant_equivalence(name: str) -> EquivalenceResult:
@@ -513,7 +493,7 @@ def covariant_equivalence(name: str) -> EquivalenceResult:
     needs no extra normalization here beyond that documented flip.
     """
     cov = catalogue(name, "covariant")
-    conn = connection_form(name)
+    conn = catalogue(name, "connection")
     conn_in_T = substitute(conn.coeff, {"R": projective_from_affine()})
     residual = conn_in_T - cov.coeff
     return EquivalenceResult(name, residual.is_zero(), residual)

@@ -4,15 +4,18 @@ The catalogue collects the classical generators in four shapes:
 
     flat        pure-jet determinant combinations,
     connection  corrected with affine/projective connection symbols so the
-                chart-transform check passes (engine-verified; where a
-                commonly printed variant fails the check, the failing
-                variant is kept in PRINTED_CONNECTION_VARIANTS, which the
-                test suite checks and no report record uses),
+                chart-transform check passes: the representative of the
+                correction solver (jetcocycles.charts.derive) at the
+                generator's own module parameter; where a commonly printed
+                variant fails the check, the failing variant is kept in
+                PRINTED_CONNECTION_VARIANTS, which the test suite checks and
+                no report record uses,
     covariant   the same objects written through the covariant derivative,
-    omega       the barred families tensored with a background 1-form.
+    omega       the barred families' connection forms tensored with a
+                background 1-form.
 
-The weight-7 connection form is intentionally absent: it is produced by the
-correction solver in jetcocycles.charts.
+Only the flat and covariant forms are stored.  The connection and omega
+forms are derived on their first lookup, so a flat lookup never solves.
 """
 
 from __future__ import annotations
@@ -245,31 +248,10 @@ CATALOGUE_NAMES = ("cbar0", "c0w", "c1", "cbar1", "c2", "cbar2", "c5", "c7")
 FORMS = ("flat", "connection", "covariant", "omega")
 
 _T0 = jet("T", 0)
-_T1 = jet("T", 1)
 _R0 = jet("R", 0)
 _R1 = jet("R", 1)
 _R2 = jet("R", 2)
 _HALF = Fraction(1, 2)
-
-# engine-derived connection corrections: canonical representatives of the
-# globality+cocycle solver, re-derived and re-verified by the test suite.
-# The rule is charts._canonical_point: minimal support for c1 and c2 (gauge
-# dimension 1), the echelon particular solution for c5 (gauge dimension 8).
-# The gauge freedom of the solution sets is spanned by global-cocycle
-# additions built from G = R - T' - T^2/2.
-DERIVED_C1 = det_expr(1, 2) - _T0 * det_expr(0, 2) + (_T1 + _T0 ** 2) * det_expr(0, 1)
-DERIVED_C2 = det_expr(1, 3) - _T0 * det_expr(0, 3) + (_R1 + 2 * _T0 * _R0) * det_expr(0, 1)
-DERIVED_C5 = (
-    det_expr(3, 4)
-    + _R2 * det_expr(0, 3)
-    + 3 * _R1 * det_expr(1, 3)
-    + 2 * _R0 * det_expr(2, 3)
-    + (3 * _R1 ** 2 - 2 * _R0 * _R2) * det_expr(0, 1)
-    + 2 * _R0 * _R1 * det_expr(0, 2)
-    - _R1 * det_expr(0, 4)
-    + 4 * _R0 ** 2 * det_expr(1, 2)
-    - 2 * _R0 * det_expr(1, 4)
-)
 
 # literal connection variants as commonly printed; kept only so the test
 # suite can show that they miss the transform law (c1 and c2 each carry one
@@ -303,67 +285,79 @@ def _cov_det(i: int, j: int) -> DiffExpr:
 
 
 # name -> (value weight, module parameter of the generator, flat,
-# connection, covariant, has an omega-paired form).  The module parameter
-# None marks the trivial action (values pair to constants); cbar0, a cocycle
-# for every lam, keeps lam symbolic in its chart forms.
+# covariant).  The module parameter None marks the trivial action (values
+# pair to constants); cbar0, a cocycle for every lam, keeps lam symbolic in
+# its chart forms.
 def _rows() -> Dict[str, tuple]:
     return {
-        "cbar0": (-1, 0, det_expr(0, 1), det_expr(0, 1), _cov_det(0, 1), True),
-        "c0w": (1, None, _HALF * det_expr(0, 3),
-                _HALF * det_expr(0, 3) - _R0 * det_expr(0, 1), None, False),
-        "c1": (1, 1, det_expr(1, 2), DERIVED_C1, _cov_det(1, 2), False),
-        "cbar1": (0, 1, det_expr(0, 2), det_expr(0, 2) - _T0 * det_expr(0, 1),
-                  _cov_det(0, 2), True),
-        "c2": (2, 2, det_expr(1, 3), DERIVED_C2, _cov_det(1, 3), False),
-        "cbar2": (1, 2, det_expr(0, 3), det_expr(0, 3) - 2 * _R0 * det_expr(0, 1),
-                  _cov_det(0, 3), True),
-        "c5": (5, 5, det_expr(3, 4), DERIVED_C5, _cov_det(3, 4), False),
-        "c7": (7, 7, 2 * det_expr(3, 6) - 9 * det_expr(4, 5), None,
-               2 * _cov_det(3, 6) - 9 * _cov_det(4, 5), False),
+        "cbar0": (-1, 0, det_expr(0, 1), _cov_det(0, 1)),
+        "c0w": (1, None, _HALF * det_expr(0, 3), None),
+        "c1": (1, 1, det_expr(1, 2), _cov_det(1, 2)),
+        "cbar1": (0, 1, det_expr(0, 2), _cov_det(0, 2)),
+        "c2": (2, 2, det_expr(1, 3), _cov_det(1, 3)),
+        "cbar2": (1, 2, det_expr(0, 3), _cov_det(0, 3)),
+        "c5": (5, 5, det_expr(3, 4), _cov_det(3, 4)),
+        "c7": (7, 7, 2 * det_expr(3, 6) - 9 * det_expr(4, 5),
+               2 * _cov_det(3, 6) - 9 * _cov_det(4, 5)),
     }
+
+
+# the barred generators, which have an omega-paired form
+_OMEGA_PAIRED = ("cbar0", "cbar1", "cbar2")
 
 
 @cache
 def _build() -> Dict[Tuple[str, str], Cochain2]:
-    """Every stored (name, form) cochain, built and cross-checked once.
+    """Every stored (name, form) cochain, flat and covariant, built and
+    cross-checked once.
 
     Unbarred generators have module parameter equal to their value weight;
     barred ones reach it after tensoring with the 1-form (omega form).
     """
     table: Dict[Tuple[str, str], Cochain2] = {}
-    for name, (weight, lam, *coeffs, has_omega) in _rows().items():
-        if has_omega and weight + 1 != lam:
-            raise ValueError(f"{name}: omega-paired weight {weight + 1} disagrees "
-                             f"with module parameter {lam}")
-        if not has_omega and lam is not None and weight != lam:
-            raise ValueError(f"{name}: value weight {weight} disagrees with "
-                             f"module parameter {lam}")
-        for form, coeff in zip(FORMS, coeffs):
-            if coeff is None:
-                continue
-            table[name, form] = Cochain2(
-                coeff, weight, LamPoly.lam() if name == "cbar0" else lam)
-        if has_omega:
-            table[name, "omega"] = Cochain2(
-                table[name, "connection"].coeff * jet("w", 0), weight + 1, lam)
+    for name, (weight, lam, flat, covariant) in _rows().items():
+        paired = weight + (name in _OMEGA_PAIRED)
+        if lam is not None and lam != paired:
+            raise ValueError(f"{name}: weight {paired} disagrees with module parameter {lam}")
+        module = LamPoly.lam() if name == "cbar0" else lam
+        table[name, "flat"] = Cochain2(flat, weight, module)
+        if covariant is not None:
+            table[name, "covariant"] = Cochain2(covariant, weight, module)
     return table
 
 
+@cache
+def _derived(name: str, form: str) -> Cochain2:
+    """The connection form: the representative of charts.derive(name) with
+    the flat form's value weight and module parameter (cbar0 stays symbolic,
+    c0w trivial); or the omega form, that times the 1-form w, one weight up."""
+    from .charts import derive  # charts imports this module
+
+    flat = _build()[name, "flat"]
+    coeff = derive(name).representative.coeff
+    if form == "connection":
+        return Cochain2(coeff, flat.value_weight, flat.module_lambda)
+    weight = flat.value_weight + 1
+    return Cochain2(coeff * jet("w", 0), weight, weight)
+
+
 _MISSING = {
-    "connection": "{} has no stored connection form; derive it with "
-                  "jetcocycles.charts.solve_corrections",
     "covariant": "{} has no covariant form",
     "omega": "{} has no omega-paired form",
 }
 
 
 def catalogue(name: str, form: str = "connection") -> Cochain2:
-    """Look up a generator in one of its shapes (see _build)."""
+    """Look up a generator in one of its shapes: a stored flat or covariant
+    form (see _build), or a connection or omega form derived by the
+    correction solver on its first lookup (see _derived)."""
     key = _ALIASES.get(name, name)
     if key not in CATALOGUE_NAMES:
         raise KeyError(f"unknown cocycle name {name!r}")
     if form not in FORMS:
         raise KeyError(f"unknown form {form!r}; expected one of {FORMS}")
+    if form == "connection" or (form == "omega" and key in _OMEGA_PAIRED):
+        return _derived(key, form)
     try:
         return _build()[key, form]
     except KeyError:

@@ -15,7 +15,7 @@ from functools import cache
 from typing import Dict, List, Optional, Sequence
 
 from .calculus import action_via_nabla, lie_action
-from .charts import covariant_equivalence, derive_c7, is_global
+from .charts import covariant_equivalence, derive, is_global
 from .cochains import (
     Cochain1,
     Cochain2,
@@ -205,7 +205,7 @@ def suite_global() -> List[CheckRecord]:
             f"global.{name}",
             f"connection form of {name} transforms as a weight {c.value_weight} density",
             c.module_lambda, is_global(c).residual, "transformation check"))
-    c7 = derive_c7()
+    c7 = derive("c7")
     rep = c7.representative
     ok = (c7.feasible and is_global(rep).ok
           and ce_differential(rep).is_zero())

@@ -224,12 +224,16 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     the symbol: f^(a) g^(b) sends (L_m, L_n) to degree m + n + 2 - (a+b), so
     every monomial must have the same derivative count a+b, and the shift
     is d = 2 - (a+b).  With trivial action (module_lambda None) the values
-    pair to constants: the right-hand side is the residue.  A symbolic
+    pair to constants: the right-hand side is the residue, so the values
+    must be 1-forms (value weight 1, refused first otherwise).  A symbolic
     module is refused, and c must be a cocycle for its module (zero
     ce_differential).  A non-cocycle would make the system infeasible
     without being non-trivial.  The window must be at least 1.
     """
     _require_window(window)
+    if c.trivial_action and c.value_weight != 1:
+        raise ValueError("the trivial action pairs 1-form values to constants, "
+                         f"got value weight {c.value_weight}")
     if c.is_symbolic():
         raise ValueError("a concrete module parameter is required")
     if not ce_differential(c).is_zero():

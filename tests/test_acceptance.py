@@ -21,7 +21,7 @@ from fractions import Fraction
 from jetcocycles.calculus import schwarzian
 from jetcocycles.charts import (
     covariant_equivalence,
-    derive_c7,
+    derive,
     is_global,
 )
 from jetcocycles.cochains import (
@@ -220,10 +220,10 @@ def test_criterion_4_corrected_cocycles():
 
 
 def test_criterion_5_weight7_derivation():
-    """The solver produces the omitted weight-7 connection form; the
+    """The solver produces the weight-7 connection form; the
     canonical representative passes both checks and the report carries the
     formula and the solution-space dimension."""
-    result = derive_c7()
+    result = derive("c7")
     assert result.feasible and result.representative is not None
     rep = result.representative
     assert is_global(rep).ok

@@ -4,8 +4,9 @@ perfbench/tracer.py wraps every (module, attribute) in SPANNED and patches
 ChartFrame.pushforward on the class, and perfbench/workloads.py reads the
 fields of a solve_corrections result; a rename there would only show up when
 the benchmark runs, so the names are checked here.  So are the kernel
-workload's module-axiom items and one of its lambda items, through the
-workload's own run_item and the harness's own checks.
+workload's module-axiom items and one of its lambda items, and the solver
+workload's pinned c1, c2 and c5 representatives, through the workload's own
+run_item and the harness's own checks.
 """
 
 import importlib
@@ -19,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import run as bench_run  # noqa: E402
 from tracer import SPANNED  # noqa: E402
-from workloads import make_items, run_item  # noqa: E402
+from workloads import make_items, post_checks, run_item  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", SPANNED, ids=[f"{m}.{a}" for m, a in SPANNED])
@@ -76,3 +77,24 @@ def test_a_kernel_lambda_combo_matches_the_reference(tmp_path):
     reference = json.loads(Path(bench_run.reference_path(
         str(Path(__file__).resolve().parents[1]), "kernel")).read_text(encoding="utf-8"))
     assert run_item(item, str(tmp_path)) == reference["items"][item["id"]]
+
+
+# -- the solver workload's pinned representatives ---------------------------
+
+_PINNED_SOLVER_ITEMS = ("solve:det(1,2)@1", "solve:det(1,3)@2", "cli:globalize det(3,4) 5")
+
+
+def test_pinned_solver_items_match_the_reference(tmp_path):
+    """The c1, c2 and c5 representatives as perfbench/reference/solver.json
+    pins them.  The catalogue's connection forms come from the solver, so
+    post_checks compares the solver with itself; the pinned reps are the
+    comparison that can fail."""
+    items = {item["id"]: item for item in make_items("solver", 1)}
+    reference = json.loads(Path(bench_run.reference_path(
+        str(Path(__file__).resolve().parents[1]), "solver")).read_text(encoding="utf-8"))
+    verdicts = {}
+    for item_id in _PINNED_SOLVER_ITEMS:
+        verdicts[item_id] = run_item(items[item_id], str(tmp_path))
+        assert verdicts[item_id] == reference["items"][item_id], item_id
+    checks = post_checks(verdicts)
+    assert len(checks) == 3 and all(checks.values()), checks

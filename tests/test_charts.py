@@ -25,9 +25,6 @@ from jetcocycles.charts import (
 )
 from jetcocycles.cli import main
 from jetcocycles.cochains import (
-    DERIVED_C1,
-    DERIVED_C2,
-    DERIVED_C5,
     PRINTED_CONNECTION_VARIANTS,
     Cochain2,
     catalogue,
@@ -52,6 +49,35 @@ from jetcocycles.syntax import parse_expr
 from helpers import BAD_SYMBOLS, random_expr
 
 _HJETS = 6
+
+_T0, _T1, _R0, _R1, _R2 = jet("T", 0), jet("T", 1), jet("R", 0), jet("R", 1), jet("R", 2)
+
+# The connection forms the solver derives, typed out by hand: its canonical
+# representatives, the minimal-support point for gauge dimension at most 3
+# and the echelon particular point for c5 (gauge dimension 8).  The gauge
+# freedom is spanned by global-cocycle additions built from G = R - T' - T^2/2.
+DERIVED_C1 = det_expr(1, 2) - _T0 * det_expr(0, 2) + (_T1 + _T0 ** 2) * det_expr(0, 1)
+DERIVED_C2 = det_expr(1, 3) - _T0 * det_expr(0, 3) + (_R1 + 2 * _T0 * _R0) * det_expr(0, 1)
+DERIVED_C5 = (
+    det_expr(3, 4)
+    + _R2 * det_expr(0, 3)
+    + 3 * _R1 * det_expr(1, 3)
+    + 2 * _R0 * det_expr(2, 3)
+    + (3 * _R1 ** 2 - 2 * _R0 * _R2) * det_expr(0, 1)
+    + 2 * _R0 * _R1 * det_expr(0, 2)
+    - _R1 * det_expr(0, 4)
+    + 4 * _R0 ** 2 * det_expr(1, 2)
+    - 2 * _R0 * det_expr(1, 4)
+)
+CONNECTION_FORMS = {
+    "cbar0": det_expr(0, 1),
+    "c0w": Fraction(1, 2) * det_expr(0, 3) - _R0 * det_expr(0, 1),
+    "c1": DERIVED_C1,
+    "cbar1": det_expr(0, 2) - _T0 * det_expr(0, 1),
+    "c2": DERIVED_C2,
+    "cbar2": det_expr(0, 3) - 2 * _R0 * det_expr(0, 1),
+    "c5": DERIVED_C5,
+}
 
 
 def _subs_h(e: DiffExpr, jets: dict) -> DiffExpr:
@@ -207,13 +233,33 @@ def test_frame_composition():
 def test_solve_corrections_cbar2():
     res = solve_corrections(catalogue("cbar2", "flat"))
     assert res.feasible and res.dimension == 1
-    assert res.representative.coeff == catalogue("cbar2", "connection").coeff
+    assert res.representative.coeff == CONNECTION_FORMS["cbar2"]
 
 
 def test_solve_corrections_cbar1():
     res = solve_corrections(catalogue("cbar1", "flat"))
     assert res.feasible
-    assert res.representative.coeff == catalogue("cbar1", "connection").coeff
+    assert res.representative.coeff == CONNECTION_FORMS["cbar1"]
+
+
+def test_catalogue_connection_forms_equal_the_hand_typed_ones():
+    for name, coeff in CONNECTION_FORMS.items():
+        assert catalogue(name, "connection").coeff == coeff, name
+
+
+def test_connection_and_omega_forms_keep_the_generators_module():
+    """The solver reads cbar0's symbolic module at lam = -1; the catalogue
+    keeps the generator's own module in each connection form."""
+    assert charts.derive("cbar0").module_lambda == -1
+    assert type(catalogue("cbar0", "connection").module_lambda) is LamPoly
+    assert catalogue("c0w", "connection").module_lambda is None
+    for name, module in (("cbar1", 1), ("cbar2", 2)):
+        got = catalogue(name, "connection").module_lambda
+        assert got == module and type(got) is int, name
+    for name in ("cbar0", "cbar1", "cbar2"):
+        conn, omega = catalogue(name, "connection"), catalogue(name, "omega")
+        assert omega.coeff == conn.coeff * jet("w", 0), name
+        assert omega.value_weight == omega.module_lambda == conn.value_weight + 1, name
 
 
 def test_solve_corrections_c1_and_gauge():
@@ -327,18 +373,17 @@ def test_linear_residual_is_first_order_part_of_binding_table_on_jets(family):
             first = _first_order_of_finite_law(e, weight)
             # only a bare vector field is a density, of weight -1
             assert first.is_zero() == (family in "fg" and order == 0 and weight == -1)
-            assert _linear_residual(e, weight, {}) == first, (family, order, weight)
+            assert _linear_residual(e, weight) == first, (family, order, weight)
 
 
 def test_linear_residual_is_first_order_part_of_binding_table_on_random_expressions():
     rng = random.Random(7)
-    table = {}  # one shared memo, as in a solve
     nonzero = 0
     for _ in range(40):
         e = random_expr(rng, families=_VARIED, lam_degree=0)
         weight = rng.randint(-2, 3)
         first = _first_order_of_finite_law(e, weight)
-        assert _linear_residual(e, weight, table) == first, (e, weight)
+        assert _linear_residual(e, weight) == first, (e, weight)
         nonzero += not first.is_zero()
     assert nonzero >= 30
 
@@ -440,21 +485,41 @@ def _solution_record(result) -> dict:
             "nullspace": [row(vec) for vec in solution.nullspace] if solution else []}
 
 
-def _golden_solutions() -> dict:
-    return {f"{name}@{module}": _solution_record(
+# the pure pieces that solve_corrections builds once per process
+_PIECE_CACHES = (charts._jet_variation, charts._connection_monomials,
+                 charts._det_pieces, charts._linear_residual)
+
+
+def _golden_solutions(cold: bool = False) -> dict:
+    """The golden records; cold clears the piece caches before every solve."""
+    out = {}
+    for name, symbol, weight, _ in _SYSTEMS:
+        for module, value in _MODULES:
+            for piece in _PIECE_CACHES if cold else ():
+                piece.cache_clear()
+            out[f"{name}@{module}"] = _solution_record(
                 solve_corrections(symbol, weight, module_lambda=value))
-            for name, symbol, weight, _ in _SYSTEMS for module, value in _MODULES}
+    return out
+
+
+def _assert_golden(got: dict):
+    golden = json.loads(_SOLUTIONS_PATH.read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(golden)
+    for key, record in got.items():
+        assert record == golden[key], key
 
 
 def test_solutions_match_the_golden_fixture():
     """Every _SYSTEMS solve at the default module and at module_lambda 0 and
     3, canonical point included, as pinned in tests/data/solver_solutions.json
     (written by _golden_solutions)."""
-    golden = json.loads(_SOLUTIONS_PATH.read_text(encoding="utf-8"))
-    got = _golden_solutions()
-    assert sorted(got) == sorted(golden)
-    for key, record in got.items():
-        assert record == golden[key], key
+    _assert_golden(_golden_solutions())
+
+
+def test_solutions_match_the_golden_fixture_from_cold_piece_caches():
+    """No solve depends on what an earlier solve left in the piece caches."""
+    _assert_golden(_golden_solutions(cold=True))
+    assert all(piece.cache_info().currsize for piece in _PIECE_CACHES)
 
 
 def test_solver_reads_a_lam_poly_module_like_a_cochains_own():
@@ -555,7 +620,6 @@ def test_linear_residual_obeys_leibniz_on_ansatz_terms():
     """L_{a+b}(m c) = m L_b(c) + c L_a(m) for every split of the weight,
     L = _linear_residual, m a T/R monomial and c = det(p,q)."""
     rng = random.Random(15)
-    table = {}
     for q in range(1, 8):
         for p in range(min(q, 8 - q)):
             c = det_expr(p, q)
@@ -566,8 +630,8 @@ def test_linear_residual_obeys_leibniz_on_ansatz_terms():
                 weight = rng.randint(-2, 6)
                 for a in (-1, 0, 2, weight):
                     b = weight - a
-                    assert _linear_residual(m * c, weight, table) == \
-                        m * _linear_residual(c, b, table) + c * _linear_residual(m, a, table), \
+                    assert _linear_residual(m * c, weight) == \
+                        m * _linear_residual(c, b) + c * _linear_residual(m, a), \
                         (p, q, m, a, b)
 
 

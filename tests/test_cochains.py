@@ -27,7 +27,7 @@ from jetcocycles.cochains import (
     lambda_solutions,
 )
 from jetcocycles.calculus import bracket
-from jetcocycles.charts import is_global, solve_corrections
+from jetcocycles.charts import derive, is_global, solve_corrections
 from jetcocycles.wittmodel import evaluate_cochain
 from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, is_total_derivative,
                               jet, substitute, total_derivative)
@@ -141,8 +141,9 @@ def test_catalogue_unicode_aliases_and_errors():
         catalogue("c9", "flat")
     with pytest.raises(KeyError):
         catalogue("c1", "omega")          # unbarred: no 1-form pairing
-    with pytest.raises(KeyError):
-        catalogue("c7", "connection")     # only via the solver
+    c7 = catalogue("c7", "connection")   # derived like every connection form
+    assert c7.coeff == derive("c7").representative.coeff
+    assert is_global(c7).ok and ce_differential(c7).is_zero()
     with pytest.raises(KeyError):
         catalogue("c0w", "covariant")
     with pytest.raises(KeyError):
@@ -172,7 +173,7 @@ def test_catalogue_stores_one_cochain_per_pair():
                 continue
             pairs.append((name, form))
     missing = {(n, f) for n in CATALOGUE_NAMES for f in FORMS} - set(pairs)
-    assert missing == {("c7", "connection"), ("c0w", "covariant")} | {
+    assert missing == {("c0w", "covariant")} | {
         (n, "omega") for n in CATALOGUE_NAMES if not n.startswith("cbar")}
     for name, form in pairs:
         assert catalogue(name, form) is catalogue(name, form)
@@ -190,6 +191,29 @@ def test_catalogue_is_built_on_first_lookup_not_at_import():
               "assert _build.cache_info().currsize == 0\n"
               "catalogue('c1', 'flat')\n"
               "assert _build.cache_info().currsize == 1\n")
+    src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_flat_lookups_and_the_laurent_suites_never_solve():
+    """Flat and covariant lookups, kn_value and the witt and nontrivial
+    suites start no correction solve; a connection lookup starts one."""
+    import jetcocycles
+
+    script = ("import jetcocycles as J\n"
+              "from jetcocycles.charts import _det_pieces, derive\n"
+              "for name in J.CATALOGUE_NAMES:\n"
+              "    J.catalogue(name, 'flat')\n"
+              "    if name != 'c0w':\n"
+              "        J.catalogue(name, 'covariant')\n"
+              "assert J.kn_value(2, -2) == -6\n"
+              "J.run_suite('witt', window=2)\n"
+              "J.run_suite('nontrivial', window=2)\n"
+              "assert derive.cache_info().currsize == 0\n"
+              "assert _det_pieces.cache_info().currsize == 0\n"
+              "J.catalogue('c1', 'connection')\n"
+              "assert derive.cache_info().currsize == 1\n")
     src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
     subprocess.run([sys.executable, "-c", script], check=True,
                    env={**os.environ, "PYTHONPATH": src})

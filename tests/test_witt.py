@@ -247,7 +247,18 @@ def test_certificate_rejects_non_cocycles():
         nontriviality_certificate(Cochain2(det_expr(0, 2), 1, LamPoly.const(0)))
     # det(2,3) fails the trivial-action identity modulo total derivatives
     with pytest.raises(ValueError, match="not a cocycle"):
-        nontriviality_certificate(Cochain2(det_expr(2, 3), 3, None))
+        nontriviality_certificate(Cochain2(det_expr(2, 3), 1, None))
+
+
+@pytest.mark.parametrize("p, q, weight", [(1, 2, 0), (2, 3, 3)])
+def test_certificate_needs_1_form_values_under_the_trivial_action(p, q, weight):
+    """Under the trivial action the values pair to constants, so they must be
+    1-forms; any other value weight is refused before the cocycle check (the
+    trivial-action det(1,2) is a cocycle, det(2,3) is not)."""
+    from jetcocycles.cochains import Cochain2, det_expr
+
+    with pytest.raises(ValueError, match=f"trivial action .* got value weight {weight}$"):
+        nontriviality_certificate(Cochain2(det_expr(p, q), weight, None), window=2)
 
 
 def _numeric_witt_delta(c, m: int, n: int, p: int):
