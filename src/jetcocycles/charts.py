@@ -40,12 +40,14 @@ from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import Cochain2, _exact_class, catalogue, ce_parts, coeff_and_weight, det_expr
+from .cochains import (Cochain2, _derivative_counts, _exact_class, catalogue, ce_parts,
+                       coeff_and_weight, det_expr)
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
     DiffExpr,
     OrderCapExceeded,
+    _check_atom,
     _has_lam,
     check_order_cap,
     hinv,
@@ -64,29 +66,25 @@ _WEIGHTS = {"f": -1, "g": -1, "k": -1, "T": 1, "R": 2, "w": 1}
 _AFFINE = {"T": eta, "R": schwarzian}
 
 
-class ChartFrame:
-    """Binding table for one formal coordinate change, built on demand."""
+@cache
+def _binding(family: str, order: int) -> DiffExpr:
+    """ChartFrame.binding, built once per process."""
+    if order:
+        return hinv() * total_derivative(_binding(family, order - 1))
+    u = jet(family, 0)
+    return hinv_power(_WEIGHTS[family]) * (u + _AFFINE[family]() if family in _AFFINE else u)
 
-    def __init__(self):
-        self._bindings: Dict[Tuple[str, int], DiffExpr] = {}
+
+class ChartFrame:
+    """The formal coordinate change, through the process-wide binding table."""
 
     def binding(self, family: str, order: int) -> DiffExpr:
-        """Alpha-frame expression of the beta-frame jet family[order]."""
+        """Alpha-frame expression of the beta-frame jet family[order]; the
+        order must be a non-negative int (ValueError otherwise)."""
         if family not in _WEIGHTS:
             raise ValueError(f"no transformation law for family {family!r}")
-        key = (family, order)
-        got = self._bindings.get(key)
-        if got is not None:
-            return got
-        if order == 0:
-            u = jet(family, 0)
-            if family in _AFFINE:
-                u = u + _AFFINE[family]()
-            out = hinv_power(_WEIGHTS[family]) * u
-        else:
-            out = hinv() * total_derivative(self.binding(family, order - 1))
-        self._bindings[key] = out
-        return out
+        _check_atom(family, order)
+        return _binding(family, order)
 
     def pushforward(self, e: DiffExpr) -> DiffExpr:
         """Rewrite the beta-frame evaluation of e in alpha-frame jets."""
@@ -97,7 +95,7 @@ class ChartFrame:
         for fam in _WEIGHTS:
             top = e.max_order(fam)
             for order in range(top + 1):
-                table[(_RANK[fam], order)] = self.binding(fam, order)
+                table[(_RANK[fam], order)] = _binding(fam, order)
         return substitute_jets(e, table)
 
 
@@ -221,7 +219,7 @@ class CorrectionResult:
 
     @property
     def representative(self) -> Optional[Cochain2]:
-        return self.member(()) if self.feasible else None
+        return self.member((0,) * self.dimension) if self.feasible else None
 
     def _combination(self, coords: Row) -> DiffExpr:
         out = DiffExpr.zero()
@@ -230,7 +228,8 @@ class CorrectionResult:
         return out
 
     def member(self, gauge: Sequence[Rat]) -> Cochain2:
-        """The solution point at the given gauge coordinates, as a cochain."""
+        """The solution point at the given gauge coordinates, one per
+        nullspace direction (ValueError otherwise), as a cochain."""
         if not self.feasible:
             raise ValueError("empty solution set")
         coeff = self.symbol + self._combination(self.solution.point(gauge))
@@ -364,13 +363,8 @@ def solve_corrections(
     check_order_cap(expr, max_order)
     Cochain2(expr, weight)  # raises unless bilinear and antisymmetric
 
-    pq_degrees = set()
-    top_single = 0
-    for mono, _c in expr.terms():
-        orders = [order for (rank, order), e in mono for _ in range(e)]
-        pq_degrees.add(sum(orders))
-        top_single = max(top_single, max(orders))
-    top_pq = max(pq_degrees)
+    top_pq = max(_derivative_counts(expr))
+    top_single = expr.max_order("f")  # that of g too: the symbol is antisymmetric
 
     ansatz: List[AnsatzTerm] = []
     for p in range(top_single):

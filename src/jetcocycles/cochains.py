@@ -14,8 +14,8 @@ The catalogue collects the classical generators in four shapes:
     omega       the barred families' connection forms tensored with a
                 background 1-form.
 
-Only the flat and covariant forms are stored.  The connection and omega
-forms are derived on their first lookup, so a flat lookup never solves.
+Only the flat forms are stored; the rest is read from them by one grading
+rule (_build) or derived on first lookup, so a flat lookup never solves.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from .expr import (
     DEFAULT_ORDER_CAP,
+    _RANK,
     Coef,
     DiffExpr,
     _coef,
@@ -36,6 +37,7 @@ from .expr import (
     euler_derivative,
     jet,
     substitute,
+    substitute_jets,
 )
 from .calculus import bracket, lie_action, nabla_power
 from .lampoly import LamPoly, Rat, _rat, gcd_all, rational_roots
@@ -128,6 +130,12 @@ def det_expr(p: int, q: int) -> DiffExpr:
     if p >= q:
         raise ValueError(f"det({p},{q}) needs p < q")
     return jet("f", p) * jet("g", q) - jet("f", q) * jet("g", p)
+
+
+def _derivative_counts(coeff: DiffExpr) -> set:
+    """The derivative counts a + b over the monomials f^(a) g^(b) of a
+    coefficient (each monomial's jet orders summed)."""
+    return {sum(order * e for (_rank, order), e in mono) for mono, _c in coeff.terms()}
 
 
 def det_cochain(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
@@ -244,7 +252,6 @@ _ALIASES = {
     "c₅": "c5", "c₇": "c7",
 }
 
-CATALOGUE_NAMES = ("cbar0", "c0w", "c1", "cbar1", "c2", "cbar2", "c5", "c7")
 FORMS = ("flat", "connection", "covariant", "omega")
 
 _T0 = jet("T", 0)
@@ -275,32 +282,18 @@ PRINTED_CONNECTION_VARIANTS: Dict[str, DiffExpr] = {
 }
 
 
-def _cov_det(i: int, j: int) -> DiffExpr:
-    """|nabla^i f  nabla^i g; nabla^j f  nabla^j g| on weight -1 inputs."""
-    fi = nabla_power(jet("f", 0), -1, i)
-    fj = nabla_power(jet("f", 0), -1, j)
-    gi = nabla_power(jet("g", 0), -1, i)
-    gj = nabla_power(jet("g", 0), -1, j)
-    return fi * gj - fj * gi
-
-
-# name -> (value weight, module parameter of the generator, flat,
-# covariant).  The module parameter None marks the trivial action (values
-# pair to constants); cbar0, a cocycle for every lam, keeps lam symbolic in
-# its chart forms.
-def _rows() -> Dict[str, tuple]:
-    return {
-        "cbar0": (-1, 0, det_expr(0, 1), _cov_det(0, 1)),
-        "c0w": (1, None, _HALF * det_expr(0, 3), None),
-        "c1": (1, 1, det_expr(1, 2), _cov_det(1, 2)),
-        "cbar1": (0, 1, det_expr(0, 2), _cov_det(0, 2)),
-        "c2": (2, 2, det_expr(1, 3), _cov_det(1, 3)),
-        "cbar2": (1, 2, det_expr(0, 3), _cov_det(0, 3)),
-        "c5": (5, 5, det_expr(3, 4), _cov_det(3, 4)),
-        "c7": (7, 7, 2 * det_expr(3, 6) - 9 * det_expr(4, 5),
-               2 * _cov_det(3, 6) - 9 * _cov_det(4, 5)),
-    }
-
+# name -> flat form, the one stored fact of each generator (see _build)
+_FLAT: Dict[str, DiffExpr] = {
+    "cbar0": det_expr(0, 1),
+    "c0w": _HALF * det_expr(0, 3),
+    "c1": det_expr(1, 2),
+    "cbar1": det_expr(0, 2),
+    "c2": det_expr(1, 3),
+    "cbar2": det_expr(0, 3),
+    "c5": det_expr(3, 4),
+    "c7": 2 * det_expr(3, 6) - 9 * det_expr(4, 5),
+}
+CATALOGUE_NAMES = tuple(_FLAT)
 
 # the barred generators, which have an omega-paired form
 _OMEGA_PAIRED = ("cbar0", "cbar1", "cbar2")
@@ -308,21 +301,31 @@ _OMEGA_PAIRED = ("cbar0", "cbar1", "cbar2")
 
 @cache
 def _build() -> Dict[Tuple[str, str], Cochain2]:
-    """Every stored (name, form) cochain, flat and covariant, built and
-    cross-checked once.
+    """Every stored (name, form) cochain, flat and covariant, built once.
 
-    Unbarred generators have module parameter equal to their value weight;
-    barred ones reach it after tensoring with the 1-form (omega form).
+    Only the flat forms are stored.  A flat form of derivative count s has
+    value weight s - 2 and, unbarred, that module parameter; a barred one
+    reaches its module after tensoring with the 1-form, so it is one higher.
+    c0w has the trivial action and no covariant form; cbar0, a cocycle for
+    every lam, keeps lam symbolic.  The covariant form replaces each f^(i),
+    g^(i) of the flat form by nabla^i f, nabla^i g (weight -1 inputs).
     """
+    top = max(flat.max_order("f") for flat in _FLAT.values())
+    nabla = {(_RANK[fam], i): nabla_power(jet(fam, 0), -1, i)
+             for fam in "fg" for i in range(top + 1)}
     table: Dict[Tuple[str, str], Cochain2] = {}
-    for name, (weight, lam, flat, covariant) in _rows().items():
-        paired = weight + (name in _OMEGA_PAIRED)
-        if lam is not None and lam != paired:
-            raise ValueError(f"{name}: weight {paired} disagrees with module parameter {lam}")
-        module = LamPoly.lam() if name == "cbar0" else lam
+    for name, flat in _FLAT.items():
+        (count,) = _derivative_counts(flat)
+        weight = count - 2
+        if name == "c0w":
+            module = None
+        elif name == "cbar0":
+            module = LamPoly.lam()
+        else:
+            module = weight + (name in _OMEGA_PAIRED)
         table[name, "flat"] = Cochain2(flat, weight, module)
-        if covariant is not None:
-            table[name, "covariant"] = Cochain2(covariant, weight, module)
+        if module is not None:
+            table[name, "covariant"] = Cochain2(substitute_jets(flat, nabla), weight, module)
     return table
 
 

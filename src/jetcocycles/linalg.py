@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .lampoly import Rat, _rat
 
@@ -34,7 +34,10 @@ class AffineSolution:
     def dimension(self) -> int:
         return len(self.nullspace)
 
-    def point(self, gauge: Iterable[Rat]) -> Row:
+    def point(self, gauge: Sequence[Rat]) -> Row:
+        """particular + sum_j gauge[j] nullspace[j]; len(gauge) must be the dimension."""
+        if len(gauge) != self.dimension:
+            raise ValueError(f"the gauge needs {self.dimension} coordinates, got {len(gauge)}")
         out = dict(self.particular)
         for t, vec in zip(gauge, self.nullspace):
             if t:

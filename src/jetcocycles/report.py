@@ -15,7 +15,7 @@ from functools import cache
 from typing import Dict, List, Optional, Sequence
 
 from .calculus import action_via_nabla, lie_action
-from .charts import covariant_equivalence, derive, is_global
+from .charts import _scalar_rows, covariant_equivalence, derive, is_global
 from .cochains import (
     Cochain1,
     Cochain2,
@@ -139,13 +139,10 @@ def suite_theorem1() -> List[CheckRecord]:
 
 def _ratio_record() -> CheckRecord:
     """The flat weight-7 combination is forced up to scale (2 : -9)."""
-    d36 = ce_differential(Cochain2(det_expr(3, 6), 7, 7))
-    d45 = ce_differential(Cochain2(det_expr(4, 5), 7, 7))
     rows = {}
-    for i, delta in enumerate((d36, d45)):
-        for mono, coef in delta.terms():
-            rows.setdefault(mono, {})[i] = coef
-    solution = solve_affine(((row, Fraction(0)) for row in rows.values()), 2)
+    for i, (p, q) in enumerate(((3, 6), (4, 5))):
+        _scalar_rows(ce_differential(Cochain2(det_expr(p, q), 7, 7)), 0, i, rows)
+    solution = solve_affine(((row, rhs) for row, rhs in rows.values()), 2)
     ok = (solution is not None and solution.dimension == 1)
     if ok:
         vec = solution.nullspace[0]

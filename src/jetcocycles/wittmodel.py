@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from .cochains import Cochain2, catalogue, ce_differential, coeff_and_weight
+from .cochains import Cochain2, _derivative_counts, catalogue, ce_differential, coeff_and_weight
 from .expr import DiffExpr, FAMILIES
 from .lampoly import LamPoly, Rat, _rat
 from .linalg import solve_affine
@@ -241,7 +241,7 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
 
     lam, shift = c.module_lambda, None
     if lam is not None:
-        counts = {sum(order * e for (_rank, order), e in mono) for mono, _ in c.coeff.terms()}
+        counts = _derivative_counts(c.coeff)
         if not counts:
             return CertificateResult("INCONCLUSIVE", window, c.module_lambda, None)
         if len(counts) > 1:

@@ -125,6 +125,18 @@ def test_pushforward_first_and_third_derivatives():
     assert fr.binding("f", 3) == claim
 
 
+@pytest.mark.parametrize("order", [-1, 1.5, True, None])
+def test_a_binding_order_must_be_a_non_negative_int(order):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        ChartFrame().binding("f", order)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        ChartFrame().binding("T", order)
+
+
+def test_the_binding_table_is_shared_by_every_frame():
+    assert ChartFrame().binding("R", 2) is ChartFrame().binding("R", 2)
+
+
 def test_pushforward_affine_transition_rescales():
     fr = ChartFrame()
     affine = {1: Fraction(5, 2), 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
@@ -276,6 +288,17 @@ def test_solve_corrections_c1_and_gauge():
     assert is_global(member).ok
     from jetcocycles.cochains import ce_differential
     assert ce_differential(member).is_zero()
+
+
+def test_a_gauge_needs_one_coordinate_per_direction():
+    res = charts.derive("c1")
+    assert res.dimension == 1
+    assert res.member([0]).coeff == res.representative.coeff
+    for gauge in ([1, 5], [], (Fraction(1, 2),) * 2):
+        with pytest.raises(ValueError, match="needs 1 coordinates"):
+            res.member(gauge)
+        with pytest.raises(ValueError, match="needs 1 coordinates"):
+            res.solution.point(gauge)
 
 
 @pytest.mark.parametrize("name, dimension, derived",

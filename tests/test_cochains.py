@@ -26,7 +26,7 @@ from jetcocycles.cochains import (
     det_expr,
     lambda_solutions,
 )
-from jetcocycles.calculus import bracket
+from jetcocycles.calculus import bracket, nabla_power
 from jetcocycles.charts import derive, is_global, solve_corrections
 from jetcocycles.wittmodel import evaluate_cochain
 from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, is_total_derivative,
@@ -148,6 +148,52 @@ def test_catalogue_unicode_aliases_and_errors():
         catalogue("c0w", "covariant")
     with pytest.raises(KeyError):
         catalogue("c1", "nonsense")
+
+
+def _cov_det(i: int, j: int) -> DiffExpr:
+    """|nabla^i f  nabla^i g; nabla^j f  nabla^j g| on weight -1 inputs."""
+    fi, fj = (nabla_power(jet("f", 0), -1, n) for n in (i, j))
+    gi, gj = (nabla_power(jet("g", 0), -1, n) for n in (i, j))
+    return fi * gj - fj * gi
+
+
+# the columns once typed beside each flat form, which the grading rule of
+# the catalogue must reproduce: name -> (value weight, module parameter),
+# and the covariant forms as determinants of covariant derivatives
+GRADING = {
+    "cbar0": (-1, LamPoly.lam()),
+    "c0w": (1, None),
+    "c1": (1, 1),
+    "cbar1": (0, 1),
+    "c2": (2, 2),
+    "cbar2": (1, 2),
+    "c5": (5, 5),
+    "c7": (7, 7),
+}
+COVARIANT_FORMS = {
+    "cbar0": _cov_det(0, 1),
+    "c1": _cov_det(1, 2),
+    "cbar1": _cov_det(0, 2),
+    "c2": _cov_det(1, 3),
+    "cbar2": _cov_det(0, 3),
+    "c5": _cov_det(3, 4),
+    "c7": 2 * _cov_det(3, 6) - 9 * _cov_det(4, 5),
+}
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_the_grading_rule_reproduces_weight_module_and_covariant_form(name):
+    weight, module = GRADING[name]
+    flat = catalogue(name, "flat")
+    assert (flat.value_weight, flat.module_lambda) == (weight, module)
+    assert type(flat.module_lambda) is type(module)
+    if name not in COVARIANT_FORMS:
+        with pytest.raises(KeyError):
+            catalogue(name, "covariant")
+        return
+    cov = catalogue(name, "covariant")
+    assert cov.coeff == COVARIANT_FORMS[name]
+    assert (cov.value_weight, cov.module_lambda) == (weight, module)
 
 
 def test_generator_weight_and_lambda_agree():
