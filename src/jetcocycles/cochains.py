@@ -36,8 +36,8 @@ from .expr import (
     check_order_cap,
     euler_derivative,
     jet,
-    substitute,
     substitute_jets,
+    total_derivative,
 )
 from .calculus import bracket, lie_action, nabla_power
 from .lampoly import LamPoly, Rat, _rat, gcd_all, rational_roots
@@ -53,6 +53,39 @@ def _module(coeff: DiffExpr, module_lambda) -> Optional[Coef]:
     if type(module_lambda) is not LamPoly and _has_lam(coeff):
         raise ValueError("lam in the coefficient needs a symbolic module parameter")
     return module_lambda
+
+
+# argument -> its jets of order 0..n, one table per process, for the six
+# arguments a cochain on f, g, k is evaluated at: f, g and k themselves, and
+# the brackets [f,g], [f,k] and [g,k]; grown by _arg_jets only
+_ARG_JETS: Dict[str, Tuple[DiffExpr, ...]] = {}
+
+
+def _arg_jets(arg: str, top: int) -> Tuple[DiffExpr, ...]:
+    """The jets of order 0..top (at least) of an argument: jet(arg, n) for
+    a family, and for a bracket "[x,y]" the n-th total derivative of
+    [x, y] = x y' - x' y, each one derivative of the one before."""
+    jets = _ARG_JETS.get(arg, ())
+    if len(jets) <= top:
+        if len(arg) == 1:
+            jets = tuple(jet(arg, n) for n in range(top + 1))
+        else:
+            grown = list(jets) or [bracket(jet(arg[1], 0), jet(arg[3], 0))]
+            while len(grown) <= top:
+                grown.append(total_derivative(grown[-1]))
+            jets = tuple(grown)
+        _ARG_JETS[arg] = jets
+    return jets
+
+
+def _insert(coeff: DiffExpr, args: Dict[str, str]) -> DiffExpr:
+    """coeff with each slot family (f, g) read at its argument: slot[n] is
+    replaced by the argument's n-th jet, from the one table _arg_jets."""
+    table = {}
+    for slot, arg in args.items():
+        rank, top = _RANK[slot], coeff.max_order(slot)
+        table.update(((rank, n), j) for n, j in enumerate(_arg_jets(arg, top)[:top + 1]))
+    return substitute_jets(coeff, table)
 
 
 @dataclass(frozen=True)
@@ -94,8 +127,7 @@ class Cochain2:
         object.__setattr__(self, "module_lambda", _module(self.coeff, self.module_lambda))
         if self.coeff.degree_in("f") - {1} or self.coeff.degree_in("g") - {1}:
             raise ValueError("2-cochain must be bilinear in the f and g jets")
-        swap = {"f": jet("g", 0), "g": jet("f", 0)}
-        if not (substitute(self.coeff, swap) + self.coeff).is_zero():
+        if not (_insert(self.coeff, {"f": "g", "g": "f"}) + self.coeff).is_zero():
             raise ValueError("2-cochain must be antisymmetric under f <-> g")
 
     @property
@@ -151,22 +183,21 @@ def ce_parts(coeff: DiffExpr, arity: int,
         delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...).
 
     The insertions alone are the trivial-action differential (lam None); the
-    action L_x a = x a' + lam x' a adds a part linear in lam.
+    action L_x a = x a' + lam x' a adds a part linear in lam.  Each value
+    c(...) reads its arguments' jets, the brackets' prolongations included,
+    from the one process-wide table of _arg_jets, so no bracket is
+    prolonged twice in a process.
     """
     fams = "fgk"[:arity + 1]
 
     def value(*args):
-        # c(args); a slot keeping its own family stays unbound, since a
-        # self-binding would prolong and rewrite the whole family
-        bindings = {slot: arg if isinstance(arg, DiffExpr) else jet(arg, 0)
-                    for slot, arg in zip("fg", args)
-                    if isinstance(arg, DiffExpr) or arg != slot}
-        return substitute(coeff, bindings) if bindings else coeff
+        # c(args); a slot keeping its own family is left as it is
+        bindings = {slot: arg for slot, arg in zip("fg", args) if arg != slot}
+        return _insert(coeff, bindings) if bindings else coeff
 
     insertions = DiffExpr.zero()
     for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
-        term = value(bracket(jet(x, 0), jet(y, 0)),
-                     *fams.replace(x, "").replace(y, ""))
+        term = value(f"[{x},{y}]", *fams.replace(x, "").replace(y, ""))
         insertions = insertions - term if (i + j) % 2 else insertions + term
     if lam is None:
         return insertions, insertions

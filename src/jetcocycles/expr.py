@@ -605,29 +605,53 @@ def eval_rational(
 # -- variational calculus ----------------------------------------------
 
 
-def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
-    """Formal partial derivative with respect to one jet symbol."""
-    atom = _check_atom(family, order)
-    out: Dict[Monomial, Coef] = {}
+def _partials(e: DiffExpr, rank: int,
+              order: Optional[int] = None) -> Dict[int, Dict[Monomial, Coef]]:
+    """The partial derivatives of e by the jets of one family, in one pass
+    over e: order j -> the terms of d e / d (rank, j); only j = order when
+    given.  This is the one place that removes a power of a jet."""
+    out: Dict[int, Dict[Monomial, Coef]] = {}
     for mono, coef in e._terms.items():
         for i, (a, exp) in enumerate(mono):
-            if a == atom:
-                # removing one power of the same atom keeps distinct
-                # monomials distinct, so no two output terms meet
-                if exp > 1:
-                    out[mono[:i] + ((a, exp - 1),) + mono[i + 1:]] = _coef(coef * exp)
-                else:
-                    out[mono[:i] + mono[i + 1:]] = coef
-                break
-    return _expr(out)
+            if a[0] != rank or (order is not None and a[1] != order):
+                continue
+            # removing one power of the same atom keeps distinct monomials
+            # distinct, so no two terms of one partial meet
+            part = out.setdefault(a[1], {})
+            if exp > 1:
+                part[mono[:i] + ((a, exp - 1),) + mono[i + 1:]] = _coef(coef * exp)
+            else:
+                part[mono[:i] + mono[i + 1:]] = coef
+    return out
+
+
+def partial_derivative(e: DiffExpr, family: str, order: int) -> DiffExpr:
+    """Formal partial derivative with respect to one jet symbol (hinv is
+    taken as a symbol of its own here), read from the splitter _partials."""
+    rank, order = _check_atom(family, order)
+    return _expr(_partials(e, rank, order).get(order, {}))
 
 
 def euler_derivative(e: DiffExpr, family: str) -> DiffExpr:
-    """Variational derivative sum_j (-D)^j P_j, P_j = d e / d family[j], in
-    Horner form P_0 - D(P_1 - D(P_2 - ...)): one total derivative per order."""
+    """Variational derivative sum_j (-D)^j P_j, P_j = d e / d family[j].
+
+    One pass splits e into every P_j (_partials); then the Horner form
+    P_0 - D(P_1 - D(P_2 - ...)) takes one total derivative per order.  The
+    family must be a free one: h's jets start at order 1 (h[1] is h'), so
+    its P_0 is empty and h[2] reads as D(h[1]); hinv, which is 1/h[1] and
+    not a free jet, is refused, and so is an expression carrying it when
+    the family is h.
+    """
+    if family not in _RANK:
+        raise ValueError(f"unknown jet family {family!r}")
+    if family == "hinv":
+        raise ValueError("hinv is 1/h[1], not a free jet family; it has no Euler derivative")
+    if family == "h" and "hinv" in e.families():
+        raise ValueError("the Euler derivative in h needs an hinv-free expression (hinv is 1/h[1])")
+    parts = _partials(e, _RANK[family])
     out = _ZERO
-    for j in range(e.max_order(family), -1, -1):
-        out = partial_derivative(e, family, j) - total_derivative(out)
+    for j in range(max(parts, default=-1), -1, -1):
+        out = _expr(parts.get(j, {})) - total_derivative(out)
     return out
 
 

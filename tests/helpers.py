@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from jetcocycles.expr import DiffExpr, FAMILIES, eval_rational, jet, hinv
+from jetcocycles.calculus import bracket, lie_action
+from jetcocycles.expr import DiffExpr, FAMILIES, eval_rational, jet, hinv, substitute
 from jetcocycles.lampoly import LamPoly
 
 DEFAULT_FAMILIES = ("f", "g", "T", "h")
@@ -68,6 +70,32 @@ def is_canonical(q) -> bool:
     """The one form of an exact rational: an int when integral, otherwise a
     Fraction with denominator > 1; never a bool or a float."""
     return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+def ce_parts_reference(coeff: DiffExpr, arity: int, lam):
+    """(bracket insertions, delta c) as cochains.ce_parts defines them, by
+    the definitional path: each value c(...) binds the slot families f, g
+    to the arguments' order-0 expressions and prolongs them through
+    substitute, with the bracket and the action from calculus."""
+    fams = "fgk"[:arity + 1]
+
+    def value(*args):
+        bindings = {slot: arg if isinstance(arg, DiffExpr) else jet(arg, 0)
+                    for slot, arg in zip("fg", args)
+                    if isinstance(arg, DiffExpr) or arg != slot}
+        return substitute(coeff, bindings) if bindings else coeff
+
+    insertions = DiffExpr.zero()
+    for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
+        term = value(bracket(jet(x, 0), jet(y, 0)), *fams.replace(x, "").replace(y, ""))
+        insertions = insertions - term if (i + j) % 2 else insertions + term
+    if lam is None:
+        return insertions, insertions
+    delta = insertions
+    for i, x in enumerate(fams):
+        term = lie_action(jet(x, 0), value(*fams.replace(x, "")), lam)
+        delta = delta - term if i % 2 else delta + term
+    return insertions, delta
 
 
 # symbols the correction solver must reject, with a word its message names

@@ -16,6 +16,8 @@ from jetcocycles.cochains import (
     _ALIASES,
     Cochain1,
     Cochain2,
+    _ARG_JETS,
+    _arg_jets,
     _exact_class,
     catalogue,
     ce_differential,
@@ -33,7 +35,7 @@ from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, is_t
                               jet, substitute, total_derivative)
 from jetcocycles.lampoly import LAM, LamPoly
 
-from helpers import random_coeff
+from helpers import ce_parts_reference, random_coeff
 
 
 def test_det_cochain_basics():
@@ -314,6 +316,68 @@ def test_ce_parts_split_insertions_from_the_action():
         assert all(type(coef) is not LamPoly for _mono, coef in insertions.terms())
         assert all(type(coef) is not LamPoly or coef.degree <= 1
                    for _mono, coef in (delta - insertions).terms())
+
+
+def _random_ce_inputs(rng, count):
+    """Seeded 1-cochains linear in f and antisymmetric 2-cochains (sums of
+    det(a,b) blocks), f and g orders up to 14, times T/R/w jets."""
+    out = []
+    for _ in range(count):
+        for arity in (1, 2):
+            coeff = DiffExpr.zero()
+            for _ in range(rng.randrange(1, 4)):
+                piece = DiffExpr.rational(Fraction(rng.randint(1, 6), rng.randint(1, 4)))
+                for _ in range(rng.randrange(0, 3)):
+                    piece = piece * jet(rng.choice("TRw"), rng.randrange(0, 3))
+                if arity == 1:
+                    piece = piece * jet("f", rng.randrange(0, 15))
+                else:
+                    piece = piece * det_expr(*sorted(rng.sample(range(15), 2)))
+                coeff = coeff + piece
+            out.append((coeff, arity))
+    return out
+
+
+def test_ce_parts_matches_the_definitional_path():
+    """ce_parts against the prolongation through substitute, at the trivial
+    action, a rational module and a symbolic one, from an empty table of
+    argument jets and again after a lambda sweep has grown it."""
+    _ARG_JETS.clear()
+    cases = _random_ce_inputs(random.Random(53), 6)
+    for _sweep in range(2):
+        for coeff, arity in cases:
+            for lam in (None, Fraction(-3, 2), LamPoly.lam()):
+                assert ce_parts(coeff, arity, lam) == ce_parts_reference(coeff, arity, lam)
+        grown = len(_ARG_JETS["[f,g]"])
+        for p in (0, 5, 15):
+            lambda_solutions(det_cochain(p, 16, 24), 24)
+    assert grown == 17
+
+
+def test_the_argument_jet_table_is_bounded_and_immutable():
+    """A lambda sweep over all det(p,q), q <= 12, fills the six arguments'
+    jets up to order 12 and no further; each entry is a tuple, and the
+    table is empty at import."""
+    _ARG_JETS.clear()
+    for q in range(1, 13):
+        for p in range(q):
+            lambda_solutions(det_cochain(p, q, 24), 24)
+    assert set(_ARG_JETS) == {"f", "g", "k", "[f,g]", "[f,k]", "[g,k]"}
+    for arg, jets in _ARG_JETS.items():
+        assert type(jets) is tuple and len(jets) == 13, arg
+        assert all(type(j) is DiffExpr for j in jets)
+        assert _arg_jets(arg, 4) is jets
+    assert _ARG_JETS["[f,g]"][12] == total_derivative(_ARG_JETS["[f,g]"][11])
+    assert _ARG_JETS["k"][12] == jet("k", 12)
+
+    import jetcocycles
+
+    script = ("import jetcocycles\n"
+              "from jetcocycles.cochains import _ARG_JETS\n"
+              "assert _ARG_JETS == {}\n")
+    src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_trivial_action_cocycles_are_read_modulo_total_derivatives():

@@ -293,15 +293,23 @@ def test_euler_derivative_kills_exact_terms():
 
 def test_euler_derivative_matches_the_definitional_sum():
     """The Horner form against sum_j (-D)^j d e / d u^(j), summed term by
-    term, on seeded expressions that are mostly not exact; k never occurs."""
+    term through the reference partial derivative, on seeded expressions
+    that are mostly not exact; k never occurs.  Terms carry forced squares
+    and cubes of one jet and lam-degree-1 coefficients, so the exponent
+    times the coefficient is exercised, in the families f, g, T, w and h
+    (whose jets start at order 1)."""
     rng = random.Random(29)
     nonzero = 0
     for _ in range(40):
-        e = random_expr(rng, families=("f", "g", "T"), max_order=3, terms=4, factors=3)
-        for fam in ("f", "g", "T", "k"):
+        e = random_expr(rng, families=("f", "g", "T", "w", "h"), max_order=3, terms=4,
+                        factors=3)
+        forced = rng.choice(("f", "g", "T", "w", "h"))
+        power = jet(forced, rng.randrange(forced == "h", 4)) ** rng.choice((2, 3))
+        e = e + DiffExpr.coefficient(LamPoly([rng.randint(-4, 4), rng.randint(1, 4)])) * power
+        for fam in ("f", "g", "T", "w", "h", "k"):
             want = DiffExpr.zero()
-            for j in range(e.max_order(fam) + 1):
-                piece = partial_derivative(e, fam, j)
+            for j in range(fam == "h", e.max_order(fam) + 1):
+                piece = _reference_partial_derivative(e, _atom(fam, j))
                 for _ in range(j):
                     piece = -D(piece)
                 want = want + piece
@@ -309,7 +317,20 @@ def test_euler_derivative_matches_the_definitional_sum():
             assert got == want
             nonzero += not got.is_zero()
         assert euler_derivative(e, "k").is_zero()
-    assert nonzero > 60
+    assert nonzero > 95
+
+
+def test_euler_derivative_takes_free_families_only():
+    """h's jets start at order 1, so its order-0 part is empty; hinv is
+    1/h[1], not a free jet, and an unknown family is refused by name."""
+    assert euler_derivative(jet("h", 2) * F0, "h") == F2
+    assert is_total_derivative(jet("h", 2))
+    with pytest.raises(ValueError, match="hinv"):
+        euler_derivative(hinv() * F0, "hinv")
+    with pytest.raises(ValueError, match="hinv"):
+        euler_derivative(jet("h", 2) * F1 + hinv() * F0, "h")
+    with pytest.raises(ValueError, match="'x'"):
+        euler_derivative(F0, "x")
 
 
 # -- hashing agrees with equality ------------------------------------------
