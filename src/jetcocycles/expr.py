@@ -23,7 +23,10 @@ derivative shifts one tuple (atom i loses a power; its successor
 hinv*h[1] rule lives in one helper, ``_unit_rule``, which both the merge and
 the general assembler ``_mono_from_pairs`` end with.  Results are wrapped
 by the private ``_expr``, which trusts that form; ``DiffExpr(...)``
-normalizes coefficients and drops zeros.
+normalizes coefficients and drops zeros.  Substitution (``substitute_jets``,
+which ``substitute`` and the chart pushforward use) folds a one-term value
+straight into the monomial and multiplies the other values in multivariate
+Horner form, so a factor shared by several monomials is multiplied once.
 
 A stored coefficient is an exact rational in the ``_rat`` form unless it
 has degree >= 1 in lam; only then is it a LamPoly.  lam enters only through
@@ -152,6 +155,25 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
             j += 1
     out += m1[i:] or m2[j:]
     return _unit_rule(out)
+
+
+def _mul_into(out: Dict[Monomial, Coef], a: Mapping[Monomial, Coef],
+              b: Mapping[Monomial, Coef]) -> None:
+    """Add the product of two term dicts into out, in place."""
+    if len(a) > len(b):
+        a, b = b, a
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _mono_mul(m1, m2)
+            c = c1 * c2
+            acc = out.get(mono)
+            s = c if acc is None else acc + c
+            if type(s) is not int:
+                s = _coef(s)
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
 
 
 class DiffExpr:
@@ -288,22 +310,8 @@ class DiffExpr:
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
         out: Dict[Monomial, Coef] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = _mono_mul(m1, m2)
-                c = c1 * c2
-                acc = out.get(mono)
-                s = c if acc is None else acc + c
-                if type(s) is not int:
-                    s = _coef(s)
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
+        _mul_into(out, self._terms, other._terms)
         return _expr(out)
 
     def __rmul__(self, other) -> "DiffExpr":
@@ -517,45 +525,77 @@ def substitute_jets(e: DiffExpr, table: Mapping[Atom, DiffExpr]) -> DiffExpr:
     Families that appear in the table must be covered at every order
     occurring in ``e``; a missing order raises KeyError.  Symbols of other
     families are kept.
+
+    A value with one term (after raising it to the exponent it meets) is
+    folded into the monomial at once, as a monomial merge and a coefficient,
+    so renaming a jet builds no product.  The other factors of each
+    monomial, in atom order, are the path of its rest (kept and folded
+    part, with its coefficient) in a trie, where rests with the same path
+    are summed.  The trie is then read in multivariate Horner form: a node
+    is its own rests plus, for each child, the child's sum times the factor
+    leading to it, accumulated in place into one dict.  So factors shared
+    by several monomials are multiplied once, on their summed rests.
     """
     bound_ranks = {atom[0] for atom in table}
-    powers: Dict[Tuple[Atom, int], DiffExpr] = {}
-
-    def power_of(atom: Atom, exp: int) -> DiffExpr:
-        key = (atom, exp)
-        got = powers.get(key)
-        if got is None:
-            got = table[atom] ** exp
-            powers[key] = got
-        return got
-
-    out: Dict[Monomial, Coef] = {}
+    # (atom, exp) -> table[atom] ** exp: a (monomial, coefficient) pair
+    # when it has one term, 0 when it is zero, else its terms; True for an
+    # atom that is kept
+    powers: Dict[Tuple[Atom, int], object] = {}
+    # a trie node: (summed rests, children keyed by (atom, exp))
+    root: Tuple[Dict[Monomial, Coef], Dict] = ({}, {})
     for mono, coef in e._terms.items():
         keep = []
-        factors = []
-        for atom, exp in mono:
-            if atom in table:
-                factors.append(power_of(atom, exp))
-            elif atom[0] in bound_ranks:
-                raise KeyError(
-                    f"binding table covers family {FAMILIES[atom[0]]!r} "
-                    f"but not order {atom[1]}"
-                )
+        folded = False
+        node = root
+        for key in mono:
+            got = powers.get(key)
+            if got is None:
+                atom, exp = key
+                value = table.get(atom)
+                if value is not None:
+                    terms = (value ** exp)._terms
+                    got = next(iter(terms.items())) if len(terms) == 1 else terms or 0
+                elif atom[0] in bound_ranks:
+                    raise KeyError(
+                        f"binding table covers family {FAMILIES[atom[0]]!r} "
+                        f"but not order {atom[1]}"
+                    )
+                else:
+                    got = True
+                powers[key] = got
+            if got is True:
+                keep.append(key)
+            elif type(got) is tuple:
+                keep += got[0]
+                coef = coef * got[1]
+                folded = True
+            elif got:
+                node = node[1].get(key) or node[1].setdefault(key, ({}, {}))
             else:
-                keep.append((atom, exp))
-        piece = _expr({tuple(keep): coef})
-        for fac in factors:
-            piece = piece * fac
-        for m, c in piece._terms.items():
-            acc = out.get(m)
-            s = c if acc is None else acc + c
+                coef = 0
+        if coef:
+            rests = node[0]
+            rest = _mono_from_pairs(keep) if folded else tuple(keep)
+            acc = rests.get(rest)
+            s = coef if acc is None else acc + coef
             if type(s) is not int:
                 s = _coef(s)
             if s:
-                out[m] = s
+                rests[rest] = s
             else:
-                del out[m]
-    return _expr(out)
+                del rests[rest]
+    return _expr(_horner(root, powers))
+
+
+def _horner(node, powers) -> Dict[Monomial, Coef]:
+    """The sum a substitute_jets trie node stands for, built in its own
+    dict of rests."""
+    out, children = node
+    for key, child in children.items():
+        part = _horner(child, powers)
+        if part:
+            _mul_into(out, part, powers[key])
+    return out
 
 
 # -- evaluation oracle -------------------------------------------------

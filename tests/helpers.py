@@ -72,6 +72,27 @@ def is_canonical(q) -> bool:
     return type(q) is int or (type(q) is Fraction and q.denominator > 1)
 
 
+def substitute_jets_reference(e: DiffExpr, table) -> DiffExpr:
+    """substitute_jets one monomial at a time: the monomial's coefficient
+    times the power of each bound jet's value, times the kept jets, with
+    the same KeyError for an order missing from a bound family."""
+    bound_ranks = {atom[0] for atom in table}
+    out = DiffExpr.zero()
+    for mono, coef in e.terms():
+        piece = DiffExpr({(): coef})
+        keep = []
+        for atom, exp in mono:
+            if atom in table:
+                piece = piece * table[atom] ** exp
+            elif atom[0] in bound_ranks:
+                raise KeyError(f"binding table covers family {FAMILIES[atom[0]]!r} "
+                               f"but not order {atom[1]}")
+            else:
+                keep.append((atom, exp))
+        out = out + piece * DiffExpr({tuple(keep): 1})
+    return out
+
+
 def ce_parts_reference(coeff: DiffExpr, arity: int, lam):
     """(bracket insertions, delta c) as cochains.ce_parts defines them, by
     the definitional path: each value c(...) binds the slot families f, g

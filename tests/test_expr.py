@@ -26,9 +26,11 @@ from jetcocycles.expr import (
     substitute_jets,
     total_derivative as D,
 )
+from jetcocycles.charts import ChartFrame
 from jetcocycles.lampoly import LAM, LamPoly
 
-from helpers import eval_at, random_coeff, random_expr, random_lambda, random_point
+from helpers import (eval_at, is_canonical, random_coeff, random_expr, random_lambda,
+                     random_point, substitute_jets_reference)
 
 F0, F1, F2 = jet("f", 0), jet("f", 1), jet("f", 2)
 G0, G1 = jet("g", 0), jet("g", 1)
@@ -181,6 +183,90 @@ def test_substitute_jets_needs_every_occurring_order_of_a_bound_family():
     assert substitute_jets(F2 * T0 + F0, table) == G1 * T0 + G0
     with pytest.raises(KeyError):
         substitute_jets(F0 * F1, table)
+
+
+def _stored_form_ok(e):
+    """Canonical monomials (sorted distinct atoms, positive exponents, never
+    hinv beside h[1]) and coefficients in the stored form."""
+    for mono, c in e.terms():
+        atoms = [atom for atom, _exp in mono]
+        if atoms != sorted(set(atoms)) or any(exp <= 0 for _atom, exp in mono):
+            return False
+        if (_RANK["hinv"], 0) in atoms and (_RANK["h"], 1) in atoms:
+            return False
+        if type(c) is LamPoly:
+            if len(c.coeffs) < 2 or not all(is_canonical(x) for x in c.coeffs):
+                return False
+        elif not is_canonical(c):
+            return False
+    return True
+
+
+def _matches_reference(e, table):
+    got = substitute_jets(e, table)
+    assert got == substitute_jets_reference(e, table)
+    assert _stored_form_ok(got)
+    return got
+
+
+def _one_term(rng):
+    """A one-term value: a coefficient (lam-free, linear in lam, or zero)
+    times a power of a jet of a family ranked below, between or above the
+    bound families g and T."""
+    fam = rng.choice(("f", "k", "R", "h"))
+    order = rng.randrange(1 if fam == "h" else 0, 3)
+    return DiffExpr.coefficient(random_coeff(rng)) * jet(fam, order) ** rng.randint(1, 2)
+
+
+def _multi_term(rng):
+    return random_expr(rng, families=("f", "k", "h"), terms=3, with_hinv=True)
+
+
+def _bound_input(rng):
+    """An expression in the bound families g, T and the unbound f (ranked
+    below them) and h, hinv (above), with bound jets raised to powers >= 2."""
+    e = random_expr(rng, families=("f", "g", "T", "h"), terms=4, factors=3, with_hinv=True)
+    return e * (jet("g", rng.randrange(3)) ** 2 + jet("T", rng.randrange(3)) ** 3 + 1)
+
+
+def _table(make, rng, top=3):
+    return {(_RANK[fam], order): make(rng) for fam in ("g", "T") for order in range(top + 1)}
+
+
+@pytest.mark.parametrize("make", [_one_term, _multi_term,
+                                  lambda rng: rng.choice((_one_term, _multi_term))(rng)],
+                         ids=["one-term", "multi-term", "mixed"])
+def test_substitute_jets_matches_the_per_monomial_reference(make):
+    rng = random.Random(2201)
+    for _ in range(25):
+        _matches_reference(_bound_input(rng), _table(make, rng))
+
+
+def test_substitute_jets_matches_the_reference_on_chart_bindings():
+    frame = ChartFrame()
+    rng = random.Random(2202)
+    for _ in range(10):
+        e = random_expr(rng, families=("f", "g", "T", "R"), terms=3, factors=3, lam_degree=1)
+        e = e * (jet("f", rng.randrange(3)) ** 2 + jet("T", 0) * jet("h", 1)) + hinv()
+        table = {(_RANK[fam], order): frame.binding(fam, order)
+                 for fam in ("f", "g", "T", "R") for order in range(e.max_order(fam) + 1)}
+        _matches_reference(e, table)
+
+
+def test_substitute_jets_sums_that_cancel_to_zero():
+    # a renamed jet g -> k meets the kept k: the rests of each shared factor
+    # path cancel before the multi-term factors T are multiplied in
+    rng = random.Random(2203)
+    for _ in range(10):
+        x = random_expr(rng, families=("f", "T"), terms=3, factors=3, lam_degree=1)
+        e = x * (jet("g", 0) * jet("g", 1) - jet("k", 0) * jet("k", 1))
+        table = {(_RANK["T"], order): _multi_term(rng) for order in range(4)}
+        table.update({(_RANK["g"], order): jet("k", order) for order in range(2)})
+        assert _matches_reference(e, table).is_zero()
+    # a multi-term value that is zero, and a bound jet whose value cancels
+    # another monomial
+    table = {(_RANK["g"], 0): G0 - G0, (_RANK["g"], 1): F0 + F1}
+    assert _matches_reference(G0 * F1 + G1 * F2 - F0 * F2 - F1 * F2, table).is_zero()
 
 
 # -- evaluation oracle ---------------------------------------------------

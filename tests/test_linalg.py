@@ -2,12 +2,17 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jetcocycles.linalg import solve_affine
 
+from helpers import is_canonical
+
 SMALL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 NONZERO = SMALL.filter(bool)
+WIDE = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+WIDE_NONZERO = WIDE.filter(bool)
 
 
 @st.composite
@@ -16,6 +21,27 @@ def systems(draw):
     entry = st.tuples(st.integers(0, nvars - 1), NONZERO)
     row = st.tuples(st.lists(entry, max_size=nvars).map(dict), SMALL)
     return draw(st.lists(row, max_size=8)), nvars
+
+
+@st.composite
+def sparse_systems(draw):
+    """Up to 24 variables and 40 rows of at most 4 entries, denominators up
+    to 12: distinct rows, half the time consistent with a drawn point, and
+    then copies of them at other scales, inserted anywhere."""
+    nvars = draw(st.integers(1, 24))
+    entry = st.tuples(st.integers(0, nvars - 1), WIDE_NONZERO)
+    coefs = draw(st.lists(st.lists(entry, max_size=4).map(dict), max_size=24))
+    if draw(st.booleans()):
+        x = draw(st.lists(WIDE, min_size=nvars, max_size=nvars))
+        rows = [(row, sum(v * x[i] for i, v in row.items())) for row in coefs]
+    else:
+        rows = [(row, draw(WIDE)) for row in coefs]
+    if rows:
+        for row, rhs in draw(st.lists(st.sampled_from(rows), max_size=40 - len(rows))):
+            scale = draw(WIDE_NONZERO)
+            rows.insert(draw(st.integers(0, len(rows))),
+                        ({i: scale * v for i, v in row.items()}, scale * rhs))
+    return rows, nvars
 
 
 def naive_solve(rows, nvars):
@@ -58,11 +84,19 @@ def assert_matches(rows, reference, nvars):
     assert (got.particular, got.nullspace) == expected
     for d in (got.particular, *got.nullspace):
         assert list(d) == sorted(d)
+        assert all(is_canonical(v) for v in d.values())
 
 
 @settings(max_examples=200, deadline=None)
 @given(systems())
 def test_matches_naive_elimination(system):
+    rows, nvars = system
+    assert_matches(rows, rows, nvars)
+
+
+@settings(max_examples=50, deadline=None)
+@given(sparse_systems())
+def test_matches_naive_elimination_on_larger_sparse_systems(system):
     rows, nvars = system
     assert_matches(rows, rows, nvars)
 
@@ -131,3 +165,27 @@ def test_known_system():
     sol = solve_affine(rows, 4)
     assert sol.particular == {0: 1, 1: 1}
     assert sol.nullspace == [{0: -1, 1: 1, 2: 1}, {3: 1}]
+
+
+@pytest.mark.parametrize("row, nvars", [
+    ({5: 1}, 2),
+    ({-1: 1, 0: 1}, 1),
+    ({2: 1}, 2),
+    ({1.0: 1}, 2),
+    ({True: 1}, 2),
+    ({0: 0, 3: 0}, 3),
+])
+def test_a_row_index_outside_the_variables_is_refused(row, nvars):
+    with pytest.raises(ValueError, match="range"):
+        solve_affine([(row, 1)], nvars)
+
+
+@pytest.mark.parametrize("row, rhs", [
+    ({0: 0.5}, 1),
+    ({0: 1, 1: 0.0}, 1),
+    ({0: 1}, 0.5),
+    ({}, 0.5),
+])
+def test_a_float_entry_or_right_hand_side_is_refused(row, rhs):
+    with pytest.raises(TypeError):
+        solve_affine([(row, rhs)], 2)
