@@ -13,15 +13,13 @@ from .expr import (
     DEFAULT_ORDER_CAP,
     DiffExpr,
     OrderCapExceeded,
-    eval_rational,
     euler_derivative,
-    is_total_derivative,
     jet,
     hinv,
     substitute,
     total_derivative,
 )
-from .lampoly import LAM, LamPoly
+from .lampoly import LamPoly
 from .calculus import (
     action_via_nabla,
     bracket,

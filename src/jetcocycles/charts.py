@@ -34,11 +34,11 @@ jets of h and in 1/h', so vanishing for h' > 0 it vanishes for h' < 0 too.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ._record import Record
 from .calculus import eta, projective_from_affine, schwarzian
 from .cochains import (Cochain2, _derivative_counts, _exact_class, catalogue, ce_parts,
                        coeff_and_weight, det_expr)
@@ -104,11 +104,13 @@ def pushforward(e: DiffExpr) -> DiffExpr:
     return ChartFrame().pushforward(e)
 
 
-@dataclass(frozen=True)
-class GlobalityResult:
-    ok: bool
-    weight: int
-    residual: DiffExpr
+class GlobalityResult(Record):
+    __slots__ = ("ok", "weight", "residual")
+
+    def __init__(self, ok: bool, weight: int, residual: DiffExpr):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "residual", residual)
 
     @property
     def verdict(self) -> str:
@@ -171,14 +173,16 @@ def _connection_monomials(weight: int) -> Tuple[Tuple[_Symbols, DiffExpr], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AnsatzTerm:
+class AnsatzTerm(Record):
     """The ansatz term m det(p,q), m a monomial in T, R and their derivatives."""
 
-    p: int
-    q: int
-    symbols: _Symbols
-    m: DiffExpr
+    __slots__ = ("p", "q", "symbols", "m")
+
+    def __init__(self, p: int, q: int, symbols: _Symbols, m: DiffExpr):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "m", m)
 
     @property
     def expr(self) -> DiffExpr:
@@ -189,8 +193,7 @@ class AnsatzTerm:
         return f"{coef}*det({self.p},{self.q})" if coef else f"det({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class CorrectionResult:
+class CorrectionResult(Record):
     """Affine solution set of the globality and cocycle constraints.
 
     A point x of the solution (None when the constraints are inconsistent)
@@ -199,11 +202,15 @@ class CorrectionResult:
     the concrete module, a ``_rat`` rational, or None for the trivial action.
     """
 
-    symbol: DiffExpr
-    weight: int
-    module_lambda: Optional[Rat]
-    ansatz: Tuple[AnsatzTerm, ...]
-    solution: Optional[AffineSolution]
+    __slots__ = ("symbol", "weight", "module_lambda", "ansatz", "solution")
+
+    def __init__(self, symbol: DiffExpr, weight: int, module_lambda: Optional[Rat],
+                 ansatz: Tuple[AnsatzTerm, ...], solution: Optional[AffineSolution]):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "module_lambda", module_lambda)
+        object.__setattr__(self, "ansatz", ansatz)
+        object.__setattr__(self, "solution", solution)
 
     @property
     def trivial_action(self) -> bool:
@@ -460,11 +467,13 @@ def _canonical_point(solution: AffineSolution) -> Row:
 # -- covariant equivalence -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
-    name: str
-    ok: bool
-    residual: DiffExpr
+class EquivalenceResult(Record):
+    __slots__ = ("name", "ok", "residual")
+
+    def __init__(self, name: str, ok: bool, residual: DiffExpr):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "residual", residual)
 
     @property
     def verdict(self) -> str:

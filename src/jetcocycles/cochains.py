@@ -21,7 +21,6 @@ rule (_build) or derived on first lookup, so a flat lookup never solves.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Dict, Optional, Tuple, Union
@@ -39,6 +38,7 @@ from .expr import (
     substitute_jets,
     total_derivative,
 )
+from ._record import Record
 from .calculus import bracket, lie_action, nabla_power
 from .lampoly import LamPoly, Rat, _rat, gcd_all, rational_roots
 
@@ -88,24 +88,25 @@ def _insert(coeff: DiffExpr, args: Dict[str, str]) -> DiffExpr:
     return substitute_jets(coeff, table)
 
 
-@dataclass(frozen=True)
-class Cochain1:
+class Cochain1(Record):
     """Linear 1-cochain on vector fields, written in the f jets; value_weight
     and module_lambda as for Cochain2."""
 
-    coeff: DiffExpr
-    value_weight: Rat
-    module_lambda: Optional[Coef]
+    __slots__ = ("coeff", "value_weight", "module_lambda")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value_weight", _rat(self.value_weight))
-        object.__setattr__(self, "module_lambda", _module(self.coeff, self.module_lambda))
-        if self.coeff.degree_in("f") - {1}:
+    def __init__(self, coeff: DiffExpr, value_weight: Rat, module_lambda: Optional[Coef]):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "value_weight", _rat(value_weight))
+        object.__setattr__(self, "module_lambda", _module(coeff, module_lambda))
+        if coeff.degree_in("f") - {1}:
             raise ValueError("1-cochain must be linear in the f jets")
 
 
-@dataclass(frozen=True)
-class Cochain2:
+# Cochain2's default module: a fresh LamPoly.lam() per cochain
+_FRESH_LAM = object()
+
+
+class Cochain2(Record):
     """Antisymmetric bilinear 2-cochain in the f and g jet families.
 
     value_weight is the density grading of the values (what the chart
@@ -118,16 +119,18 @@ class Cochain2:
     value into both.
     """
 
-    coeff: DiffExpr
-    value_weight: Rat
-    module_lambda: Optional[Coef] = field(default_factory=LamPoly.lam)
+    __slots__ = ("coeff", "value_weight", "module_lambda")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value_weight", _rat(self.value_weight))
-        object.__setattr__(self, "module_lambda", _module(self.coeff, self.module_lambda))
-        if self.coeff.degree_in("f") - {1} or self.coeff.degree_in("g") - {1}:
+    def __init__(self, coeff: DiffExpr, value_weight: Rat,
+                 module_lambda: Optional[Coef] = _FRESH_LAM):
+        if module_lambda is _FRESH_LAM:
+            module_lambda = LamPoly.lam()
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "value_weight", _rat(value_weight))
+        object.__setattr__(self, "module_lambda", _module(coeff, module_lambda))
+        if coeff.degree_in("f") - {1} or coeff.degree_in("g") - {1}:
             raise ValueError("2-cochain must be bilinear in the f and g jets")
-        if not (_insert(self.coeff, {"f": "g", "g": "f"}) + self.coeff).is_zero():
+        if not (_insert(coeff, {"f": "g", "g": "f"}) + coeff).is_zero():
             raise ValueError("2-cochain must be antisymmetric under f <-> g")
 
     @property
@@ -224,13 +227,17 @@ def ce_differential(c: Cochain2) -> DiffExpr:
     return _exact_class(delta) if c.trivial_action else delta
 
 
-@dataclass(frozen=True)
-class LambdaVerdict:
-    """Solution set of the cocycle identity in the module parameter."""
+class LambdaVerdict(Record):
+    """Solution set of the cocycle identity in the module parameter: kind is
+    "all", "none" or "finite", values is nonempty iff kind is "finite", and
+    trivial_action_pass says the insertions are a total derivative."""
 
-    kind: str                      # "all" | "none" | "finite"
-    values: Tuple[Rat, ...]        # nonempty iff kind == "finite"
-    trivial_action_pass: bool      # insertions are a total derivative
+    __slots__ = ("kind", "values", "trivial_action_pass")
+
+    def __init__(self, kind: str, values: Tuple[Rat, ...], trivial_action_pass: bool):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "trivial_action_pass", trivial_action_pass)
 
     def describe(self) -> str:
         if self.kind == "all":

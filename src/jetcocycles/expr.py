@@ -598,50 +598,6 @@ def _horner(node, powers) -> Dict[Monomial, Coef]:
     return out
 
 
-# -- evaluation oracle -------------------------------------------------
-
-
-def eval_rational(
-    e: DiffExpr,
-    point: Mapping[Tuple[str, int], Rat],
-    lam_value: Optional[Rat] = None,
-) -> Rat:
-    """Evaluate at an exact rational point.
-
-    ``point`` maps (family, order) to rationals.  hinv is taken to be the
-    reciprocal of h[1]'s value (assigning it explicitly and inconsistently is
-    an error), and lam_value must be supplied when lam occurs.
-    """
-    values: Dict[Atom, Rat] = {}
-    for (fam, order), v in point.items():
-        values[_check_atom(fam, order)] = _rat(v)
-    h1 = values.get(_H1)
-    if _HINV0 in values:
-        if h1 is None or values[_HINV0] * h1 != 1:
-            raise ValueError("hinv must be assigned the exact reciprocal of h[1]")
-    elif h1 is not None:
-        if h1 == 0:
-            raise ValueError("h[1] assigned 0; the transition must be invertible")
-        values[_HINV0] = _rat(Fraction(1) / h1)
-
-    total = 0
-    for mono, coef in e._terms.items():
-        if type(coef) is LamPoly:
-            if lam_value is None:
-                raise ValueError("expression depends on lam; supply lam_value")
-            coef = coef.eval(lam_value)
-        acc = coef
-        for atom, exp in mono:
-            v = values.get(atom)
-            if v is None:
-                if atom == _HINV0:
-                    raise ValueError("h[1] must be assigned to evaluate hinv")
-                raise ValueError(f"unassigned jet symbol {atom_name(atom)}")
-            acc *= v ** exp
-        total += acc
-    return _rat(total)
-
-
 # -- variational calculus ----------------------------------------------
 
 
@@ -694,18 +650,3 @@ def euler_derivative(e: DiffExpr, family: str) -> DiffExpr:
         out = _expr(parts.get(j, {})) - total_derivative(out)
     return out
 
-
-def is_total_derivative(e: DiffExpr) -> bool:
-    """Exactness test: e = D(Y) for some differential polynomial Y.
-
-    Valid for expressions in free jet families only (hinv's derivative rule
-    is nonlinear, so expressions containing hinv are rejected).  A polynomial
-    with no explicit z dependence is exact iff its constant term vanishes and
-    every variational derivative is zero.
-    """
-    fams = e.families()
-    if "hinv" in fams:
-        raise ValueError("exactness test is only defined for hinv-free expressions")
-    if () in e._terms:
-        return False
-    return all(euler_derivative(e, fam).is_zero() for fam in fams)

@@ -279,4 +279,3 @@ def _new(cs: Tuple[Rat, ...]) -> LamPoly:
 
 
 ZERO = LamPoly.zero()
-LAM = LamPoly.lam()

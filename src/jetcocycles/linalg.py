@@ -17,23 +17,25 @@ when integral, otherwise a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .lampoly import Rat, _rat
 
 Row = Dict[int, Rat]
 
 
-@dataclass
-class AffineSolution:
+class AffineSolution(Record, frozen=False):
     """Solution set of A x = b: particular point plus nullspace basis."""
 
-    nvars: int
-    particular: Row
-    nullspace: List[Row]
+    __slots__ = ("nvars", "particular", "nullspace")
+
+    def __init__(self, nvars: int, particular: Row, nullspace: List[Row]):
+        self.nvars = nvars
+        self.particular = particular
+        self.nullspace = nullspace
 
     @property
     def dimension(self) -> int:

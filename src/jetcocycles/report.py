@@ -9,11 +9,11 @@ inputs produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Optional, Sequence
 
+from ._record import Record
 from .calculus import action_via_nabla, lie_action
 from .charts import _scalar_rows, covariant_equivalence, derive, is_global
 from .cochains import (
@@ -63,19 +63,23 @@ engine-verified discrepancies in commonly printed formulas
 """
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    check_id: str
-    description: str
-    lam: str          # rational in lowest terms, or "symbolic"
-    status: str       # PASS | FAIL | NONTRIVIAL | INCONCLUSIVE
-    residual: str
-    paper_ref: str
+class CheckRecord(Record):
+    """One check's outcome: lam is a rational in lowest terms or "symbolic",
+    status one of PASS, FAIL, NONTRIVIAL and INCONCLUSIVE."""
 
-    def __post_init__(self):
-        if self.status == "FAIL" and not self.residual:
+    __slots__ = ("check_id", "description", "lam", "status", "residual", "paper_ref")
+
+    def __init__(self, check_id: str, description: str, lam: str, status: str,
+                 residual: str, paper_ref: str):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "paper_ref", paper_ref)
+        if status == "FAIL" and not residual:
             raise ValueError("FAIL records must carry a residual")
-        if not self.paper_ref:
+        if not paper_ref:
             raise ValueError("records must carry a reference note or 'derived'")
 
     def as_dict(self) -> Dict[str, str]:

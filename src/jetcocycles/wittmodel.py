@@ -17,9 +17,9 @@ nothing (hence INCONCLUSIVE).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple, Union
 
+from ._record import Record
 from .cochains import Cochain2, _derivative_counts, catalogue, ce_differential, coeff_and_weight
 from .expr import DiffExpr, FAMILIES
 from .lampoly import LamPoly, Rat, _rat
@@ -34,13 +34,15 @@ def _laurent_coeffs(coeffs: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
     return tuple(sorted((s, q) for s, q in clean.items() if q))
 
 
-@dataclass(frozen=True)
-class LaurentDensity:
+class LaurentDensity(Record):
     """Finite Laurent polynomial sum a_s z^s carrying (dz)^weight, a ``_rat``
     rational (``of`` refuses any other): the lam of laurent_action."""
 
-    coeffs: Tuple[Tuple[int, Rat], ...]
-    weight: Rat
+    __slots__ = ("coeffs", "weight")
+
+    def __init__(self, coeffs: Tuple[Tuple[int, Rat], ...], weight: Rat):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "weight", weight)
 
     @staticmethod
     def of(coeffs: Dict[int, Rat], weight: Rat) -> "LaurentDensity":
@@ -86,11 +88,13 @@ class LaurentDensity:
         return f"({_join(pieces)}) (dz)^{self.weight}"
 
 
-@dataclass(frozen=True)
-class WittField:
+class WittField(Record):
     """Laurent vector field: coefficient of d/dz; L_m is z^(m+1) d/dz."""
 
-    coeffs: Tuple[Tuple[int, Rat], ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Tuple[Tuple[int, Rat], ...]):
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def basis(m: int) -> "WittField":
@@ -174,12 +178,18 @@ def kn_value(m: int, n: int) -> Rat:
 # -- non-triviality certificates -----------------------------------------
 
 
-@dataclass(frozen=True)
-class CertificateResult:
-    verdict: str            # "NONTRIVIAL" | "INCONCLUSIVE"
-    window: int
-    module_lambda: Optional[Rat]   # the cochain's own; None: trivial action
-    degree_shift: Optional[int]
+class CertificateResult(Record):
+    """verdict is "NONTRIVIAL" or "INCONCLUSIVE"; module_lambda is the
+    cochain's own, None for the trivial action."""
+
+    __slots__ = ("verdict", "window", "module_lambda", "degree_shift")
+
+    def __init__(self, verdict: str, window: int, module_lambda: Optional[Rat],
+                 degree_shift: Optional[int]):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "module_lambda", module_lambda)
+        object.__setattr__(self, "degree_shift", degree_shift)
 
     @property
     def trivial_action(self) -> bool:

@@ -7,10 +7,68 @@ import random
 from fractions import Fraction
 
 from jetcocycles.calculus import bracket, lie_action
-from jetcocycles.expr import DiffExpr, FAMILIES, eval_rational, jet, hinv, substitute
+from jetcocycles.expr import DiffExpr, FAMILIES, euler_derivative, jet, hinv, substitute
 from jetcocycles.lampoly import LamPoly
 
 DEFAULT_FAMILIES = ("f", "g", "T", "h")
+
+LAM = LamPoly.lam()
+
+
+def eval_rational(e: DiffExpr, point, lam_value=None) -> Fraction:
+    """Evaluate at an exact rational point: the numeric oracle.
+
+    ``point`` maps (family, order) to rationals.  hinv is taken to be the
+    reciprocal of h[1]'s value (assigning it explicitly and inconsistently
+    is an error), and lam_value must be supplied when lam occurs.  It reads
+    the expression only through ``terms()`` and evaluates a lam polynomial
+    from its coefficient list, so it shares no arithmetic with the kernel.
+    """
+    values = {}
+    for (fam, order), v in point.items():
+        if fam not in FAMILIES or type(order) is not int or order < (fam == "h") \
+                or (fam == "hinv" and order):
+            raise ValueError(f"not a jet symbol: {(fam, order)!r}")
+        values[fam, order] = Fraction(v)
+    h1 = values.get(("h", 1))
+    if ("hinv", 0) in values:
+        if h1 is None or values["hinv", 0] * h1 != 1:
+            raise ValueError("hinv must be assigned the exact reciprocal of h[1]")
+    elif h1 is not None:
+        if h1 == 0:
+            raise ValueError("h[1] assigned 0; the transition must be invertible")
+        values["hinv", 0] = 1 / h1
+
+    total = Fraction(0)
+    for mono, coef in e.terms():
+        if type(coef) is LamPoly:
+            if lam_value is None:
+                raise ValueError("expression depends on lam; supply lam_value")
+            coef = sum(c * Fraction(lam_value) ** i for i, c in enumerate(coef.coeffs))
+        acc = Fraction(coef)
+        for (rank, order), exp in mono:
+            v = values.get((FAMILIES[rank], order))
+            if v is None:
+                raise ValueError(f"unassigned jet symbol {FAMILIES[rank]}[{order}]")
+            acc *= v ** exp
+        total += acc
+    return total
+
+
+def is_total_derivative(e: DiffExpr) -> bool:
+    """Exactness test: e = D(Y) for some differential polynomial Y.
+
+    Valid for expressions in free jet families only (hinv's derivative rule
+    is nonlinear, so expressions containing hinv are rejected).  A polynomial
+    with no explicit z dependence is exact iff its constant term vanishes and
+    every variational derivative is zero.
+    """
+    fams = e.families()
+    if "hinv" in fams:
+        raise ValueError("exactness test is only defined for hinv-free expressions")
+    if any(mono == () for mono, _ in e.terms()):
+        return False
+    return all(euler_derivative(e, fam).is_zero() for fam in fams)
 
 
 def random_coeff(rng: random.Random, lam_degree: int = 1) -> LamPoly:

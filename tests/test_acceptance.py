@@ -36,18 +36,17 @@ from jetcocycles.cochains import (
 )
 from jetcocycles.expr import (
     DiffExpr,
-    eval_rational,
     jet,
     substitute,
     total_derivative as D,
 )
-from jetcocycles.lampoly import LAM, LamPoly
+from jetcocycles.lampoly import LamPoly
 from jetcocycles.linalg import solve_affine
 from jetcocycles.report import suite_global
 from jetcocycles.syntax import parse_expr, to_text
 from jetcocycles.wittmodel import kn_value, nontriviality_certificate
 
-from helpers import random_expr, random_lambda, random_point
+from helpers import LAM, eval_rational, random_expr, random_lambda, random_point
 
 
 def _line(n: int, ok: bool, label: str, detail: str = ""):

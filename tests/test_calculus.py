@@ -13,10 +13,10 @@ from jetcocycles.calculus import (
     projective_from_affine,
     schwarzian,
 )
-from jetcocycles.expr import eval_rational, jet, substitute, total_derivative as D
+from jetcocycles.expr import jet, substitute, total_derivative as D
 from jetcocycles.lampoly import LamPoly
 
-from helpers import random_expr
+from helpers import eval_rational, random_expr
 
 
 def test_lie_action_specializations():

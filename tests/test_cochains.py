@@ -31,11 +31,11 @@ from jetcocycles.cochains import (
 from jetcocycles.calculus import bracket, nabla_power
 from jetcocycles.charts import derive, is_global, solve_corrections
 from jetcocycles.wittmodel import evaluate_cochain
-from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, is_total_derivative,
-                              jet, substitute, total_derivative)
-from jetcocycles.lampoly import LAM, LamPoly
+from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, jet, substitute,
+                              total_derivative)
+from jetcocycles.lampoly import LamPoly
 
-from helpers import ce_parts_reference, random_coeff
+from helpers import LAM, ce_parts_reference, is_total_derivative, random_coeff
 
 
 def test_det_cochain_basics():

@@ -14,11 +14,9 @@ from jetcocycles.expr import (
     DiffExpr,
     OrderCapExceeded,
     check_order_cap,
-    eval_rational,
     euler_derivative,
     hinv,
     hinv_power,
-    is_total_derivative,
     jet,
     lam_expr,
     partial_derivative,
@@ -27,10 +25,11 @@ from jetcocycles.expr import (
     total_derivative as D,
 )
 from jetcocycles.charts import ChartFrame
-from jetcocycles.lampoly import LAM, LamPoly
+from jetcocycles.lampoly import LamPoly
 
-from helpers import (eval_at, is_canonical, random_coeff, random_expr, random_lambda,
-                     random_point, substitute_jets_reference)
+from helpers import (LAM, eval_at, eval_rational, is_canonical, is_total_derivative,
+                     random_coeff, random_expr, random_lambda, random_point,
+                     substitute_jets_reference)
 
 F0, F1, F2 = jet("f", 0), jet("f", 1), jet("f", 2)
 G0, G1 = jet("g", 0), jet("g", 1)

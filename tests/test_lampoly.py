@@ -4,9 +4,9 @@ from itertools import product, zip_longest
 
 import pytest
 
-from jetcocycles.lampoly import LAM, LamPoly, gcd_all, rational_roots
+from jetcocycles.lampoly import LamPoly, gcd_all, rational_roots
 
-from helpers import is_canonical
+from helpers import LAM, is_canonical
 
 
 def test_normalization_strips_zeros():

@@ -10,9 +10,8 @@ from jetcocycles.cochains import catalogue, det_expr
 from jetcocycles.expr import DiffExpr, OrderCapExceeded, hinv, jet
 from jetcocycles.calculus import schwarzian
 from jetcocycles.syntax import ExprSyntaxError, parse_expr, poly_text, to_text
-from jetcocycles.lampoly import LAM
 
-from helpers import random_expr
+from helpers import LAM, random_expr
 from test_expr import exprs
 
 

@@ -10,12 +10,12 @@ from jetcocycles.charts import is_global, solve_corrections
 from jetcocycles.cochains import Cochain1, Cochain2, catalogue, ce_parts, det_cochain, det_expr
 from jetcocycles.expr import (DiffExpr, _has_lam, euler_derivative, jet, lam_expr,
                               substitute, substitute_jets, total_derivative)
-from jetcocycles.lampoly import LAM, LamPoly
+from jetcocycles.lampoly import LamPoly
 from jetcocycles.linalg import solve_affine
 from jetcocycles.wittmodel import (LaurentDensity, WittField, evaluate_cochain, laurent_action,
                                   nontriviality_certificate)
 
-from helpers import is_canonical, random_coeff, random_expr
+from helpers import LAM, is_canonical, random_coeff, random_expr
 
 
 def _values(e):

@@ -19,6 +19,8 @@ from jetcocycles.wittmodel import (
     residue_pair,
 )
 
+from helpers import LAM
+
 
 def test_action_eigenvalues():
     for m, lam in ((-3, 2), (0, 0), (4, 5)):
@@ -99,7 +101,6 @@ def test_evaluate_cochain_commutes_with_normalization():
 def test_evaluate_cochain_rejects_backgrounds_and_symbolic():
     with pytest.raises(ValueError):
         evaluate_cochain(catalogue("cbar2", "connection"), 1, 2)
-    from jetcocycles.lampoly import LAM
     lam_carrying = det_cochain(0, 2).coeff.scale(LAM)
     with pytest.raises(ValueError):
         evaluate_cochain(lam_carrying, 1, 2, weight=0)
@@ -218,7 +219,6 @@ def test_certificate_refuses_windows_below_one(name, window):
 
 def test_a_concrete_module_leaves_no_lam_in_the_coefficient():
     from jetcocycles.cochains import Cochain2, det_expr
-    from jetcocycles.lampoly import LAM
 
     coeff = det_expr(1, 3) + det_expr(0, 4).scale(LAM - 2)
     for module in (2, None):
