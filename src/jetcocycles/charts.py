@@ -15,9 +15,10 @@ finite law
 
     u_beta = (h')^(-w) (u + a(u)),   D_beta = hinv * D for higher orders,
 
-which is_global checks.  The correction solver imposes the infinitesimal
-law instead: the first-order part of the finite law at h = z + eps X, with
-X a free vector field carried by the family k,
+up to the order BINDING_ORDER_BOUND, which is_global checks.  The
+correction solver imposes the infinitesimal law instead: the first-order
+part of the finite law at h = z + eps X, with X a free vector field carried
+by the family k,
 
     delta u = -w X' u + X^(w+1) (the last term for T and R only),
     delta u^(n+1) = D(delta u^(n)) - X' u^(n+1),
@@ -49,6 +50,7 @@ from .expr import (
     OrderCapExceeded,
     _check_atom,
     _has_lam,
+    _mono_mul,
     check_order_cap,
     hinv,
     hinv_power,
@@ -66,13 +68,32 @@ _WEIGHTS = {"f": -1, "g": -1, "k": -1, "T": 1, "R": 2, "w": 1}
 _AFFINE = {"T": eta, "R": schwarzian}
 
 
-@cache
+# the highest jet order the frame binds.  A binding is the derivative of
+# the one below it and grows fast: built from an empty table, order 12 takes
+# about 0.01 s per family and order 24 (twice DEFAULT_ORDER_CAP, the default
+# bound on an input's orders) 0.3-0.5 s (f, T, R; 2-core Xeon, Python 3.11)
+BINDING_ORDER_BOUND = 24
+
+# family -> its bindings at orders 0, 1, ..., extended on demand
+_BINDINGS: Dict[str, List[DiffExpr]] = {}
+
+
 def _binding(family: str, order: int) -> DiffExpr:
-    """ChartFrame.binding, built once per process."""
-    if order:
-        return hinv() * total_derivative(_binding(family, order - 1))
-    u = jet(family, 0)
-    return hinv_power(_WEIGHTS[family]) * (u + _AFFINE[family]() if family in _AFFINE else u)
+    """ChartFrame.binding, built once per process, order by order."""
+    built = _BINDINGS.get(family)
+    if built is None:
+        u = jet(family, 0)
+        base = hinv_power(_WEIGHTS[family]) * (u + _AFFINE[family]() if family in _AFFINE else u)
+        built = _BINDINGS[family] = [base]
+    while len(built) <= order:
+        built.append(hinv() * total_derivative(built[-1]))
+    return built[order]
+
+
+def _check_binding_order(family: str, order: int):
+    if order > BINDING_ORDER_BOUND:
+        raise OrderCapExceeded(f"the frame binds jet orders up to {BINDING_ORDER_BOUND}, "
+                               f"got {family}[{order}]")
 
 
 class ChartFrame:
@@ -80,20 +101,25 @@ class ChartFrame:
 
     def binding(self, family: str, order: int) -> DiffExpr:
         """Alpha-frame expression of the beta-frame jet family[order]; the
-        order must be a non-negative int (ValueError otherwise)."""
+        order must be a non-negative int (ValueError otherwise) of at most
+        BINDING_ORDER_BOUND (OrderCapExceeded)."""
         if family not in _WEIGHTS:
             raise ValueError(f"no transformation law for family {family!r}")
         _check_atom(family, order)
+        _check_binding_order(family, order)
         return _binding(family, order)
 
     def pushforward(self, e: DiffExpr) -> DiffExpr:
-        """Rewrite the beta-frame evaluation of e in alpha-frame jets."""
+        """Rewrite the beta-frame evaluation of e in alpha-frame jets; a jet
+        order above BINDING_ORDER_BOUND raises OrderCapExceeded first."""
         bad = e.families() & {"h", "hinv"}
         if bad:
             raise ValueError(f"pushforward input must be transition-free, found {sorted(bad)}")
+        tops = {fam: e.max_order(fam) for fam in _WEIGHTS}
+        for fam, top in tops.items():
+            _check_binding_order(fam, top)
         table: Dict[Tuple[int, int], DiffExpr] = {}
-        for fam in _WEIGHTS:
-            top = e.max_order(fam)
+        for fam, top in tops.items():
             for order in range(top + 1):
                 table[(_RANK[fam], order)] = _binding(fam, order)
         return substitute_jets(e, table)
@@ -119,8 +145,9 @@ class GlobalityResult(Record):
 
 def _integer_weight(weight) -> int:
     """A density weight as an int: an exact rational (TypeError otherwise)
-    that is integral (ValueError otherwise)."""
-    weight = _rat(weight)
+    that is integral and not a bool (ValueError otherwise)."""
+    if type(weight) is not bool:
+        weight = _rat(weight)
     if type(weight) is not int:
         raise ValueError(f"globality needs an integer weight, got {weight}")
     return weight
@@ -133,7 +160,8 @@ def is_global(
     """Check pushforward(e) == (h')^(-weight) * e; FAIL keeps the residual.
 
     The weight of a Cochain2 defaults to its value weight; a bare
-    expression needs one.  The weight must be an integer.
+    expression needs one.  The weight must be an integer, not a bool; the
+    pushforward bounds the jet orders of the expression (BINDING_ORDER_BOUND).
     """
     expr, weight = coeff_and_weight(target, weight)
     weight = _integer_weight(weight)
@@ -295,15 +323,46 @@ def _det_pieces(p: int, q: int,
 
 
 def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):
-    """Accumulate the coefficients of e into sparse constraint rows."""
-    for mono, c in e.terms():
+    """Accumulate the coefficients of e into sparse constraint rows, keyed
+    by (space, monomial): into entry index, or into the right-hand side,
+    negated, when index is None.  The terms are read as stored, unsorted:
+    solve_affine's answer does not depend on the order of the rows."""
+    for mono, c in e._terms.items():
         if type(c) is LamPoly:
             raise ValueError("a constraint row depends on lam")
-        row = rows.setdefault((space, mono), [{}, 0])
+        row = rows.get((space, mono))
+        if row is None:
+            row = rows[(space, mono)] = [{}, 0]
         if index is None:
             row[1] -= c
         else:
             row[0][index] = row[0].get(index, 0) + c
+
+
+def _product_rows(a: DiffExpr, b: DiffExpr, space: int, index: int, rows: Dict):
+    """Add the coefficients of a * b into entry index of the rows, as
+    _scalar_rows would add the expanded product, with no product built.
+    Monomials merge by _mono_mul, as in a DiffExpr product; since two
+    products may cancel, an entry that sums to zero is dropped, and so is a
+    row left empty with a zero right-hand side."""
+    for m1, c1 in a._terms.items():
+        for m2, c2 in b._terms.items():
+            c = c1 * c2
+            if type(c) is LamPoly:
+                raise ValueError("a constraint row depends on lam")
+            key = (space, _mono_mul(m1, m2))
+            row = rows.get(key)
+            if row is None:
+                rows[key] = [{index: c}, 0]
+                continue
+            entries = row[0]
+            s = entries.get(index, 0) + c
+            if s:
+                entries[index] = s
+            else:
+                del entries[index]
+                if not entries and not row[1]:
+                    del rows[key]
 
 
 def solve_corrections(
@@ -324,8 +383,9 @@ def solve_corrections(
     a cochain's (a bare expression's is lam), reads lam = weight, so
     LamPoly.const(1) is the module 1.  The result holds the ansatz, sorted by
     (p, q, symbols), and its affine solution set, whose particular point is
-    the canonical representative (None if empty).  max_order bounds the
-    symbol's jets and the ansatz's connection jets (OrderCapExceeded).
+    the canonical representative (None if empty).  max_order, an int
+    (anything else, a bool included, is a ValueError), bounds the symbol's
+    jets and the ansatz's connection jets (OrderCapExceeded).
 
     Globality is imposed by the infinitesimal law of the module docstring,
     w X' e + sum_n (de/du^(n)) delta u^(n) = 0, whose solution set is that
@@ -344,8 +404,13 @@ def solve_corrections(
     is built once per process and shared by every solve: the jet variations,
     the monomials of a weight, L per expression and weight (so L(c) and L(m)
     once each), and (c, delta c, the alternating sum) per (p, q, module).
-    The weight must be an integer (a float is a TypeError).  The canonical
-    representative is the minimal-support point (ties broken
+    A term's rows are assembled straight from the pieces: _product_rows
+    adds each coefficient of m L(c), c L(m), m delta c and D(m) alt into
+    its row, with no product or sum built and nothing sorted, since the
+    solution does not depend on the order of the rows.  Only the trivial
+    action builds m delta c, whose class _exact_class needs.  The weight
+    must be an integer and not a bool (a float is a TypeError).  The
+    canonical representative is the minimal-support point (ties broken
     lexicographically) when the gauge dimension is at most 3 and at most 26
     coordinates are involved, found by one vertex try per distinct gauge
     hyperplane (see _canonical_point), and otherwise the echelon particular
@@ -367,6 +432,8 @@ def solve_corrections(
         raise ValueError("the symbol must be a flat bilinear expression in f and g")
     if _has_lam(expr):
         raise ValueError("the symbol must have rational coefficients, found lam")
+    if type(max_order) is not int:
+        raise ValueError(f"max_order must be an integer, got {max_order!r}")
     check_order_cap(expr, max_order)
     Cochain2(expr, weight)  # raises unless bilinear and antisymmetric
 
@@ -389,21 +456,19 @@ def solve_corrections(
                 ansatz.append(AnsatzTerm(p, q, symbols, m))
 
     rows: Dict = {}
-
-    def add_cocycle(delta: DiffExpr, index: Optional[int]):
-        _scalar_rows(_exact_class(delta) if trivial else delta, 1, index, rows)
-
     _scalar_rows(_linear_residual(expr, weight), 0, None, rows)
-    add_cocycle(ce_parts(expr, 2, module_lambda)[1], None)
+    delta = ce_parts(expr, 2, module_lambda)[1]
+    _scalar_rows(_exact_class(delta) if trivial else delta, 1, None, rows)
     for i, term in enumerate(ansatz):
-        p, q = term.p, term.q
-        c, delta_c, alternating = _det_pieces(p, q, module_lambda)
-        _scalar_rows(term.m * _linear_residual(c, p + q - 2)
-                     + c * _linear_residual(term.m, weight - (p + q - 2)), 0, i, rows)
-        delta = term.m * delta_c
-        if not trivial:
-            delta = delta + total_derivative(term.m) * alternating
-        add_cocycle(delta, i)
+        m, pq = term.m, term.p + term.q
+        c, delta_c, alternating = _det_pieces(term.p, term.q, module_lambda)
+        _product_rows(m, _linear_residual(c, pq - 2), 0, i, rows)
+        _product_rows(c, _linear_residual(m, weight - (pq - 2)), 0, i, rows)
+        if trivial:
+            _scalar_rows(_exact_class(m * delta_c), 1, i, rows)
+        else:
+            _product_rows(m, delta_c, 1, i, rows)
+            _product_rows(total_derivative(m), alternating, 1, i, rows)
 
     solution = solve_affine(
         ((row, rhs) for row, rhs in rows.values()), len(ansatz)

@@ -32,9 +32,11 @@ A stored coefficient is an exact rational in the ``_rat`` form unless it
 has degree >= 1 in lam; only then is it a LamPoly.  lam enters only through
 the module action, so lam-free work builds no LamPoly.  One normalizer,
 ``_coef``, keeps the rule in ``DiffExpr(...)`` and in every loop that
-accumulates coefficients.  ``terms()`` is the one reader: it gives each
-monomial with its stored coefficient, in monomial order, and ``_has_lam``
-reads off that form whether an expression carries lam.  Expressions are
+accumulates coefficients.  ``terms()`` is the one public reader: it gives
+each monomial with its stored coefficient, in monomial order.  Code that
+needs no order reads the stored dict as it is: the kernel, ``_has_lam``
+(whether an expression carries lam) and the correction solver's row
+assembly.  Expressions are
 immutable values; every function here is pure.
 """
 

@@ -7,7 +7,10 @@ import random
 from fractions import Fraction
 
 from jetcocycles.calculus import bracket, lie_action
-from jetcocycles.expr import DiffExpr, FAMILIES, euler_derivative, jet, hinv, substitute
+from jetcocycles.charts import _det_pieces, _linear_residual
+from jetcocycles.cochains import _exact_class, ce_parts
+from jetcocycles.expr import (DiffExpr, FAMILIES, euler_derivative, jet, hinv, substitute,
+                              total_derivative)
 from jetcocycles.lampoly import LamPoly
 
 DEFAULT_FAMILIES = ("f", "g", "T", "h")
@@ -175,6 +178,44 @@ def ce_parts_reference(coeff: DiffExpr, arity: int, lam):
         term = lie_action(jet(x, 0), value(*fams.replace(x, "")), lam)
         delta = delta - term if i % 2 else delta + term
     return insertions, delta
+
+
+def solver_rows_reference(result) -> dict:
+    """The constraint rows of a solve (a CorrectionResult), assembled the
+    expression way: the symbol and each ansatz term m det(p,q) give one
+    globality expression, m L(c) + c L(m) for a term, and one cocycle
+    expression, m delta c + D(m) alt for a term (its class modulo total
+    derivatives, without D(m) alt, under the trivial action).  Each is built
+    as a DiffExpr, products and sum, and read in sorted terms() order.
+    Rows are keyed by (space, monomial) with the value [entries, rhs]."""
+    trivial = result.trivial_action
+    rows: dict = {}
+
+    def add(e, space, index):
+        for mono, c in e.terms():
+            if type(c) is LamPoly:
+                raise ValueError("a constraint row depends on lam")
+            row = rows.setdefault((space, mono), [{}, 0])
+            if index is None:
+                row[1] -= c
+            else:
+                row[0][index] = row[0].get(index, 0) + c
+
+    def add_cocycle(delta, index):
+        add(_exact_class(delta) if trivial else delta, 1, index)
+
+    add(_linear_residual(result.symbol, result.weight), 0, None)
+    add_cocycle(ce_parts(result.symbol, 2, result.module_lambda)[1], None)
+    for i, term in enumerate(result.ansatz):
+        p, q = term.p, term.q
+        c, delta_c, alternating = _det_pieces(p, q, result.module_lambda)
+        add(term.m * _linear_residual(c, p + q - 2)
+            + c * _linear_residual(term.m, result.weight - (p + q - 2)), 0, i)
+        delta = term.m * delta_c
+        if not trivial:
+            delta = delta + total_derivative(term.m) * alternating
+        add_cocycle(delta, i)
+    return rows
 
 
 # symbols the correction solver must reject, with a word its message names

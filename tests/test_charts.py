@@ -3,6 +3,8 @@
 import itertools
 import json
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from jetcocycles.calculus import (
 )
 from jetcocycles import charts
 from jetcocycles.charts import (
+    BINDING_ORDER_BOUND,
     ChartFrame,
     _canonical_point,
     _linear_residual,
@@ -33,6 +36,7 @@ from jetcocycles.cochains import (
 )
 from jetcocycles.expr import (
     DiffExpr,
+    OrderCapExceeded,
     _RANK,
     euler_derivative,
     hinv,
@@ -46,7 +50,7 @@ from jetcocycles.lampoly import LamPoly
 from jetcocycles.linalg import AffineSolution, solve_affine
 from jetcocycles.syntax import parse_expr
 
-from helpers import BAD_SYMBOLS, random_expr
+from helpers import BAD_SYMBOLS, random_expr, solver_rows_reference
 
 _HJETS = 6
 
@@ -137,6 +141,28 @@ def test_the_binding_table_is_shared_by_every_frame():
     assert ChartFrame().binding("R", 2) is ChartFrame().binding("R", 2)
 
 
+def test_the_frame_refuses_orders_above_its_bound_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"binds jet orders up to {BINDING_ORDER_BOUND}"):
+        ChartFrame().binding("f", 3000)
+    with pytest.raises(ValueError, match=r"got f\[3000\]"):
+        is_global(jet("f", 3000) * jet("g", 0) - jet("f", 0) * jet("g", 3000), 2998)
+    assert time.perf_counter() - start < 1
+    above = BINDING_ORDER_BOUND + 1
+    for family in ("f", "T", "R"):
+        with pytest.raises(OrderCapExceeded):
+            ChartFrame().binding(family, above)
+        with pytest.raises(OrderCapExceeded):
+            pushforward(jet(family, above))
+
+
+def test_the_frame_binds_orders_at_its_bound():
+    b = BINDING_ORDER_BOUND
+    assert ChartFrame().binding("f", b) == hinv() * D(ChartFrame().binding("f", b - 1))
+    res = is_global(jet("f", b) * jet("g", 0) - jet("f", 0) * jet("g", b), b - 2)
+    assert not res.ok and res.residual.max_order("h") == b
+
+
 def test_pushforward_affine_transition_rescales():
     fr = ChartFrame()
     affine = {1: Fraction(5, 2), 2: 0, 3: 0, 4: 0, 5: 0, 6: 0}
@@ -222,8 +248,8 @@ def test_is_global_rejects_non_integer_weights(target, weight):
 
 
 def test_is_global_reaches_the_default_cap():
-    # f[12] pushes forward to h[13]: the frame takes every order from its
-    # input and bounds none
+    # f[12] pushes forward to h[13]: the frame binds every order of its
+    # input up to BINDING_ORDER_BOUND, twice the default cap
     res = is_global(det_expr(0, 12), 10)
     assert not res.ok and "h" in res.residual.families()
 
@@ -658,13 +684,100 @@ def test_linear_residual_obeys_leibniz_on_ansatz_terms():
                         (p, q, m, a, b)
 
 
+# -- row assembly against the expression-built reference -----------------------
+
+def _system_rows(monkeypatch, symbol, weight, module_lambda):
+    """The solve, with the rows it hands solve_affine for its system (the
+    first call; the vertex search makes the others)."""
+    calls = []
+
+    def spy(rows, nvars):
+        rows = list(rows)
+        calls.append(rows)
+        return solve_affine(rows, nvars)
+
+    monkeypatch.setattr(charts, "solve_affine", spy)
+    result = solve_corrections(symbol, weight, module_lambda=module_lambda)
+    monkeypatch.undo()
+    return result, calls[0]
+
+
+def _row_multiset(rows) -> Counter:
+    return Counter((frozenset(entries.items()), rhs) for entries, rhs in rows)
+
+
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+def test_solver_rows_match_the_expression_built_reference(monkeypatch, cold):
+    """The rows assembled straight from the pieces are those of the
+    expression-built assembly (helpers.solver_rows_reference), row for row
+    with the same multiplicity and no zero entry, for every _SYSTEMS solve at
+    every _MODULES value; c0w at its own module is the trivial action.  Cold
+    clears the piece caches before every solve."""
+    trivial = 0
+    for name, symbol, weight, _ in _SYSTEMS:
+        for module, value in _MODULES:
+            for piece in _PIECE_CACHES if cold else ():
+                piece.cache_clear()
+            result, rows = _system_rows(monkeypatch, symbol, weight, value)
+            want = solver_rows_reference(result).values()
+            assert _row_multiset(rows) == _row_multiset(want), f"{name}@{module}"
+            assert all(v for entries, _ in rows for v in entries.values()), f"{name}@{module}"
+            trivial += result.trivial_action
+    assert trivial == 1
+
+
+def test_product_rows_drop_what_cancels():
+    """No solver system makes two products of one term cancel, so they are
+    made to here: a (b + b2) and then -a b2 into one entry give the rows of
+    a b alone, with a zero entry dropped, a row left empty and without a
+    right-hand side dropped, and a row with one kept."""
+    rng = random.Random(24)
+    cancelled = 0
+    for _ in range(40):
+        a, b, b2 = (random_expr(rng, families=("f", "g", "T"), lam_degree=0) for _ in range(3))
+        rhs = random_expr(rng, families=("T",), lam_degree=0)
+        if rng.random() < 0.5:
+            rhs = rhs + DiffExpr(dict((a * b2).terms()[:1]))
+        got, want = {}, {}
+        charts._scalar_rows(rhs, 0, None, got)
+        charts._scalar_rows(rhs, 0, None, want)
+        charts._product_rows(a, b + b2, 0, 7, got)
+        charts._product_rows(-a, b2, 0, 7, got)
+        charts._scalar_rows(a * b, 0, 7, want)
+        assert got == want
+        cancelled += len(a * (b + b2)) > len(a * b)
+    assert cancelled > 20
+
+
+def test_a_lam_carrying_product_still_refuses_its_rows(monkeypatch):
+    with pytest.raises(ValueError, match="a constraint row depends on lam"):
+        charts._product_rows(lam_expr(), det_expr(1, 2), 1, 0, {})
+    pieces = charts._det_pieces
+
+    def lam_pieces(p, q, module_lambda):
+        c, delta_c, alternating = pieces(p, q, module_lambda)
+        return c, delta_c * lam_expr(), alternating
+
+    monkeypatch.setattr(charts, "_det_pieces", lam_pieces)
+    with pytest.raises(ValueError, match="a constraint row depends on lam"):
+        solve_corrections(det_expr(1, 3), 2, module_lambda=2)
+
+
 # -- one integer-weight rule -----------------------------------------------------
 
 @pytest.mark.parametrize("solve", [is_global, solve_corrections])
 @pytest.mark.parametrize("weight, error, message", [
     (Fraction(3, 2), ValueError, "globality needs an integer weight"),
     (1.0, TypeError, "expected an exact rational, got float"),
-], ids=["fraction", "float"])
+    (True, ValueError, "globality needs an integer weight, got True"),
+    (False, ValueError, "globality needs an integer weight, got False"),
+], ids=["fraction", "float", "true", "false"])
 def test_one_weight_rule_for_globality_and_the_solver(solve, weight, error, message):
     with pytest.raises(error, match=message):
         solve(det_expr(1, 2), weight)
+
+
+@pytest.mark.parametrize("cap", [True, False, 12.0])
+def test_the_solver_cap_is_an_int(cap):
+    with pytest.raises(ValueError, match="max_order must be an integer"):
+        solve_corrections(det_expr(1, 2), 1, max_order=cap)
