@@ -371,11 +371,16 @@ def _build() -> Dict[Tuple[str, str], Cochain2]:
 def _derived(name: str, form: str) -> Cochain2:
     """The connection form: the representative of charts.derive(name) with
     the flat form's value weight and module parameter (cbar0 stays symbolic,
-    c0w trivial); or the omega form, that times the 1-form w, one weight up."""
+    c0w trivial); or the omega form, that times the 1-form w, one weight up.
+    An infeasible correction solve is a ValueError that names the generator."""
     from .charts import derive  # charts imports this module
 
     flat = _build()[name, "flat"]
-    coeff = derive(name).representative.coeff
+    solved = derive(name)
+    if not solved.feasible:
+        raise ValueError(f"{name} has no {form} form: the correction solve of its "
+                         "flat form is infeasible")
+    coeff = solved.representative.coeff
     if form == "connection":
         return Cochain2(coeff, flat.value_weight, flat.module_lambda)
     weight = flat.value_weight + 1

@@ -273,29 +273,38 @@ def suite_witt(window: int = 6) -> List[CheckRecord]:
 
 
 def _module_axiom_records() -> List[CheckRecord]:
-    out: List[CheckRecord] = []
-    for lam in (0, 1, 2, 5):
-        bad = ""
-        a = LaurentDensity.of({-2: Fraction(1, 2), 0: 3, 3: Fraction(-2, 7)}, lam)
-        for m in range(-3, 4):
-            for n in range(-3, 4):
-                x, y = WittField.basis(m), WittField.basis(n)
-                lhs = laurent_action(x, laurent_action(y, a)) - laurent_action(
-                    y, laurent_action(x, a))
-                rhs = laurent_action(x.bracket(y), a)
-                if lhs != rhs:
-                    bad = f"module axiom fails at L_{m}, L_{n}, weight {lam}"
-                    break
-        out.append(_checked(
-            f"witt.module-axiom.lam{lam}",
-            "L_f L_g - L_g L_f = L_[f,g] on a Laurent density of weight "
-            f"{lam}, all |m|,|n| <= 3",
-            str(lam), bad, "module structure"))
-    return out
+    return [_checked(
+        f"witt.module-axiom.lam{lam}",
+        "L_f L_g - L_g L_f = L_[f,g] on a Laurent density of weight "
+        f"{lam}, all |m|,|n| <= 3",
+        str(lam), _module_axiom_failure(lam), "module structure") for lam in (0, 1, 2, 5)]
+
+
+def _module_axiom_failure(lam: int) -> str:
+    """The first (m, n), in loop order, where the module axiom fails at
+    weight lam, named; "" when it holds on the whole window."""
+    a = LaurentDensity.of({-2: Fraction(1, 2), 0: 3, 3: Fraction(-2, 7)}, lam)
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            x, y = WittField.basis(m), WittField.basis(n)
+            lhs = laurent_action(x, laurent_action(y, a)) - laurent_action(
+                y, laurent_action(x, a))
+            if lhs != laurent_action(x.bracket(y), a):
+                return f"module axiom fails at L_{m}, L_{n}, weight {lam}"
+    return ""
 
 
 def _kn_cocycle_record(window: int) -> CheckRecord:
-    bad = ""
+    return _checked(
+        "witt.kn.cocycle",
+        "residue-paired values satisfy the trivial-action cocycle identity "
+        f"for |m|,|n|,|p| <= {window}",
+        "0", _kn_cocycle_failure(window), "derived")
+
+
+def _kn_cocycle_failure(window: int) -> str:
+    """The first (m, n, p), in loop order, where the residue-paired values
+    break the cocycle identity, named; "" when none does."""
     rng = range(-window, window + 1)
     # 3 (2 window + 1)^3 lookups of far fewer distinct (m, n)
     kn = cache(kn_value)
@@ -308,13 +317,8 @@ def _kn_cocycle_record(window: int) -> CheckRecord:
                     - (p - n) * kn(n + p, m)
                 )
                 if total != 0:
-                    bad = f"cocycle identity fails at ({m},{n},{p})"
-                    break
-    return _checked(
-        "witt.kn.cocycle",
-        "residue-paired values satisfy the trivial-action cocycle identity "
-        f"for |m|,|n|,|p| <= {window}",
-        "0", bad, "derived")
+                    return f"cocycle identity fails at ({m},{n},{p})"
+    return ""
 
 
 # -- nontrivial: graded certificates --------------------------------------

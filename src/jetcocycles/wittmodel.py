@@ -12,31 +12,48 @@ what makes the non-triviality certificates finite: if c = delta b globally,
 the degree-d component of b solves the windowed system, so infeasibility of
 that exact linear system proves the class nonzero.  Feasibility proves
 nothing (hence INCONCLUSIVE).
+
+Arithmetic is integer work where it can be: a flat cochain is evaluated
+from one compiled table (_compile), one integer product of falling
+factorials per monomial and one division by the common denominator per
+output degree; kn_value reads c0w's table, built once per process.  The
+action, sums and differences build their sorted tuples straight from
+canonical inputs; ``LaurentDensity.of`` is the one validator of outside input.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
+from functools import cache
+from itertools import accumulate
+from math import lcm
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from ._record import Record
 from .cochains import Cochain2, _derivative_counts, catalogue, ce_differential, coeff_and_weight
-from .expr import DiffExpr, FAMILIES
+from .expr import DiffExpr, Monomial
 from .lampoly import LamPoly, Rat, _rat
 from .linalg import solve_affine
 from .syntax import _join
 
 
+def _sorted_nonzero(out: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
+    """Sorted (degree, coefficient) pairs, each coefficient in the ``_rat``
+    form (anything else, floats included, is a TypeError), zeros dropped."""
+    return tuple(sorted([(s, q) for s, v in out.items() if (q := _rat(v))]))
+
+
 def _laurent_coeffs(coeffs: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
-    """Sorted (degree, coefficient) pairs in the ``_rat`` form, zeros dropped;
-    a degree that is not an integer is a TypeError."""
-    clean = {operator.index(s): _rat(c) for s, c in coeffs.items()}
-    return tuple(sorted((s, q) for s, q in clean.items() if q))
+    """_sorted_nonzero of outside input: a degree that is not an integer is
+    also a TypeError."""
+    return _sorted_nonzero({operator.index(s): c for s, c in coeffs.items()})
 
 
 class LaurentDensity(Record):
     """Finite Laurent polynomial sum a_s z^s carrying (dz)^weight, a ``_rat``
-    rational (``of`` refuses any other): the lam of laurent_action."""
+    rational (``of`` refuses any other): the lam of laurent_action.  The
+    constructor takes its canonical tuple as given."""
 
     __slots__ = ("coeffs", "weight")
 
@@ -58,19 +75,23 @@ class LaurentDensity(Record):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: "LaurentDensity") -> "LaurentDensity":
+    def _merged(self, other: "LaurentDensity", op) -> "LaurentDensity":
+        """self op other degree by degree, op being operator.add or .sub."""
         if self.weight != other.weight:
             raise ValueError("cannot add densities of different weights")
-        out = self.as_dict()
+        out = dict(self.coeffs)
         for s, c in other.coeffs:
-            out[s] = out.get(s, 0) + c
-        return LaurentDensity.of(out, self.weight)
+            out[s] = op(out.get(s, 0), c)
+        return LaurentDensity(_sorted_nonzero(out), self.weight)
+
+    def __add__(self, other: "LaurentDensity") -> "LaurentDensity":
+        return self._merged(other, operator.add)
 
     def __neg__(self) -> "LaurentDensity":
         return LaurentDensity(tuple((s, -c) for s, c in self.coeffs), self.weight)
 
     def __sub__(self, other: "LaurentDensity") -> "LaurentDensity":
-        return self + (-other)
+        return self._merged(other, operator.sub)
 
     def scale(self, q: Rat) -> "LaurentDensity":
         q = _rat(q)
@@ -117,47 +138,89 @@ def laurent_action(fld: WittField, a: LaurentDensity) -> LaurentDensity:
     module parameter of the Laurent layer, a ``_rat`` rational.  Computed by
     the basis rule, summed over the terms x z^(m+1) d/dz of fld and c z^s of a:
 
-        L_m z^s (dz)^lam = (s + lam (m+1)) z^(m+s) (dz)^lam.
+        L_m z^s (dz)^lam = (s + lam (m+1)) z^(m+s) (dz)^lam,
+
+    as c * (x * (s + lam (m+1))), the integers first.  A float coefficient,
+    degree or weight in a density built past ``of`` is still a TypeError at
+    the ``_rat`` of the weight or of a value, where a float degree lands.
     """
-    lam = a.weight
+    lam = _rat(a.weight)
     out: Dict[int, Rat] = {}
     for k, x in fld.coeffs:      # k = m + 1
         for s, c in a.coeffs:
             d = k - 1 + s
-            out[d] = out.get(d, 0) + x * c * (s + lam * k)
-    return LaurentDensity.of(out, lam)
+            v = c * (x * (s + lam * k))
+            out[d] = out[d] + v if d in out else v
+    return LaurentDensity(_sorted_nonzero(out), lam)
+
+
+# A flat, lam-free coefficient in integers: (D, top, terms) with D the common
+# denominator, top the highest jet order, and per monomial its numerator over
+# D and the monomial, whose ((rank, order), exponent) factors have rank 0 for
+# f and 1 for g (their places in expr.FAMILIES).
+Table = Tuple[int, int, Tuple[Tuple[int, Monomial], ...]]
+
+
+def _compile(expr: DiffExpr) -> Table:
+    """The table of a flat coefficient; a family other than f and g, or a
+    coefficient that carries lam, is a ValueError."""
+    fams = expr.families()
+    if fams - {"f", "g"}:
+        raise ValueError(f"flat cochain expected; found families {sorted(fams - {'f', 'g'})}")
+    terms = expr._terms.items()
+    den, top = 1, 0
+    for mono, c in terms:
+        if type(c) is LamPoly:
+            raise ValueError("cochain depends on lam; substitute a value first")
+        den = lcm(den, c.denominator)
+        for (_rank, order), _e in mono:
+            top = max(top, order)
+    return den, top, tuple((c.numerator * (den // c.denominator), mono) for mono, c in terms)
+
+
+def _numerators(table: Table, m: int, n: int) -> Dict[int, int]:
+    """Degree -> numerator over D of the table's value at (L_m, L_n), with
+    f = z^(m+1), g = z^(n+1): a monomial prod u^(j)^e gives its numerator
+    times the falling factorials prod (base)_j^e at degree sum e (base - j).
+    An m or n that is not an integer is a TypeError."""
+    _den, top, terms = table
+    bases = (operator.index(m) + 1, operator.index(n) + 1)
+    # falls[rank][j] = base (base-1) ... (base-j+1), what d^j/dz^j brings down
+    falls = [list(accumulate(range(b, b - top, -1), operator.mul, initial=1)) for b in bases]
+    out: Dict[int, int] = {}
+    for num, factors in terms:
+        z = 0
+        for (rank, order), e in factors:
+            num *= falls[rank][order] ** e
+            z += e * (bases[rank] - order)
+        out[z] = out.get(z, 0) + num
+    return out
+
+
+def _coefficient(table: Table, m: int, n: int, degree: int) -> Rat:
+    """The z^degree coefficient of the table's value at (L_m, L_n)."""
+    return _rat(Fraction(_numerators(table, m, n).get(degree, 0), table[0]))
 
 
 def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
                      weight: Optional[Rat] = None) -> LaurentDensity:
-    """Value of a flat cochain on (L_m, L_n): substitute f = z^(m+1),
-    g = z^(n+1) and differentiate exactly.  The coefficient must be free of
-    lam (see Cochain2.at_lambda).  The value's weight, which laurent_action
-    acts at, is a given weight, else a Cochain2's concrete module parameter,
-    else its value weight (trivial action or symbolic module)."""
+    """Value of a flat cochain on (L_m, L_n): f = z^(m+1), g = z^(n+1),
+    differentiated exactly.  The coefficient must be free of lam (see
+    Cochain2.at_lambda); it is compiled once into integers over a common
+    denominator D, so each monomial is one integer product of falling
+    factorials and each output degree one division by D.  The value's weight,
+    which laurent_action acts at, is a given weight, else a Cochain2's
+    concrete module parameter, else its value weight (trivial action or
+    symbolic module).  A non-integer m or n, or a float weight, is a
+    TypeError."""
     if weight is None and isinstance(c, Cochain2) and not (c.trivial_action or c.is_symbolic()):
         weight = c.module_lambda
     expr, weight = coeff_and_weight(c, weight)
-    fams = expr.families()
-    if fams - {"f", "g"}:
-        raise ValueError(f"flat cochain expected; found families {sorted(fams - {'f', 'g'})}")
-    exps = {"f": m + 1, "g": n + 1}
-    out: Dict[int, Rat] = {}
-    for mono, cval in expr.terms():
-        if type(cval) is LamPoly:
-            raise ValueError("cochain depends on lam; substitute a value first")
-        z = 0
-        for (rank, order), e in mono:
-            base = exps[FAMILIES[rank]]
-            for _ in range(e):
-                fall = 1
-                for i in range(order):
-                    fall *= base - i
-                cval *= fall
-                z += base - order
-        if cval:
-            out[z] = out.get(z, 0) + cval
-    return LaurentDensity.of(out, weight)
+    table = _compile(expr)
+    weight = _rat(weight)
+    den = table[0]
+    out = {s: Fraction(v, den) for s, v in _numerators(table, m, n).items()}
+    return LaurentDensity(_sorted_nonzero(out), weight)
 
 
 def residue_pair(a: LaurentDensity) -> Rat:
@@ -168,11 +231,17 @@ def residue_pair(a: LaurentDensity) -> Rat:
     return a.as_dict().get(-1, 0)
 
 
+@cache
+def _kn_table() -> Table:
+    """c0w's flat form compiled: a catalogue constant, once per process."""
+    return _compile(catalogue("c0w", "flat").coeff)
+
+
 def kn_value(m: int, n: int) -> Rat:
     """Residue-paired value of the weight-1 integrand (flat chart, R = 0):
-    Res_0[ (f g''' - g f''')/2 ] = -(m^3 - m) when n = -m, else 0."""
-    integrand = evaluate_cochain(catalogue("c0w", "flat"), m, n)
-    return residue_pair(integrand)
+    Res_0[ (f g''' - g f''')/2 ] = -(m^3 - m) when n = -m, else 0: the z^-1
+    coefficient of c0w's 1-form value, read from c0w's table."""
+    return _coefficient(_kn_table(), m, n, -1)
 
 
 # -- non-triviality certificates -----------------------------------------
@@ -238,7 +307,9 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     must be 1-forms (value weight 1, refused first otherwise).  A symbolic
     module is refused, and c must be a cocycle for its module (zero
     ce_differential).  A non-cocycle would make the system infeasible
-    without being non-trivial.  The window must be at least 1.
+    without being non-trivial.  The window must be at least 1.  c is
+    compiled once (see evaluate_cochain) and each row reads one coefficient
+    from it: the residue, or the one of degree m + n + d.
     """
     _require_window(window)
     if c.trivial_action and c.value_weight != 1:
@@ -258,11 +329,9 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
             raise ValueError(f"cochain is not graded: derivative counts {sorted(counts)} occur")
         shift = 2 - counts.pop()
 
-    rows = []
-    for m, n, row in _coboundary_rows(window, lam, shift):
-        value = evaluate_cochain(c, m, n)
-        rhs = residue_pair(value) if lam is None else value.as_dict().get(m + n + shift, 0)
-        rows.append((row, rhs))
+    table = _compile(c.coeff)
+    rows = [(row, _coefficient(table, m, n, -1 if lam is None else m + n + shift))
+            for m, n, row in _coboundary_rows(window, lam, shift)]
     feasible = solve_affine(rows, 2 * window + 1) is not None
     return CertificateResult("INCONCLUSIVE" if feasible else "NONTRIVIAL",
                              window, c.module_lambda, shift)

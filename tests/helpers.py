@@ -218,6 +218,54 @@ def solver_rows_reference(result) -> dict:
     return rows
 
 
+def laurent_action_reference(fld, a):
+    """laurent_action by the basis rule in the order it is written,
+    x c (s + lam k) summed per degree, every result taken through
+    LaurentDensity.of: the validating path."""
+    from jetcocycles.wittmodel import LaurentDensity
+
+    lam = a.weight
+    out: dict = {}
+    for k, x in fld.coeffs:      # k = m + 1
+        for s, c in a.coeffs:
+            d = k - 1 + s
+            out[d] = out.get(d, 0) + x * c * (s + lam * k)
+    return LaurentDensity.of(out, lam)
+
+
+def evaluate_cochain_reference(c, m: int, n: int, weight=None):
+    """evaluate_cochain one monomial at a time in rationals: each factor
+    f^(j) = z^(m+1) (or g^(j) = z^(n+1)) differentiated j times by a loop
+    over the falling factorial, once per unit of its exponent, the sum
+    taken through LaurentDensity.of."""
+    from jetcocycles.cochains import Cochain2, coeff_and_weight
+    from jetcocycles.wittmodel import LaurentDensity
+
+    if weight is None and isinstance(c, Cochain2) and not (c.trivial_action or c.is_symbolic()):
+        weight = c.module_lambda
+    expr, weight = coeff_and_weight(c, weight)
+    fams = expr.families()
+    if fams - {"f", "g"}:
+        raise ValueError(f"flat cochain expected; found families {sorted(fams - {'f', 'g'})}")
+    exps = {"f": m + 1, "g": n + 1}
+    out: dict = {}
+    for mono, cval in expr.terms():
+        if type(cval) is LamPoly:
+            raise ValueError("cochain depends on lam; substitute a value first")
+        z = 0
+        for (rank, order), e in mono:
+            base = exps[FAMILIES[rank]]
+            for _ in range(e):
+                fall = 1
+                for i in range(order):
+                    fall *= base - i
+                cval *= fall
+                z += base - order
+        if cval:
+            out[z] = out.get(z, 0) + cval
+    return LaurentDensity.of(out, weight)
+
+
 # symbols the correction solver must reject, with a word its message names
 BAD_SYMBOLS = (
     ("0", "is zero"),

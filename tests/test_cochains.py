@@ -453,3 +453,21 @@ def test_lambda_verdicts_that_reach_jets_past_the_default_cap(p, q):
     assert _verdict_row(p, q, lambda_solutions(c)) == _VERDICTS[p, q]
     with pytest.raises(OrderCapExceeded, match=f"jet order {q} exceeds cap {q - 1}"):
         lambda_solutions(c, q - 1)
+
+
+def test_an_infeasible_derivation_is_a_named_error(monkeypatch):
+    """A connection form read from a correction solve that has no solution
+    is a ValueError naming the generator, not an AttributeError."""
+    from jetcocycles import charts
+    from jetcocycles.charts import CorrectionResult
+    from jetcocycles.cochains import _derived
+
+    infeasible = CorrectionResult(det_expr(1, 2), 1, 1, (), None)
+    _derived.cache_clear()
+    monkeypatch.setattr(charts, "derive", lambda name: infeasible)
+    try:
+        with pytest.raises(ValueError, match="c1 has no connection form: the correction "
+                                             "solve of its flat form is infeasible"):
+            catalogue("c1", "connection")
+    finally:
+        _derived.cache_clear()

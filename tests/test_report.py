@@ -249,3 +249,37 @@ def test_cli_globalize_names_a_bad_symbol(text, fault, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and fault in captured.err
+
+
+def test_the_kn_cocycle_record_names_the_first_failing_triple(monkeypatch):
+    """A value off by one at (0, 0) first breaks the identity at
+    (m, n, p) = (-3, 0, 3) in loop order; the record names that triple, not
+    a later one."""
+    from jetcocycles import report
+
+    true_value = report.kn_value
+    monkeypatch.setattr(report, "kn_value",
+                        lambda m, n: true_value(m, n) + ((m, n) == (0, 0)))
+    record = report._kn_cocycle_record(3)
+    assert record.status == "FAIL"
+    assert record.residual == "cocycle identity fails at (-3,0,3)"
+
+
+def test_the_module_axiom_records_name_the_first_failing_pair(monkeypatch):
+    """An action that doubles L_1 breaks the axiom first at (L_-3, L_1) in
+    loop order, at every weight; each record names that pair."""
+    from jetcocycles import report
+    from jetcocycles.wittmodel import WittField
+
+    true_action = report.laurent_action
+    l1 = WittField.basis(1)
+
+    def faulty(fld, a):
+        out = true_action(fld, a)
+        return out.scale(2) if fld == l1 else out
+
+    monkeypatch.setattr(report, "laurent_action", faulty)
+    records = report._module_axiom_records()
+    assert [r.residual for r in records] == [
+        f"module axiom fails at L_-3, L_1, weight {lam}" for lam in (0, 1, 2, 5)]
+    assert all(r.status == "FAIL" for r in records)

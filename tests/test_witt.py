@@ -1,11 +1,12 @@
 """Laurent model: actions, evaluation, residues, certificates."""
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from jetcocycles.cochains import Cochain1, catalogue, coboundary, det_cochain
+from jetcocycles.cochains import Cochain1, Cochain2, catalogue, coboundary, det_cochain, det_expr
 from jetcocycles.expr import DiffExpr, jet
 from jetcocycles.lampoly import LamPoly
 from jetcocycles.wittmodel import (
@@ -19,7 +20,8 @@ from jetcocycles.wittmodel import (
     residue_pair,
 )
 
-from helpers import LAM
+from helpers import (LAM, evaluate_cochain_reference, is_canonical,
+                     laurent_action_reference)
 
 
 def test_action_eigenvalues():
@@ -307,3 +309,140 @@ def test_certificate_inconclusive_cases():
     # the certificate reads the cochain's own parameter, which must be concrete
     with pytest.raises(ValueError, match="a concrete module parameter is required"):
         nontriviality_certificate(det_cochain(0, 2), window=5)
+
+
+# -- the integer arithmetic against the rational references ----------------
+
+
+def _same_stored_form(got, want):
+    """Equal, with the same stored tuple: int degrees in increasing order,
+    each coefficient nonzero and in the _rat form, and the same types."""
+    assert got == want
+    assert [(type(s), type(c)) for s, c in got.coeffs] == \
+        [(type(s), type(c)) for s, c in want.coeffs]
+    assert all(type(s) is int and c and is_canonical(c) for s, c in got.coeffs)
+    assert [s for s, _c in got.coeffs] == sorted({s for s, _c in got.coeffs})
+    assert type(got.weight) is type(want.weight) and is_canonical(got.weight)
+
+
+def _random_flat(rng):
+    """A flat coefficient: up to four monomials in f and g jets of order
+    0..4, exponents 1..3, Fraction coefficients."""
+    out = DiffExpr.zero()
+    for _ in range(rng.randint(1, 4)):
+        piece = DiffExpr.rational(Fraction(rng.choice((-7, -3, -1, 1, 2, 5)),
+                                           rng.choice((1, 2, 3, 4, 6))))
+        for _ in range(rng.randint(1, 3)):
+            piece = piece * jet(rng.choice("fg"), rng.randint(0, 4)) ** rng.randint(1, 3)
+        out = out + piece
+    return out
+
+
+def _flat_cases(rng):
+    """(c, weight) pairs: random coefficients at an explicit weight,
+    cochains whose values carry a concrete module parameter or their value
+    weight, and antisymmetric ones, which cancel to zero at m = n."""
+    for _ in range(30):
+        yield _random_flat(rng), rng.choice((0, 2, Fraction(-3, 2)))
+    for p, q in ((0, 3), (1, 3), (2, 5)):
+        coeff = det_expr(p, q).scale(Fraction(rng.randint(1, 5), rng.randint(2, 4)))
+        yield Cochain2(coeff, p + q - 2, Fraction(p + q - 2, 2)), None      # module weight
+        yield Cochain2(coeff, p + q - 2, LAM), None                         # value weight
+        yield Cochain2(coeff, 1, None), Fraction(1, 3)                      # explicit weight
+    yield catalogue("c0w", "flat"), None
+    yield catalogue("c7", "flat"), None
+    # two monomials of one degree, with coefficient m - n: zero at m = n
+    yield jet("f", 1) * jet("g", 0) ** 2 - jet("f", 0) * jet("g", 1) * jet("g", 0), 3
+
+
+def test_evaluation_matches_the_rational_reference():
+    rng = random.Random(2501)
+    points = [(m, n) for m in range(-5, 4) for n in range(-5, 4)]
+    zero = several = 0
+    for c, weight in _flat_cases(rng):
+        for m, n in rng.sample(points, 12) + [(0, 0), (-1, -1), (-3, 2), (2, 2)]:
+            got = evaluate_cochain(c, m, n, weight)
+            _same_stored_form(got, evaluate_cochain_reference(c, m, n, weight))
+            zero += got.is_zero()
+            several += len(got.coeffs) > 1
+    # both cancellation to zero and values of several degrees occur
+    assert zero and several
+
+
+def test_evaluation_keeps_every_power_and_the_denominator():
+    # (f'')^2 g^3 / 6 at (L_2, L_-3): f = z^3, g = z^-2, so 36 z^2 z^-6 / 6
+    c = (jet("f", 2) ** 2 * jet("g", 0) ** 3).scale(Fraction(1, 6))
+    assert evaluate_cochain(c, 2, -3, 0).coeffs == ((-4, 6),)
+    # det(0,3) / 4 at (L_1, L_-2): f = z^2, g = z^-1, so f g[3] / 4 = -6 z^-2 / 4
+    value = evaluate_cochain(det_expr(0, 3).scale(Fraction(1, 4)), 1, -2, 2)
+    assert value.coeffs == ((-2, Fraction(-3, 2)),)
+
+
+def _random_field(rng):
+    return WittField.of({rng.randint(-3, 4): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 3))})
+
+
+def _random_density(rng, weight):
+    return LaurentDensity.of({rng.randint(-4, 4): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                              for _ in range(rng.randint(1, 4))}, weight)
+
+
+def test_the_action_and_sums_match_the_rational_reference():
+    rng = random.Random(2502)
+    weights = (0, 1, 2, 5, -1, Fraction(1, 2), Fraction(-4, 3))
+    for _ in range(200):
+        x, a = _random_field(rng), _random_density(rng, rng.choice(weights))
+        _same_stored_form(laurent_action(x, a), laurent_action_reference(x, a))
+        b = _random_density(rng, a.weight)
+        for op in (operator.add, operator.sub):
+            want = a.as_dict()
+            for s, c in b.coeffs:
+                want[s] = op(want.get(s, 0), c)
+            _same_stored_form(op(a, b), LaurentDensity.of(want, a.weight))
+        _same_stored_form((a + b) - a, b)
+        _same_stored_form(a - a, LaurentDensity((), a.weight))
+    # L_m z^s (dz)^lam vanishes at s = -lam (m+1)
+    for m, s, lam in ((2, -3, 1), (1, -4, 2), (0, 0, 3), (-1, 4, Fraction(1, 2)),
+                      (1, -1, Fraction(1, 2))):
+        a = LaurentDensity.monomial(s, lam, Fraction(2, 3))
+        _same_stored_form(laurent_action(WittField.basis(m), a),
+                          laurent_action_reference(WittField.basis(m), a))
+    # (L_0 + L_1) on z - z^2 / 2 at lam = 0: the z^2 terms cancel
+    x = WittField.of({1: 1, 2: 1})
+    a = LaurentDensity.of({1: 1, 2: Fraction(-1, 2)}, 0)
+    assert laurent_action(x, a).coeffs == ((1, 1), (3, -1))
+    _same_stored_form(laurent_action(x, a), laurent_action_reference(x, a))
+
+
+@pytest.mark.parametrize("m, n, weight", [(1.0, 2, 0), (1, Fraction(1, 2), 0), (1, 2, 1.5)],
+                         ids=["float-m", "fraction-n", "float-weight"])
+def test_evaluation_refuses_what_is_not_exact(m, n, weight):
+    for evaluate in (evaluate_cochain, evaluate_cochain_reference):
+        with pytest.raises(TypeError):
+            evaluate(det_expr(1, 2), m, n, weight)
+
+
+def test_evaluation_refuses_backgrounds_and_lam_as_the_reference_does():
+    for c in (catalogue("cbar2", "connection"), det_cochain(0, 2).coeff.scale(LAM)):
+        for evaluate in (evaluate_cochain, evaluate_cochain_reference):
+            with pytest.raises(ValueError):
+                evaluate(c, 1, 2, 0)
+
+
+@pytest.mark.parametrize("fld, a", [
+    (WittField.basis(0), LaurentDensity(((1.5, 2),), 0)),
+    (WittField.basis(0), LaurentDensity(((1, 0.5),), 0)),
+    (WittField.basis(0), LaurentDensity(((1, 0.0),), 0)),
+    (WittField.basis(0), LaurentDensity(((1, 2),), 0.5)),
+    (WittField(()), LaurentDensity(((1, 2),), 0.5)),
+    (WittField(((1.5, 1),)), LaurentDensity(((1, 2),), 0)),
+    (WittField(((1, 0.5),)), LaurentDensity(((1, 2),), 0)),
+], ids=["float-degree", "float-coefficient", "float-zero", "float-weight",
+        "float-weight-empty-field", "float-field-degree", "float-field-coefficient"])
+def test_the_action_refuses_floats_past_of(fld, a):
+    """A density or field built without LaurentDensity.of that carries a
+    float is still a TypeError, for the action and for the reference."""
+    for act in (laurent_action, laurent_action_reference):
+        with pytest.raises(TypeError):
+            act(fld, a)
