@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import (Cochain2, _derivative_counts, _exact_class, catalogue, ce_parts,
-                       coeff_and_weight, det_expr)
+from .cochains import (Cochain2, _ce_pieces, _derivative_counts, _exact_class, catalogue,
+                       ce_parts, coeff_and_weight, det_expr)
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -315,11 +315,13 @@ def _linear_residual(e: DiffExpr, weight: int) -> DiffExpr:
 @cache
 def _det_pieces(p: int, q: int,
                 module_lambda: Optional[Rat]) -> Tuple[DiffExpr, DiffExpr, DiffExpr]:
-    """(c, delta c at the module, f c(g,k) - g c(f,k) + k c(f,g)) for c = det(p,q)."""
-    c = det_expr(p, q)
-    alternating = sum(jet(x, 0) * (jet(y, p) * jet(z, q) - jet(y, q) * jet(z, p))
-                      for x, y, z in ("fgk", "gkf", "kfg"))
-    return c, ce_parts(c, 2, module_lambda)[1], alternating
+    """(c, delta c at the module, f c(g,k) - g c(f,k) + k c(f,g)) for
+    c = det(p,q), read from ce_parts' table of pieces: delta c = I + A + lam B,
+    and I alone under the trivial action."""
+    insertions, action, linear, alternating = _ce_pieces((p, q))
+    if module_lambda is not None:
+        insertions = insertions + action + linear.scale(module_lambda)
+    return det_expr(p, q), insertions, alternating
 
 
 def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):

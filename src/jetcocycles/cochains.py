@@ -16,6 +16,20 @@ The catalogue collects the classical generators in four shapes:
 
 Only the flat forms are stored; the rest is read from them by one grading
 rule (_build) or derived on first lookup, so a flat lookup never solves.
+
+The CE differential (ce_parts) reads a cochain as a sum of backgrounds m,
+monomials in the non-slot jets (T, R, w, h, hinv), times slot blocks s:
+f^(p) in a 1-cochain, det(p,q) in a 2-cochain.  The action differentiates
+m too, so delta goes through each term by Leibniz,
+
+    delta(m s) = m delta s + D(m) (f s(g,k) - g s(f,k) + k s(f,g)),
+
+(f s(g) - g s(f) for a 1-cochain), and delta s = I + A + lam B splits into
+the bracket insertions I, the lam-free action part A and the part B linear
+in lam.  The pieces I, A, B and the alternating sum of each block are kept
+in one process-wide table, _CE_PIECES, empty at import and filled on first
+use of a block from the argument jets of _arg_jets; the correction solver
+reads the determinants' pieces from the same table.
 """
 
 from __future__ import annotations
@@ -23,15 +37,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
     Coef,
     DiffExpr,
+    Monomial,
     _coef,
+    _expr,
     _has_lam,
+    _mul_into,
     check_order_cap,
     euler_derivative,
     jet,
@@ -39,7 +56,7 @@ from .expr import (
     total_derivative,
 )
 from ._record import Record
-from .calculus import bracket, lie_action, nabla_power
+from .calculus import bracket, nabla_power
 from .lampoly import LamPoly, Rat, _rat, gcd_all, rational_roots
 
 
@@ -78,18 +95,102 @@ def _arg_jets(arg: str, top: int) -> Tuple[DiffExpr, ...]:
     return jets
 
 
-def _insert(coeff: DiffExpr, args: Dict[str, str]) -> DiffExpr:
-    """coeff with each slot family (f, g) read at its argument: slot[n] is
-    replaced by the argument's n-th jet, from the one table _arg_jets."""
-    table = {}
-    for slot, arg in args.items():
-        rank, top = _RANK[slot], coeff.max_order(slot)
-        table.update(((rank, n), j) for n, j in enumerate(_arg_jets(arg, top)[:top + 1]))
-    return substitute_jets(coeff, table)
+_F, _G = _RANK["f"], _RANK["g"]
+
+# a slot block: (p,) for f^(p) in a 1-cochain, (p, q) for det(p,q) in a 2-cochain
+_Block = Tuple[int, ...]
+
+# slot block -> its pieces (I, A, B, alt), one table per process, filled by
+# _ce_pieces on first use of a block and read by ce_parts and the solver
+_CE_PIECES: Dict[_Block, Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]] = {}
+
+# arity -> the (rank, exponent) of the slot atoms a monomial starts with
+_SLOT_HEADS = {1: [(_F, 1)], 2: [(_F, 1), (_G, 1)]}
+
+
+def _block_value(block: _Block, args: Sequence[str]) -> DiffExpr:
+    """The block read at its arguments, their jets from _arg_jets: x^(p)
+    for (p,) at x, and x^(p) y^(q) - x^(q) y^(p) for (p, q) at x, y."""
+    if len(block) == 1:
+        (p,), (x,) = block, args
+        return _arg_jets(x, p)[p]
+    p, q = block
+    x, y = (_arg_jets(arg, q) for arg in args)
+    return x[p] * y[q] - x[q] * y[p]
+
+
+def _ce_pieces(block: _Block) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
+    """The pieces of the CE differential of a block s on x_0, x_1[, x_2] =
+    f, g[, k], each value s(...) at the other arguments:
+
+        I   = sum_{i<j} (-1)^(i+j) s([x_i,x_j], ...),   the bracket insertions,
+        A   = sum_i (-1)^i x_i D(s(...)),                the lam-free action part,
+        B   = sum_i (-1)^i x_i' s(...),                  the part linear in lam,
+        alt = sum_i (-1)^i x_i s(...),
+
+    so that delta s = I + A + lam B; built once per block and process."""
+    pieces = _CE_PIECES.get(block)
+    if pieces is None:
+        fams = "fgk"[:len(block) + 1]
+        insertions = action = linear = alternating = DiffExpr.zero()
+        for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
+            term = _block_value(block, (f"[{x},{y}]", *fams.replace(x, "").replace(y, "")))
+            insertions = insertions - term if (i + j) % 2 else insertions + term
+        for i, x in enumerate(fams):
+            value = _block_value(block, fams.replace(x, ""))
+            if i % 2:
+                value = -value
+            action = action + jet(x, 0) * total_derivative(value)
+            linear = linear + jet(x, 1) * value
+            alternating = alternating + jet(x, 0) * value
+        pieces = _CE_PIECES[block] = (insertions, action, linear, alternating)
+    return pieces
+
+
+def _slot_blocks(coeff: DiffExpr, arity: int) -> Dict[_Block, Dict[Monomial, Coef]]:
+    """coeff split into slot blocks: block -> the terms of its background,
+    the atoms of a monomial other than its slot ones (f, and g for arity 2).
+    A 1-cochain must be linear in f, a 2-cochain bilinear in f and g and
+    antisymmetric under f <-> g (a ValueError otherwise).  Antisymmetry is
+    read by relabeling: each monomial m f^(p) g^(q) with p >= q must meet
+    m f^(q) g^(p) with the opposite coefficient, and as many monomials must
+    have p < q as p >= q; the block (q, p) then stands for both, as
+    m det(q,p)."""
+    blocks: Dict[_Block, Dict[Monomial, Coef]] = {}
+    upper = []
+    for mono, c in coeff._terms.items():
+        head, rest = mono[:arity], mono[arity:]
+        if [(atom[0], e) for atom, e in head] != _SLOT_HEADS[arity] \
+                or (rest and rest[0][0][0] < arity):
+            raise ValueError("1-cochain must be linear in the f jets" if arity == 1
+                             else "2-cochain must be bilinear in the f and g jets")
+        block = tuple(atom[1] for atom, _e in head)
+        if arity == 2 and block[0] >= block[1]:
+            upper.append((block, rest, c))
+        else:
+            blocks.setdefault(block, {})[rest] = c
+    terms = coeff._terms
+    if arity == 2 and (2 * len(upper) != len(terms) or any(
+            terms.get((((_F, q), 1), ((_G, p), 1)) + rest) != -c
+            for (p, q), rest, c in upper)):
+        raise ValueError("2-cochain must be antisymmetric under f <-> g")
+    return blocks
+
+
+def _refuse_arguments(coeff: DiffExpr, kind: str, families: Tuple[str, ...]):
+    """A ValueError naming the first of the families that coeff carries:
+    the arguments its differential is evaluated at besides its own slots,
+    which ce_parts would read as background."""
+    found = coeff.families()
+    for fam in families:
+        if fam in found:
+            raise ValueError(f"{kind} must not carry {fam} jets: {fam} is an argument "
+                             "of its differential")
 
 
 class Cochain1(Record):
-    """Linear 1-cochain on vector fields, written in the f jets; value_weight
+    """Linear 1-cochain on vector fields, written in the f jets (a g or k
+    jet, an argument of its differential, is a ValueError); value_weight
     and module_lambda as for Cochain2."""
 
     __slots__ = ("coeff", "value_weight", "module_lambda")
@@ -98,8 +199,8 @@ class Cochain1(Record):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "value_weight", _rat(value_weight))
         object.__setattr__(self, "module_lambda", _module(coeff, module_lambda))
-        if coeff.degree_in("f") - {1}:
-            raise ValueError("1-cochain must be linear in the f jets")
+        _slot_blocks(coeff, 1)
+        _refuse_arguments(coeff, "1-cochain", ("g", "k"))
 
 
 # Cochain2's default module: a fresh LamPoly.lam() per cochain
@@ -107,7 +208,8 @@ _FRESH_LAM = object()
 
 
 class Cochain2(Record):
-    """Antisymmetric bilinear 2-cochain in the f and g jet families.
+    """Antisymmetric bilinear 2-cochain in the f and g jet families; a k
+    jet, the third argument of its differential, is a ValueError.
 
     value_weight is the density grading of the values (what the chart
     transform tests), a ``_rat`` rational; module_lambda is the action
@@ -128,10 +230,8 @@ class Cochain2(Record):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "value_weight", _rat(value_weight))
         object.__setattr__(self, "module_lambda", _module(coeff, module_lambda))
-        if coeff.degree_in("f") - {1} or coeff.degree_in("g") - {1}:
-            raise ValueError("2-cochain must be bilinear in the f and g jets")
-        if not (_insert(coeff, {"f": "g", "g": "f"}) + coeff).is_zero():
-            raise ValueError("2-cochain must be antisymmetric under f <-> g")
+        _slot_blocks(coeff, 2)
+        _refuse_arguments(coeff, "2-cochain", ("k",))
 
     @property
     def trivial_action(self) -> bool:
@@ -186,29 +286,36 @@ def ce_parts(coeff: DiffExpr, arity: int,
         delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...).
 
     The insertions alone are the trivial-action differential (lam None); the
-    action L_x a = x a' + lam x' a adds a part linear in lam.  Each value
-    c(...) reads its arguments' jets, the brackets' prolongations included,
-    from the one process-wide table of _arg_jets, so no bracket is
-    prolonged twice in a process.
+    action L_x a = x a' + lam x' a adds a part linear in lam.  coeff is read
+    as a sum of backgrounds m times slot blocks s (_slot_blocks: f^(p) for
+    arity 1, det(p,q) for arity 2, which the coefficient must be linear or
+    antisymmetric bilinear in), and delta goes through each by Leibniz:
+
+        delta(m s) = m (I + A + lam B) + D(m) alt,
+
+    with the block's pieces I, A, B and alt from the one process-wide table
+    of _ce_pieces, so no block is differentiated twice in a process; the
+    trivial action keeps m I only.  The backgrounds of one block are summed
+    first, and each product is added straight into one dict.  An arity other
+    than 1 or 2 is a ValueError.
     """
-    fams = "fgk"[:arity + 1]
-
-    def value(*args):
-        # c(args); a slot keeping its own family is left as it is
-        bindings = {slot: arg for slot, arg in zip("fg", args) if arg != slot}
-        return _insert(coeff, bindings) if bindings else coeff
-
-    insertions = DiffExpr.zero()
-    for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
-        term = value(f"[{x},{y}]", *fams.replace(x, "").replace(y, ""))
-        insertions = insertions - term if (i + j) % 2 else insertions + term
+    if arity not in (1, 2):
+        raise ValueError(f"ce_parts needs a 1- or 2-cochain, got arity {arity!r}")
+    blocks = _slot_blocks(coeff, arity)
+    insertions: Dict[Monomial, Coef] = {}
+    for block, background in blocks.items():
+        _mul_into(insertions, background, _ce_pieces(block)[0]._terms)
     if lam is None:
+        insertions = _expr(insertions)
         return insertions, insertions
-    delta = insertions
-    for i, x in enumerate(fams):
-        term = lie_action(jet(x, 0), value(*fams.replace(x, "")), lam)
-        delta = delta - term if i % 2 else delta + term
-    return insertions, delta
+    delta = dict(insertions)
+    for block, background in blocks.items():
+        _insertions, action, linear, alternating = _ce_pieces(block)
+        m = _expr(background)
+        _mul_into(delta, background, action._terms)
+        _mul_into(delta, m.scale(lam)._terms, linear._terms)
+        _mul_into(delta, total_derivative(m)._terms, alternating._terms)
+    return _expr(insertions), _expr(delta)
 
 
 def _exact_class(delta: DiffExpr) -> DiffExpr:

@@ -154,6 +154,12 @@ def substitute_jets_reference(e: DiffExpr, table) -> DiffExpr:
     return out
 
 
+def swap_fg_reference(e: DiffExpr) -> DiffExpr:
+    """e with the families f and g exchanged, through substitute: the
+    definitional form of the relabeling in the Cochain2 antisymmetry check."""
+    return substitute(e, {"f": jet("g", 0), "g": jet("f", 0)})
+
+
 def ce_parts_reference(coeff: DiffExpr, arity: int, lam):
     """(bracket insertions, delta c) as cochains.ce_parts defines them, by
     the definitional path: each value c(...) binds the slot families f, g

@@ -17,7 +17,10 @@ from jetcocycles.cochains import (
     Cochain1,
     Cochain2,
     _ARG_JETS,
+    _CE_PIECES,
     _arg_jets,
+    _ce_pieces,
+    _slot_blocks,
     _exact_class,
     catalogue,
     ce_differential,
@@ -29,13 +32,14 @@ from jetcocycles.cochains import (
     lambda_solutions,
 )
 from jetcocycles.calculus import bracket, nabla_power
-from jetcocycles.charts import derive, is_global, solve_corrections
+from jetcocycles.charts import _det_pieces, derive, is_global, solve_corrections
 from jetcocycles.wittmodel import evaluate_cochain
-from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, jet, substitute,
-                              total_derivative)
+from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, hinv, jet,
+                              substitute, total_derivative)
 from jetcocycles.lampoly import LamPoly
 
-from helpers import LAM, ce_parts_reference, is_total_derivative, random_coeff
+from helpers import (LAM, ce_parts_reference, is_total_derivative, random_coeff, random_expr,
+                     swap_fg_reference)
 
 
 def test_det_cochain_basics():
@@ -62,6 +66,72 @@ def test_cochain_validation():
     f0, f13, g0, g13 = (jet(x, n) for x in "fg" for n in (0, 13))
     with pytest.raises(ValueError, match="antisymmetric"):
         Cochain2(f0 * g13 + f13 * g0, 11)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Cochain1(jet("f", 0) * jet("g", 1), 0, 1), "1-cochain must not carry g jets"),
+    (lambda: Cochain1(jet("f", 2) * jet("k", 0), 0, 1), "1-cochain must not carry k jets"),
+    (lambda: Cochain2(det_expr(0, 2) * jet("k", 1), 1, 2), "2-cochain must not carry k jets"),
+    (lambda: Cochain2(det_expr(1, 3) * jet("k", 0), 1), "2-cochain must not carry k jets"),
+], ids=["cochain1-g", "cochain1-k", "cochain2-k", "cochain2-k-symbolic"])
+def test_a_cochain_refuses_the_argument_families_of_its_differential(make, message):
+    """g and k (k alone for a 2-cochain) are arguments of the differential,
+    which ce_parts would read as background; the refusal names the family,
+    where a g in a 1-cochain used to fail only in coboundary, as not
+    bilinear."""
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+@pytest.mark.parametrize("arity", [0, 3, -1])
+def test_ce_parts_refuses_an_arity_other_than_one_or_two(arity):
+    with pytest.raises(ValueError, match=f"ce_parts needs a 1- or 2-cochain, got arity {arity}"):
+        ce_parts(det_expr(0, 2), arity, LAM)
+
+
+def _random_bilinear(rng):
+    """A seeded sum of terms c f^(a) g^(b) times T, R, w, h and hinv jets,
+    with lam in some coefficients; made antisymmetric (e - swap e) in
+    two draws in five; otherwise with a term that is its own relabeling
+    (a = b) added, with every partner present at twice the right
+    coefficient, or as drawn."""
+    e = random_expr(rng, families=("T", "R", "w", "h"), max_order=2, terms=3, factors=2,
+                    with_hinv=True) * jet("f", rng.randrange(4)) * jet("g", rng.randrange(4))
+    e = e + jet("f", rng.randrange(4)) * jet("g", rng.randrange(4)) * random_coeff(rng)
+    kind = rng.randrange(5)
+    if kind < 2:
+        return e - swap_fg_reference(e)
+    if kind == 2:
+        a = rng.randrange(4)
+        return e - swap_fg_reference(e) + jet("f", a) * jet("g", a) * jet("T", 0)
+    if kind == 3:
+        return e - swap_fg_reference(e) * 2
+    return e
+
+
+def test_the_antisymmetry_check_agrees_with_the_substitute_swap():
+    """Cochain2 accepts a bilinear coefficient iff swapping f and g through
+    substitute negates it, on seeded inputs with background and lam
+    coefficients, half of them antisymmetric by construction; an accepted
+    one is the sum of its blocks, each background times det(p,q)."""
+    rng = random.Random(2601)
+    verdicts = []
+    for _ in range(120):
+        e = _random_bilinear(rng)
+        antisymmetric = (swap_fg_reference(e) + e).is_zero()
+        try:
+            Cochain2(e, 0)
+            accepted = True
+        except ValueError as err:
+            assert "antisymmetric" in str(err), err
+            accepted = False
+        assert accepted == antisymmetric, e
+        verdicts.append(accepted)
+        if accepted:
+            rebuilt = sum((DiffExpr(back) * det_expr(*block)
+                           for block, back in _slot_blocks(e, 2).items()), DiffExpr.zero())
+            assert rebuilt == e
+    assert verdicts.count(True) > 30 and verdicts.count(False) > 40
 
 
 @pytest.mark.parametrize("call", [
@@ -318,9 +388,17 @@ def test_ce_parts_split_insertions_from_the_action():
                    for _mono, coef in (delta - insertions).terms())
 
 
-def _random_ce_inputs(rng, count):
+def _background_jet(rng, families):
+    fam = rng.choice(families)
+    if fam == "hinv":
+        return hinv()
+    return jet(fam, rng.randrange(fam == "h", 3))
+
+
+def _random_ce_inputs(rng, count, families="TRw"):
     """Seeded 1-cochains linear in f and antisymmetric 2-cochains (sums of
-    det(a,b) blocks), f and g orders up to 14, times T/R/w jets."""
+    det(a,b) blocks), f and g orders up to 14, times background jets of the
+    given families."""
     out = []
     for _ in range(count):
         for arity in (1, 2):
@@ -328,7 +406,7 @@ def _random_ce_inputs(rng, count):
             for _ in range(rng.randrange(1, 4)):
                 piece = DiffExpr.rational(Fraction(rng.randint(1, 6), rng.randint(1, 4)))
                 for _ in range(rng.randrange(0, 3)):
-                    piece = piece * jet(rng.choice("TRw"), rng.randrange(0, 3))
+                    piece = piece * _background_jet(rng, families)
                 if arity == 1:
                     piece = piece * jet("f", rng.randrange(0, 15))
                 else:
@@ -338,12 +416,31 @@ def _random_ce_inputs(rng, count):
     return out
 
 
+def _catalogue_cochains():
+    """Every covariant, connection and omega form of the catalogue."""
+    out = []
+    for name in CATALOGUE_NAMES:
+        for form in ("covariant", "connection", "omega"):
+            try:
+                out.append(catalogue(name, form))
+            except KeyError:
+                pass
+    return out
+
+
 def test_ce_parts_matches_the_definitional_path():
     """ce_parts against the prolongation through substitute, at the trivial
-    action, a rational module and a symbolic one, from an empty table of
-    argument jets and again after a lambda sweep has grown it."""
+    action, a rational module and a symbolic one, on seeded cochains with
+    T, R and w backgrounds and with h and hinv ones, from empty tables of
+    argument jets and of pieces and again after a lambda sweep has grown
+    them; and on every covariant, connection and omega form of the
+    catalogue, at those three and at its own module."""
     _ARG_JETS.clear()
-    cases = _random_ce_inputs(random.Random(53), 6)
+    _CE_PIECES.clear()
+    rng = random.Random(53)
+    cases = _random_ce_inputs(rng, 6) + _random_ce_inputs(rng, 4, ("T", "R", "w", "h", "hinv"))
+    assert any("hinv" in coeff.families() for coeff, _arity in cases)
+    assert any("h" in coeff.families() for coeff, _arity in cases)
     for _sweep in range(2):
         for coeff, arity in cases:
             for lam in (None, Fraction(-3, 2), LamPoly.lam()):
@@ -352,6 +449,11 @@ def test_ce_parts_matches_the_definitional_path():
         for p in (0, 5, 15):
             lambda_solutions(det_cochain(p, 16, 24), 24)
     assert grown == 17
+    forms = _catalogue_cochains()
+    assert len(forms) == 18
+    for c in forms:
+        for lam in {None, Fraction(-3, 2), LamPoly.lam(), c.module_lambda}:
+            assert ce_parts(c.coeff, 2, lam) == ce_parts_reference(c.coeff, 2, lam), (c, lam)
 
 
 def test_the_argument_jet_table_is_bounded_and_immutable():
@@ -359,6 +461,7 @@ def test_the_argument_jet_table_is_bounded_and_immutable():
     jets up to order 12 and no further; each entry is a tuple, and the
     table is empty at import."""
     _ARG_JETS.clear()
+    _CE_PIECES.clear()
     for q in range(1, 13):
         for p in range(q):
             lambda_solutions(det_cochain(p, q, 24), 24)
@@ -375,6 +478,43 @@ def test_the_argument_jet_table_is_bounded_and_immutable():
     script = ("import jetcocycles\n"
               "from jetcocycles.cochains import _ARG_JETS\n"
               "assert _ARG_JETS == {}\n")
+    src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_the_piece_table_is_keyed_per_determinant_and_immutable():
+    """A lambda sweep over all det(p,q), q <= 12, leaves one entry per
+    determinant, 78, each a tuple of four expressions (I, A, B, alt) with
+    D(alt) = A + B, read again as the same tuple and by the solver's
+    _det_pieces; the table is empty at import, and a 1-cochain's f^(p) is
+    an entry (p,) of its own."""
+    _CE_PIECES.clear()
+    for q in range(1, 13):
+        for p in range(q):
+            lambda_solutions(det_cochain(p, q, 24), 24)
+    assert sorted(_CE_PIECES) == [(p, q) for p in range(12) for q in range(p + 1, 13)]
+    assert len(_CE_PIECES) == 78
+    for block, pieces in _CE_PIECES.items():
+        assert type(pieces) is tuple and len(pieces) == 4
+        assert all(type(piece) is DiffExpr for piece in pieces)
+        insertions, action, linear, alternating = pieces
+        assert total_derivative(alternating) == action + linear
+        assert _ce_pieces(block) is pieces
+        with pytest.raises(AttributeError):
+            insertions._terms = {}
+    for module in (None, 3):
+        c, delta_c, alternating = _det_pieces(2, 5, module)
+        assert delta_c == ce_parts(c, 2, module)[1]
+        assert alternating == _CE_PIECES[2, 5][3]
+    coboundary(Cochain1(jet("f", 3), 2, LAM))
+    assert (3,) in _CE_PIECES and len(_CE_PIECES) == 79
+
+    import jetcocycles
+
+    script = ("import jetcocycles\n"
+              "from jetcocycles.cochains import _CE_PIECES\n"
+              "assert _CE_PIECES == {}\n")
     src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
     subprocess.run([sys.executable, "-c", script], check=True,
                    env={**os.environ, "PYTHONPATH": src})
