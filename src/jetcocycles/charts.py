@@ -41,8 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import (Cochain2, _ce_pieces, _derivative_counts, _exact_class, catalogue,
-                       ce_parts, coeff_and_weight, det_expr)
+from .cochains import (Cochain2, _ce_pieces, _derivative_counts, _exact_class, _ordered,
+                       catalogue, ce_parts, coeff_and_weight, det_expr)
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -176,13 +176,15 @@ _Symbols = Tuple[Tuple[str, int], ...]
 
 
 @cache
-def _connection_monomials(weight: int) -> Tuple[Tuple[_Symbols, DiffExpr], ...]:
+def _connection_monomials(
+        weight: int) -> Tuple[Tuple[_Symbols, DiffExpr, DiffExpr, DiffExpr], ...]:
     """Monomials in T/R derivative symbols of the given total weight.
 
     T^(j) weighs j + w(T), R^(j) weighs j + w(R).  Each comes as its tuple
-    of (family, order) with multiplicity and its expression, in increasing
-    order of the tuples: the search picks from the sorted symbols in
-    nondecreasing position, so it meets the tuples in that order.
+    of (family, order) with multiplicity, its expression m, L(m) at the
+    weight (_linear_residual) and D(m), in increasing order of the tuples:
+    the search picks from the sorted symbols in nondecreasing position, so
+    it meets the tuples in that order.
     """
     items = sorted((fam, w - _WEIGHTS[fam], w)
                    for fam in _AFFINE for w in range(_WEIGHTS[fam], weight + 1))
@@ -198,7 +200,8 @@ def _connection_monomials(weight: int) -> Tuple[Tuple[_Symbols, DiffExpr], ...]:
                 rec(i, remaining - w, picked + ((fam, order),), m * jet(fam, order))
 
     rec(0, weight, (), DiffExpr.one())
-    return tuple(out)
+    return tuple((symbols, m, _linear_residual(m, weight), total_derivative(m))
+                 for symbols, m in out)
 
 
 class AnsatzTerm(Record):
@@ -272,7 +275,8 @@ class CorrectionResult(Record):
 
     def contains(self, coeff: DiffExpr) -> bool:
         """Is the given cochain coefficient in the solution set, that is, is
-        coeff - representative in the span of the nullspace directions?"""
+        coeff - representative in the span of the nullspace directions?
+        Every row is kept here, since coeff need not be antisymmetric."""
         if not self.feasible or _has_lam(coeff):
             return False
         rows: Dict = {}
@@ -313,15 +317,19 @@ def _linear_residual(e: DiffExpr, weight: int) -> DiffExpr:
 
 
 @cache
-def _det_pieces(p: int, q: int,
-                module_lambda: Optional[Rat]) -> Tuple[DiffExpr, DiffExpr, DiffExpr]:
-    """(c, delta c at the module, f c(g,k) - g c(f,k) + k c(f,g)) for
-    c = det(p,q), read from ce_parts' table of pieces: delta c = I + A + lam B,
-    and I alone under the trivial action."""
+def _det_pieces(p: int, q: int, module_lambda: Optional[Rat]
+                ) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
+    """(c, L(c), delta c at the module, f c(g,k) - g c(f,k) + k c(f,g)) for
+    c = det(p,q), each kept at its ordered monomials only (cochains._ordered):
+    c as its term f^(p) g^(q), L(c) = _linear_residual(c, p+q-2) at f < g,
+    and delta c = I + A + lam B and the alternating sum, read from ce_parts'
+    table of pieces, at f < g < k.  Under the trivial action delta c is the
+    whole of I, whose class _exact_class needs."""
     insertions, action, linear, alternating = _ce_pieces((p, q))
     if module_lambda is not None:
-        insertions = insertions + action + linear.scale(module_lambda)
-    return det_expr(p, q), insertions, alternating
+        insertions = _ordered(insertions + action + linear.scale(module_lambda), 3)
+    return (jet("f", p) * jet("g", q), _ordered(_linear_residual(det_expr(p, q), p + q - 2), 2),
+            insertions, _ordered(alternating, 3))
 
 
 def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):
@@ -402,15 +410,26 @@ def solve_corrections(
         delta(m c) = m delta c + D(m) (f c(g,k) - g c(f,k) + k c(f,g)),
 
     and the trivial action drops the D(m) part and keeps the class of delta
-    modulo total derivatives (_exact_class).  These pieces are pure, so each
-    is built once per process and shared by every solve: the jet variations,
-    the monomials of a weight, L per expression and weight (so L(c) and L(m)
-    once each), and (c, delta c, the alternating sum) per (p, q, module).
-    A term's rows are assembled straight from the pieces: _product_rows
-    adds each coefficient of m L(c), c L(m), m delta c and D(m) alt into
-    its row, with no product or sum built and nothing sorted, since the
-    solution does not depend on the order of the rows.  Only the trivial
-    action builds m delta c, whose class _exact_class needs.  The weight
+    modulo total derivatives (_exact_class).
+
+    Every source of a row alternates in its arguments: f and g for the
+    globality rows, where k carries the coordinate change X, and for the
+    trivial action's rows k E_k(delta); f, g and k for the cocycle rows at
+    a concrete module.  So the row at a monomial with permuted argument
+    orders is the permutation's sign times the ordered one, and only the
+    rows at increasing orders (f < g, or f < g < k) are emitted
+    (cochains._ordered): the row space, and with it the solution, is the
+    same.  The pieces are pure, so each is built once per process and
+    shared by every solve: the jet variations, L per expression and weight,
+    the monomials m of a weight with L(m) and D(m), and per (p, q, module)
+    the pieces of c kept at their ordered monomials (_det_pieces).  m, L(m)
+    and D(m) carry no f or g jet, so their products with ordered pieces
+    stay ordered.  A term's rows are assembled straight from the pieces:
+    _product_rows adds each coefficient of m L(c), c L(m), m delta c and
+    D(m) alt into its row, with no product or sum built and nothing sorted,
+    since the solution does not depend on the order of the rows.  Only the
+    trivial action builds m delta c, from the whole of delta c, whose class
+    _exact_class needs, and keeps the class's rows at f < g.  The weight
     must be an integer and not a bool (a float is a TypeError).  The
     canonical representative is the minimal-support point (ties broken
     lexicographically) when the gauge dimension is at most 3 and at most 26
@@ -443,6 +462,7 @@ def solve_corrections(
     top_single = expr.max_order("f")  # that of g too: the symbol is antisymmetric
 
     ansatz: List[AnsatzTerm] = []
+    monomial_pieces: List[Tuple[DiffExpr, DiffExpr]] = []
     for p in range(top_single):
         for q in range(p + 1, top_single + 1):
             if p + q >= top_pq:
@@ -454,23 +474,25 @@ def solve_corrections(
                 raise OrderCapExceeded(
                     f"ansatz needs connection jets of order {coef_weight - 1} > cap {max_order}"
                 )
-            for symbols, m in _connection_monomials(coef_weight):
+            for symbols, m, lm, dm in _connection_monomials(coef_weight):
                 ansatz.append(AnsatzTerm(p, q, symbols, m))
+                monomial_pieces.append((lm, dm))
 
     rows: Dict = {}
-    _scalar_rows(_linear_residual(expr, weight), 0, None, rows)
+    _scalar_rows(_ordered(_linear_residual(expr, weight), 2), 0, None, rows)
     delta = ce_parts(expr, 2, module_lambda)[1]
-    _scalar_rows(_exact_class(delta) if trivial else delta, 1, None, rows)
-    for i, term in enumerate(ansatz):
-        m, pq = term.m, term.p + term.q
-        c, delta_c, alternating = _det_pieces(term.p, term.q, module_lambda)
-        _product_rows(m, _linear_residual(c, pq - 2), 0, i, rows)
-        _product_rows(c, _linear_residual(m, weight - (pq - 2)), 0, i, rows)
+    _scalar_rows(_ordered(_exact_class(delta), 2) if trivial else _ordered(delta, 3),
+                 1, None, rows)
+    for i, (term, (lm, dm)) in enumerate(zip(ansatz, monomial_pieces)):
+        m = term.m
+        c, lc, delta_c, alternating = _det_pieces(term.p, term.q, module_lambda)
+        _product_rows(m, lc, 0, i, rows)
+        _product_rows(c, lm, 0, i, rows)
         if trivial:
-            _scalar_rows(_exact_class(m * delta_c), 1, i, rows)
+            _scalar_rows(_ordered(_exact_class(m * delta_c), 2), 1, i, rows)
         else:
             _product_rows(m, delta_c, 1, i, rows)
-            _product_rows(total_derivative(m), alternating, 1, i, rows)
+            _product_rows(dm, alternating, 1, i, rows)
 
     solution = solve_affine(
         ((row, rhs) for row, rhs in rows.values()), len(ansatz)

@@ -14,8 +14,9 @@ The catalogue collects the classical generators in four shapes:
     omega       the barred families' connection forms tensored with a
                 background 1-form.
 
-Only the flat forms are stored; the rest is read from them by one grading
-rule (_build) or derived on first lookup, so a flat lookup never solves.
+Only the flat forms are stored, and _build reads their weights and modules
+by one grading rule; every other shape is built from them on its first
+lookup, so a flat lookup builds no covariant form and never solves.
 
 The CE differential (ce_parts) reads a cochain as a sum of backgrounds m,
 monomials in the non-slot jets (T, R, w, h, hinv), times slot blocks s:
@@ -42,6 +43,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
+    Atom,
     Coef,
     DiffExpr,
     Monomial,
@@ -56,7 +58,7 @@ from .expr import (
     total_derivative,
 )
 from ._record import Record
-from .calculus import bracket, nabla_power
+from .calculus import bracket, covariant_derivative
 from .lampoly import LamPoly, Rat, _rat, gcd_all, rational_roots
 
 
@@ -275,7 +277,7 @@ def _derivative_counts(coeff: DiffExpr) -> set:
 
 def det_cochain(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
     """The determinant block |f^(p) g^(p); f^(q) g^(q)| with weight p+q-2;
-    q above cap raises OrderCapExceeded (cap bounds the input only)."""
+    q above cap raises OrderCapExceeded (cap, an int, bounds the input only)."""
     return Cochain2(check_order_cap(det_expr(p, q), cap), p + q - 2, LamPoly.lam())
 
 
@@ -316,6 +318,19 @@ def ce_parts(coeff: DiffExpr, arity: int,
         _mul_into(delta, m.scale(lam)._terms, linear._terms)
         _mul_into(delta, total_derivative(m)._terms, alternating._terms)
     return _expr(insertions), _expr(delta)
+
+
+def _ordered(e: DiffExpr, args: int) -> DiffExpr:
+    """The terms of e, linear in each of its first args arguments f, g[, k],
+    at which the argument orders increase: f^(a) g^(b) with a < b, or
+    f^(a) g^(b) k^(c) with a < b < c.  Where e alternates in those arguments
+    the term at any other order of the jets is the permutation's sign times
+    the ordered one, so these terms say all of e."""
+    if args == 2:
+        return _expr({mono: c for mono, c in e._terms.items()
+                      if mono[0][0][1] < mono[1][0][1]})
+    return _expr({mono: c for mono, c in e._terms.items()
+                  if mono[0][0][1] < mono[1][0][1] < mono[2][0][1]})
 
 
 def _exact_class(delta: DiffExpr) -> DiffExpr:
@@ -365,8 +380,11 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
     the bracket insertions are an exact total derivative (the values-in-
     constants reading on the circle, _exact_class); the full differential
     adds a part linear in lam, solved as the common rational roots (gcd
-    over Q[lam]) of its coefficient polynomials.  cap bounds the jet orders
-    of c only (OrderCapExceeded); the variational derivative goes beyond them.
+    over Q[lam]) of its coefficient polynomials.  delta c alternates in
+    (f, g, k), so the coefficients of its ordered monomials (_ordered) are
+    all of them up to sign, and only those are read.  cap, an int (anything
+    else, a bool included, is a ValueError), bounds the jet orders of c only
+    (OrderCapExceeded); the variational derivative goes beyond them.
     """
     if not c.is_symbolic():
         raise ValueError("lambda_solutions needs a symbolic module parameter")
@@ -374,7 +392,7 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
     trivial_pass = _exact_class(insertions).is_zero()
     if delta.is_zero():
         return LambdaVerdict("all", (), trivial_pass)
-    coeffs = [coef for _mono, coef in delta.terms()]
+    coeffs = list(_ordered(delta, 3)._terms.values())
     # a stored rational is a nonzero constant, which no value of lam kills
     symbolic = all(type(coef) is LamPoly for coef in coeffs)
     roots = tuple(rational_roots(gcd_all(coeffs))) if symbolic else ()
@@ -445,20 +463,16 @@ _OMEGA_PAIRED = ("cbar0", "cbar1", "cbar2")
 
 
 @cache
-def _build() -> Dict[Tuple[str, str], Cochain2]:
-    """Every stored (name, form) cochain, flat and covariant, built once.
+def _build() -> Dict[str, Cochain2]:
+    """Every flat cochain, by name, built once.
 
     Only the flat forms are stored.  A flat form of derivative count s has
     value weight s - 2 and, unbarred, that module parameter; a barred one
     reaches its module after tensoring with the 1-form, so it is one higher.
-    c0w has the trivial action and no covariant form; cbar0, a cocycle for
-    every lam, keeps lam symbolic.  The covariant form replaces each f^(i),
-    g^(i) of the flat form by nabla^i f, nabla^i g (weight -1 inputs).
+    c0w has the trivial action; cbar0, a cocycle for every lam, keeps lam
+    symbolic.
     """
-    top = max(flat.max_order("f") for flat in _FLAT.values())
-    nabla = {(_RANK[fam], i): nabla_power(jet(fam, 0), -1, i)
-             for fam in "fg" for i in range(top + 1)}
-    table: Dict[Tuple[str, str], Cochain2] = {}
+    table: Dict[str, Cochain2] = {}
     for name, flat in _FLAT.items():
         (count,) = _derivative_counts(flat)
         weight = count - 2
@@ -468,10 +482,31 @@ def _build() -> Dict[Tuple[str, str], Cochain2]:
             module = LamPoly.lam()
         else:
             module = weight + (name in _OMEGA_PAIRED)
-        table[name, "flat"] = Cochain2(flat, weight, module)
-        if module is not None:
-            table[name, "covariant"] = Cochain2(substitute_jets(flat, nabla), weight, module)
+        table[name] = Cochain2(flat, weight, module)
     return table
+
+
+@cache
+def _nabla_jets() -> Dict[Atom, DiffExpr]:
+    """nabla^i f and nabla^i g (weight -1 inputs) for every order i the flat
+    forms carry, keyed by the jet they replace; each one nabla of the last."""
+    top = max(flat.max_order("f") for flat in _FLAT.values())
+    table: Dict[Atom, DiffExpr] = {}
+    for fam in "fg":
+        a = table[_RANK[fam], 0] = jet(fam, 0)
+        for i in range(top):
+            a = table[_RANK[fam], i + 1] = covariant_derivative(a, i - 1)
+    return table
+
+
+@cache
+def _covariant(name: str) -> Cochain2:
+    """The covariant form of a generator with a module (all but c0w), built
+    on its first lookup: the flat form with each f^(i), g^(i) replaced by
+    nabla^i f, nabla^i g."""
+    flat = _build()[name]
+    return Cochain2(substitute_jets(flat.coeff, _nabla_jets()), flat.value_weight,
+                    flat.module_lambda)
 
 
 @cache
@@ -482,7 +517,7 @@ def _derived(name: str, form: str) -> Cochain2:
     An infeasible correction solve is a ValueError that names the generator."""
     from .charts import derive  # charts imports this module
 
-    flat = _build()[name, "flat"]
+    flat = _build()[name]
     solved = derive(name)
     if not solved.feasible:
         raise ValueError(f"{name} has no {form} form: the correction solve of its "
@@ -501,17 +536,19 @@ _MISSING = {
 
 
 def catalogue(name: str, form: str = "connection") -> Cochain2:
-    """Look up a generator in one of its shapes: a stored flat or covariant
-    form (see _build), or a connection or omega form derived by the
-    correction solver on its first lookup (see _derived)."""
+    """Look up a generator in one of its shapes: a stored flat form (see
+    _build), a covariant form built from it on its first lookup (see
+    _covariant), or a connection or omega form derived by the correction
+    solver on its first lookup (see _derived)."""
     key = _ALIASES.get(name, name)
     if key not in CATALOGUE_NAMES:
         raise KeyError(f"unknown cocycle name {name!r}")
     if form not in FORMS:
         raise KeyError(f"unknown form {form!r}; expected one of {FORMS}")
+    if form == "flat":
+        return _build()[key]
+    if form == "covariant" and not _build()[key].trivial_action:
+        return _covariant(key)
     if form == "connection" or (form == "omega" and key in _OMEGA_PAIRED):
         return _derived(key, form)
-    try:
-        return _build()[key, form]
-    except KeyError:
-        raise KeyError(_MISSING[form].format(key)) from None
+    raise KeyError(_MISSING[form].format(key))

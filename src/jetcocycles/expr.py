@@ -442,7 +442,10 @@ def lam_expr() -> DiffExpr:
 
 def check_order_cap(e: DiffExpr, cap: int) -> DiffExpr:
     """e, unless a jet of e has order above cap (OrderCapExceeded).  The
-    kernel bounds no order: this bounds an input from outside."""
+    kernel bounds no order: this bounds an input from outside.  The cap
+    must be an int; anything else, a bool included, is a ValueError."""
+    if type(cap) is not int:
+        raise ValueError(f"the order cap must be an int, got {cap!r}")
     for mono in e._terms:
         for (rank, order), _exp in mono:
             if order > cap:

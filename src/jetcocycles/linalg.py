@@ -1,8 +1,9 @@
 """Exact rational linear algebra for the correction solver and certificates.
 
 Systems arrive as sparse rows of exact rationals, and the correction systems are
-mostly redundant: the weight-7 one has 1,682 rows, 493 of them distinct up
-to scale, and rank 249.  So ``solve_affine`` brings each row to its
+redundant: the weight-7 one has 507 rows (the solver emits each row only at
+its ordered monomial; 1,682 in all), 493 of them distinct up to scale, and
+rank 249.  So ``solve_affine`` brings each row to its
 primitive integer form and keeps each form once, dropping zero rows and
 rows that repeat another up to scale before any elimination.  It then
 reduces the distinct rows sparse-first against pivot rows that it keeps

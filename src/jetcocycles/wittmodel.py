@@ -288,6 +288,9 @@ def _coboundary_rows(window: int, lam: Optional[Rat],
 
 
 def _require_window(window: int) -> None:
+    """A ValueError unless the window is an int (not a bool) of at least 1."""
+    if type(window) is not int:
+        raise ValueError(f"the window must be an int, got {window!r}")
     if window < 1:
         raise ValueError(f"the window must be at least 1, got {window}")
 

@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 
 from jetcocycles.calculus import bracket, lie_action
-from jetcocycles.charts import _det_pieces, _linear_residual
-from jetcocycles.cochains import _exact_class, ce_parts
+from jetcocycles.charts import _linear_residual
+from jetcocycles.cochains import _exact_class, ce_parts, det_expr
 from jetcocycles.expr import (DiffExpr, FAMILIES, euler_derivative, jet, hinv, substitute,
                               total_derivative)
 from jetcocycles.lampoly import LamPoly
@@ -192,8 +192,10 @@ def solver_rows_reference(result) -> dict:
     globality expression, m L(c) + c L(m) for a term, and one cocycle
     expression, m delta c + D(m) alt for a term (its class modulo total
     derivatives, without D(m) alt, under the trivial action).  Each is built
-    as a DiffExpr, products and sum, and read in sorted terms() order.
-    Rows are keyed by (space, monomial) with the value [entries, rhs]."""
+    whole, at every monomial, as a DiffExpr, products and sum, with delta c
+    from ce_parts and alt = f c(g,k) - g c(f,k) + k c(f,g) written out, and
+    read in sorted terms() order.  Rows are keyed by (space, monomial) with
+    the value [entries, rhs]."""
     trivial = result.trivial_action
     rows: dict = {}
 
@@ -214,7 +216,11 @@ def solver_rows_reference(result) -> dict:
     add_cocycle(ce_parts(result.symbol, 2, result.module_lambda)[1], None)
     for i, term in enumerate(result.ansatz):
         p, q = term.p, term.q
-        c, delta_c, alternating = _det_pieces(p, q, result.module_lambda)
+        c = det_expr(p, q)
+        delta_c = ce_parts(c, 2, result.module_lambda)[1]
+        alternating = sum((sign * jet(x, 0) * (jet(y, p) * jet(z, q) - jet(y, q) * jet(z, p))
+                           for sign, x, y, z in ((1, "f", "g", "k"), (-1, "g", "f", "k"),
+                                                 (1, "k", "f", "g"))), DiffExpr.zero())
         add(term.m * _linear_residual(c, p + q - 2)
             + c * _linear_residual(term.m, result.weight - (p + q - 2)), 0, i)
         delta = term.m * delta_c
@@ -222,6 +228,33 @@ def solver_rows_reference(result) -> dict:
             delta = delta + total_derivative(term.m) * alternating
         add_cocycle(delta, i)
     return rows
+
+
+def solver_arguments(result, space: int) -> int:
+    """How many of f, g, k a solve's rows in the space alternate in: f and g
+    for the globality rows (space 0), where k carries the coordinate change,
+    and for the trivial action's rows k E_k(delta); f, g and k for the
+    cocycle rows at a concrete module."""
+    return 2 if space == 0 or result.trivial_action else 3
+
+
+def ordered_partner(mono, args: int):
+    """(sign, monomial): the monomial with the jet orders of its first args
+    atoms, one jet each of f, g[, k], sorted increasing, and the sign of the
+    sorting permutation, or 0 when two of the orders are equal."""
+    head, rest = mono[:args], mono[args:]
+    assert [(atom[0], e) for atom, e in head] == [(rank, 1) for rank in range(args)], mono
+    orders = [atom[1] for atom, _e in head]
+    inversions = sum(a > b for a, b in itertools.combinations(orders, 2))
+    sign = 0 if len(set(orders)) < args else (-1) ** inversions
+    return sign, tuple(((rank, order), 1) for rank, order in enumerate(sorted(orders))) + rest
+
+
+def ordered_rows(result, rows: dict) -> dict:
+    """The rows keyed (space, monomial) at the monomials whose argument
+    orders increase (solver_arguments, ordered_partner)."""
+    return {(space, mono): row for (space, mono), row in rows.items()
+            if ordered_partner(mono, solver_arguments(result, space)) == (1, mono)}
 
 
 def laurent_action_reference(fld, a):

@@ -50,7 +50,8 @@ from jetcocycles.lampoly import LamPoly
 from jetcocycles.linalg import AffineSolution, solve_affine
 from jetcocycles.syntax import parse_expr
 
-from helpers import BAD_SYMBOLS, random_expr, solver_rows_reference
+from helpers import (BAD_SYMBOLS, ordered_partner, ordered_rows, random_expr, solver_arguments,
+                     solver_rows_reference)
 
 _HJETS = 6
 
@@ -713,21 +714,50 @@ def _row_multiset(rows) -> Counter:
 @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
 def test_solver_rows_match_the_expression_built_reference(monkeypatch, cold):
     """The rows assembled straight from the pieces are those of the
-    expression-built assembly (helpers.solver_rows_reference), row for row
-    with the same multiplicity and no zero entry, for every _SYSTEMS solve at
-    every _MODULES value; c0w at its own module is the trivial action.  Cold
-    clears the piece caches before every solve."""
+    expression-built assembly (helpers.solver_rows_reference) at its ordered
+    monomials (helpers.ordered_rows), row for row with the same multiplicity
+    and no zero entry, for every _SYSTEMS solve at every _MODULES value; c0w
+    at its own module is the trivial action.  Cold clears the piece caches
+    before every solve."""
     trivial = 0
     for name, symbol, weight, _ in _SYSTEMS:
         for module, value in _MODULES:
             for piece in _PIECE_CACHES if cold else ():
                 piece.cache_clear()
             result, rows = _system_rows(monkeypatch, symbol, weight, value)
-            want = solver_rows_reference(result).values()
+            want = ordered_rows(result, solver_rows_reference(result)).values()
             assert _row_multiset(rows) == _row_multiset(want), f"{name}@{module}"
             assert all(v for entries, _ in rows for v in entries.values()), f"{name}@{module}"
             trivial += result.trivial_action
     assert trivial == 1
+
+
+def test_the_rows_at_permuted_arguments_repeat_the_ordered_rows(monkeypatch):
+    """Every row of the expression-built reference at a monomial whose
+    argument orders do not increase is the permutation's sign times the row
+    at the ordered monomial, no row sits where two orders are equal, and the
+    whole reference system has the solution of the solver's rows, for every
+    _SYSTEMS solve at every _MODULES value.  So emitting the ordered rows
+    only loses nothing."""
+    permuted = 0
+    for name, symbol, weight, _ in _SYSTEMS:
+        for module, value in _MODULES:
+            result, rows = _system_rows(monkeypatch, symbol, weight, value)
+            full = solver_rows_reference(result)
+            for (space, mono), (entries, rhs) in full.items():
+                sign, partner = ordered_partner(mono, solver_arguments(result, space))
+                assert sign, f"{name}@{module}: {mono}"
+                if partner != mono:
+                    ordered_entries, ordered_rhs = full[space, partner]
+                    assert {i: sign * v for i, v in ordered_entries.items() if v} == \
+                        {i: v for i, v in entries.items() if v}, f"{name}@{module}: {mono}"
+                    assert rhs == sign * ordered_rhs, f"{name}@{module}: {mono}"
+                    permuted += 1
+            nvars = len(result.ansatz)
+            assert len(rows) < len(full) or not full, f"{name}@{module}"
+            assert solve_affine(((row, rhs) for row, rhs in full.values()), nvars) == \
+                solve_affine(rows, nvars), f"{name}@{module}"
+    assert permuted > 1000
 
 
 def test_product_rows_drop_what_cancels():
@@ -759,8 +789,8 @@ def test_a_lam_carrying_product_still_refuses_its_rows(monkeypatch):
     pieces = charts._det_pieces
 
     def lam_pieces(p, q, module_lambda):
-        c, delta_c, alternating = pieces(p, q, module_lambda)
-        return c, delta_c * lam_expr(), alternating
+        c, linear, delta_c, alternating = pieces(p, q, module_lambda)
+        return c, linear, delta_c * lam_expr(), alternating
 
     monkeypatch.setattr(charts, "_det_pieces", lam_pieces)
     with pytest.raises(ValueError, match="a constraint row depends on lam"):

@@ -16,12 +16,14 @@ from jetcocycles.cochains import (
     _ALIASES,
     Cochain1,
     Cochain2,
+    LambdaVerdict,
     _ARG_JETS,
     _CE_PIECES,
     _arg_jets,
     _ce_pieces,
     _slot_blocks,
     _exact_class,
+    _ordered,
     catalogue,
     ce_differential,
     ce_parts,
@@ -32,11 +34,13 @@ from jetcocycles.cochains import (
     lambda_solutions,
 )
 from jetcocycles.calculus import bracket, nabla_power
-from jetcocycles.charts import _det_pieces, derive, is_global, solve_corrections
+from jetcocycles.charts import (_det_pieces, _linear_residual, derive, is_global,
+                               solve_corrections)
 from jetcocycles.wittmodel import evaluate_cochain
-from jetcocycles.expr import (DiffExpr, OrderCapExceeded, euler_derivative, hinv, jet,
-                              substitute, total_derivative)
-from jetcocycles.lampoly import LamPoly
+from jetcocycles.expr import (DiffExpr, OrderCapExceeded, check_order_cap, euler_derivative,
+                              hinv, jet, substitute, total_derivative)
+from jetcocycles.lampoly import LamPoly, gcd_all, rational_roots
+from jetcocycles.syntax import parse_expr
 
 from helpers import (LAM, ce_parts_reference, is_total_derivative, random_coeff, random_expr,
                      swap_fg_reference)
@@ -314,6 +318,25 @@ def test_catalogue_is_built_on_first_lookup_not_at_import():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+def test_a_flat_lookup_builds_no_covariant_form():
+    """Flat lookups build neither a covariant form nor the nabla table they
+    share; a covariant lookup builds its own form only."""
+    import jetcocycles
+
+    script = ("import jetcocycles as J\n"
+              "from jetcocycles.cochains import _covariant, _nabla_jets\n"
+              "for name in J.CATALOGUE_NAMES:\n"
+              "    J.catalogue(name, 'flat')\n"
+              "assert _covariant.cache_info().currsize == 0\n"
+              "assert _nabla_jets.cache_info().currsize == 0\n"
+              "J.catalogue('c5', 'covariant')\n"
+              "assert _covariant.cache_info().currsize == 1\n"
+              "assert _nabla_jets.cache_info().currsize == 1\n")
+    src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_flat_lookups_and_the_laurent_suites_never_solve():
     """Flat and covariant lookups, kn_value and the witt and nontrivial
     suites start no correction solve; a connection lookup starts one."""
@@ -504,9 +527,12 @@ def test_the_piece_table_is_keyed_per_determinant_and_immutable():
         with pytest.raises(AttributeError):
             insertions._terms = {}
     for module in (None, 3):
-        c, delta_c, alternating = _det_pieces(2, 5, module)
-        assert delta_c == ce_parts(c, 2, module)[1]
-        assert alternating == _CE_PIECES[2, 5][3]
+        c, linear, delta_c, alternating = _det_pieces(2, 5, module)
+        assert c == jet("f", 2) * jet("g", 5)
+        assert linear == _ordered(_linear_residual(det_expr(2, 5), 5), 2)
+        delta = ce_parts(det_expr(2, 5), 2, module)[1]
+        assert delta_c == (delta if module is None else _ordered(delta, 3))
+        assert alternating == _ordered(_CE_PIECES[2, 5][3], 3)
     coboundary(Cochain1(jet("f", 3), 2, LAM))
     assert (3,) in _CE_PIECES and len(_CE_PIECES) == 79
 
@@ -593,6 +619,63 @@ def test_lambda_verdicts_that_reach_jets_past_the_default_cap(p, q):
     assert _verdict_row(p, q, lambda_solutions(c)) == _VERDICTS[p, q]
     with pytest.raises(OrderCapExceeded, match=f"jet order {q} exceeds cap {q - 1}"):
         lambda_solutions(c, q - 1)
+
+
+def _lambda_verdict_from_every_coefficient(c):
+    """lambda_solutions by its definition: the common rational roots of
+    every coefficient of delta c, read in sorted order."""
+    insertions, delta = ce_parts(c.coeff, 2, c.module_lambda)
+    trivial_pass = _exact_class(insertions).is_zero()
+    if delta.is_zero():
+        return LambdaVerdict("all", (), trivial_pass)
+    coeffs = [coef for _mono, coef in delta.terms()]
+    if not all(type(coef) is LamPoly for coef in coeffs):
+        return LambdaVerdict("none", (), trivial_pass)
+    roots = tuple(rational_roots(gcd_all(coeffs)))
+    return LambdaVerdict("finite" if roots else "none", roots, trivial_pass)
+
+
+def test_lambda_verdicts_read_from_the_ordered_monomials_equal_a_gcd_over_all():
+    """delta c alternates in (f, g, k), so the roots read from its ordered
+    monomials are those of every coefficient: on all 78 det(p,q) with
+    q <= 12, and on seeded cochains with lam in the coefficient and T/R
+    backgrounds."""
+    kinds = set()
+    for q in range(1, 13):
+        for p in range(q):
+            c = det_cochain(p, q, 24)
+            got = lambda_solutions(c, 24)
+            assert got == _lambda_verdict_from_every_coefficient(c), (p, q)
+            kinds.add(got.kind)
+    rng = random.Random(27)
+    backgrounds = (DiffExpr.one(), jet("T", 0), jet("R", 0), jet("T", 1) * jet("R", 0),
+                   jet("T", 0) ** 2)
+    for _ in range(40):
+        coeff = DiffExpr.zero()
+        for _ in range(rng.randrange(1, 4)):
+            q = rng.randrange(1, 7)
+            p = rng.randrange(q)
+            scale = LamPoly((rng.randint(-3, 3), rng.randint(-2, 2)))
+            coeff = coeff + (rng.choice(backgrounds) * det_expr(p, q)).scale(scale)
+        if coeff.is_zero():
+            continue
+        c = Cochain2(coeff, 0, LAM)
+        got = lambda_solutions(c)
+        assert got == _lambda_verdict_from_every_coefficient(c), coeff
+        kinds.add(got.kind)
+    assert kinds == {"all", "finite", "none"}
+
+
+@pytest.mark.parametrize("bound", [
+    lambda cap: check_order_cap(det_expr(1, 2), cap),
+    lambda cap: parse_expr("det(1,2)", cap),
+    lambda cap: det_cochain(1, 2, cap),
+    lambda cap: lambda_solutions(det_cochain(1, 2), cap),
+], ids=["check_order_cap", "parse_expr", "det_cochain", "lambda_solutions"])
+@pytest.mark.parametrize("cap", [True, False, 12.0, 1.5])
+def test_the_order_cap_is_an_int(bound, cap):
+    with pytest.raises(ValueError, match="the order cap must be an int"):
+        bound(cap)
 
 
 def test_an_infeasible_derivation_is_a_named_error(monkeypatch):

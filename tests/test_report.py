@@ -143,6 +143,13 @@ def test_api_rejects_windows_below_one(suite, window):
         run_suite(suite, window=window)
 
 
+@pytest.mark.parametrize("suite", ["witt", "nontrivial"])
+@pytest.mark.parametrize("window", [True, False, 6.0, 1.5])
+def test_the_window_is_an_int(suite, window):
+    with pytest.raises(ValueError, match="the window must be an int"):
+        run_suite(suite, window=window)
+
+
 def test_cli_unwritable_json_path_exits_2_without_a_traceback(tmp_path):
     src = Path(jetcocycles.__file__).parents[1]
     path = tmp_path / "missing" / "x.json"

@@ -446,3 +446,9 @@ def test_the_action_refuses_floats_past_of(fld, a):
     for act in (laurent_action, laurent_action_reference):
         with pytest.raises(TypeError):
             act(fld, a)
+
+
+@pytest.mark.parametrize("window", [True, False, 6.0, 1.5])
+def test_the_certificate_window_is_an_int(window):
+    with pytest.raises(ValueError, match="the window must be an int"):
+        nontriviality_certificate(catalogue("c5", "flat"), window=window)
