@@ -10,8 +10,7 @@ and projective connections T and R carry an inhomogeneous part a(u):
     a(T) = h''/h' (eta),  a(R) = S (the Schwarzian),  a(u) = 0 otherwise.
 
 Both transformation laws are read from that one table.  The frame's
-binding table expresses each beta-frame jet in alpha-frame jets by the
-finite law
+bindings express each beta-frame jet in alpha-frame jets by the finite law
 
     u_beta = (h')^(-w) (u + a(u)),   D_beta = hinv * D for higher orders,
 
@@ -30,6 +29,13 @@ algebra is invariance under the group (Kolar, Michor and Slovak, Natural
 Operations in Differential Geometry, 1993, on natural operators and their
 infinitesimal characterization).  The finite residual is polynomial in the
 jets of h and in 1/h', so vanishing for h' > 0 it vanishes for h' < 0 too.
+
+What the module keeps for the process is kept by functools.cache, on small
+keys: the bindings (_binding, per family and order), the jet variations
+(_jet_variation), the T/R monomials of a weight with L(m) and D(m)
+(_connection_monomials), the determinant pieces per module (_det_pieces)
+and the solve of each catalogued generator (derive).  L itself
+(_linear_residual) takes an expression and is not kept.
 """
 
 from __future__ import annotations
@@ -69,25 +75,20 @@ _AFFINE = {"T": eta, "R": schwarzian}
 
 
 # the highest jet order the frame binds.  A binding is the derivative of
-# the one below it and grows fast: built from an empty table, order 12 takes
-# about 0.01 s per family and order 24 (twice DEFAULT_ORDER_CAP, the default
-# bound on an input's orders) 0.3-0.5 s (f, T, R; 2-core Xeon, Python 3.11)
+# the one below it and grows fast: built cold, order 12 takes about 0.01 s
+# per family and order 24 (twice DEFAULT_ORDER_CAP, the default bound on an
+# input's orders) 0.3-0.5 s (f, T, R; 2-core Xeon, Python 3.11)
 BINDING_ORDER_BOUND = 24
 
-# family -> its bindings at orders 0, 1, ..., extended on demand
-_BINDINGS: Dict[str, List[DiffExpr]] = {}
 
-
+@cache
 def _binding(family: str, order: int) -> DiffExpr:
-    """ChartFrame.binding, built once per process, order by order."""
-    built = _BINDINGS.get(family)
-    if built is None:
-        u = jet(family, 0)
-        base = hinv_power(_WEIGHTS[family]) * (u + _AFFINE[family]() if family in _AFFINE else u)
-        built = _BINDINGS[family] = [base]
-    while len(built) <= order:
-        built.append(hinv() * total_derivative(built[-1]))
-    return built[order]
+    """ChartFrame.binding, built once per process: the finite law at order
+    0, and above it hinv * D of the binding one order below."""
+    if order:
+        return hinv() * total_derivative(_binding(family, order - 1))
+    u = jet(family, 0)
+    return hinv_power(_WEIGHTS[family]) * (u + _AFFINE[family]() if family in _AFFINE else u)
 
 
 def _check_binding_order(family: str, order: int):
@@ -97,7 +98,8 @@ def _check_binding_order(family: str, order: int):
 
 
 class ChartFrame:
-    """The formal coordinate change, through the process-wide binding table."""
+    """The formal coordinate change, through the bindings kept for the
+    process by _binding."""
 
     def binding(self, family: str, order: int) -> DiffExpr:
         """Alpha-frame expression of the beta-frame jet family[order]; the
@@ -300,7 +302,6 @@ def _jet_variation(family: str, order: int) -> DiffExpr:
     return jet("k", w + 1) + out if family in _AFFINE else out
 
 
-@cache
 def _linear_residual(e: DiffExpr, weight: int) -> DiffExpr:
     """First-order part of pushforward(e) - hinv_power(weight) * e at
     h = z + eps X: weight X' e + sum_n (de/du^(n)) delta u^(n).  The family
@@ -420,9 +421,9 @@ def solve_corrections(
     rows at increasing orders (f < g, or f < g < k) are emitted
     (cochains._ordered): the row space, and with it the solution, is the
     same.  The pieces are pure, so each is built once per process and
-    shared by every solve: the jet variations, L per expression and weight,
-    the monomials m of a weight with L(m) and D(m), and per (p, q, module)
-    the pieces of c kept at their ordered monomials (_det_pieces).  m, L(m)
+    shared by every solve: the jet variations, the monomials m of a weight
+    with L(m) and D(m), and per (p, q, module) the pieces of c kept at
+    their ordered monomials (_det_pieces).  m, L(m)
     and D(m) carry no f or g jet, so their products with ordered pieces
     stay ordered.  A term's rows are assembled straight from the pieces:
     _product_rows adds each coefficient of m L(c), c L(m), m delta c and

@@ -27,15 +27,17 @@ m too, so delta goes through each term by Leibniz,
 
 (f s(g) - g s(f) for a 1-cochain), and delta s = I + A + lam B splits into
 the bracket insertions I, the lam-free action part A and the part B linear
-in lam.  The pieces I, A, B and the alternating sum of each block are kept
-in one process-wide table, _CE_PIECES, empty at import and filled on first
-use of a block from the argument jets of _arg_jets; the correction solver
-reads the determinants' pieces from the same table.
+in lam.  What a process keeps is kept by functools.cache, on small keys:
+the pieces I, A, B and the alternating sum of a block (_ce_pieces, which
+the correction solver reads too), and the jets of the arguments f, g, k,
+[f,g], [f,k] and [g,k] they are built from (_arg_jet, per argument and
+order, the brackets' jets in closed form).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import cache
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -58,7 +60,7 @@ from .expr import (
     total_derivative,
 )
 from ._record import Record
-from .calculus import bracket, covariant_derivative
+from .calculus import covariant_derivative
 from .lampoly import LamPoly, Rat, _rat, gcd_all, rational_roots
 
 
@@ -74,27 +76,24 @@ def _module(coeff: DiffExpr, module_lambda) -> Optional[Coef]:
     return module_lambda
 
 
-# argument -> its jets of order 0..n, one table per process, for the six
-# arguments a cochain on f, g, k is evaluated at: f, g and k themselves, and
-# the brackets [f,g], [f,k] and [g,k]; grown by _arg_jets only
-_ARG_JETS: Dict[str, Tuple[DiffExpr, ...]] = {}
+@cache
+def _arg_jet(arg: str, n: int) -> DiffExpr:
+    """The n-th jet of an argument a cochain on f, g, k is evaluated at:
+    jet(arg, n) for a family, and for a bracket "[x,y]" the n-th total
+    derivative of [x, y] = x y' - x' y in closed form, by Leibniz,
 
+        D^n [x,y] = sum_a (C(n,a) - C(n,a-1)) x^(a) y^(n+1-a),
 
-def _arg_jets(arg: str, top: int) -> Tuple[DiffExpr, ...]:
-    """The jets of order 0..top (at least) of an argument: jet(arg, n) for
-    a family, and for a bracket "[x,y]" the n-th total derivative of
-    [x, y] = x y' - x' y, each one derivative of the one before."""
-    jets = _ARG_JETS.get(arg, ())
-    if len(jets) <= top:
-        if len(arg) == 1:
-            jets = tuple(jet(arg, n) for n in range(top + 1))
-        else:
-            grown = list(jets) or [bracket(jet(arg[1], 0), jet(arg[3], 0))]
-            while len(grown) <= top:
-                grown.append(total_derivative(grown[-1]))
-            jets = tuple(grown)
-        _ARG_JETS[arg] = jets
-    return jets
+    so no entry is built from the one below it."""
+    if len(arg) == 1:
+        return jet(arg, n)
+    x, y = _RANK[arg[1]], _RANK[arg[3]]
+    terms = {}
+    for a in range(n + 2):
+        c = math.comb(n, a) - (math.comb(n, a - 1) if a else 0)
+        if c:
+            terms[((x, a), 1), ((y, n + 1 - a), 1)] = c
+    return _expr(terms)
 
 
 _F, _G = _RANK["f"], _RANK["g"]
@@ -102,25 +101,21 @@ _F, _G = _RANK["f"], _RANK["g"]
 # a slot block: (p,) for f^(p) in a 1-cochain, (p, q) for det(p,q) in a 2-cochain
 _Block = Tuple[int, ...]
 
-# slot block -> its pieces (I, A, B, alt), one table per process, filled by
-# _ce_pieces on first use of a block and read by ce_parts and the solver
-_CE_PIECES: Dict[_Block, Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]] = {}
-
 # arity -> the (rank, exponent) of the slot atoms a monomial starts with
 _SLOT_HEADS = {1: [(_F, 1)], 2: [(_F, 1), (_G, 1)]}
 
 
 def _block_value(block: _Block, args: Sequence[str]) -> DiffExpr:
-    """The block read at its arguments, their jets from _arg_jets: x^(p)
+    """The block read at its arguments, their jets from _arg_jet: x^(p)
     for (p,) at x, and x^(p) y^(q) - x^(q) y^(p) for (p, q) at x, y."""
     if len(block) == 1:
         (p,), (x,) = block, args
-        return _arg_jets(x, p)[p]
-    p, q = block
-    x, y = (_arg_jets(arg, q) for arg in args)
-    return x[p] * y[q] - x[q] * y[p]
+        return _arg_jet(x, p)
+    (p, q), (x, y) = block, args
+    return _arg_jet(x, p) * _arg_jet(y, q) - _arg_jet(x, q) * _arg_jet(y, p)
 
 
+@cache
 def _ce_pieces(block: _Block) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
     """The pieces of the CE differential of a block s on x_0, x_1[, x_2] =
     f, g[, k], each value s(...) at the other arguments:
@@ -131,22 +126,19 @@ def _ce_pieces(block: _Block) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
         alt = sum_i (-1)^i x_i s(...),
 
     so that delta s = I + A + lam B; built once per block and process."""
-    pieces = _CE_PIECES.get(block)
-    if pieces is None:
-        fams = "fgk"[:len(block) + 1]
-        insertions = action = linear = alternating = DiffExpr.zero()
-        for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
-            term = _block_value(block, (f"[{x},{y}]", *fams.replace(x, "").replace(y, "")))
-            insertions = insertions - term if (i + j) % 2 else insertions + term
-        for i, x in enumerate(fams):
-            value = _block_value(block, fams.replace(x, ""))
-            if i % 2:
-                value = -value
-            action = action + jet(x, 0) * total_derivative(value)
-            linear = linear + jet(x, 1) * value
-            alternating = alternating + jet(x, 0) * value
-        pieces = _CE_PIECES[block] = (insertions, action, linear, alternating)
-    return pieces
+    fams = "fgk"[:len(block) + 1]
+    insertions = action = linear = alternating = DiffExpr.zero()
+    for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
+        term = _block_value(block, (f"[{x},{y}]", *fams.replace(x, "").replace(y, "")))
+        insertions = insertions - term if (i + j) % 2 else insertions + term
+    for i, x in enumerate(fams):
+        value = _block_value(block, fams.replace(x, ""))
+        if i % 2:
+            value = -value
+        action = action + jet(x, 0) * total_derivative(value)
+        linear = linear + jet(x, 1) * value
+        alternating = alternating + jet(x, 0) * value
+    return insertions, action, linear, alternating
 
 
 def _slot_blocks(coeff: DiffExpr, arity: int) -> Dict[_Block, Dict[Monomial, Coef]]:
@@ -205,10 +197,6 @@ class Cochain1(Record):
         _refuse_arguments(coeff, "1-cochain", ("g", "k"))
 
 
-# Cochain2's default module: a fresh LamPoly.lam() per cochain
-_FRESH_LAM = object()
-
-
 class Cochain2(Record):
     """Antisymmetric bilinear 2-cochain in the f and g jet families; a k
     jet, the third argument of its differential, is a ValueError.
@@ -226,9 +214,7 @@ class Cochain2(Record):
     __slots__ = ("coeff", "value_weight", "module_lambda")
 
     def __init__(self, coeff: DiffExpr, value_weight: Rat,
-                 module_lambda: Optional[Coef] = _FRESH_LAM):
-        if module_lambda is _FRESH_LAM:
-            module_lambda = LamPoly.lam()
+                 module_lambda: Optional[Coef] = LamPoly.lam()):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "value_weight", _rat(value_weight))
         object.__setattr__(self, "module_lambda", _module(coeff, module_lambda))
@@ -295,8 +281,8 @@ def ce_parts(coeff: DiffExpr, arity: int,
 
         delta(m s) = m (I + A + lam B) + D(m) alt,
 
-    with the block's pieces I, A, B and alt from the one process-wide table
-    of _ce_pieces, so no block is differentiated twice in a process; the
+    with the block's pieces I, A, B and alt from _ce_pieces, kept per block
+    for the process, so no block is differentiated twice in a process; the
     trivial action keeps m I only.  The backgrounds of one block are summed
     first, and each product is added straight into one dict.  An arity other
     than 1 or 2 is a ValueError.

@@ -246,14 +246,6 @@ class DiffExpr:
                     best = order
         return best
 
-    def degree_in(self, family: str) -> set:
-        """Set of total exponents of the family across monomials."""
-        rank = _RANK[family]
-        out = set()
-        for mono in self._terms:
-            out.add(sum(e for (r, _o), e in mono if r == rank))
-        return out
-
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other) -> "DiffExpr":

@@ -17,6 +17,7 @@ a value has a ``Fraction`` operand, as in ``Fraction(a) / b``.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, neg, sub
 from typing import Iterable, Tuple, Union
@@ -229,11 +230,7 @@ def rational_roots(p: LamPoly) -> list[Rat]:
     if v:
         roots.append(0)
     if len(coeffs) > 1:
-        from math import gcd as igcd
-
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // igcd(den, c.denominator)
+        den = math.lcm(*(c.denominator for c in coeffs))
         ints = [int(c * den) for c in coeffs]
         a0, an = abs(ints[0]), abs(ints[-1])
         q = LamPoly(coeffs)

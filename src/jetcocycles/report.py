@@ -372,12 +372,9 @@ SUITES = ("all",) + tuple(_SUITE_FUNCTIONS)
 def run_suite(suite: str, window: int = 6) -> List[CheckRecord]:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if suite != "all":
-        return _SUITE_FUNCTIONS[suite](window)
-    out: List[CheckRecord] = []
-    for name in _SUITE_FUNCTIONS:
-        out.extend(run_suite(name, window))
-    return out
+    _require_window(window)
+    names = _SUITE_FUNCTIONS if suite == "all" else (suite,)
+    return [record for name in names for record in _SUITE_FUNCTIONS[name](window)]
 
 
 def any_fail(records: Sequence[CheckRecord]) -> bool:

@@ -15,7 +15,7 @@ from jetcocycles.calculus import (
     projective_from_affine,
     schwarzian,
 )
-from jetcocycles import charts
+from jetcocycles import charts, cochains
 from jetcocycles.charts import (
     BINDING_ORDER_BOUND,
     ChartFrame,
@@ -541,7 +541,7 @@ def _solution_record(result) -> dict:
 
 # the pure pieces that solve_corrections builds once per process
 _PIECE_CACHES = (charts._jet_variation, charts._connection_monomials,
-                 charts._det_pieces, charts._linear_residual)
+                 charts._det_pieces, cochains._ce_pieces, cochains._arg_jet)
 
 
 def _golden_solutions(cold: bool = False) -> dict:

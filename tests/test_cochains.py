@@ -17,9 +17,7 @@ from jetcocycles.cochains import (
     Cochain1,
     Cochain2,
     LambdaVerdict,
-    _ARG_JETS,
-    _CE_PIECES,
-    _arg_jets,
+    _arg_jet,
     _ce_pieces,
     _slot_blocks,
     _exact_class,
@@ -458,8 +456,8 @@ def test_ce_parts_matches_the_definitional_path():
     argument jets and of pieces and again after a lambda sweep has grown
     them; and on every covariant, connection and omega form of the
     catalogue, at those three and at its own module."""
-    _ARG_JETS.clear()
-    _CE_PIECES.clear()
+    _arg_jet.cache_clear()
+    _ce_pieces.cache_clear()
     rng = random.Random(53)
     cases = _random_ce_inputs(rng, 6) + _random_ce_inputs(rng, 4, ("T", "R", "w", "h", "hinv"))
     assert any("hinv" in coeff.families() for coeff, _arity in cases)
@@ -468,10 +466,15 @@ def test_ce_parts_matches_the_definitional_path():
         for coeff, arity in cases:
             for lam in (None, Fraction(-3, 2), LamPoly.lam()):
                 assert ce_parts(coeff, arity, lam) == ce_parts_reference(coeff, arity, lam)
-        grown = len(_ARG_JETS["[f,g]"])
         for p in (0, 5, 15):
             lambda_solutions(det_cochain(p, 16, 24), 24)
-    assert grown == 17
+    # the sweep kept the jets it read, up to order 16, and built no other
+    misses = _arg_jet.cache_info().misses
+    for arg in ("f", "g", "k", "[f,g]", "[f,k]", "[g,k]"):
+        for n in (0, 5, 15, 16):
+            _arg_jet(arg, n)
+    assert _arg_jet.cache_info().misses == misses
+    assert _arg_jet.cache_info().currsize <= 6 * 17
     forms = _catalogue_cochains()
     assert len(forms) == 18
     for c in forms:
@@ -479,28 +482,63 @@ def test_ce_parts_matches_the_definitional_path():
             assert ce_parts(c.coeff, 2, lam) == ce_parts_reference(c.coeff, 2, lam), (c, lam)
 
 
-def test_the_argument_jet_table_is_bounded_and_immutable():
-    """A lambda sweep over all det(p,q), q <= 12, fills the six arguments'
-    jets up to order 12 and no further; each entry is a tuple, and the
-    table is empty at import."""
-    _ARG_JETS.clear()
-    _CE_PIECES.clear()
-    for q in range(1, 13):
-        for p in range(q):
-            lambda_solutions(det_cochain(p, q, 24), 24)
-    assert set(_ARG_JETS) == {"f", "g", "k", "[f,g]", "[f,k]", "[g,k]"}
-    for arg, jets in _ARG_JETS.items():
-        assert type(jets) is tuple and len(jets) == 13, arg
-        assert all(type(j) is DiffExpr for j in jets)
-        assert _arg_jets(arg, 4) is jets
-    assert _ARG_JETS["[f,g]"][12] == total_derivative(_ARG_JETS["[f,g]"][11])
-    assert _ARG_JETS["k"][12] == jet("k", 12)
+_ARGS = ("f", "g", "k", "[f,g]", "[f,k]", "[g,k]")
 
+
+def _assert_empty_in_a_fresh_interpreter(name: str):
+    """The cache of cochains.<name> holds nothing after the package import."""
     import jetcocycles
 
     script = ("import jetcocycles\n"
-              "from jetcocycles.cochains import _ARG_JETS\n"
-              "assert _ARG_JETS == {}\n")
+              f"from jetcocycles.cochains import {name}\n"
+              f"assert {name}.cache_info().currsize == 0\n")
+    src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+def test_the_argument_jet_table_is_bounded_and_immutable():
+    """A lambda sweep over all det(p,q), q <= 12, keeps the six arguments'
+    jets of order 0 to 12 and no others, 78 entries, each a DiffExpr read
+    again as the same object; the cache is empty at import."""
+    _arg_jet.cache_clear()
+    _ce_pieces.cache_clear()
+    for q in range(1, 13):
+        for p in range(q):
+            lambda_solutions(det_cochain(p, q, 24), 24)
+    assert _arg_jet.cache_info().currsize == 78
+    misses = _arg_jet.cache_info().misses
+    for arg in _ARGS:
+        for n in range(13):
+            assert type(_arg_jet(arg, n)) is DiffExpr
+            assert _arg_jet(arg, n) is _arg_jet(arg, n)
+    assert _arg_jet.cache_info().misses == misses
+    assert _arg_jet("[f,g]", 12) == total_derivative(_arg_jet("[f,g]", 11))
+    assert _arg_jet("k", 12) == jet("k", 12)
+    _assert_empty_in_a_fresh_interpreter("_arg_jet")
+
+
+def test_the_bracket_jets_are_the_iterated_derivatives_of_the_bracket():
+    """The closed Leibniz form of D^n [x,y] equals n total derivatives of
+    bracket(x, y), for every bracket and n <= 40."""
+    for x, y in ("fg", "fk", "gk"):
+        d = bracket(jet(x, 0), jet(y, 0))
+        for n in range(41):
+            assert _arg_jet(f"[{x},{y}]", n) == d, (x, y, n)
+            d = total_derivative(d)
+
+
+def test_the_piece_caches_need_no_deep_recursion():
+    """Under a recursion limit of 120, the lambda solve of det(0, 200) builds
+    its bracket jets and the frame builds the binding of R[24] cold."""
+    import jetcocycles
+
+    script = ("import sys\n"
+              "from jetcocycles.charts import ChartFrame\n"
+              "from jetcocycles.cochains import det_cochain, lambda_solutions\n"
+              "sys.setrecursionlimit(120)\n"
+              "assert lambda_solutions(det_cochain(0, 200, 200), 200).kind == 'none'\n"
+              "ChartFrame().binding('R', 24)\n")
     src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
     subprocess.run([sys.executable, "-c", script], check=True,
                    env={**os.environ, "PYTHONPATH": src})
@@ -510,15 +548,16 @@ def test_the_piece_table_is_keyed_per_determinant_and_immutable():
     """A lambda sweep over all det(p,q), q <= 12, leaves one entry per
     determinant, 78, each a tuple of four expressions (I, A, B, alt) with
     D(alt) = A + B, read again as the same tuple and by the solver's
-    _det_pieces; the table is empty at import, and a 1-cochain's f^(p) is
+    _det_pieces; the cache is empty at import, and a 1-cochain's f^(p) is
     an entry (p,) of its own."""
-    _CE_PIECES.clear()
+    _ce_pieces.cache_clear()
     for q in range(1, 13):
         for p in range(q):
             lambda_solutions(det_cochain(p, q, 24), 24)
-    assert sorted(_CE_PIECES) == [(p, q) for p in range(12) for q in range(p + 1, 13)]
-    assert len(_CE_PIECES) == 78
-    for block, pieces in _CE_PIECES.items():
+    assert _ce_pieces.cache_info().currsize == 78
+    misses = _ce_pieces.cache_info().misses
+    for block in [(p, q) for p in range(12) for q in range(p + 1, 13)]:
+        pieces = _ce_pieces(block)
         assert type(pieces) is tuple and len(pieces) == 4
         assert all(type(piece) is DiffExpr for piece in pieces)
         insertions, action, linear, alternating = pieces
@@ -526,24 +565,19 @@ def test_the_piece_table_is_keyed_per_determinant_and_immutable():
         assert _ce_pieces(block) is pieces
         with pytest.raises(AttributeError):
             insertions._terms = {}
+    assert _ce_pieces.cache_info().misses == misses
     for module in (None, 3):
         c, linear, delta_c, alternating = _det_pieces(2, 5, module)
         assert c == jet("f", 2) * jet("g", 5)
         assert linear == _ordered(_linear_residual(det_expr(2, 5), 5), 2)
         delta = ce_parts(det_expr(2, 5), 2, module)[1]
         assert delta_c == (delta if module is None else _ordered(delta, 3))
-        assert alternating == _ordered(_CE_PIECES[2, 5][3], 3)
+        assert alternating == _ordered(_ce_pieces((2, 5))[3], 3)
     coboundary(Cochain1(jet("f", 3), 2, LAM))
-    assert (3,) in _CE_PIECES and len(_CE_PIECES) == 79
-
-    import jetcocycles
-
-    script = ("import jetcocycles\n"
-              "from jetcocycles.cochains import _CE_PIECES\n"
-              "assert _CE_PIECES == {}\n")
-    src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
-    subprocess.run([sys.executable, "-c", script], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+    assert _ce_pieces.cache_info().currsize == 79
+    _ce_pieces((3,))
+    assert _ce_pieces.cache_info().misses == misses + 1
+    _assert_empty_in_a_fresh_interpreter("_ce_pieces")
 
 
 def test_trivial_action_cocycles_are_read_modulo_total_derivatives():

@@ -128,10 +128,15 @@ def test_positional_and_keyword_construction_agree(cls, frozen, fields, args, al
         cls(*args, *args[:1])
 
 
-def test_cochain2_module_defaults_to_a_fresh_symbolic_lam():
+def test_cochain2_module_defaults_to_one_immutable_symbolic_lam():
+    """The default module is one LamPoly.lam() shared by every cochain,
+    which is safe because a LamPoly cannot be changed."""
     a, b = Cochain2(det_expr(0, 1), 1), Cochain2(det_expr(0, 1), 1)
     assert a.module_lambda == LamPoly.lam() and type(a.module_lambda) is LamPoly
-    assert a.module_lambda is not b.module_lambda
+    assert a.module_lambda is b.module_lambda
+    with pytest.raises(AttributeError):
+        a.module_lambda.coeffs = (0, 2)
+    assert b.module_lambda == LamPoly.lam()
     assert a == Cochain2(det_expr(0, 1), 1, LamPoly.lam())
     assert Cochain2(det_expr(0, 1), 1, None).module_lambda is None
 

@@ -150,6 +150,21 @@ def test_the_window_is_an_int(suite, window):
         run_suite(suite, window=window)
 
 
+def test_the_window_is_checked_before_any_suite_runs(monkeypatch):
+    """run_suite refuses a bad window before it runs a suite: for "all",
+    whose first suites read no window, and for such a suite alone."""
+    from jetcocycles import report
+
+    ran = []
+    for name in report._SUITE_FUNCTIONS:
+        monkeypatch.setitem(report._SUITE_FUNCTIONS, name,
+                            lambda window, name=name: ran.append(name) or [])
+    for suite, window in (("all", 0), ("theorem1", "x")):
+        with pytest.raises(ValueError, match="window"):
+            run_suite(suite, window=window)
+    assert ran == []
+
+
 def test_cli_unwritable_json_path_exits_2_without_a_traceback(tmp_path):
     src = Path(jetcocycles.__file__).parents[1]
     path = tmp_path / "missing" / "x.json"
