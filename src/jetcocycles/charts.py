@@ -55,13 +55,15 @@ from .expr import (
     DiffExpr,
     OrderCapExceeded,
     _check_atom,
+    _expr,
     _has_lam,
     _mono_mul,
+    _mul_into,
+    _partials,
     check_order_cap,
     hinv,
     hinv_power,
     jet,
-    partial_derivative,
     substitute,
     substitute_jets,
     total_derivative,
@@ -282,11 +284,10 @@ class CorrectionResult(Record):
         if not self.feasible or _has_lam(coeff):
             return False
         rows: Dict = {}
-        _scalar_rows(self.representative.coeff - coeff, 0, None, rows)
+        _product_rows(self.representative.coeff - coeff, DiffExpr.one(), 0, None, rows)
         for j, vec in enumerate(self.solution.nullspace):
-            _scalar_rows(self._combination(vec), 0, j, rows)
-        return solve_affine(((row, rhs) for row, rhs in rows.values()),
-                            self.dimension) is not None
+            _product_rows(self._combination(vec), DiffExpr.one(), 0, j, rows)
+        return solve_affine(_affine_rows(rows), self.dimension) is not None
 
 
 @cache
@@ -305,16 +306,15 @@ def _jet_variation(family: str, order: int) -> DiffExpr:
 def _linear_residual(e: DiffExpr, weight: int) -> DiffExpr:
     """First-order part of pushforward(e) - hinv_power(weight) * e at
     h = z + eps X: weight X' e + sum_n (de/du^(n)) delta u^(n).  The family
-    k carries X itself, so it takes no variation."""
-    out = (jet("k", 1) * e).scale(weight)
+    k carries X itself, so it takes no variation.  One pass per family
+    splits e into its partials (expr._partials), and each product with its
+    variation is added into one dict."""
+    out = dict((jet("k", 1) * e).scale(weight)._terms)
     for fam in _WEIGHTS:
-        if fam == "k":
-            continue
-        for order in range(e.max_order(fam) + 1):
-            part = partial_derivative(e, fam, order)
-            if not part.is_zero():
-                out = out + part * _jet_variation(fam, order)
-    return out
+        if fam != "k":
+            for order, part in _partials(e, _RANK[fam]).items():
+                _mul_into(out, part, _jet_variation(fam, order)._terms)
+    return _expr(out)
 
 
 @cache
@@ -333,29 +333,17 @@ def _det_pieces(p: int, q: int, module_lambda: Optional[Rat]
             insertions, _ordered(alternating, 3))
 
 
-def _scalar_rows(e: DiffExpr, space: int, index: Optional[int], rows: Dict):
-    """Accumulate the coefficients of e into sparse constraint rows, keyed
-    by (space, monomial): into entry index, or into the right-hand side,
-    negated, when index is None.  The terms are read as stored, unsorted:
-    solve_affine's answer does not depend on the order of the rows."""
-    for mono, c in e._terms.items():
-        if type(c) is LamPoly:
-            raise ValueError("a constraint row depends on lam")
-        row = rows.get((space, mono))
-        if row is None:
-            row = rows[(space, mono)] = [{}, 0]
-        if index is None:
-            row[1] -= c
-        else:
-            row[0][index] = row[0].get(index, 0) + c
-
-
-def _product_rows(a: DiffExpr, b: DiffExpr, space: int, index: int, rows: Dict):
-    """Add the coefficients of a * b into entry index of the rows, as
-    _scalar_rows would add the expanded product, with no product built.
-    Monomials merge by _mono_mul, as in a DiffExpr product; since two
+def _product_rows(a: DiffExpr, b: DiffExpr, space: int, index: Optional[int], rows: Dict):
+    """Add the coefficients of a * b into sparse constraint rows, with no
+    product built: the one row accumulator.  rows maps (space, monomial) to
+    one dict, whose entry i, for index i, is the coefficient of x_i, and
+    whose key None, for index None, holds the constant, so the row reads
+    sum_i row[i] x_i + row[None] = 0; _affine_rows hands the rows to
+    solve_affine.  Monomials merge by _mono_mul, as in a DiffExpr product; since two
     products may cancel, an entry that sums to zero is dropped, and so is a
-    row left empty with a zero right-hand side."""
+    row left empty.  The terms are read as stored, unsorted: solve_affine's
+    answer does not depend on the order of the rows.  Pass DiffExpr.one()
+    as b for the rows of a alone."""
     for m1, c1 in a._terms.items():
         for m2, c2 in b._terms.items():
             c = c1 * c2
@@ -364,16 +352,22 @@ def _product_rows(a: DiffExpr, b: DiffExpr, space: int, index: int, rows: Dict):
             key = (space, _mono_mul(m1, m2))
             row = rows.get(key)
             if row is None:
-                rows[key] = [{index: c}, 0]
+                rows[key] = {index: c}
                 continue
-            entries = row[0]
-            s = entries.get(index, 0) + c
+            s = row.get(index, 0) + c
             if s:
-                entries[index] = s
+                row[index] = s
             else:
-                del entries[index]
-                if not entries and not row[1]:
+                del row[index]
+                if not row:
                     del rows[key]
+
+
+def _affine_rows(rows: Dict):
+    """The rows of _product_rows as solve_affine's (entries, -row[None])
+    pairs; the key None is popped from each row, so the rows are read
+    once."""
+    return ((row, -row.pop(None, 0)) for row in rows.values())
 
 
 def solve_corrections(
@@ -425,12 +419,15 @@ def solve_corrections(
     with L(m) and D(m), and per (p, q, module) the pieces of c kept at
     their ordered monomials (_det_pieces).  m, L(m)
     and D(m) carry no f or g jet, so their products with ordered pieces
-    stay ordered.  A term's rows are assembled straight from the pieces:
-    _product_rows adds each coefficient of m L(c), c L(m), m delta c and
-    D(m) alt into its row, with no product or sum built and nothing sorted,
-    since the solution does not depend on the order of the rows.  Only the
-    trivial action builds m delta c, from the whole of delta c, whose class
-    _exact_class needs, and keeps the class's rows at f < g.  The weight
+    stay ordered.  A term's rows are assembled straight from the pieces by
+    the one row accumulator, _product_rows: it adds each coefficient of
+    m L(c), c L(m), m delta c and D(m) alt into its row, one dict of ansatz
+    entries with the right-hand side at key None, with no product or sum
+    built and nothing sorted, since the solution does not depend on the
+    order of the rows.  The symbol's rows go to key None, as products with
+    DiffExpr.one().  Only the trivial action builds m delta c, from the
+    whole of delta c, whose class _exact_class needs, and keeps the class's
+    rows at f < g.  The weight
     must be an integer and not a bool (a float is a TypeError).  The
     canonical representative is the minimal-support point (ties broken
     lexicographically) when the gauge dimension is at most 3 and at most 26
@@ -480,24 +477,23 @@ def solve_corrections(
                 monomial_pieces.append((lm, dm))
 
     rows: Dict = {}
-    _scalar_rows(_ordered(_linear_residual(expr, weight), 2), 0, None, rows)
+    one = DiffExpr.one()
+    _product_rows(_ordered(_linear_residual(expr, weight), 2), one, 0, None, rows)
     delta = ce_parts(expr, 2, module_lambda)[1]
-    _scalar_rows(_ordered(_exact_class(delta), 2) if trivial else _ordered(delta, 3),
-                 1, None, rows)
+    _product_rows(_ordered(_exact_class(delta), 2) if trivial else _ordered(delta, 3),
+                  one, 1, None, rows)
     for i, (term, (lm, dm)) in enumerate(zip(ansatz, monomial_pieces)):
         m = term.m
         c, lc, delta_c, alternating = _det_pieces(term.p, term.q, module_lambda)
         _product_rows(m, lc, 0, i, rows)
         _product_rows(c, lm, 0, i, rows)
         if trivial:
-            _scalar_rows(_ordered(_exact_class(m * delta_c), 2), 1, i, rows)
+            _product_rows(_ordered(_exact_class(m * delta_c), 2), one, 1, i, rows)
         else:
             _product_rows(m, delta_c, 1, i, rows)
             _product_rows(dm, alternating, 1, i, rows)
 
-    solution = solve_affine(
-        ((row, rhs) for row, rhs in rows.values()), len(ansatz)
-    )
+    solution = solve_affine(_affine_rows(rows), len(ansatz))
     if solution is not None:
         solution = AffineSolution(solution.nvars, _canonical_point(solution),
                                   solution.nullspace)

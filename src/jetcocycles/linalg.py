@@ -115,13 +115,9 @@ def solve_affine(rows: Iterable[Tuple[Row, Rat]], nvars: int) -> Optional[Affine
     pivots: Dict[int, Dict[int, int]] = {}
     # the sort is stable, so ties keep arrival order
     for key, rhs in sorted(distinct.items(), key=lambda item: (len(item[0]), item[0][0][0])):
-        if type(rhs) is int:
-            work = dict(key)
-            if rhs:
-                work[nvars] = rhs
-        else:
-            d = rhs.denominator
-            work = {i: v * d for i, v in key}
+        d = rhs.denominator
+        work = {i: v * d for i, v in key}
+        if rhs:
             work[nvars] = rhs.numerator
         for col in [i for i in work if i in pivots]:
             _combine(work, pivots[col], col)

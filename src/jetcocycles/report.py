@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ._record import Record
 from .calculus import action_via_nabla, lie_action
-from .charts import _scalar_rows, covariant_equivalence, derive, is_global
+from .charts import _affine_rows, _product_rows, covariant_equivalence, derive, is_global
 from .cochains import (
     Cochain1,
     Cochain2,
@@ -143,10 +143,10 @@ def suite_theorem1() -> List[CheckRecord]:
 
 def _ratio_record() -> CheckRecord:
     """The flat weight-7 combination is forced up to scale (2 : -9)."""
-    rows = {}
+    rows, one = {}, DiffExpr.one()
     for i, (p, q) in enumerate(((3, 6), (4, 5))):
-        _scalar_rows(ce_differential(Cochain2(det_expr(p, q), 7, 7)), 0, i, rows)
-    solution = solve_affine(((row, rhs) for row, rhs in rows.values()), 2)
+        _product_rows(ce_differential(Cochain2(det_expr(p, q), 7, 7)), one, 0, i, rows)
+    solution = solve_affine(_affine_rows(rows), 2)
     ok = (solution is not None and solution.dimension == 1)
     if ok:
         vec = solution.nullspace[0]

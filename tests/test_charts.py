@@ -772,12 +772,12 @@ def test_product_rows_drop_what_cancels():
         rhs = random_expr(rng, families=("T",), lam_degree=0)
         if rng.random() < 0.5:
             rhs = rhs + DiffExpr(dict((a * b2).terms()[:1]))
-        got, want = {}, {}
-        charts._scalar_rows(rhs, 0, None, got)
-        charts._scalar_rows(rhs, 0, None, want)
+        got, want, one = {}, {}, DiffExpr.one()
+        charts._product_rows(rhs, one, 0, None, got)
+        charts._product_rows(rhs, one, 0, None, want)
         charts._product_rows(a, b + b2, 0, 7, got)
         charts._product_rows(-a, b2, 0, 7, got)
-        charts._scalar_rows(a * b, 0, 7, want)
+        charts._product_rows(a * b, one, 0, 7, want)
         assert got == want
         cancelled += len(a * (b + b2)) > len(a * b)
     assert cancelled > 20

@@ -78,6 +78,48 @@ def test_negative_and_fractional_powers_rejected():
         hinv_power(Fraction(1, 2))  # type: ignore[arg-type]
 
 
+def test_bool_exponents_are_refused():
+    # a bool is an int to isinstance; an exponent, like a jet order, must be
+    # a plain int, or the monomial would store True as its exponent
+    for n in (True, False):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            F0 ** n
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            hinv_power(n)
+    assert F0 ** 1 == F0 and hinv_power(1) == hinv()
+
+
+def _as_expr(c):
+    return DiffExpr.coefficient(c) if isinstance(c, LamPoly) else DiffExpr.rational(c)
+
+
+def test_mixed_operands_act_as_the_constant_taken_as_an_expression():
+    """An int, a Fraction or a LamPoly on either side of +, - and * is that
+    constant taken as a DiffExpr; a sum that cancels is the zero; a float or
+    any other object on either side is a TypeError."""
+    rng = random.Random(30)
+    consts = (0, 3, -2, Fraction(1, 2), Fraction(-7, 3), LAM, LamPoly.const(5),
+              LamPoly([Fraction(1, 2), -1, 2]))
+    for x in [DiffExpr.zero(), DiffExpr.one()] + [random_expr(rng) for _ in range(12)]:
+        for c in consts:
+            e = _as_expr(c)
+            assert x + c == c + x == x + e == e + x, (x, c)
+            assert x - c == x - e and c - x == e - x, (x, c)
+            assert x * c == c * x == x * e == e * x, (x, c)
+            for got in (x + c - c, c + x - c, x - c + c, c - (c - x)):
+                assert got == x and _stored_form_ok(got), (x, c)
+            for cancelled in ((x + c) - (e + x), (c - x) - (e - x), c - e, e - c):
+                assert cancelled.is_zero() and cancelled == DiffExpr.zero(), (x, c)
+        assert (x - x).is_zero() and x - x == DiffExpr.zero()
+        assert (-x + x).is_zero() and x + (-x) == DiffExpr.zero()
+        for bad in (1.5, object()):
+            for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+                with pytest.raises(TypeError):
+                    op(x, bad)
+                with pytest.raises(TypeError):
+                    op(bad, x)
+
+
 def test_order_cap():
     # the kernel bounds no order; check_order_cap bounds an input's orders
     f13 = jet("f", 13)
