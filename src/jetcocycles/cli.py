@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .charts import is_global, solve_corrections
@@ -126,9 +127,14 @@ def _cmd_table3() -> int:
     return 1 if any_fail(records) else 0
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once per process; build_parser gives a fresh one."""
+    return build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

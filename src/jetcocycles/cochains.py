@@ -27,11 +27,9 @@ m too, so delta goes through each term by Leibniz,
 
 (f s(g) - g s(f) for a 1-cochain), and delta s = I + A + lam B splits into
 the bracket insertions I, the lam-free action part A and the part B linear
-in lam.  What a process keeps is kept by functools.cache, on small keys:
-the pieces I, A, B and the alternating sum of a block (_ce_pieces, which
-the correction solver reads too), and the jets of the arguments f, g, k,
-[f,g], [f,k] and [g,k] they are built from (_arg_jet, per argument and
-order, the brackets' jets in closed form).
+in lam.  The pieces I, A, B and the alternating sum of a block are written
+term by term and kept per block for the process by functools.cache
+(_ce_pieces, which the correction solver reads too).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .expr import (
     DEFAULT_ORDER_CAP,
@@ -76,26 +74,6 @@ def _module(coeff: DiffExpr, module_lambda) -> Optional[Coef]:
     return module_lambda
 
 
-@cache
-def _arg_jet(arg: str, n: int) -> DiffExpr:
-    """The n-th jet of an argument a cochain on f, g, k is evaluated at:
-    jet(arg, n) for a family, and for a bracket "[x,y]" the n-th total
-    derivative of [x, y] = x y' - x' y in closed form, by Leibniz,
-
-        D^n [x,y] = sum_a (C(n,a) - C(n,a-1)) x^(a) y^(n+1-a),
-
-    so no entry is built from the one below it."""
-    if len(arg) == 1:
-        return jet(arg, n)
-    x, y = _RANK[arg[1]], _RANK[arg[3]]
-    terms = {}
-    for a in range(n + 2):
-        c = math.comb(n, a) - (math.comb(n, a - 1) if a else 0)
-        if c:
-            terms[((x, a), 1), ((y, n + 1 - a), 1)] = c
-    return _expr(terms)
-
-
 _F, _G = _RANK["f"], _RANK["g"]
 
 # a slot block: (p,) for f^(p) in a 1-cochain, (p, q) for det(p,q) in a 2-cochain
@@ -103,16 +81,6 @@ _Block = Tuple[int, ...]
 
 # arity -> the (rank, exponent) of the slot atoms a monomial starts with
 _SLOT_HEADS = {1: [(_F, 1)], 2: [(_F, 1), (_G, 1)]}
-
-
-def _block_value(block: _Block, args: Sequence[str]) -> DiffExpr:
-    """The block read at its arguments, their jets from _arg_jet: x^(p)
-    for (p,) at x, and x^(p) y^(q) - x^(q) y^(p) for (p, q) at x, y."""
-    if len(block) == 1:
-        (p,), (x,) = block, args
-        return _arg_jet(x, p)
-    (p, q), (x, y) = block, args
-    return _arg_jet(x, p) * _arg_jet(y, q) - _arg_jet(x, q) * _arg_jet(y, p)
 
 
 @cache
@@ -125,20 +93,50 @@ def _ce_pieces(block: _Block) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
         B   = sum_i (-1)^i x_i' s(...),                  the part linear in lam,
         alt = sum_i (-1)^i x_i s(...),
 
-    so that delta s = I + A + lam B; built once per block and process."""
-    fams = "fgk"[:len(block) + 1]
-    insertions = action = linear = alternating = DiffExpr.zero()
-    for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
-        term = _block_value(block, (f"[{x},{y}]", *fams.replace(x, "").replace(y, "")))
-        insertions = insertions - term if (i + j) % 2 else insertions + term
-    for i, x in enumerate(fams):
-        value = _block_value(block, fams.replace(x, ""))
-        if i % 2:
-            value = -value
-        action = action + jet(x, 0) * total_derivative(value)
-        linear = linear + jet(x, 1) * value
-        alternating = alternating + jet(x, 0) * value
-    return insertions, action, linear, alternating
+    so that delta s = I + A + lam B; built once per block and process.  A
+    monomial holds one jet of each argument (ranks 0, 1[, 2]), so each
+    piece is written term by term, keyed by the argument orders, from the
+    terms of s (x^(p) y^(q) - x^(q) y^(p) for det(p,q)), from
+    D(x^(p) y^(q)) = x^(p+1) y^(q) + x^(p) y^(q+1) and from the bracket's
+    jets D^n [x,y] = sum_a (C(n,a) - C(n,a-1)) x^(a) y^(n+1-a)."""
+    n = len(block) + 1
+    terms = [(1, block)] if n == 2 else [(1, block), (-1, block[::-1])]
+    pieces = insertions, action, linear, alternating = {}, {}, {}, {}
+
+    def add(piece, c, orders):
+        key = tuple(orders)
+        piece[key] = piece.get(key, 0) + c
+
+    for i, j in itertools.combinations(range(n), 2):
+        rest = [r for r in range(n) if r not in (i, j)]
+        for c, (o, *others) in terms:
+            c = -c if (i + j) % 2 else c
+            orders = [0] * n
+            for r, order in zip(rest, others):
+                orders[r] = order
+            for a in range(o + 2):
+                b = math.comb(o, a) - (math.comb(o, a - 1) if a else 0)
+                if b:
+                    orders[i], orders[j] = a, o + 1 - a
+                    add(insertions, b * c, orders)
+    for i in range(n):
+        rest = [r for r in range(n) if r != i]
+        for c, block_orders in terms:
+            c = -c if i % 2 else c
+            orders = [0] * n
+            for r, order in zip(rest, block_orders):
+                orders[r] = order
+            add(alternating, c, orders)
+            for r in rest:
+                orders[r] += 1
+                add(action, c, orders)
+                orders[r] -= 1
+            orders[i] = 1
+            add(linear, c, orders)
+    # one (atom, exponent) pair per argument jet, shared by the monomials
+    jets = [[((r, o), 1) for o in range(max(block) + 2)] for r in range(n)]
+    return tuple(_expr({tuple(row[o] for row, o in zip(jets, key)): c
+                        for key, c in piece.items() if c}) for piece in pieces)
 
 
 def _slot_blocks(coeff: DiffExpr, arity: int) -> Dict[_Block, Dict[Monomial, Coef]]:

@@ -33,19 +33,14 @@ has degree >= 1 in lam; only then is it a LamPoly.  lam enters only through
 the module action, so lam-free work builds no LamPoly.  One normalizer,
 ``_coef``, keeps the rule in ``DiffExpr(...)`` and in the kernel's one
 accumulator, ``_mul_into``, which adds the product of two term dicts into
-a third in place, summing, normalizing and dropping zeros: a sum or a
-difference adds {(): 1} or {(): -1} times the other operand into a copy
-of the first, substitution adds each rest into its trie node, and the
-chart layer adds each partial derivative times its variation.  Only
-``total_derivative``, the hottest loop, keeps an inline copy of that
-loop: it makes one term per factor of every monomial, and a call per term
-made it take about 1.5 times as long on chart bindings and determinant
-products (2-core Xeon, Python 3.11).  ``terms()`` is the one public
-reader: it gives each monomial with its stored coefficient, in monomial
-order.  Code that needs no order reads the stored dict as it is: the
-kernel, ``_has_lam`` (whether an expression carries lam) and the
-correction solver's row assembly.  Expressions are immutable values;
-every function here is pure.
+a third in place, summing, normalizing and dropping zeros (a sum adds
+{(): +-1} times the other operand into a copy of the first), and in its
+one derivative loop, ``_derivative_into``, which adds +-D of a term dict
+into another: ``total_derivative`` runs it into an empty dict, and each
+Horner step of ``euler_derivative`` into a partial.  ``terms()`` is the
+one public reader: each monomial with its stored coefficient, in monomial
+order; the kernel, ``_has_lam`` and the solver's row assembly read the
+stored dict as it is.  Expressions are immutable; every function is pure.
 """
 
 from __future__ import annotations
@@ -175,7 +170,7 @@ def _mul_into(out: Dict[Monomial, Coef], a: Mapping[Monomial, Coef],
         a, b = b, a
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            mono = _mono_mul(m1, m2)
+            mono = _mono_mul(m1, m2) if m1 else m2
             c = c1 * c2
             acc = out.get(mono)
             s = c if acc is None else acc + c
@@ -434,14 +429,24 @@ _D_HINV_MONO = _mono_from_pairs([((_H, 2), 1), (_HINV0, 2)])
 
 def total_derivative(e: DiffExpr) -> DiffExpr:
     """Formal d/dz: Leibniz over monomials, family[n] -> family[n+1],
-    hinv -> -h[2]*hinv^2, lam and rationals constant.
+    hinv -> -h[2]*hinv^2, lam and rationals constant (_derivative_into)."""
+    out: Dict[Monomial, Coef] = {}
+    _derivative_into(out, e._terms)
+    return _expr(out)
+
+
+def _derivative_into(out: Dict[Monomial, Coef], terms: Mapping[Monomial, Coef],
+                     sign: int = 1) -> None:
+    """Add sign * D(terms) into out, in place: the kernel's one derivative
+    loop, one term per factor of every monomial.
 
     The derived monomial is built by shifting the sorted tuple: atom i loses
     one power, and its successor (rank, order+1) can only sit at i+1, where
     it is bumped or inserted.  Neither step can meet the hinv*h[1] rule.
     """
-    out: Dict[Monomial, Coef] = {}
-    for mono, coef in e._terms.items():
+    for mono, coef in terms.items():
+        if sign < 0:
+            coef = -coef
         last = len(mono) - 1
         for i, (atom, exp) in enumerate(mono):
             if atom == _HINV0:
@@ -465,7 +470,6 @@ def total_derivative(e: DiffExpr) -> DiffExpr:
                 out[new] = s
             else:
                 del out[new]
-    return _expr(out)
 
 
 # -- substitution -----------------------------------------------------
@@ -602,7 +606,8 @@ def euler_derivative(e: DiffExpr, family: str) -> DiffExpr:
     """Variational derivative sum_j (-D)^j P_j, P_j = d e / d family[j].
 
     One pass splits e into every P_j (_partials); then the Horner form
-    P_0 - D(P_1 - D(P_2 - ...)) takes one total derivative per order.  The
+    P_0 - D(P_1 - D(P_2 - ...)) adds -D of the step above into each P_j in
+    place (_derivative_into), one pass per order.  The
     family must be a free one: h's jets start at order 1 (h[1] is h'), so
     its P_0 is empty and h[2] reads as D(h[1]); hinv, which is 1/h[1] and
     not a free jet, is refused, and so is an expression carrying it when
@@ -615,8 +620,10 @@ def euler_derivative(e: DiffExpr, family: str) -> DiffExpr:
     if family == "h" and "hinv" in e.families():
         raise ValueError("the Euler derivative in h needs an hinv-free expression (hinv is 1/h[1])")
     parts = _partials(e, _RANK[family])
-    out = _ZERO
+    out: Dict[Monomial, Coef] = {}
     for j in range(max(parts, default=-1), -1, -1):
-        out = _expr(parts.get(j, {})) - total_derivative(out)
-    return out
+        step = parts.get(j, {})
+        _derivative_into(step, out, -1)
+        out = step
+    return _expr(out)
 

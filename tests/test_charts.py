@@ -541,7 +541,7 @@ def _solution_record(result) -> dict:
 
 # the pure pieces that solve_corrections builds once per process
 _PIECE_CACHES = (charts._jet_variation, charts._connection_monomials,
-                 charts._det_pieces, cochains._ce_pieces, cochains._arg_jet)
+                 charts._det_pieces, cochains._ce_pieces)
 
 
 def _golden_solutions(cold: bool = False) -> dict:

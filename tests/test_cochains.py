@@ -17,7 +17,6 @@ from jetcocycles.cochains import (
     Cochain1,
     Cochain2,
     LambdaVerdict,
-    _arg_jet,
     _ce_pieces,
     _slot_blocks,
     _exact_class,
@@ -456,7 +455,6 @@ def test_ce_parts_matches_the_definitional_path():
     argument jets and of pieces and again after a lambda sweep has grown
     them; and on every covariant, connection and omega form of the
     catalogue, at those three and at its own module."""
-    _arg_jet.cache_clear()
     _ce_pieces.cache_clear()
     rng = random.Random(53)
     cases = _random_ce_inputs(rng, 6) + _random_ce_inputs(rng, 4, ("T", "R", "w", "h", "hinv"))
@@ -468,21 +466,16 @@ def test_ce_parts_matches_the_definitional_path():
                 assert ce_parts(coeff, arity, lam) == ce_parts_reference(coeff, arity, lam)
         for p in (0, 5, 15):
             lambda_solutions(det_cochain(p, 16, 24), 24)
-    # the sweep kept the jets it read, up to order 16, and built no other
-    misses = _arg_jet.cache_info().misses
-    for arg in ("f", "g", "k", "[f,g]", "[f,k]", "[g,k]"):
-        for n in (0, 5, 15, 16):
-            _arg_jet(arg, n)
-    assert _arg_jet.cache_info().misses == misses
-    assert _arg_jet.cache_info().currsize <= 6 * 17
+    # the sweep kept the pieces of the determinants it read
+    misses = _ce_pieces.cache_info().misses
+    for p in (0, 5, 15):
+        _ce_pieces((p, 16))
+    assert _ce_pieces.cache_info().misses == misses
     forms = _catalogue_cochains()
     assert len(forms) == 18
     for c in forms:
         for lam in {None, Fraction(-3, 2), LamPoly.lam(), c.module_lambda}:
             assert ce_parts(c.coeff, 2, lam) == ce_parts_reference(c.coeff, 2, lam), (c, lam)
-
-
-_ARGS = ("f", "g", "k", "[f,g]", "[f,k]", "[g,k]")
 
 
 def _assert_empty_in_a_fresh_interpreter(name: str):
@@ -497,35 +490,34 @@ def _assert_empty_in_a_fresh_interpreter(name: str):
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def test_the_argument_jet_table_is_bounded_and_immutable():
-    """A lambda sweep over all det(p,q), q <= 12, keeps the six arguments'
-    jets of order 0 to 12 and no others, 78 entries, each a DiffExpr read
-    again as the same object; the cache is empty at import."""
-    _arg_jet.cache_clear()
+def test_the_pieces_are_the_definitional_ones_for_every_small_block():
+    """Every block's pieces, written term by term, are those of the
+    definitional path (helpers.ce_parts_reference), for every det(p,q) with
+    q <= 16 and every f^(p) with p <= 16: I is the trivial-action
+    differential, A and B the lam-free and lam-linear parts of the rest,
+    and D(alt) = A + B, which fixes alt, a polynomial with no constant
+    term."""
     _ce_pieces.cache_clear()
-    for q in range(1, 13):
-        for p in range(q):
-            lambda_solutions(det_cochain(p, q, 24), 24)
-    assert _arg_jet.cache_info().currsize == 78
-    misses = _arg_jet.cache_info().misses
-    for arg in _ARGS:
-        for n in range(13):
-            assert type(_arg_jet(arg, n)) is DiffExpr
-            assert _arg_jet(arg, n) is _arg_jet(arg, n)
-    assert _arg_jet.cache_info().misses == misses
-    assert _arg_jet("[f,g]", 12) == total_derivative(_arg_jet("[f,g]", 11))
-    assert _arg_jet("k", 12) == jet("k", 12)
-    _assert_empty_in_a_fresh_interpreter("_arg_jet")
+    blocks = [((p,), jet("f", p), 1) for p in range(17)]
+    blocks += [((p, q), det_expr(p, q), 2) for q in range(1, 17) for p in range(q)]
+    for block, coeff, arity in blocks:
+        insertions, action, linear, alternating = _ce_pieces(block)
+        at_zero = ce_parts_reference(coeff, arity, 0)[1]
+        assert insertions == ce_parts_reference(coeff, arity, None)[0], block
+        assert action == at_zero - insertions, block
+        assert linear == ce_parts_reference(coeff, arity, 1)[1] - at_zero, block
+        assert total_derivative(alternating) == action + linear, block
+        assert () not in alternating._terms
 
 
 def test_the_bracket_jets_are_the_iterated_derivatives_of_the_bracket():
-    """The closed Leibniz form of D^n [x,y] equals n total derivatives of
-    bracket(x, y), for every bracket and n <= 40."""
-    for x, y in ("fg", "fk", "gk"):
-        d = bracket(jet(x, 0), jet(y, 0))
-        for n in range(41):
-            assert _arg_jet(f"[{x},{y}]", n) == d, (x, y, n)
-            d = total_derivative(d)
+    """The insertions of a 1-cochain's block f^(n) are -D^n [f,g], the
+    closed Leibniz form of the bracket's jets, equal to n total derivatives
+    of bracket(f, g), for every n <= 40."""
+    d = bracket(jet("f", 0), jet("g", 0))
+    for n in range(41):
+        assert _ce_pieces((n,))[0] == -d, n
+        d = total_derivative(d)
 
 
 def test_the_piece_caches_need_no_deep_recursion():

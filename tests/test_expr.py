@@ -447,6 +447,41 @@ def test_euler_derivative_matches_the_definitional_sum():
     assert nonzero > 95
 
 
+def test_the_one_pass_euler_derivative_is_the_definitional_sum():
+    """euler_derivative(e, fam) against sum_j (-D)^j d e / d fam[j], built
+    from partial_derivative and repeated total_derivative, on seeded
+    expressions in f, g and k with T, R and w backgrounds, hinv factors,
+    squares and cubes of one jet and lam-degree-2 coefficients, for every
+    family but h, and on hinv-free ones for h.  Jets reach order 4, so a
+    slipped sign or order in a Horner step changes the answer; two hand
+    cases pin the sign of each order."""
+    assert euler_derivative(jet("f", 3) * G0, "f") == -jet("g", 3)
+    assert euler_derivative(hinv() * F2 * jet("T", 1), "f") == D(D(hinv() * jet("T", 1)))
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(30):
+        for fams, with_hinv in ((("f", "g", "k", "T", "R", "w"), True),
+                                (("f", "T", "h"), False)):
+            e = random_expr(rng, families=fams, max_order=4, terms=4, factors=3,
+                            lam_degree=2, with_hinv=with_hinv)
+            forced = rng.choice(fams)
+            power = jet(forced, rng.randrange(forced == "h", 5)) ** rng.choice((2, 3))
+            e = e + DiffExpr.coefficient(random_coeff(rng, 2)) * power
+            for fam in fams:
+                if fam == "h" and with_hinv:
+                    continue
+                want = DiffExpr.zero()
+                for j in range(fam == "h", e.max_order(fam) + 1):
+                    piece = partial_derivative(e, fam, j)
+                    for _ in range(j):
+                        piece = -D(piece)
+                    want = want + piece
+                got = euler_derivative(e, fam)
+                assert got == want, (fam, e)
+                nonzero += not got.is_zero()
+    assert nonzero > 120
+
+
 def test_euler_derivative_takes_free_families_only():
     """h's jets start at order 1, so its order-0 part is empty; hinv is
     1/h[1], not a free jet, and an unknown family is refused by name."""

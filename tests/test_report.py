@@ -115,6 +115,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_main_keeps_one_parser_and_build_parser_gives_a_fresh_one(capsys):
+    """main parses every call with the one parser of its process; each
+    build_parser call is a new parser, which a caller may change without
+    reaching main."""
+    from jetcocycles import cli
+
+    mine = cli.build_parser()
+    assert mine is not cli.build_parser()
+    mine.add_argument("--extra")
+    for _ in range(2):
+        assert main(["eval", "--cocycle", "cbar0", "--m", "1", "--n", "2"]) == 0
+        assert cli._parser.cache_info().currsize == 1
+    assert cli._parser() is cli._parser()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--extra", "x", "table3"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv, code", [
     (["verify", "--suite", "witt"], 0), (["table3"], 1),
     (["globalize", "--symbol", "f[", "--weight", "1"], 2),
