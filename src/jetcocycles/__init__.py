@@ -1,7 +1,7 @@
 """Exact symbolic verification of density-valued 2-cocycles of vector fields.
 
-The kernel (expr) carries differential polynomials in jet symbols over
-Q[lam]; calculus adds the Lie action, the bracket and the covariant
+The kernel (expr) carries differential polynomials in jet symbols with
+rational coefficients; calculus adds the Lie action, the bracket and the covariant
 derivative on densities, which are plain expressions of a given weight;
 cochains holds the Chevalley-Eilenberg machinery and the generator
 catalogue; charts certifies chart covariance and solves for connection

@@ -2,8 +2,9 @@
 
 A weight-w density is its coefficient, a plain DiffExpr; vector fields are
 the weight -1 densities.  The weight, or the module parameter lam of the
-action, is passed explicitly, as a rational or as a symbolic LamPoly.  The
-sign package used throughout ("package A") is
+action, is passed explicitly as an exact rational (anything else is a
+TypeError); every result is affine in it.  The sign package used
+throughout ("package A") is
 
     nabla a = a' + w * T * a,      R := T' + T^2/2,
 
@@ -19,9 +20,8 @@ from fractions import Fraction
 from typing import Union
 
 from .expr import DiffExpr, hinv, jet, total_derivative
-from .lampoly import LamPoly
 
-Weight = Union[int, Fraction, LamPoly]
+Weight = Union[int, Fraction]
 
 
 def lie_action(x: DiffExpr, a: DiffExpr, lam: Weight) -> DiffExpr:

@@ -47,8 +47,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import (Cochain2, _ce_pieces, _derivative_counts, _exact_class, _ordered,
-                       catalogue, ce_parts, coeff_and_weight, det_expr)
+from .cochains import (LAM, Cochain2, Module, _ce_pieces, _derivative_counts, _exact_class,
+                       _module, _ordered, catalogue, ce_parts, coeff_and_weight, det_expr)
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -56,7 +56,6 @@ from .expr import (
     OrderCapExceeded,
     _check_atom,
     _expr,
-    _has_lam,
     _mono_mul,
     _mul_into,
     _partials,
@@ -68,7 +67,7 @@ from .expr import (
     substitute_jets,
     total_derivative,
 )
-from .lampoly import LamPoly, Rat, _rat
+from .lampoly import Rat, _rat
 from .linalg import AffineSolution, Row, solve_affine
 
 # family -> density weight, and the inhomogeneous part of each connection
@@ -281,7 +280,7 @@ class CorrectionResult(Record):
         """Is the given cochain coefficient in the solution set, that is, is
         coeff - representative in the span of the nullspace directions?
         Every row is kept here, since coeff need not be antisymmetric."""
-        if not self.feasible or _has_lam(coeff):
+        if not self.feasible:
             return False
         rows: Dict = {}
         _product_rows(self.representative.coeff - coeff, DiffExpr.one(), 0, None, rows)
@@ -347,8 +346,6 @@ def _product_rows(a: DiffExpr, b: DiffExpr, space: int, index: Optional[int], ro
     for m1, c1 in a._terms.items():
         for m2, c2 in b._terms.items():
             c = c1 * c2
-            if type(c) is LamPoly:
-                raise ValueError("a constraint row depends on lam")
             key = (space, _mono_mul(m1, m2))
             row = rows.get(key)
             if row is None:
@@ -374,7 +371,7 @@ def solve_corrections(
     symbol: Union[Cochain2, DiffExpr],
     weight: Optional[int] = None,
     max_order: int = DEFAULT_ORDER_CAP,
-    module_lambda: Union[Rat, LamPoly, None] = None,
+    module_lambda: Module = None,
 ) -> CorrectionResult:
     """Solve for connection corrections making the symbol global and closed.
 
@@ -384,9 +381,10 @@ def solve_corrections(
     determinants are excluded so the symbol is preserved.  Globality and the
     cocycle identity at the module parameter are imposed as exact linear
     constraints.  The module parameter is module_lambda when given, else
-    the cochain's own, where None is the trivial action; a LamPoly, given or
-    a cochain's (a bare expression's is lam), reads lam = weight, so
-    LamPoly.const(1) is the module 1.  The result holds the ansatz, sorted by
+    the cochain's own, where None is the trivial action; the symbolic lam,
+    given or a cochain's (a bare expression's is lam), reads lam = weight,
+    a constant LamPoly reads as its value, and any other LamPoly is a
+    ValueError (cochains._module).  The result holds the ansatz, sorted by
     (p, q, symbols), and its affine solution set, whose particular point is
     the canonical representative (None if empty).  max_order, an int
     (anything else, a bool included, is a ValueError), bounds the symbol's
@@ -438,19 +436,16 @@ def solve_corrections(
     expr, weight = coeff_and_weight(symbol, weight)
     weight = _integer_weight(weight)
     if module_lambda is None:
-        module_lambda = symbol.module_lambda if isinstance(symbol, Cochain2) else LamPoly.lam()
-    if isinstance(module_lambda, LamPoly):
-        module_lambda = module_lambda.eval(weight)
-    elif module_lambda is not None:
-        module_lambda = _rat(module_lambda)
+        module_lambda = symbol.module_lambda if isinstance(symbol, Cochain2) else LAM
+    module_lambda = _module(module_lambda)
+    if module_lambda is LAM:
+        module_lambda = weight
     trivial = module_lambda is None
 
     if expr.is_zero():
         raise ValueError("the symbol is zero")
     if expr.families() - {"f", "g"}:
         raise ValueError("the symbol must be a flat bilinear expression in f and g")
-    if _has_lam(expr):
-        raise ValueError("the symbol must have rational coefficients, found lam")
     if type(max_order) is not int:
         raise ValueError(f"max_order must be an integer, got {max_order!r}")
     check_order_cap(expr, max_order)

@@ -29,7 +29,8 @@ m too, so delta goes through each term by Leibniz,
 the bracket insertions I, the lam-free action part A and the part B linear
 in lam.  The pieces I, A, B and the alternating sum of a block are written
 term by term and kept per block for the process by functools.cache
-(_ce_pieces, which the correction solver reads too).
+(_ce_pieces, which the correction solver reads too).  Coefficients are
+rational, so at the symbolic module delta is a linear pencil in lam.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
     Atom,
-    Coef,
     DiffExpr,
     Monomial,
-    _coef,
+    _ZERO,
     _expr,
-    _has_lam,
     _mul_into,
     check_order_cap,
     euler_derivative,
@@ -59,19 +58,30 @@ from .expr import (
 )
 from ._record import Record
 from .calculus import covariant_derivative
-from .lampoly import LamPoly, Rat, _rat, gcd_all, rational_roots
+from .lampoly import LamPoly, Rat, _rat
+
+# the symbolic module parameter
+LAM = LamPoly.lam()
+
+# a module parameter: a rational, the symbolic LAM, or None (trivial action)
+Module = Union[Rat, LamPoly, None]
 
 
-def _module(coeff: DiffExpr, module_lambda) -> Optional[Coef]:
-    """module_lambda in the stored-coefficient form (expr._coef): a concrete
-    module is a ``_rat`` rational, a symbolic one a LamPoly of degree >= 1,
-    and None the trivial action and nothing else.  Beside a concrete or
-    trivial module a free lam in the coefficient would be a second,
-    unsubstituted module parameter, so it is refused."""
-    module_lambda = None if module_lambda is None else _coef(module_lambda)
-    if type(module_lambda) is not LamPoly and _has_lam(coeff):
-        raise ValueError("lam in the coefficient needs a symbolic module parameter")
-    return module_lambda
+def _module(module_lambda) -> Module:
+    """A module parameter in its one form: None (the trivial action) stays,
+    a LamPoly equal to lam is the symbolic LAM, a constant LamPoly reads as
+    its value, and an exact rational becomes its ``_rat`` form.  Any other
+    LamPoly is a ValueError, a float or other non-rational a TypeError."""
+    if module_lambda is None:
+        return None
+    if type(module_lambda) is LamPoly:
+        if module_lambda.is_constant():
+            return module_lambda.eval(0)
+        if module_lambda != LAM:
+            raise ValueError(f"a symbolic module parameter must be lam itself, got "
+                             f"{module_lambda!r}")
+        return LAM
+    return _rat(module_lambda)
 
 
 _F, _G = _RANK["f"], _RANK["g"]
@@ -139,7 +149,7 @@ def _ce_pieces(block: _Block) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
                         for key, c in piece.items() if c}) for piece in pieces)
 
 
-def _slot_blocks(coeff: DiffExpr, arity: int) -> Dict[_Block, Dict[Monomial, Coef]]:
+def _slot_blocks(coeff: DiffExpr, arity: int) -> Dict[_Block, Dict[Monomial, Rat]]:
     """coeff split into slot blocks: block -> the terms of its background,
     the atoms of a monomial other than its slot ones (f, and g for arity 2).
     A 1-cochain must be linear in f, a 2-cochain bilinear in f and g and
@@ -148,7 +158,7 @@ def _slot_blocks(coeff: DiffExpr, arity: int) -> Dict[_Block, Dict[Monomial, Coe
     m f^(q) g^(p) with the opposite coefficient, and as many monomials must
     have p < q as p >= q; the block (q, p) then stands for both, as
     m det(q,p)."""
-    blocks: Dict[_Block, Dict[Monomial, Coef]] = {}
+    blocks: Dict[_Block, Dict[Monomial, Rat]] = {}
     upper = []
     for mono, c in coeff._terms.items():
         head, rest = mono[:arity], mono[arity:]
@@ -183,14 +193,19 @@ def _refuse_arguments(coeff: DiffExpr, kind: str, families: Tuple[str, ...]):
 class Cochain1(Record):
     """Linear 1-cochain on vector fields, written in the f jets (a g or k
     jet, an argument of its differential, is a ValueError); value_weight
-    and module_lambda as for Cochain2."""
+    and module_lambda as for Cochain2, except that the module must be
+    concrete or trivial: a symbolic one is a ValueError."""
 
     __slots__ = ("coeff", "value_weight", "module_lambda")
 
-    def __init__(self, coeff: DiffExpr, value_weight: Rat, module_lambda: Optional[Coef]):
+    def __init__(self, coeff: DiffExpr, value_weight: Rat, module_lambda: Module):
+        module_lambda = _module(module_lambda)
+        if type(module_lambda) is LamPoly:
+            raise ValueError("a 1-cochain needs a concrete module parameter or the "
+                             "trivial action")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "value_weight", _rat(value_weight))
-        object.__setattr__(self, "module_lambda", _module(coeff, module_lambda))
+        object.__setattr__(self, "module_lambda", module_lambda)
         _slot_blocks(coeff, 1)
         _refuse_arguments(coeff, "1-cochain", ("g", "k"))
 
@@ -202,20 +217,18 @@ class Cochain2(Record):
     value_weight is the density grading of the values (what the chart
     transform tests), a ``_rat`` rational; module_lambda is the action
     parameter (what the cocycle identity uses), in the one form of _module:
-    a ``_rat`` rational (``LamPoly.const(2)`` is stored as ``2``), a LamPoly
-    of degree >= 1, or None for the trivial action, where the values pair
-    to constants and the action is dropped.  A float is a TypeError.  Only
-    a symbolic module leaves lam in the coefficient; at_lambda substitutes a
-    value into both.
+    a ``_rat`` rational (``LamPoly.const(2)`` is stored as ``2``), the
+    symbolic LAM (``LamPoly.lam()``; any other non-constant LamPoly is a
+    ValueError), or None for the trivial action, where the values pair to
+    constants and the action is dropped.  A float is a TypeError.
     """
 
     __slots__ = ("coeff", "value_weight", "module_lambda")
 
-    def __init__(self, coeff: DiffExpr, value_weight: Rat,
-                 module_lambda: Optional[Coef] = LamPoly.lam()):
+    def __init__(self, coeff: DiffExpr, value_weight: Rat, module_lambda: Module = LAM):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "value_weight", _rat(value_weight))
-        object.__setattr__(self, "module_lambda", _module(coeff, module_lambda))
+        object.__setattr__(self, "module_lambda", _module(module_lambda))
         _slot_blocks(coeff, 2)
         _refuse_arguments(coeff, "2-cochain", ("k",))
 
@@ -224,15 +237,17 @@ class Cochain2(Record):
         return self.module_lambda is None
 
     def is_symbolic(self) -> bool:
+        """Is the module the symbolic lam?"""
         return type(self.module_lambda) is LamPoly
 
-    def at_lambda(self, lam_value: Union[Rat, LamPoly]) -> "Cochain2":
-        """The cochain in the module F_lam_value, with lam_value substituted
-        for lam in the coefficient; a constant LamPoly reads as its value."""
-        lam_value = _coef(lam_value)
-        if type(lam_value) is LamPoly:
-            raise TypeError("at_lambda needs a concrete module parameter, not a LamPoly in lam")
-        return Cochain2(self.coeff.subst_lambda(lam_value), self.value_weight, lam_value)
+    def at_lambda(self, lam_value: Rat) -> "Cochain2":
+        """The same coefficient and weight in the module F_lam_value.  A
+        constant LamPoly reads as its value; lam itself, or None, is a
+        TypeError, as is a float, and any other LamPoly a ValueError."""
+        lam_value = _module(lam_value)
+        if lam_value is None or type(lam_value) is LamPoly:
+            raise TypeError(f"at_lambda needs a concrete module parameter, got {lam_value!r}")
+        return Cochain2(self.coeff, self.value_weight, lam_value)
 
 
 def coeff_and_weight(target: Union[Cochain2, DiffExpr],
@@ -262,46 +277,43 @@ def _derivative_counts(coeff: DiffExpr) -> set:
 def det_cochain(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
     """The determinant block |f^(p) g^(p); f^(q) g^(q)| with weight p+q-2;
     q above cap raises OrderCapExceeded (cap, an int, bounds the input only)."""
-    return Cochain2(check_order_cap(det_expr(p, q), cap), p + q - 2, LamPoly.lam())
+    return Cochain2(check_order_cap(det_expr(p, q), cap), p + q - 2, LAM)
 
 
 def ce_parts(coeff: DiffExpr, arity: int,
-             lam: Optional[Coef]) -> Tuple[DiffExpr, DiffExpr]:
-    """(bracket insertions, delta c) of a 1- or 2-cochain on x_i = f, g[, k]:
+             lam: Module) -> Tuple[DiffExpr, DiffExpr, DiffExpr]:
+    """(I, X, Y) of a 1- or 2-cochain coefficient on x_i = f, g[, k]:
 
-        delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...).
+        delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...)
+                = X + lam Y,        L_x a = x a' + lam x' a.
 
-    The insertions alone are the trivial-action differential (lam None); the
-    action L_x a = x a' + lam x' a adds a part linear in lam.  coeff is read
-    as a sum of backgrounds m times slot blocks s (_slot_blocks: f^(p) for
-    arity 1, det(p,q) for arity 2, which the coefficient must be linear or
-    antisymmetric bilinear in), and delta goes through each by Leibniz:
-
-        delta(m s) = m (I + A + lam B) + D(m) alt,
-
-    with the block's pieces I, A, B and alt from _ce_pieces, kept per block
-    for the process, so no block is differentiated twice in a process; the
-    trivial action keeps m I only.  The backgrounds of one block are summed
-    first, and each product is added straight into one dict.  An arity other
-    than 1 or 2 is a ValueError.
+    I is the bracket insertions, the differential under the trivial action
+    (lam None, where X = I and Y = 0).  At the symbolic LAM, X and Y are the
+    parts of the pencil; at a rational lam, X is delta c and Y is zero.  By
+    Leibniz over the terms m s of coeff, backgrounds m times slot blocks s
+    (_slot_blocks), X = m (I + A) + D(m) alt and Y = m B, with the block's
+    pieces from _ce_pieces.  A coeff not linear (arity 1) or antisymmetric
+    bilinear (arity 2) in the slots, or another arity, is a ValueError.
     """
     if arity not in (1, 2):
         raise ValueError(f"ce_parts needs a 1- or 2-cochain, got arity {arity!r}")
     blocks = _slot_blocks(coeff, arity)
-    insertions: Dict[Monomial, Coef] = {}
+    insertions: Dict[Monomial, Rat] = {}
     for block, background in blocks.items():
         _mul_into(insertions, background, _ce_pieces(block)[0]._terms)
     if lam is None:
         insertions = _expr(insertions)
-        return insertions, insertions
-    delta = dict(insertions)
+        return insertions, insertions, _ZERO
+    x = dict(insertions)
+    symbolic = type(lam) is LamPoly
+    y = {} if symbolic else x
     for block, background in blocks.items():
         _insertions, action, linear, alternating = _ce_pieces(block)
         m = _expr(background)
-        _mul_into(delta, background, action._terms)
-        _mul_into(delta, m.scale(lam)._terms, linear._terms)
-        _mul_into(delta, total_derivative(m)._terms, alternating._terms)
-    return _expr(insertions), _expr(delta)
+        _mul_into(x, background, action._terms)
+        _mul_into(y, background if symbolic else m.scale(lam)._terms, linear._terms)
+        _mul_into(x, total_derivative(m)._terms, alternating._terms)
+    return _expr(insertions), _expr(x), _expr(y) if symbolic else _ZERO
 
 
 def _ordered(e: DiffExpr, args: int) -> DiffExpr:
@@ -323,12 +335,14 @@ def _exact_class(delta: DiffExpr) -> DiffExpr:
 
 
 def ce_differential(c: Cochain2) -> DiffExpr:
-    """delta c (f,g,k); zero iff c is a 2-cocycle for its module.
-
-    The full differential adds to the bracket insertions a part linear in
-    the module parameter (see ce_parts); under the trivial action the
-    insertions are read modulo total derivatives, through _exact_class.
+    """delta c (f,g,k) at c's concrete module, or under the trivial action
+    the bracket insertions modulo total derivatives (_exact_class); zero iff
+    c is a 2-cocycle for its module.  A symbolic module is a ValueError: its
+    differential is the pencil X + lam Y of ce_parts.
     """
+    if c.is_symbolic():
+        raise ValueError("ce_differential needs a concrete module parameter or the "
+                         "trivial action; a symbolic one gives the pencil of ce_parts")
     delta = ce_parts(c.coeff, 2, c.module_lambda)[1]
     return _exact_class(delta) if c.trivial_action else delta
 
@@ -358,33 +372,36 @@ class LambdaVerdict(Record):
 
 
 def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict:
-    """All module parameters for which delta c vanishes identically.
+    """The module parameters lam at which delta c vanishes identically, for
+    a cochain c with the symbolic module (a ValueError otherwise).
 
-    One ce_parts pass gives both: the trivial-action verdict asks whether
-    the bracket insertions are an exact total derivative (the values-in-
-    constants reading on the circle, _exact_class); the full differential
-    adds a part linear in lam, solved as the common rational roots (gcd
-    over Q[lam]) of its coefficient polynomials.  delta c alternates in
-    (f, g, k), so the coefficients of its ordered monomials (_ordered) are
-    all of them up to sign, and only those are read.  cap, an int (anything
-    else, a bool included, is a ValueError), bounds the jet orders of c only
-    (OrderCapExceeded); the variational derivative goes beyond them.
+    One ce_parts pass gives the pencil delta c = X + lam Y and the bracket
+    insertions, whose exactness (_exact_class) is the trivial-action
+    verdict.  Each monomial asks x + lam y = 0, so the answer is "all" when
+    X and Y vanish, else the one root -x/y of a monomial with y != 0 if it
+    solves every monomial, else "none".  delta c alternates in (f, g, k),
+    so only its ordered monomials (_ordered) are read.  cap, an int
+    (anything else, a bool included, is a ValueError), bounds the jet orders
+    of c only (OrderCapExceeded); the variational derivative goes beyond
+    them.
     """
     if not c.is_symbolic():
         raise ValueError("lambda_solutions needs a symbolic module parameter")
-    insertions, delta = ce_parts(check_order_cap(c.coeff, cap), 2, c.module_lambda)
+    insertions, x, y = ce_parts(check_order_cap(c.coeff, cap), 2, c.module_lambda)
     trivial_pass = _exact_class(insertions).is_zero()
-    if delta.is_zero():
-        return LambdaVerdict("all", (), trivial_pass)
-    coeffs = list(_ordered(delta, 3)._terms.values())
-    # a stored rational is a nonzero constant, which no value of lam kills
-    symbolic = all(type(coef) is LamPoly for coef in coeffs)
-    roots = tuple(rational_roots(gcd_all(coeffs))) if symbolic else ()
-    return LambdaVerdict("finite" if roots else "none", roots, trivial_pass)
+    xs, ys = _ordered(x, 3)._terms, _ordered(y, 3)._terms
+    if not ys:
+        return LambdaVerdict("none" if xs else "all", (), trivial_pass)
+    mono, b = next(iter(ys.items()))
+    root = _rat(Fraction(-xs.get(mono, 0)) / b)
+    if xs.keys() <= ys.keys() and all(xs.get(m, 0) == -root * v for m, v in ys.items()):
+        return LambdaVerdict("finite", (root,), trivial_pass)
+    return LambdaVerdict("none", (), trivial_pass)
 
 
 def coboundary(b: Cochain1) -> Cochain2:
-    """delta b (f,g) = L_f b(g) - L_g b(f) - b([f,g]); always a cocycle."""
+    """delta b (f,g) = L_f b(g) - L_g b(f) - b([f,g]) at b's module (the
+    insertions alone under the trivial action); always a cocycle."""
     lam = b.module_lambda
     return Cochain2(ce_parts(b.coeff, 1, lam)[1], b.value_weight, lam)
 
@@ -463,7 +480,7 @@ def _build() -> Dict[str, Cochain2]:
         if name == "c0w":
             module = None
         elif name == "cbar0":
-            module = LamPoly.lam()
+            module = LAM
         else:
             module = weight + (name in _OMEGA_PAIRED)
         table[name] = Cochain2(flat, weight, module)

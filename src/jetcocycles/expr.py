@@ -1,6 +1,6 @@
 """Exact differential-polynomial kernel.
 
-Expressions are finite Q[lam]-linear combinations of monomials in jet
+Expressions are finite Q-linear combinations of monomials in jet
 symbols.  A jet symbol is a pair (family, order): the families are
 
     f, g, k   -- vector-field coefficient functions,
@@ -28,27 +28,26 @@ which ``substitute`` and the chart pushforward use) folds a one-term value
 straight into the monomial and multiplies the other values in multivariate
 Horner form, so a factor shared by several monomials is multiplied once.
 
-A stored coefficient is an exact rational in the ``_rat`` form unless it
-has degree >= 1 in lam; only then is it a LamPoly.  lam enters only through
-the module action, so lam-free work builds no LamPoly.  One normalizer,
-``_coef``, keeps the rule in ``DiffExpr(...)`` and in the kernel's one
-accumulator, ``_mul_into``, which adds the product of two term dicts into
-a third in place, summing, normalizing and dropping zeros (a sum adds
-{(): +-1} times the other operand into a copy of the first), and in its
-one derivative loop, ``_derivative_into``, which adds +-D of a term dict
-into another: ``total_derivative`` runs it into an empty dict, and each
-Horner step of ``euler_derivative`` into a partial.  ``terms()`` is the
-one public reader: each monomial with its stored coefficient, in monomial
-order; the kernel, ``_has_lam`` and the solver's row assembly read the
-stored dict as it is.  Expressions are immutable; every function is pure.
+A coefficient is an exact rational in the ``_rat`` form, and nothing
+else: the module parameter lam is not a coefficient (a cochain's
+differential is linear in it; see cochains.ce_parts).  The kernel's one
+accumulator, ``_mul_into``, adds the product of two term dicts into a third
+in place, summing, normalizing and dropping zeros (a sum adds {(): +-1}
+times the other operand into a copy of the first); its one derivative
+loop, ``_derivative_into``, adds +-D of a term dict into another:
+``total_derivative`` runs it into an empty dict, and each Horner step of
+``euler_derivative`` into a partial.  ``terms()`` is the one public
+reader: each monomial with its coefficient, in monomial order; the kernel
+and the solver's row assembly read the stored dict as it is.  Expressions
+are immutable; every function is pure.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .lampoly import LamPoly, Rat, _rat
+from .lampoly import Rat, _rat
 
 FAMILIES = ("f", "g", "k", "T", "R", "w", "h", "hinv")
 _RANK = {name: i for i, name in enumerate(FAMILIES)}
@@ -66,21 +65,8 @@ _H1: Atom = (_H, 1)
 _HINV0: Atom = (_HINV, 0)
 
 
-# a stored coefficient: a Rat, or a LamPoly of degree >= 1
-Coef = Union[Rat, LamPoly]
-
-
 class OrderCapExceeded(ValueError):
     """An input carries a jet order above its bound (see check_order_cap)."""
-
-
-def _coef(c) -> Coef:
-    """The stored form of a coefficient (zero is 0): a LamPoly of degree
-    >= 1 stays, any other value becomes its ``_rat`` form."""
-    if type(c) is LamPoly:
-        cs = c.coeffs
-        return c if len(cs) > 1 else cs[0] if cs else 0
-    return _rat(c)
 
 
 def _check_atom(family: str, order: int) -> Atom:
@@ -162,8 +148,8 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return _unit_rule(out)
 
 
-def _mul_into(out: Dict[Monomial, Coef], a: Mapping[Monomial, Coef],
-              b: Mapping[Monomial, Coef]) -> None:
+def _mul_into(out: Dict[Monomial, Rat], a: Mapping[Monomial, Rat],
+              b: Mapping[Monomial, Rat]) -> None:
     """Add the product of two term dicts into out, in place: the kernel's
     one accumulator.  Every coefficient of a and b is nonzero and stored."""
     if len(a) > len(b):
@@ -175,7 +161,7 @@ def _mul_into(out: Dict[Monomial, Coef], a: Mapping[Monomial, Coef],
             acc = out.get(mono)
             s = c if acc is None else acc + c
             if type(s) is not int:
-                s = _coef(s)
+                s = _rat(s)
             if s:
                 out[mono] = s
             else:
@@ -183,17 +169,16 @@ def _mul_into(out: Dict[Monomial, Coef], a: Mapping[Monomial, Coef],
 
 
 class DiffExpr:
-    """Canonical differential polynomial.  Immutable; compare with ==."""
+    """Canonical differential polynomial with rational coefficients (any
+    other coefficient, a LamPoly or a float, is a TypeError).  Immutable."""
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Union[Rat, LamPoly]]] = None):
-        # monomials are assumed canonical; coefficients are brought to the
-        # stored form and zeros dropped
-        clean: Dict[Monomial, Coef] = {}
+    def __init__(self, terms: Optional[Mapping[Monomial, Rat]] = None):
+        clean: Dict[Monomial, Rat] = {}
         if terms:
             for mono, coef in terms.items():
-                coef = _coef(coef)
+                coef = _rat(coef)
                 if coef:
                     clean[mono] = coef
         object.__setattr__(self, "_terms", clean)
@@ -216,15 +201,11 @@ class DiffExpr:
     def rational(q: Rat) -> "DiffExpr":
         return DiffExpr({(): q})
 
-    @staticmethod
-    def coefficient(poly: LamPoly) -> "DiffExpr":
-        return DiffExpr({(): poly})
-
     # -- inspection ---------------------------------------------------
 
-    def terms(self) -> List[Tuple[Monomial, Coef]]:
-        """(monomial, coefficient) pairs in monomial order; a coefficient is
-        a rational in the ``_rat`` form, or a LamPoly of degree >= 1."""
+    def terms(self) -> List[Tuple[Monomial, Rat]]:
+        """(monomial, coefficient) pairs in monomial order; each coefficient
+        is a nonzero rational in the ``_rat`` form."""
         return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
@@ -274,26 +255,27 @@ class DiffExpr:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "DiffExpr":
-        if isinstance(other, (int, Fraction, LamPoly)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, DiffExpr):
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO
-        out: Dict[Monomial, Coef] = {}
+        out: Dict[Monomial, Rat] = {}
         _mul_into(out, self._terms, other._terms)
         return _expr(out)
 
     def __rmul__(self, other) -> "DiffExpr":
-        if isinstance(other, (int, Fraction, LamPoly)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c: Union[Rat, LamPoly]) -> "DiffExpr":
-        c = _coef(c)
+    def scale(self, c: Rat) -> "DiffExpr":
+        """self times an exact rational (anything else is a TypeError)."""
+        c = _rat(c)
         if not c:
             return _ZERO
-        return _expr({m: _coef(coef * c) for m, coef in self._terms.items()})
+        return _expr({m: _rat(coef * c) for m, coef in self._terms.items()})
 
     def __pow__(self, n: int) -> "DiffExpr":
         if type(n) is not int:
@@ -314,7 +296,7 @@ class DiffExpr:
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffExpr):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction, LamPoly)):
+        if isinstance(other, (int, Fraction)):
             return self._terms == _coerce_expr(other)._terms
         return NotImplemented
 
@@ -337,24 +319,12 @@ class DiffExpr:
 
         return f"DiffExpr({to_text(self)})"
 
-    # -- lam handling ---------------------------------------------------
-
-    def subst_lambda(self, lam_value: Rat) -> "DiffExpr":
-        """Evaluate all coefficients at a rational value of lam."""
-        x = _rat(lam_value)
-        out: Dict[Monomial, Coef] = {}
-        for mono, coef in self._terms.items():
-            v = coef.eval(x) if type(coef) is LamPoly else coef
-            if v:
-                out[mono] = v
-        return _expr(out)
-
 
 _set_terms = DiffExpr._terms.__set__
 _set_hash = DiffExpr._hash.__set__
 
 
-def _expr(terms: Dict[Monomial, Coef]) -> DiffExpr:
+def _expr(terms: Dict[Monomial, Rat]) -> DiffExpr:
     """The kernel's constructor: ``terms`` are canonical and every
     coefficient is nonzero and in the stored form, so nothing is
     re-checked."""
@@ -362,12 +332,6 @@ def _expr(terms: Dict[Monomial, Coef]) -> DiffExpr:
     _set_terms(e, terms)
     _set_hash(e, None)
     return e
-
-
-def _has_lam(e: DiffExpr) -> bool:
-    """Does a coefficient of e carry lam?  A stored coefficient is a LamPoly
-    exactly when it does."""
-    return any(type(c) is LamPoly for c in e._terms.values())
 
 
 _ZERO = DiffExpr()
@@ -379,8 +343,6 @@ def _coerce_expr(x):
         return x
     if isinstance(x, (int, Fraction)):
         return DiffExpr.rational(x) if x else _ZERO
-    if isinstance(x, LamPoly):
-        return DiffExpr.coefficient(x)
     return NotImplemented
 
 
@@ -404,10 +366,6 @@ def hinv_power(n: int) -> DiffExpr:
     return DiffExpr({mono: 1})
 
 
-def lam_expr() -> DiffExpr:
-    return DiffExpr.coefficient(LamPoly.lam())
-
-
 def check_order_cap(e: DiffExpr, cap: int) -> DiffExpr:
     """e, unless a jet of e has order above cap (OrderCapExceeded).  The
     kernel bounds no order: this bounds an input from outside.  The cap
@@ -429,13 +387,13 @@ _D_HINV_MONO = _mono_from_pairs([((_H, 2), 1), (_HINV0, 2)])
 
 def total_derivative(e: DiffExpr) -> DiffExpr:
     """Formal d/dz: Leibniz over monomials, family[n] -> family[n+1],
-    hinv -> -h[2]*hinv^2, lam and rationals constant (_derivative_into)."""
-    out: Dict[Monomial, Coef] = {}
+    hinv -> -h[2]*hinv^2, rationals constant (_derivative_into)."""
+    out: Dict[Monomial, Rat] = {}
     _derivative_into(out, e._terms)
     return _expr(out)
 
 
-def _derivative_into(out: Dict[Monomial, Coef], terms: Mapping[Monomial, Coef],
+def _derivative_into(out: Dict[Monomial, Rat], terms: Mapping[Monomial, Rat],
                      sign: int = 1) -> None:
     """Add sign * D(terms) into out, in place: the kernel's one derivative
     loop, one term per factor of every monomial.
@@ -465,7 +423,7 @@ def _derivative_into(out: Dict[Monomial, Coef], terms: Mapping[Monomial, Coef],
             acc = out.get(new)
             s = c if acc is None else acc + c
             if type(s) is not int:
-                s = _coef(s)
+                s = _rat(s)
             if s:
                 out[new] = s
             else:
@@ -524,7 +482,7 @@ def substitute_jets(e: DiffExpr, table: Mapping[Atom, DiffExpr]) -> DiffExpr:
     # atom that is kept
     powers: Dict[Tuple[Atom, int], object] = {}
     # a trie node: (summed rests, children keyed by (atom, exp))
-    root: Tuple[Dict[Monomial, Coef], Dict] = ({}, {})
+    root: Tuple[Dict[Monomial, Rat], Dict] = ({}, {})
     for mono, coef in e._terms.items():
         keep = []
         folded = False
@@ -561,7 +519,7 @@ def substitute_jets(e: DiffExpr, table: Mapping[Atom, DiffExpr]) -> DiffExpr:
     return _expr(_horner(root, powers))
 
 
-def _horner(node, powers) -> Dict[Monomial, Coef]:
+def _horner(node, powers) -> Dict[Monomial, Rat]:
     """The sum a substitute_jets trie node stands for, built in its own
     dict of rests."""
     out, children = node
@@ -576,11 +534,11 @@ def _horner(node, powers) -> Dict[Monomial, Coef]:
 
 
 def _partials(e: DiffExpr, rank: int,
-              order: Optional[int] = None) -> Dict[int, Dict[Monomial, Coef]]:
+              order: Optional[int] = None) -> Dict[int, Dict[Monomial, Rat]]:
     """The partial derivatives of e by the jets of one family, in one pass
     over e: order j -> the terms of d e / d (rank, j); only j = order when
     given.  This is the one place that removes a power of a jet."""
-    out: Dict[int, Dict[Monomial, Coef]] = {}
+    out: Dict[int, Dict[Monomial, Rat]] = {}
     for mono, coef in e._terms.items():
         for i, (a, exp) in enumerate(mono):
             if a[0] != rank or (order is not None and a[1] != order):
@@ -589,7 +547,7 @@ def _partials(e: DiffExpr, rank: int,
             # distinct, so no two terms of one partial meet
             part = out.setdefault(a[1], {})
             if exp > 1:
-                part[mono[:i] + ((a, exp - 1),) + mono[i + 1:]] = _coef(coef * exp)
+                part[mono[:i] + ((a, exp - 1),) + mono[i + 1:]] = _rat(coef * exp)
             else:
                 part[mono[:i] + mono[i + 1:]] = coef
     return out
@@ -620,7 +578,7 @@ def euler_derivative(e: DiffExpr, family: str) -> DiffExpr:
     if family == "h" and "hinv" in e.families():
         raise ValueError("the Euler derivative in h needs an hinv-free expression (hinv is 1/h[1])")
     parts = _partials(e, _RANK[family])
-    out: Dict[Monomial, Coef] = {}
+    out: Dict[Monomial, Rat] = {}
     for j in range(max(parts, default=-1), -1, -1):
         step = parts.get(j, {})
         _derivative_into(step, out, -1)

@@ -1,10 +1,9 @@
-"""Univariate polynomials over Q in the module parameter ``lam``.
+"""Univariate polynomials over Q in the module parameter ``lam``, and the
+one form of an exact rational.
 
-These are the coefficients of the differential-polynomial kernel where
-they depend on lam: the kernel stores a LamPoly only for a coefficient of
-degree >= 1, and any other coefficient as an exact rational in the form
-below; ``DiffExpr.terms()`` hands out that stored form.  A degree-0
-polynomial compares and hashes like its value, so the two forms agree.
+A LamPoly is no kernel coefficient: it serves gcd_all and rational_roots,
+and ``LamPoly.lam()`` is a cochain's symbolic module.  A degree-0
+polynomial compares and hashes like its value.
 
 Every exact rational here, and in the layers built on it, has one canonical
 form (``_rat``): an integral value is a plain ``int``, and a ``Fraction``

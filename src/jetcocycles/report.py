@@ -17,17 +17,19 @@ from ._record import Record
 from .calculus import action_via_nabla, lie_action
 from .charts import _affine_rows, _product_rows, covariant_equivalence, derive, is_global
 from .cochains import (
+    LAM,
     Cochain1,
     Cochain2,
+    Module,
     catalogue,
     ce_differential,
+    ce_parts,
     coboundary,
     det_cochain,
     det_expr,
     lambda_solutions,
 )
-from .expr import Coef, DiffExpr, jet
-from .lampoly import LamPoly
+from .expr import DiffExpr, jet
 from .linalg import solve_affine
 from .syntax import to_text
 from .wittmodel import (
@@ -101,27 +103,39 @@ def _checked(check_id: str, description: str, lam: str, failure: str,
                        failure, ref)
 
 
-def _module_text(module_lambda: Optional[Coef]) -> str:
+def _module_text(module_lambda: Module) -> str:
     """The lambda column: "0" for the trivial action (None), "symbolic" for
-    a symbolic module (a LamPoly), and the value of a concrete one."""
+    the symbolic module (cochains.LAM), and the value of a concrete one."""
     if module_lambda is None:
         return "0"
-    return "symbolic" if type(module_lambda) is LamPoly else str(module_lambda)
+    return "symbolic" if module_lambda is LAM else str(module_lambda)
 
 
-def _zero_check(check_id: str, description: str, module_lambda: Optional[Coef],
-                residual: DiffExpr, ref: str) -> CheckRecord:
-    return _checked(check_id, description, _module_text(module_lambda),
-                    "" if residual.is_zero() else to_text(residual), ref)
+def _zero_check(check_id: str, description: str, module_lambda: Module,
+                residual: DiffExpr, ref: str, lam_part: DiffExpr = DiffExpr.zero()
+                ) -> CheckRecord:
+    """PASS when the residual residual + lam * lam_part vanishes, which for
+    a symbolic lam means both parts do; else FAIL with it as text."""
+    if lam_part.is_zero():
+        failure = "" if residual.is_zero() else to_text(residual)
+    else:
+        failure = f"{to_text(residual)} + lam*({to_text(lam_part)})"
+    return _checked(check_id, description, _module_text(module_lambda), failure, ref)
 
 
 # -- theorem1: cocycle identities ---------------------------------------
 
 
 def _closed_record(name: str, form: str, description: str, ref: str) -> CheckRecord:
+    """The cocycle identity of a catalogued form: delta c at a concrete or
+    trivial module, both parts of the pencil X + lam Y at the symbolic one."""
     c = catalogue(name, form)
+    if c.is_symbolic():
+        _insertions, residual, lam_part = ce_parts(c.coeff, 2, c.module_lambda)
+    else:
+        residual, lam_part = ce_differential(c), DiffExpr.zero()
     return _zero_check(f"theorem1.{name}.{form}", description, c.module_lambda,
-                       ce_differential(c), ref)
+                       residual, ref, lam_part)
 
 
 def suite_theorem1() -> List[CheckRecord]:
@@ -230,16 +244,17 @@ def suite_covariant() -> List[CheckRecord]:
             "R = T' + T^2/2",
             catalogue(name, "covariant").module_lambda,
             covariant_equivalence(name).residual, "covariant formulation"))
+    at_zero, at_one = (_action_residual(lam) for lam in (0, 1))
     out.append(_zero_check(
         "covariant.action",
         "f*nabla(a) + lam*nabla(f)*a equals f*a' + lam*f'*a identically",
-        LamPoly.lam(), _action_residual(), "covariant action"))
+        LAM, at_zero, "covariant action", at_one - at_zero))
     return out
 
 
-def _action_residual() -> DiffExpr:
-    # generic density coefficient carried by the w family, symbolic lam
-    lam = LamPoly.lam()
+def _action_residual(lam: int) -> DiffExpr:
+    """The two forms of the action subtracted at one lam, on a density
+    carried by w; affine in lam, so lam = 0 and 1 decide every lam."""
     f0, w0 = jet("f", 0), jet("w", 0)
     return action_via_nabla(f0, w0, lam) - lie_action(f0, w0, lam)
 

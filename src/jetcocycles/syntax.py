@@ -3,12 +3,13 @@
     expr   := ['-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
     factor := atom ['^' nat]
-    atom   := rational | 'lam' | family '[' nat ']' | 'hinv' | 'S'
+    atom   := rational | family '[' nat ']' | 'hinv' | 'S'
             | 'det' '(' nat ',' nat ')' | '(' expr ')'
 
 with family one of f, g, k, T, R, w, h and rational either an integer or
-int/int.  Derivative orders are always bracketed (no primes), which keeps the
-grammar unambiguous at any order.  ``print -> parse`` is the identity on
+int/int; there is no 'lam', since coefficients are rational.  Derivative
+orders are always bracketed (no primes), which keeps the grammar
+unambiguous at any order.  ``print -> parse`` is the identity on
 canonical forms.
 """
 
@@ -17,9 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochains import det_expr
-from .expr import (DEFAULT_ORDER_CAP, DiffExpr, atom_name, check_order_cap, jet, hinv,
-                   lam_expr)
-from .lampoly import LamPoly
+from .expr import DEFAULT_ORDER_CAP, DiffExpr, atom_name, check_order_cap, jet, hinv
 
 _JET_FAMILIES = {"f", "g", "k", "T", "R", "w", "h"}
 
@@ -67,7 +66,10 @@ class _Scanner:
 
 
 def parse_expr(text: str, cap: int = DEFAULT_ORDER_CAP) -> DiffExpr:
-    """Parse text into a canonical DiffExpr; a jet of the result above cap
+    """Parse text in the module's grammar into a canonical DiffExpr.
+
+    Text outside the grammar, 'lam' and other unknown names included, is an
+    ExprSyntaxError carrying the offset; a jet of the result above cap
     raises OrderCapExceeded."""
     sc = _Scanner(text)
     e = _expr(sc)
@@ -135,8 +137,6 @@ def _atom(sc: _Scanner) -> DiffExpr:
         return DiffExpr.rational(num)
     if ch.isalpha():
         word, start = sc.name()
-        if word == "lam":
-            return lam_expr()
         if word == "hinv":
             return hinv()
         if word == "S":
@@ -170,23 +170,6 @@ def _atom(sc: _Scanner) -> DiffExpr:
 # -- printing ----------------------------------------------------------
 
 
-def poly_text(p: LamPoly) -> str:
-    """Grammar-compatible rendering of a lam polynomial (descending degree)."""
-    pieces = []
-    for deg in range(p.degree, -1, -1):
-        c = p.coeffs[deg]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if deg == 0:
-            body = str(mag)
-        else:
-            var = "lam" if deg == 1 else f"lam^{deg}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        pieces.append(("-" if c < 0 else "+", body))
-    return _join(pieces)
-
-
 def _join(pieces) -> str:
     """(sign, body) pieces as "a - b + c", with no leading '+'; "0" if none."""
     out = " ".join(f"{sign} {body}" for sign, body in pieces)
@@ -206,18 +189,7 @@ def to_text(e: DiffExpr) -> str:
     pieces = []
     for mono, c in e.terms():
         mono_s = _mono_text(mono)
-        if type(c) is not LamPoly:
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if not mono_s:
-                body = str(mag)
-            elif mag == 1:
-                body = mono_s
-            else:
-                body = f"{mag}*{mono_s}"
-        else:
-            sign = "+"
-            inner = f"({poly_text(c)})"
-            body = inner if not mono_s else f"{inner}*{mono_s}"
-        pieces.append((sign, body))
+        mag = abs(c)
+        body = str(mag) if not mono_s else mono_s if mag == 1 else f"{mag}*{mono_s}"
+        pieces.append(("-" if c < 0 else "+", body))
     return _join(pieces)

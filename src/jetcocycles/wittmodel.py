@@ -33,7 +33,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 from ._record import Record
 from .cochains import Cochain2, _derivative_counts, catalogue, ce_differential, coeff_and_weight
 from .expr import DiffExpr, Monomial
-from .lampoly import LamPoly, Rat, _rat
+from .lampoly import Rat, _rat
 from .linalg import solve_affine
 from .syntax import _join
 
@@ -162,16 +162,14 @@ Table = Tuple[int, int, Tuple[Tuple[int, Monomial], ...]]
 
 
 def _compile(expr: DiffExpr) -> Table:
-    """The table of a flat coefficient; a family other than f and g, or a
-    coefficient that carries lam, is a ValueError."""
+    """The table of a flat coefficient; a family other than f and g is a
+    ValueError."""
     fams = expr.families()
     if fams - {"f", "g"}:
         raise ValueError(f"flat cochain expected; found families {sorted(fams - {'f', 'g'})}")
     terms = expr._terms.items()
     den, top = 1, 0
     for mono, c in terms:
-        if type(c) is LamPoly:
-            raise ValueError("cochain depends on lam; substitute a value first")
         den = lcm(den, c.denominator)
         for (_rank, order), _e in mono:
             top = max(top, order)
@@ -205,9 +203,9 @@ def _coefficient(table: Table, m: int, n: int, degree: int) -> Rat:
 def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
                      weight: Optional[Rat] = None) -> LaurentDensity:
     """Value of a flat cochain on (L_m, L_n): f = z^(m+1), g = z^(n+1),
-    differentiated exactly.  The coefficient must be free of lam (see
-    Cochain2.at_lambda); it is compiled once into integers over a common
-    denominator D, so each monomial is one integer product of falling
+    differentiated exactly.  The coefficient must be flat, in f and g jets
+    only (a ValueError otherwise); it is compiled once into integers over a
+    common denominator D, so each monomial is one integer product of falling
     factorials and each output degree one division by D.  The value's weight,
     which laurent_action acts at, is a given weight, else a Cochain2's
     concrete module parameter, else its value weight (trivial action or

@@ -11,21 +11,20 @@ from jetcocycles.charts import _linear_residual
 from jetcocycles.cochains import _exact_class, ce_parts, det_expr
 from jetcocycles.expr import (DiffExpr, FAMILIES, euler_derivative, jet, hinv, substitute,
                               total_derivative)
-from jetcocycles.lampoly import LamPoly
+from jetcocycles.lampoly import LamPoly, gcd_all, rational_roots
 
 DEFAULT_FAMILIES = ("f", "g", "T", "h")
 
 LAM = LamPoly.lam()
 
 
-def eval_rational(e: DiffExpr, point, lam_value=None) -> Fraction:
+def eval_rational(e: DiffExpr, point) -> Fraction:
     """Evaluate at an exact rational point: the numeric oracle.
 
     ``point`` maps (family, order) to rationals.  hinv is taken to be the
     reciprocal of h[1]'s value (assigning it explicitly and inconsistently
-    is an error), and lam_value must be supplied when lam occurs.  It reads
-    the expression only through ``terms()`` and evaluates a lam polynomial
-    from its coefficient list, so it shares no arithmetic with the kernel.
+    is an error).  It reads the expression only through ``terms()``, so it
+    shares no arithmetic with the kernel.
     """
     values = {}
     for (fam, order), v in point.items():
@@ -44,10 +43,6 @@ def eval_rational(e: DiffExpr, point, lam_value=None) -> Fraction:
 
     total = Fraction(0)
     for mono, coef in e.terms():
-        if type(coef) is LamPoly:
-            if lam_value is None:
-                raise ValueError("expression depends on lam; supply lam_value")
-            coef = sum(c * Fraction(lam_value) ** i for i, c in enumerate(coef.coeffs))
         acc = Fraction(coef)
         for (rank, order), exp in mono:
             v = values.get((FAMILIES[rank], order))
@@ -74,18 +69,15 @@ def is_total_derivative(e: DiffExpr) -> bool:
     return all(euler_derivative(e, fam).is_zero() for fam in fams)
 
 
-def random_coeff(rng: random.Random, lam_degree: int = 1) -> LamPoly:
-    deg = rng.randrange(lam_degree + 1)
-    return LamPoly([Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                    for _ in range(deg + 1)])
+def random_coeff(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
 def random_expr(rng: random.Random, families=DEFAULT_FAMILIES, max_order: int = 3,
-                terms: int = 3, factors: int = 2, lam_degree: int = 1,
-                with_hinv: bool = False) -> DiffExpr:
+                terms: int = 3, factors: int = 2, with_hinv: bool = False) -> DiffExpr:
     out = DiffExpr.zero()
     for _ in range(rng.randrange(1, terms + 1)):
-        piece = DiffExpr.coefficient(random_coeff(rng, lam_degree))
+        piece = DiffExpr.rational(random_coeff(rng))
         for _ in range(rng.randrange(0, factors + 1)):
             if with_hinv and rng.random() < 0.2:
                 piece = piece * hinv()
@@ -117,10 +109,6 @@ def random_point(rng: random.Random, *exprs: DiffExpr) -> dict:
         if v == 0:
             point[("h", 1)] = Fraction(rng.randint(1, 9), rng.randint(1, 5))
     return point
-
-
-def eval_at(e: DiffExpr, point: dict, lam: Fraction) -> Fraction:
-    return eval_rational(e, point, lam_value=lam)
 
 
 def random_lambda(rng: random.Random) -> Fraction:
@@ -161,10 +149,16 @@ def swap_fg_reference(e: DiffExpr) -> DiffExpr:
 
 
 def ce_parts_reference(coeff: DiffExpr, arity: int, lam):
-    """(bracket insertions, delta c) as cochains.ce_parts defines them, by
-    the definitional path: each value c(...) binds the slot families f, g
-    to the arguments' order-0 expressions and prolongs them through
-    substitute, with the bracket and the action from calculus."""
+    """(I, X, Y) as cochains.ce_parts defines them, by the definitional
+    path: each value c(...) binds the slot families f, g to the arguments'
+    order-0 expressions and prolongs them through substitute, with the
+    bracket and the action from calculus.  At the symbolic LAM the pencil
+    X + lam Y is read from delta at lam = 0 and lam = 1; otherwise Y is
+    zero and X is delta (I under the trivial action, lam None)."""
+    if lam == LAM:
+        insertions, at_zero, _ = ce_parts_reference(coeff, arity, 0)
+        at_one = ce_parts_reference(coeff, arity, 1)[1]
+        return insertions, at_zero, at_one - at_zero
     fams = "fgk"[:arity + 1]
 
     def value(*args):
@@ -178,12 +172,30 @@ def ce_parts_reference(coeff: DiffExpr, arity: int, lam):
         term = value(bracket(jet(x, 0), jet(y, 0)), *fams.replace(x, "").replace(y, ""))
         insertions = insertions - term if (i + j) % 2 else insertions + term
     if lam is None:
-        return insertions, insertions
+        return insertions, insertions, DiffExpr.zero()
     delta = insertions
     for i, x in enumerate(fams):
         term = lie_action(jet(x, 0), value(*fams.replace(x, "")), lam)
         delta = delta - term if i % 2 else delta + term
-    return insertions, delta
+    return insertions, delta, DiffExpr.zero()
+
+
+def lambda_solutions_reference(c):
+    """(kind, values, trivial_action_pass) of lambda_solutions by the gcd
+    path: the pencil X + lam Y of delta c from ce_parts_reference, one
+    LamPoly x + y lam per ordered monomial (ordered_partner), and the
+    rational roots of their gcd over Q[lam]; the trivial-action verdict is
+    the exactness of the insertions (is_total_derivative)."""
+    insertions, x, y = ce_parts_reference(c.coeff, 2, LAM)
+    xs, ys = dict(x.terms()), dict(y.terms())
+    polys = [LamPoly((xs.get(m, 0), ys.get(m, 0))) for m in xs.keys() | ys.keys()
+             if ordered_partner(m, 3) == (1, m)]
+    trivial = is_total_derivative(insertions)
+    gcd = gcd_all(polys)
+    if gcd.is_zero():
+        return "all", (), trivial
+    roots = tuple(rational_roots(gcd))
+    return ("finite" if roots else "none"), roots, trivial
 
 
 def solver_rows_reference(result) -> dict:
@@ -201,8 +213,6 @@ def solver_rows_reference(result) -> dict:
 
     def add(e, space, index):
         for mono, c in e.terms():
-            if type(c) is LamPoly:
-                raise ValueError("a constraint row depends on lam")
             row = rows.setdefault((space, mono), [{}, 0])
             if index is None:
                 row[1] -= c
@@ -289,8 +299,6 @@ def evaluate_cochain_reference(c, m: int, n: int, weight=None):
     exps = {"f": m + 1, "g": n + 1}
     out: dict = {}
     for mono, cval in expr.terms():
-        if type(cval) is LamPoly:
-            raise ValueError("cochain depends on lam; substitute a value first")
         z = 0
         for (rank, order), e in mono:
             base = exps[FAMILIES[rank]]
@@ -308,7 +316,6 @@ def evaluate_cochain_reference(c, m: int, n: int, weight=None):
 # symbols the correction solver must reject, with a word its message names
 BAD_SYMBOLS = (
     ("0", "is zero"),
-    ("lam*det(1,2)", "found lam"),
     ("f[0]", "bilinear"),
     ("f[1]*g[2]", "antisymmetric"),
 )

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from jetcocycles.calculus import (
     action_via_nabla,
     bracket,
@@ -25,9 +27,11 @@ def test_lie_action_specializations():
     assert out == jet("f", 0) * jet("g", 1)
     # adjoint action kills itself
     assert lie_action(f, f, -1).is_zero()
-    # a symbolic lam enters linearly
-    lam = LamPoly.lam()
-    assert lie_action(f, jet("g", 0), lam) == out + (jet("f", 1) * jet("g", 0)).scale(lam)
+    # lam enters linearly, and is a rational: a symbolic one is a TypeError
+    for lam in (2, Fraction(-3, 2)):
+        assert lie_action(f, jet("g", 0), lam) == out + (jet("f", 1) * jet("g", 0)).scale(lam)
+    with pytest.raises(TypeError):
+        lie_action(f, jet("g", 0), LamPoly.lam())
 
 
 def test_lie_action_differentiates_backgrounds():
@@ -65,9 +69,11 @@ def test_covariant_derivative_weights():
         assert covariant_derivative(a, w) == D(a) + (jet("T", 0) * a).scale(w)
         # the second step acts on weight w + 1
         assert nabla_power(a, w, 2) == covariant_derivative(covariant_derivative(a, w), w + 1)
-    lam = LamPoly.lam()
-    assert covariant_derivative(jet("w", 0), lam) \
-        == jet("w", 1) + (jet("T", 0) * jet("w", 0)).scale(lam)
+    for lam in (Fraction(1, 3), -4):
+        assert covariant_derivative(jet("w", 0), lam) \
+            == jet("w", 1) + (jet("T", 0) * jet("w", 0)).scale(lam)
+    with pytest.raises(TypeError):
+        covariant_derivative(jet("w", 0), LamPoly.lam())
 
 
 def test_bracket_via_nabla():
@@ -88,7 +94,7 @@ def test_nabla_squared_on_half_density():
 def test_action_via_nabla_matches_lie_action():
     f = jet("f", 0)
     a = jet("w", 0) * jet("R", 0)
-    for w in (0, 1, 2, 5, 7, -1, 3, Fraction(1, 2), LamPoly.lam()):
+    for w in (0, 1, 2, 5, 7, -1, 3, Fraction(1, 2), Fraction(-7, 3)):
         assert action_via_nabla(f, a, w) == lie_action(f, a, w)
 
 

@@ -29,7 +29,6 @@ from jetcocycles.charts import (
 from jetcocycles.cli import main
 from jetcocycles.cochains import (
     PRINTED_CONNECTION_VARIANTS,
-    Cochain2,
     catalogue,
     ce_parts,
     det_expr,
@@ -42,13 +41,12 @@ from jetcocycles.expr import (
     hinv,
     hinv_power,
     jet,
-    lam_expr,
     substitute_jets,
     total_derivative as D,
 )
 from jetcocycles.lampoly import LamPoly
 from jetcocycles.linalg import AffineSolution, solve_affine
-from jetcocycles.syntax import parse_expr
+from jetcocycles.syntax import ExprSyntaxError, parse_expr
 
 from helpers import (BAD_SYMBOLS, ordered_partner, ordered_rows, random_expr, solver_arguments,
                      solver_rows_reference)
@@ -356,8 +354,6 @@ def test_contains_members_and_rejects_moves_off_the_solution_set(name):
     rep = res.representative.coeff
     for i in outside[:4]:
         assert not res.contains(rep + res.ansatz[i].expr), res.ansatz[i].label()
-    # every member has rational coefficients
-    assert not res.contains(rep.scale(LamPoly.lam()))
 
 
 def test_solve_corrections_empty_outcome():
@@ -390,15 +386,15 @@ def test_solve_corrections_names_a_bad_symbol(text, fault):
 
 
 def test_solve_corrections_rejects_lam_in_a_cochain_symbol():
-    # a concrete module leaves no lam in the coefficient, so such a cochain
-    # is refused before it reaches the solver
-    lam_carrying = det_expr(1, 2).scale(LamPoly.lam())
-    with pytest.raises(ValueError, match="needs a symbolic module parameter"):
-        Cochain2(lam_carrying, 1, LamPoly.const(1))
-    with pytest.raises(ValueError, match="found lam"):
-        solve_corrections(lam_carrying, weight=1)
-    with pytest.raises(ValueError, match="found lam"):
-        solve_corrections(Cochain2(lam_carrying, 1))
+    """A coefficient is rational, so a lam-carrying symbol never reaches the
+    solver: the kernel refuses lam as a scale or a factor (TypeError) and
+    the grammar has no lam (ExprSyntaxError)."""
+    with pytest.raises(TypeError):
+        det_expr(1, 2).scale(LamPoly.lam())
+    with pytest.raises(TypeError):
+        det_expr(1, 2) * LamPoly.lam()
+    with pytest.raises(ExprSyntaxError, match="unknown name 'lam'"):
+        parse_expr("lam*det(1,2)")
 
 
 # -- the infinitesimal law against the finite one ---------------------------
@@ -407,16 +403,17 @@ _VARIED = ("f", "g", "T", "R", "w")
 
 
 def _first_order_of_finite_law(e: DiffExpr, weight: int) -> DiffExpr:
-    """lam^1 part of pushforward(e) - hinv_power(weight) * e at h = z + lam X,
-    X carried by k: h[1] -> 1 + lam k[1], h[n] -> lam k[n], hinv -> 1 - lam k[1]."""
+    """eps^1 part of pushforward(e) - hinv_power(weight) * e at h = z + eps X,
+    X carried by k: h[1] -> 1 + eps k[1], h[n] -> eps k[n], hinv -> 1 - eps k[1].
+    e carries no k, so eps counts the k jets: the eps^1 part is the terms
+    of k-degree 1 at eps = 1."""
     residual = pushforward(e) - hinv_power(weight) * e
-    eps = lam_expr()
-    table = {(_RANK["hinv"], 0): 1 - eps * jet("k", 1)}
+    table = {(_RANK["hinv"], 0): 1 - jet("k", 1)}
     for n in range(1, residual.max_order("h") + 1):
-        table[_RANK["h"], n] = (1 if n == 1 else 0) + eps * jet("k", n)
+        table[_RANK["h"], n] = (1 if n == 1 else 0) + jet("k", n)
     expanded = substitute_jets(residual, table)
-    return DiffExpr({mono: coef.coeffs[1]
-                     for mono, coef in expanded.terms() if type(coef) is LamPoly})
+    return DiffExpr({mono: coef for mono, coef in expanded.terms()
+                     if sum(exp for (rank, _order), exp in mono if rank == _RANK["k"]) == 1})
 
 
 @pytest.mark.parametrize("family", _VARIED)
@@ -434,7 +431,7 @@ def test_linear_residual_is_first_order_part_of_binding_table_on_random_expressi
     rng = random.Random(7)
     nonzero = 0
     for _ in range(40):
-        e = random_expr(rng, families=_VARIED, lam_degree=0)
+        e = random_expr(rng, families=_VARIED)
         weight = rng.randint(-2, 3)
         first = _first_order_of_finite_law(e, weight)
         assert _linear_residual(e, weight) == first, (e, weight)
@@ -444,7 +441,6 @@ def test_linear_residual_is_first_order_part_of_binding_table_on_random_expressi
 
 def _add_rows(e: DiffExpr, space: int, index, rows: dict):
     for mono, coef in e.terms():
-        assert type(coef) is not LamPoly, "a constraint row depends on lam"
         row = rows.setdefault((space, mono), [{}, Fraction(0)])
         if index is None:
             row[1] -= coef
@@ -578,8 +574,9 @@ def test_solutions_match_the_golden_fixture_from_cold_piece_caches():
 
 def test_solver_reads_a_lam_poly_module_like_a_cochains_own():
     """A LamPoly module_lambda is read in the one form of a module parameter:
-    LamPoly.const(1) is the concrete module 1, and LamPoly.lam() is the
-    symbolic module that reads lam = weight, as the default does."""
+    LamPoly.const(1) is the concrete module 1, LamPoly.lam() is the
+    symbolic module that reads lam = weight, as the default does, and any
+    other non-constant LamPoly is a ValueError."""
     symbol = det_expr(1, 2)
     for given, same_as in ((LamPoly.const(1), 1), (LamPoly.lam(), None)):
         got = solve_corrections(symbol, 1, module_lambda=given)
@@ -588,10 +585,9 @@ def test_solver_reads_a_lam_poly_module_like_a_cochains_own():
         assert type(got.module_lambda) is int
         assert got.solution == want.solution and got.ansatz == want.ansatz
         assert got.representative == want.representative
-    shifted = solve_corrections(symbol, 1, module_lambda=LamPoly((1, 1)))  # lam + 1 at lam = 1
-    assert shifted.module_lambda == 2
-    assert _solution_record(shifted) == _solution_record(
-        solve_corrections(symbol, 1, module_lambda=2))
+    for bad in (LamPoly((1, 1)), LamPoly((0, 2)), LamPoly((0, 0, 1))):
+        with pytest.raises(ValueError, match="must be lam itself"):
+            solve_corrections(symbol, 1, module_lambda=bad)
 
 
 # -- the vertex search against its definition --------------------------------
@@ -768,8 +764,8 @@ def test_product_rows_drop_what_cancels():
     rng = random.Random(24)
     cancelled = 0
     for _ in range(40):
-        a, b, b2 = (random_expr(rng, families=("f", "g", "T"), lam_degree=0) for _ in range(3))
-        rhs = random_expr(rng, families=("T",), lam_degree=0)
+        a, b, b2 = (random_expr(rng, families=("f", "g", "T")) for _ in range(3))
+        rhs = random_expr(rng, families=("T",))
         if rng.random() < 0.5:
             rhs = rhs + DiffExpr(dict((a * b2).terms()[:1]))
         got, want, one = {}, {}, DiffExpr.one()
@@ -784,16 +780,16 @@ def test_product_rows_drop_what_cancels():
 
 
 def test_a_lam_carrying_product_still_refuses_its_rows(monkeypatch):
-    with pytest.raises(ValueError, match="a constraint row depends on lam"):
-        charts._product_rows(lam_expr(), det_expr(1, 2), 1, 0, {})
+    """No row can depend on lam: a piece times lam is a TypeError in the
+    kernel, before any row is built, inside a solve too."""
     pieces = charts._det_pieces
 
     def lam_pieces(p, q, module_lambda):
         c, linear, delta_c, alternating = pieces(p, q, module_lambda)
-        return c, linear, delta_c * lam_expr(), alternating
+        return c, linear, delta_c * LamPoly.lam(), alternating
 
     monkeypatch.setattr(charts, "_det_pieces", lam_pieces)
-    with pytest.raises(ValueError, match="a constraint row depends on lam"):
+    with pytest.raises(TypeError):
         solve_corrections(det_expr(1, 3), 2, module_lambda=2)
 
 

@@ -39,8 +39,8 @@ from jetcocycles.expr import (DiffExpr, OrderCapExceeded, check_order_cap, euler
 from jetcocycles.lampoly import LamPoly, gcd_all, rational_roots
 from jetcocycles.syntax import parse_expr
 
-from helpers import (LAM, ce_parts_reference, is_total_derivative, random_coeff, random_expr,
-                     swap_fg_reference)
+from helpers import (LAM, ce_parts_reference, is_total_derivative, lambda_solutions_reference,
+                     random_coeff, random_expr, swap_fg_reference)
 
 
 def test_det_cochain_basics():
@@ -92,7 +92,7 @@ def test_ce_parts_refuses_an_arity_other_than_one_or_two(arity):
 
 def _random_bilinear(rng):
     """A seeded sum of terms c f^(a) g^(b) times T, R, w, h and hinv jets,
-    with lam in some coefficients; made antisymmetric (e - swap e) in
+    with rational coefficients; made antisymmetric (e - swap e) in
     two draws in five; otherwise with a term that is its own relabeling
     (a = b) added, with every partner present at twice the right
     coefficient, or as drawn."""
@@ -112,7 +112,7 @@ def _random_bilinear(rng):
 
 def test_the_antisymmetry_check_agrees_with_the_substitute_swap():
     """Cochain2 accepts a bilinear coefficient iff swapping f and g through
-    substitute negates it, on seeded inputs with background and lam
+    substitute negates it, on seeded inputs with backgrounds and rational
     coefficients, half of them antisymmetric by construction; an accepted
     one is the sum of its blocks, each background times det(p,q)."""
     rng = random.Random(2601)
@@ -150,12 +150,18 @@ def test_a_bare_expression_needs_a_weight(call):
 
 
 def test_ce_differential_table_rows():
-    assert ce_differential(det_cochain(0, 1)).is_zero()
-    d02 = ce_differential(det_cochain(0, 2))
-    assert not d02.is_zero()
-    assert d02.subst_lambda(1).is_zero()
-    assert not d02.subst_lambda(2).is_zero()
+    """At the symbolic module the differential is the pencil X + lam Y of
+    ce_parts, which ce_differential refuses; at a concrete module it is
+    the pencil's value there."""
+    _insertions, x, y = ce_parts(det_expr(0, 1), 2, LAM)
+    assert x.is_zero() and y.is_zero()
+    _insertions, x, y = ce_parts(det_expr(0, 2), 2, LAM)
+    assert not y.is_zero() and (x + y).is_zero() and not (x + 2 * y).is_zero()
+    assert ce_differential(det_cochain(0, 2).at_lambda(1)).is_zero()
+    assert ce_differential(det_cochain(0, 2).at_lambda(2)) == x + 2 * y
     assert not ce_differential(det_cochain(0, 4).at_lambda(3)).is_zero()
+    with pytest.raises(ValueError, match="symbolic"):
+        ce_differential(det_cochain(0, 1))
 
 
 def test_lambda_solutions_examples():
@@ -183,17 +189,22 @@ def test_coboundary_examples():
     # identity cochain on the adjoint module: delta(id)(f,g) = [f,g]
     ident = Cochain1(jet("f", 0), -1, LamPoly.const(-1))
     assert coboundary(ident).coeff == bracket(jet("f", 0), jet("g", 0))
-    # delta(f -> f'') = (lam-1) det(1,2)
-    b2 = Cochain1(jet("f", 2), 1, LamPoly.lam())
-    assert coboundary(b2).coeff == det_expr(1, 2).scale(LAM - 1)
+    # delta(f -> f'') = (lam-1) det(1,2) at every module
+    for lam in (-1, 0, 1, 2, Fraction(5, 2)):
+        b2 = Cochain1(jet("f", 2), 1, lam)
+        assert coboundary(b2).coeff == det_expr(1, 2).scale(lam - 1)
+    # a 1-cochain's module is concrete or trivial
+    with pytest.raises(ValueError, match="1-cochain needs a concrete module"):
+        Cochain1(jet("f", 2), 1, LamPoly.lam())
 
 
 def test_coboundaries_are_cocycles():
     rng = random.Random(17)
     for trial in range(20):
         order = rng.randrange(0, 4)
-        lam = LamPoly.lam() if trial % 3 else LamPoly.const(rng.randint(-3, 5))
-        coeff = jet("f", order).scale(random_coeff(rng, 0))
+        lam = (Fraction(rng.randint(-6, 6), rng.randint(1, 3)) if trial % 3
+               else LamPoly.const(rng.randint(-3, 5)))
+        coeff = jet("f", order).scale(random_coeff(rng))
         if trial % 4 == 0:
             coeff = coeff * jet("T", rng.randrange(0, 2))
         b = Cochain1(coeff, 0, lam)
@@ -392,20 +403,21 @@ def test_bracket_expr_of_two_families():
 
 
 def test_ce_parts_split_insertions_from_the_action():
-    """The insertions carry no lam, and the full differential adds a part of
-    degree at most one in lam.  For the trivial action ce_differential is
-    the class k E_k of the insertions, zero iff they are a total derivative."""
+    """The insertions are the trivial-action differential, and the full
+    differential is the pencil X + lam Y: at a concrete module ce_parts
+    returns its value there as X, with Y zero.  For the trivial action
+    ce_differential is the class k E_k of the insertions, zero iff they are
+    a total derivative."""
     for p, q in ((0, 2), (2, 3), (1, 4), (2, 5)):
         c = det_cochain(p, q)
-        insertions, delta = ce_parts(c.coeff, 2, c.module_lambda)
+        insertions, x, y = ce_parts(c.coeff, 2, c.module_lambda)
         trivial = ce_differential(Cochain2(c.coeff, c.value_weight, None))
         assert trivial == jet("k", 0) * euler_derivative(insertions, "k")
         assert trivial.is_zero() == is_total_derivative(insertions)
-        assert ce_differential(c) == delta
-        assert ce_parts(c.coeff, 2, None) == (insertions, insertions)
-        assert all(type(coef) is not LamPoly for _mono, coef in insertions.terms())
-        assert all(type(coef) is not LamPoly or coef.degree <= 1
-                   for _mono, coef in (delta - insertions).terms())
+        assert ce_parts(c.coeff, 2, None) == (insertions, insertions, DiffExpr.zero())
+        for lam in (0, 3, Fraction(-1, 2)):
+            assert ce_differential(c.at_lambda(lam)) == x + y.scale(lam)
+            assert ce_parts(c.coeff, 2, lam) == (insertions, x + y.scale(lam), DiffExpr.zero())
 
 
 def _background_jet(rng, families):
@@ -565,7 +577,7 @@ def test_the_piece_table_is_keyed_per_determinant_and_immutable():
         delta = ce_parts(det_expr(2, 5), 2, module)[1]
         assert delta_c == (delta if module is None else _ordered(delta, 3))
         assert alternating == _ordered(_ce_pieces((2, 5))[3], 3)
-    coboundary(Cochain1(jet("f", 3), 2, LAM))
+    coboundary(Cochain1(jet("f", 3), 2, 2))
     assert _ce_pieces.cache_info().currsize == 79
     _ce_pieces((3,))
     assert _ce_pieces.cache_info().misses == misses + 1
@@ -585,7 +597,7 @@ def _random_trilinear(rng):
     """A sum of terms c f^(a) g^(b) k^(c) times up to two T, R, w jets."""
     out = DiffExpr.zero()
     for _ in range(rng.randint(1, 4)):
-        term = DiffExpr.coefficient(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        term = DiffExpr.rational(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
         for fam in "fgk":
             term = term * jet(fam, rng.randint(0, 3))
         for _ in range(rng.randint(0, 2)):
@@ -649,22 +661,22 @@ def test_lambda_verdicts_that_reach_jets_past_the_default_cap(p, q):
 
 def _lambda_verdict_from_every_coefficient(c):
     """lambda_solutions by its definition: the common rational roots of
-    every coefficient of delta c, read in sorted order."""
-    insertions, delta = ce_parts(c.coeff, 2, c.module_lambda)
+    every coefficient x + lam y of the pencil delta c = X + lam Y, read in
+    sorted order."""
+    insertions, x, y = ce_parts(c.coeff, 2, c.module_lambda)
     trivial_pass = _exact_class(insertions).is_zero()
-    if delta.is_zero():
+    xs, ys = dict(x.terms()), dict(y.terms())
+    gcd = gcd_all(LamPoly((xs.get(m, 0), ys.get(m, 0))) for m in sorted(xs.keys() | ys.keys()))
+    if gcd.is_zero():
         return LambdaVerdict("all", (), trivial_pass)
-    coeffs = [coef for _mono, coef in delta.terms()]
-    if not all(type(coef) is LamPoly for coef in coeffs):
-        return LambdaVerdict("none", (), trivial_pass)
-    roots = tuple(rational_roots(gcd_all(coeffs)))
+    roots = tuple(rational_roots(gcd))
     return LambdaVerdict("finite" if roots else "none", roots, trivial_pass)
 
 
 def test_lambda_verdicts_read_from_the_ordered_monomials_equal_a_gcd_over_all():
     """delta c alternates in (f, g, k), so the roots read from its ordered
     monomials are those of every coefficient: on all 78 det(p,q) with
-    q <= 12, and on seeded cochains with lam in the coefficient and T/R
+    q <= 12, and on seeded cochains with rational coefficients and T/R
     backgrounds."""
     kinds = set()
     for q in range(1, 13):
@@ -673,23 +685,76 @@ def test_lambda_verdicts_read_from_the_ordered_monomials_equal_a_gcd_over_all():
             got = lambda_solutions(c, 24)
             assert got == _lambda_verdict_from_every_coefficient(c), (p, q)
             kinds.add(got.kind)
-    rng = random.Random(27)
+    for c in _seeded_background_cochains(40):
+        got = lambda_solutions(c)
+        assert got == _lambda_verdict_from_every_coefficient(c), c.coeff
+        kinds.add(got.kind)
+    assert kinds == {"all", "finite", "none"}
+
+
+def _seeded_background_cochains(count, seed=27):
+    """Seeded symbolic cochains: sums of up to three det(p,q), q <= 6, each
+    times a T/R background monomial and a rational scale."""
+    rng = random.Random(seed)
     backgrounds = (DiffExpr.one(), jet("T", 0), jet("R", 0), jet("T", 1) * jet("R", 0),
                    jet("T", 0) ** 2)
-    for _ in range(40):
+    out = []
+    while len(out) < count:
         coeff = DiffExpr.zero()
         for _ in range(rng.randrange(1, 4)):
             q = rng.randrange(1, 7)
             p = rng.randrange(q)
-            scale = LamPoly((rng.randint(-3, 3), rng.randint(-2, 2)))
+            scale = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             coeff = coeff + (rng.choice(backgrounds) * det_expr(p, q)).scale(scale)
-        if coeff.is_zero():
-            continue
-        c = Cochain2(coeff, 0, LAM)
+        if not coeff.is_zero():
+            out.append(Cochain2(coeff, 0, LAM))
+    return out
+
+
+def _as_reference(verdict):
+    return verdict.kind, verdict.values, verdict.trivial_action_pass
+
+
+def test_lambda_solutions_match_the_gcd_oracle():
+    """The pencil's one division and one check against the gcd path of
+    helpers.lambda_solutions_reference (the definitional differential at
+    lam = 0 and 1, one x + y lam per ordered monomial, the rational roots of
+    their gcd): on all 78 det(p,q) with q <= 12 at cap 24, on every row of
+    tests/data/lambda_verdicts.json, and on seeded cochains with rational
+    coefficients and T/R backgrounds, where every kind occurs."""
+    kinds = set()
+    for q in range(1, 13):
+        for p in range(q):
+            got = lambda_solutions(det_cochain(p, q, 24), 24)
+            assert _as_reference(got) == lambda_solutions_reference(det_cochain(p, q, 24)), (p, q)
+            kinds.add(got.kind)
+    for (p, q), row in _VERDICTS.items():
+        kind, values, trivial = lambda_solutions_reference(det_cochain(p, q, 24))
+        assert _verdict_row(p, q, LambdaVerdict(kind, values, trivial)) == row
+    for c in _seeded_background_cochains(20, seed=2701):
         got = lambda_solutions(c)
-        assert got == _lambda_verdict_from_every_coefficient(c), coeff
+        assert _as_reference(got) == lambda_solutions_reference(c), c.coeff
         kinds.add(got.kind)
     assert kinds == {"all", "finite", "none"}
+
+
+def test_a_symbolic_module_must_be_lam_itself():
+    """A non-constant LamPoly other than lam is no module parameter: the
+    cochain, its at_lambda and the solver refuse it, where each once read
+    it differently (lambda_solutions as lam, at_lambda as its value at 0,
+    solve_corrections at lam = weight).  A constant still reads as its
+    value, and lam as the symbolic module."""
+    coeff = det_cochain(0, 2).coeff
+    for bad in (LamPoly((1, 1)), LamPoly((0, 2)), LamPoly((0, 0, 1))):
+        with pytest.raises(ValueError, match="must be lam itself"):
+            Cochain2(coeff, 0, bad)
+        with pytest.raises(ValueError, match="must be lam itself"):
+            det_cochain(0, 2).at_lambda(bad)
+        with pytest.raises(ValueError, match="must be lam itself"):
+            solve_corrections(coeff, 1, module_lambda=bad)
+    assert Cochain2(coeff, 0, LamPoly.const(1)).module_lambda == 1
+    assert Cochain2(coeff, 0, LamPoly((0, 1))).is_symbolic()
+    assert lambda_solutions(Cochain2(coeff, 0, LamPoly((0, 1)))).values == (1,)
 
 
 @pytest.mark.parametrize("bound", [

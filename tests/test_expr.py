@@ -18,7 +18,6 @@ from jetcocycles.expr import (
     hinv,
     hinv_power,
     jet,
-    lam_expr,
     partial_derivative,
     substitute,
     substitute_jets,
@@ -27,8 +26,8 @@ from jetcocycles.expr import (
 from jetcocycles.charts import ChartFrame
 from jetcocycles.lampoly import LamPoly
 
-from helpers import (LAM, eval_at, eval_rational, is_canonical, is_total_derivative,
-                     random_coeff, random_expr, random_lambda, random_point,
+from helpers import (LAM, eval_rational, is_canonical, is_total_derivative,
+                     random_coeff, random_expr, random_point,
                      substitute_jets_reference)
 
 F0, F1, F2 = jet("f", 0), jet("f", 1), jet("f", 2)
@@ -51,7 +50,7 @@ def test_distributivity():
 
 
 def test_like_term_collection():
-    e = F1.scale(LAM) - F1.scale(LAM) + 2
+    e = F1.scale(Fraction(-5, 3)) - F1.scale(Fraction(-5, 3)) + 2
     assert e == DiffExpr.rational(2)
 
 
@@ -89,20 +88,16 @@ def test_bool_exponents_are_refused():
     assert F0 ** 1 == F0 and hinv_power(1) == hinv()
 
 
-def _as_expr(c):
-    return DiffExpr.coefficient(c) if isinstance(c, LamPoly) else DiffExpr.rational(c)
-
-
 def test_mixed_operands_act_as_the_constant_taken_as_an_expression():
-    """An int, a Fraction or a LamPoly on either side of +, - and * is that
-    constant taken as a DiffExpr; a sum that cancels is the zero; a float or
-    any other object on either side is a TypeError."""
+    """An int or a Fraction on either side of +, - and * is that constant
+    taken as a DiffExpr; a sum that cancels is the zero; a float, a LamPoly
+    (lam is not a coefficient) or any other object on either side is a
+    TypeError."""
     rng = random.Random(30)
-    consts = (0, 3, -2, Fraction(1, 2), Fraction(-7, 3), LAM, LamPoly.const(5),
-              LamPoly([Fraction(1, 2), -1, 2]))
+    consts = (0, 3, -2, Fraction(1, 2), Fraction(-7, 3))
     for x in [DiffExpr.zero(), DiffExpr.one()] + [random_expr(rng) for _ in range(12)]:
         for c in consts:
-            e = _as_expr(c)
+            e = DiffExpr.rational(c)
             assert x + c == c + x == x + e == e + x, (x, c)
             assert x - c == x - e and c - x == e - x, (x, c)
             assert x * c == c * x == x * e == e * x, (x, c)
@@ -112,12 +107,48 @@ def test_mixed_operands_act_as_the_constant_taken_as_an_expression():
                 assert cancelled.is_zero() and cancelled == DiffExpr.zero(), (x, c)
         assert (x - x).is_zero() and x - x == DiffExpr.zero()
         assert (-x + x).is_zero() and x + (-x) == DiffExpr.zero()
-        for bad in (1.5, object()):
+        for bad in (1.5, object(), LAM, LamPoly.const(5)):
             for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
                 with pytest.raises(TypeError):
                     op(x, bad)
                 with pytest.raises(TypeError):
                     op(bad, x)
+
+
+def test_a_coefficient_is_a_rational_and_never_carries_lam():
+    """The module parameter lam is not a coefficient: a LamPoly in a term
+    dict, as a scale or as a factor is a TypeError, a constant one too."""
+    for c in (LAM, LamPoly.const(3)):
+        with pytest.raises(TypeError):
+            DiffExpr({(): c})
+        with pytest.raises(TypeError):
+            jet("f", 0) * c
+        with pytest.raises(TypeError):
+            c * jet("f", 0)
+        with pytest.raises(TypeError):
+            jet("f", 0).scale(c)
+    assert DiffExpr({(): Fraction(6, 3)}).terms() == [((), 2)]
+
+
+_KERNEL_MODULES = ("expr", "syntax", "calculus")
+
+
+@pytest.mark.parametrize("module", _KERNEL_MODULES)
+def test_the_kernel_modules_do_not_import_lampoly(module):
+    """expr, syntax and calculus hold rationals only: no import in them
+    names LamPoly (they may take Rat and _rat from lampoly)."""
+    import ast
+    from pathlib import Path
+
+    import jetcocycles
+
+    path = Path(jetcocycles.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert names and "LamPoly" not in names
+    assert not any(isinstance(node, ast.Name) and node.id == "LamPoly"
+                   for node in ast.walk(tree))
 
 
 def test_order_cap():
@@ -235,10 +266,7 @@ def _stored_form_ok(e):
             return False
         if (_RANK["hinv"], 0) in atoms and (_RANK["h"], 1) in atoms:
             return False
-        if type(c) is LamPoly:
-            if len(c.coeffs) < 2 or not all(is_canonical(x) for x in c.coeffs):
-                return False
-        elif not is_canonical(c):
+        if not is_canonical(c):
             return False
     return True
 
@@ -251,12 +279,12 @@ def _matches_reference(e, table):
 
 
 def _one_term(rng):
-    """A one-term value: a coefficient (lam-free, linear in lam, or zero)
-    times a power of a jet of a family ranked below, between or above the
-    bound families g and T."""
+    """A one-term value: a rational coefficient (possibly zero) times a
+    power of a jet of a family ranked below, between or above the bound
+    families g and T."""
     fam = rng.choice(("f", "k", "R", "h"))
     order = rng.randrange(1 if fam == "h" else 0, 3)
-    return DiffExpr.coefficient(random_coeff(rng)) * jet(fam, order) ** rng.randint(1, 2)
+    return DiffExpr.rational(random_coeff(rng)) * jet(fam, order) ** rng.randint(1, 2)
 
 
 def _multi_term(rng):
@@ -287,7 +315,7 @@ def test_substitute_jets_matches_the_reference_on_chart_bindings():
     frame = ChartFrame()
     rng = random.Random(2202)
     for _ in range(10):
-        e = random_expr(rng, families=("f", "g", "T", "R"), terms=3, factors=3, lam_degree=1)
+        e = random_expr(rng, families=("f", "g", "T", "R"), terms=3, factors=3)
         e = e * (jet("f", rng.randrange(3)) ** 2 + jet("T", 0) * jet("h", 1)) + hinv()
         table = {(_RANK[fam], order): frame.binding(fam, order)
                  for fam in ("f", "g", "T", "R") for order in range(e.max_order(fam) + 1)}
@@ -299,7 +327,7 @@ def test_substitute_jets_sums_that_cancel_to_zero():
     # path cancel before the multi-term factors T are multiplied in
     rng = random.Random(2203)
     for _ in range(10):
-        x = random_expr(rng, families=("f", "T"), terms=3, factors=3, lam_degree=1)
+        x = random_expr(rng, families=("f", "T"), terms=3, factors=3)
         e = x * (jet("g", 0) * jet("g", 1) - jet("k", 0) * jet("k", 1))
         table = {(_RANK["T"], order): _multi_term(rng) for order in range(4)}
         table.update({(_RANK["g"], order): jet("k", order) for order in range(2)})
@@ -324,8 +352,6 @@ def test_eval_errors():
         eval_rational(F0, {})
     with pytest.raises(ValueError):
         eval_rational(hinv(), {("h", 1): 0})
-    with pytest.raises(ValueError):
-        eval_rational(lam_expr(), {})
 
 
 def test_eval_is_ring_homomorphism():
@@ -333,10 +359,9 @@ def test_eval_is_ring_homomorphism():
     for _ in range(40):
         a = random_expr(rng, with_hinv=True)
         b = random_expr(rng, with_hinv=True)
-        lam = random_lambda(rng)
         pt = random_point(rng, a, b)
-        assert eval_at(a * b, pt, lam) == eval_at(a, pt, lam) * eval_at(b, pt, lam)
-        assert eval_at(a + b, pt, lam) == eval_at(a, pt, lam) + eval_at(b, pt, lam)
+        assert eval_rational(a * b, pt) == eval_rational(a, pt) * eval_rational(b, pt)
+        assert eval_rational(a + b, pt) == eval_rational(a, pt) + eval_rational(b, pt)
 
 
 def test_eval_respects_hinv():
@@ -350,7 +375,7 @@ def test_eval_respects_hinv():
 _ATOMS = st.sampled_from(
     [jet("f", i) for i in range(3)] + [jet("g", i) for i in range(3)]
     + [jet("T", 0), hinv(), DiffExpr.rational(Fraction(2, 3)),
-       DiffExpr.coefficient(LAM)]
+       DiffExpr.rational(-5)]
 )
 
 
@@ -404,7 +429,7 @@ def test_exactness_detects_derivatives():
     rng = random.Random(3)
     for _ in range(25):
         y = random_expr(rng, families=("f", "g", "T"), max_order=2)
-        y = y - DiffExpr.rational(dict(y.subst_lambda(0).terms()).get((), 0))
+        y = y - DiffExpr.rational(dict(y.terms()).get((), 0))
         assert is_total_derivative(D(y))
     assert not is_total_derivative(F0 * G1)        # fg' is not exact
     assert is_total_derivative(F1 * G0 + F0 * G1)  # (fg)'
@@ -422,7 +447,7 @@ def test_euler_derivative_matches_the_definitional_sum():
     """The Horner form against sum_j (-D)^j d e / d u^(j), summed term by
     term through the reference partial derivative, on seeded expressions
     that are mostly not exact; k never occurs.  Terms carry forced squares
-    and cubes of one jet and lam-degree-1 coefficients, so the exponent
+    and cubes of one jet and rational coefficients, so the exponent
     times the coefficient is exercised, in the families f, g, T, w and h
     (whose jets start at order 1)."""
     rng = random.Random(29)
@@ -432,7 +457,7 @@ def test_euler_derivative_matches_the_definitional_sum():
                         factors=3)
         forced = rng.choice(("f", "g", "T", "w", "h"))
         power = jet(forced, rng.randrange(forced == "h", 4)) ** rng.choice((2, 3))
-        e = e + DiffExpr.coefficient(LamPoly([rng.randint(-4, 4), rng.randint(1, 4)])) * power
+        e = e + DiffExpr.rational(Fraction(rng.randint(1, 9), rng.randint(1, 4))) * power
         for fam in ("f", "g", "T", "w", "h", "k"):
             want = DiffExpr.zero()
             for j in range(fam == "h", e.max_order(fam) + 1):
@@ -451,7 +476,7 @@ def test_the_one_pass_euler_derivative_is_the_definitional_sum():
     """euler_derivative(e, fam) against sum_j (-D)^j d e / d fam[j], built
     from partial_derivative and repeated total_derivative, on seeded
     expressions in f, g and k with T, R and w backgrounds, hinv factors,
-    squares and cubes of one jet and lam-degree-2 coefficients, for every
+    squares and cubes of one jet and rational coefficients, for every
     family but h, and on hinv-free ones for h.  Jets reach order 4, so a
     slipped sign or order in a Horner step changes the answer; two hand
     cases pin the sign of each order."""
@@ -463,10 +488,10 @@ def test_the_one_pass_euler_derivative_is_the_definitional_sum():
         for fams, with_hinv in ((("f", "g", "k", "T", "R", "w"), True),
                                 (("f", "T", "h"), False)):
             e = random_expr(rng, families=fams, max_order=4, terms=4, factors=3,
-                            lam_degree=2, with_hinv=with_hinv)
+                            with_hinv=with_hinv)
             forced = rng.choice(fams)
             power = jet(forced, rng.randrange(forced == "h", 5)) ** rng.choice((2, 3))
-            e = e + DiffExpr.coefficient(random_coeff(rng, 2)) * power
+            e = e + DiffExpr.rational(random_coeff(rng)) * power
             for fam in fams:
                 if fam == "h" and with_hinv:
                     continue
@@ -504,7 +529,6 @@ def test_constants_hash_like_their_fraction():
         assert e == q and hash(e) == hash(Fraction(q))
         assert q in {e} and e in {q}
     assert 0 in {DiffExpr.zero()} and hash(DiffExpr.zero()) == hash(0)
-    assert 3 in {DiffExpr.coefficient(LamPoly.const(3))}
     assert 3 not in {DiffExpr.rational(3) + F0}
 
 
@@ -552,30 +576,17 @@ def _random_kernel_expr(rng):
     return DiffExpr({m: random_coeff(rng) for m in monos})
 
 
-def _poly(c):
-    """A stored coefficient as a LamPoly, for the reference paths."""
-    return c if type(c) is LamPoly else LamPoly.const(c)
-
-
 def _assert_canonical(e):
     for mono, coef in e.terms():
         atoms = [atom for atom, _ in mono]
         assert atoms == sorted(set(atoms)), mono
         assert all(type(x) is int and x > 0 for _, x in mono), mono
         assert not (_HINV0 in atoms and _H1 in atoms), mono
-        assert _poly(coef).coeffs
+        assert is_canonical(coef) and coef, coef
 
 
-def _from_reference(acc):
-    """Coefficient lists keyed by monomial, through the public constructors."""
-    return DiffExpr({m: LamPoly(cs) for m, cs in acc.items()})
-
-
-def _accumulate(acc, mono, coeffs):
-    old = acc.setdefault(mono, [])
-    old.extend([0] * (len(coeffs) - len(old)))
-    for i, c in enumerate(coeffs):
-        old[i] += c
+def _accumulate(acc, mono, c):
+    acc[mono] = acc.get(mono, 0) + c
 
 
 def _reference_total_derivative(e):
@@ -587,8 +598,8 @@ def _reference_total_derivative(e):
                 pairs, k = rest + [((_H, 2), 1), (_HINV0, 2)], -exp
             else:
                 pairs, k = rest + [((atom[0], atom[1] + 1), 1)], exp
-            _accumulate(acc, _mono_from_pairs(pairs), [k * c for c in _poly(coef).coeffs])
-    return _from_reference(acc)
+            _accumulate(acc, _mono_from_pairs(pairs), k * coef)
+    return DiffExpr(acc)
 
 
 def _reference_partial_derivative(e, atom):
@@ -597,23 +608,23 @@ def _reference_partial_derivative(e, atom):
         for i, (a, exp) in enumerate(mono):
             if a == atom:
                 rest = list(mono[:i]) + [(a, exp - 1)] + list(mono[i + 1:])
-                _accumulate(acc, _mono_from_pairs(rest), [exp * c for c in _poly(coef).coeffs])
-    return _from_reference(acc)
+                _accumulate(acc, _mono_from_pairs(rest), exp * coef)
+    return DiffExpr(acc)
 
 
 def _reference_difference(a, b):
     acc = {}
     for mono, coef in a.terms():
-        _accumulate(acc, mono, _poly(coef).coeffs)
+        _accumulate(acc, mono, coef)
     for mono, coef in b.terms():
-        _accumulate(acc, mono, [-c for c in _poly(coef).coeffs])
-    return _from_reference(acc)
+        _accumulate(acc, mono, -coef)
+    return DiffExpr(acc)
 
 
 def test_kernel_loops_match_the_definitional_path():
     rng = random.Random(41)
     exprs = [_random_kernel_expr(rng) for _ in range(60)]
-    exprs.append(DiffExpr({m: LamPoly.one() for m in _HAND_MONOS}))
+    exprs.append(DiffExpr({m: 1 for m in _HAND_MONOS}))
     for e in exprs:
         got = D(e)
         assert got == _reference_total_derivative(e)
@@ -637,7 +648,7 @@ def test_monomial_merge_matches_the_definitional_path():
         for m2 in monos:
             got = _mono_mul(m1, m2)
             assert got == _mono_from_pairs(m1 + m2)
-            _assert_canonical(DiffExpr({got: LamPoly.one()}))
+            _assert_canonical(DiffExpr({got: 1}))
             atoms = {a for a, _ in m1 + m2}
             cancelled += _HINV0 in atoms and _H1 in atoms
     assert cancelled > 50

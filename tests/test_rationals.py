@@ -8,8 +8,8 @@ import pytest
 
 from jetcocycles.charts import is_global, solve_corrections
 from jetcocycles.cochains import Cochain1, Cochain2, catalogue, ce_parts, det_cochain, det_expr
-from jetcocycles.expr import (DiffExpr, _has_lam, euler_derivative, jet, lam_expr,
-                              substitute, substitute_jets, total_derivative)
+from jetcocycles.expr import (DiffExpr, euler_derivative, jet, substitute, substitute_jets,
+                              total_derivative)
 from jetcocycles.lampoly import LamPoly
 from jetcocycles.linalg import solve_affine
 from jetcocycles.wittmodel import (LaurentDensity, WittField, evaluate_cochain, laurent_action,
@@ -19,8 +19,8 @@ from helpers import LAM, is_canonical, random_coeff, random_expr
 
 
 def _values(e):
-    """Every rational in the stored coefficients of e, lam coefficients included."""
-    return [x for _mono, c in e.terms() for x in (c.coeffs if type(c) is LamPoly else (c,))]
+    """Every stored coefficient of e."""
+    return [c for _mono, c in e.terms()]
 
 
 def _expr_ok(e):
@@ -35,8 +35,8 @@ def test_kernel_results_are_canonical():
     rng = random.Random(1101)
     seen_fraction = False
     for _ in range(40):
-        a = random_expr(rng, families=("f", "g", "T"), lam_degree=2)
-        b = random_expr(rng, families=("f", "g", "T"), lam_degree=2)
+        a = random_expr(rng, families=("f", "g", "T"))
+        b = random_expr(rng, families=("f", "g", "T"))
         # the scale by 2 turns halves into integers inside Fraction arithmetic
         results = [a * b, a + b, a - b, (a * 2) * b.scale(Fraction(1, 2)),
                    total_derivative(a), euler_derivative(a * b, "f"),
@@ -98,11 +98,11 @@ def test_float_module_parameters_are_refused():
 
 def _same_form(got, want):
     """got is want in the one stored form of a module parameter: a _rat
-    rational, a LamPoly of degree >= 1, or None for the trivial action."""
+    rational, the symbolic LAM, or None for the trivial action."""
     if want is None:
         return got is None
     if type(want) is LamPoly:
-        return type(got) is LamPoly and got.degree >= 1 and got == want
+        return type(got) is LamPoly and got == want == LAM
     return is_canonical(got) and got == want
 
 
@@ -110,7 +110,13 @@ def test_the_module_parameter_has_one_form_in_every_layer():
     half = Fraction(1, 2)
     for given, want in ((2, 2), (Fraction(4, 2), 2), (LamPoly.const(2), 2), (half, half),
                         (LamPoly.const(half), half), (LAM, LAM), (None, None)):
-        for c in (Cochain1(jet("f", 1), 2, given), Cochain2(det_expr(1, 3), 2, given)):
+        cochains = [Cochain2(det_expr(1, 3), 2, given)]
+        if given is LAM:
+            with pytest.raises(ValueError, match="1-cochain needs a concrete module"):
+                Cochain1(jet("f", 1), 2, given)
+        else:
+            cochains.append(Cochain1(jet("f", 1), 2, given))
+        for c in cochains:
             assert _same_form(c.module_lambda, want), (given, c)
     assert _same_form(Cochain2(det_expr(1, 3), 2).module_lambda, LAM)
     for value, want in ((2, 2), (Fraction(4, 2), 2), (half, half), (LamPoly.const(2), 2),
@@ -153,82 +159,74 @@ def test_value_weights_are_exact_rationals():
         solve_corrections(half)
 
 
-# -- the stored coefficient: a Rat, or a LamPoly only where lam occurs ---------
+# -- the stored coefficient: a rational in the _rat form ------------------------
 
 
 def _stored_ok(e):
-    return all(c.degree >= 1 and all(is_canonical(x) for x in c.coeffs)
-               if type(c) is LamPoly else is_canonical(c) and c != 0
-               for _mono, c in e.terms())
+    return all(is_canonical(c) and c != 0 for _mono, c in e.terms())
 
 
 def test_a_coefficient_is_a_lam_poly_only_where_lam_occurs():
+    """lam occurs in no coefficient, so every stored coefficient is a nonzero
+    _rat rational, the pencil parts of ce_parts at the symbolic module
+    included; lam occurs only as that module, whose pencil X + r Y is the
+    differential at the rational module r."""
     rng = random.Random(1401)
     kinds = set()
     for _ in range(40):
-        a = random_expr(rng, families=("f", "g", "T"), lam_degree=2)
-        b = random_expr(rng, families=("f", "g", "T"), lam_degree=2)
-        # a + (b - a) and (a + b) * 1 - a cancel every lam that b lacks
+        a = random_expr(rng, families=("f", "g", "T"))
+        b = random_expr(rng, families=("f", "g", "T"))
+        # a + (b - a) and (a + b) * 1 - a cancel every term that b lacks
         results = [a + b, a - b, a * b, a + (b - a), (a + b) - a,
-                   a.scale(random_coeff(rng, 1)), a.scale(LamPoly.const(Fraction(2, 3))),
+                   a.scale(random_coeff(rng)), a.scale(Fraction(2, 3)),
                    total_derivative(a), substitute(a, {"f": b, "g": jet("f", 1)}),
-                   euler_derivative(a * b, "g"), a.subst_lambda(Fraction(rng.randint(-3, 3), 2))]
-        coeff = det_expr(rng.randrange(3), rng.randrange(3, 6)).scale(random_coeff(rng, 1))
+                   euler_derivative(a * b, "g")]
+        coeff = det_expr(rng.randrange(3), rng.randrange(3, 6)).scale(random_coeff(rng) or 1)
         for lam in (None, LAM, LamPoly.const(3), Fraction(1, 2)):
             results += ce_parts(coeff, 2, lam)
-        for r in results:
-            assert _stored_ok(r), r
-            kinds.update(type(c) for _mono, c in r.terms())
-    assert kinds == {int, Fraction, LamPoly}
+        _i, x, y = ce_parts(coeff, 2, LAM)
+        r = Fraction(rng.randint(-3, 3), 2)
+        assert x + y.scale(r) == ce_parts(coeff, 2, r)[1]
+        assert Cochain2(coeff, 2).is_symbolic() and Cochain2(coeff, 2).module_lambda == LAM
+        for e in results:
+            assert _stored_ok(e), e
+            kinds.update(type(c) for _mono, c in e.terms())
+    assert kinds == {int, Fraction}
 
 
 def test_lam_cancellations_store_ints():
+    """A sum whose rational parts cancel to an integer stores an int, never
+    Fraction(n, 1); h stands where lam stood before it left the coefficients."""
     f = jet("f", 0)
     (f_mono, _one), = f.terms()
-    lam = lam_expr()
-    for e, mono in (((lam + 1) * f - lam * f, f_mono), (lam * f - lam * f + 1, ()),
-                    (lam * f + (1 - lam) * f, f_mono), (f.scale(LAM + 1) - f.scale(LAM), f_mono)):
+    h = DiffExpr.rational(Fraction(1, 3))
+    for e, mono in (((h + 1) * f - h * f, f_mono), (h * f - h * f + 1, ()),
+                    (h * f + (1 - h) * f, f_mono),
+                    (f.scale(Fraction(4, 3)) - f.scale(Fraction(1, 3)), f_mono)):
         (got, c), = e.terms()
         assert got == mono and type(c) is int and c == 1
 
 
 def test_constants_compare_and_hash_alike_in_every_form():
-    forms = (DiffExpr.rational(3), DiffExpr.coefficient(LamPoly.const(3)), 3,
-             LamPoly.const(3), Fraction(6, 2))
-    for x in forms:
-        for y in forms:
-            assert x == y and hash(x) == hash(y)
-    assert DiffExpr.coefficient(LAM) == LAM and hash(DiffExpr.coefficient(LAM)) == hash(LAM)
-    assert DiffExpr.rational(3) != LamPoly.const(4) and DiffExpr.coefficient(LAM) != 3
+    """A constant expression is its rational, and a constant LamPoly is its
+    value; an expression and a LamPoly are never equal (lam is no
+    coefficient)."""
+    for forms in ((DiffExpr.rational(3), 3, Fraction(6, 2)),
+                  (LamPoly.const(3), 3, Fraction(6, 2))):
+        for x in forms:
+            for y in forms:
+                assert x == y and hash(x) == hash(y)
+    assert DiffExpr.rational(3) != LamPoly.const(3) and DiffExpr.rational(3) != 4
 
 
 def test_terms_gives_the_stored_form():
-    """terms() hands out the stored coefficients in monomial order: a rational
-    in the _rat form, or a LamPoly of degree >= 1 where lam occurs."""
-    e = jet("g", 1).scale(LAM) + jet("f", 0) * 2 + Fraction(1, 2)
+    """terms() hands out the stored coefficients in monomial order, each a
+    nonzero rational in the _rat form."""
+    e = jet("g", 1).scale(Fraction(6, 4)) + jet("f", 0) * Fraction(4, 2) + Fraction(1, 2)
     (f_mono, _one), = jet("f", 0).terms()
     (g_mono, _one), = jet("g", 1).terms()
     got = e.terms()
-    assert got == [((), Fraction(1, 2)), (f_mono, 2), (g_mono, LAM)]
-    assert [type(c) for _mono, c in got] == [Fraction, int, LamPoly]
-    assert got[2][1].degree == 1
+    assert got == [((), Fraction(1, 2)), (f_mono, 2), (g_mono, Fraction(3, 2))]
+    assert [type(c) for _mono, c in got] == [Fraction, int, Fraction]
     assert [mono for mono, _c in (e - Fraction(1, 2)).terms()] == [f_mono, g_mono]
     assert DiffExpr.zero().terms() == []
-
-
-def test_has_lam_reads_the_stored_form(monkeypatch):
-    """_has_lam agrees with an oracle that never looks at the stored form, and
-    builds no LamPoly to find out.  random_expr coefficients have lam-degree
-    <= 2, so an expression carries lam iff its values at three points of lam
-    differ."""
-    rng = random.Random(1115)
-    exprs = [random_expr(rng, families=("f", "g", "T"), lam_degree=rng.randrange(3))
-             for _ in range(60)]
-    exprs.append(jet("f", 0).scale(LAM) - lam_expr() * jet("f", 0) + 1)  # lam cancels
-    expected = [len({e.subst_lambda(x) for x in (0, 1, 2)}) > 1 for e in exprs]
-    assert 10 < sum(expected) < len(exprs) - 10 and not expected[-1]
-    built = []
-    init = LamPoly.__init__
-    monkeypatch.setattr(LamPoly, "__init__", lambda self, *a: (built.append(a), init(self, *a))[1])
-    assert [_has_lam(e) for e in exprs] == expected
-    assert not built

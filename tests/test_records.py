@@ -39,11 +39,11 @@ CASES = [
      (2, {0: 1}, [{1: Fraction(1, 2)}]),
      (3, {0: 2}, [])),
     (Cochain1, True,
-     [("coeff", "DiffExpr"), ("value_weight", "Rat"), ("module_lambda", "Optional[Coef]")],
+     [("coeff", "DiffExpr"), ("value_weight", "Rat"), ("module_lambda", "Module")],
      (jet("f", 2), 2, None),
      (jet("f", 3), Fraction(1, 2), 2)),
     (Cochain2, True,
-     [("coeff", "DiffExpr"), ("value_weight", "Rat"), ("module_lambda", "Optional[Coef]")],
+     [("coeff", "DiffExpr"), ("value_weight", "Rat"), ("module_lambda", "Module")],
      (det_expr(0, 1), 1, LamPoly.lam()),
      (det_expr(0, 2), 2, 3)),
     (LambdaVerdict, True,

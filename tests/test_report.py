@@ -203,7 +203,7 @@ def test_cli_verify_has_no_max_order_option(capsys):
 
 
 def test_cli_eval_has_no_lambda_option(capsys):
-    # no catalogue flat form carries lam, so a value for it could change nothing
+    # no coefficient carries lam, so a value for it could change nothing
     assert not any(type(c) is LamPoly for name in CATALOGUE_NAMES
                    for _mono, c in catalogue(name, "flat").coeff.terms())
     with pytest.raises(SystemExit) as exc:
@@ -242,17 +242,29 @@ def test_cli_report_does_not_depend_on_the_hash_seed(seed, tmp_path):
     assert path.read_bytes() == (Path(__file__).parent / "data" / "all_suites.json").read_bytes()
 
 
-_CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_stdout.json")
-                         .read_text(encoding="utf-8"))
+_CLI_GOLDEN = [case for name in ("cli_stdout.json", "cli_eval_table3.json")
+               for case in json.loads((Path(__file__).parent / "data" / name)
+                                      .read_text(encoding="utf-8"))]
 
 
 @pytest.mark.parametrize("case", _CLI_GOLDEN, ids=[" ".join(c["argv"]) for c in _CLI_GOLDEN])
 def test_cli_stdout_matches_golden(case, capsys):
-    """The text the CLI prints for the verify suites and globalize runs that
-    perfbench pins byte for byte, with its exit code (tests/data/cli_stdout.json)."""
+    """The text the CLI prints, with its exit code: for the verify suites and
+    globalize runs that perfbench pins byte for byte (tests/data/cli_stdout.json),
+    and for eval of every catalogue name at (L_1, L_2), cbar0 through the
+    symbolic module's value weight, and table3 (tests/data/cli_eval_table3.json)."""
     code = main(case["argv"])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
+
+
+def test_cli_refuses_lam_as_a_syntax_error(capsys):
+    """lam is no name of the grammar: globalize exits 2 with a syntax error
+    naming it."""
+    assert main(["globalize", "--symbol", "lam*det(1,2)", "--weight", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("syntax error: unknown name 'lam' at offset 0")
 
 
 def test_inconclusive_generator_certificate_is_a_failure(tmp_path, capsys):

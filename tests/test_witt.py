@@ -101,12 +101,16 @@ def test_evaluate_cochain_commutes_with_normalization():
 
 
 def test_evaluate_cochain_rejects_backgrounds_and_symbolic():
+    """Backgrounds are refused; a symbolic coefficient cannot be built (lam
+    is no coefficient), and a cochain with the symbolic module is read at
+    its value weight."""
     with pytest.raises(ValueError):
         evaluate_cochain(catalogue("cbar2", "connection"), 1, 2)
-    lam_carrying = det_cochain(0, 2).coeff.scale(LAM)
-    with pytest.raises(ValueError):
-        evaluate_cochain(lam_carrying, 1, 2, weight=0)
-    assert not evaluate_cochain(lam_carrying.subst_lambda(3), 1, 2, weight=0).is_zero()
+    with pytest.raises(TypeError):
+        det_cochain(0, 2).coeff.scale(LAM)
+    c = det_cochain(0, 2)
+    value = evaluate_cochain(c, 1, 2)
+    assert value == evaluate_cochain(c.coeff, 1, 2, weight=0) and not value.is_zero()
 
 
 def test_residue_pair():
@@ -222,13 +226,13 @@ def test_certificate_refuses_windows_below_one(name, window):
 def test_a_concrete_module_leaves_no_lam_in_the_coefficient():
     from jetcocycles.cochains import Cochain2, det_expr
 
-    coeff = det_expr(1, 3) + det_expr(0, 4).scale(LAM - 2)
-    for module in (2, None):
-        with pytest.raises(ValueError, match="needs a symbolic module parameter"):
-            Cochain2(coeff, 2, module)
-        with pytest.raises(ValueError, match="needs a symbolic module parameter"):
-            Cochain1(jet("f", 2).scale(LAM), 2, module)
-    c = Cochain2(coeff, 2, LAM).at_lambda(2)
+    # lam is no coefficient, so no cochain can carry it
+    with pytest.raises(TypeError):
+        det_expr(0, 4).scale(LAM - 2)
+    with pytest.raises(TypeError):
+        jet("f", 2).scale(LAM)
+    # at_lambda sets the module and keeps the coefficient
+    c = Cochain2(det_expr(1, 3), 2, LAM).at_lambda(2)
     assert c == Cochain2(det_expr(1, 3), 2, 2)
     assert nontriviality_certificate(c, window=4).verdict == "NONTRIVIAL"
 
@@ -424,10 +428,16 @@ def test_evaluation_refuses_what_is_not_exact(m, n, weight):
 
 
 def test_evaluation_refuses_backgrounds_and_lam_as_the_reference_does():
-    for c in (catalogue("cbar2", "connection"), det_cochain(0, 2).coeff.scale(LAM)):
-        for evaluate in (evaluate_cochain, evaluate_cochain_reference):
-            with pytest.raises(ValueError):
-                evaluate(c, 1, 2, 0)
+    """Both refuse backgrounds; lam cannot reach either, since no
+    coefficient carries it, and a symbolic module reads the value weight
+    in both."""
+    for evaluate in (evaluate_cochain, evaluate_cochain_reference):
+        with pytest.raises(ValueError):
+            evaluate(catalogue("cbar2", "connection"), 1, 2, 0)
+    with pytest.raises(TypeError):
+        det_cochain(0, 2).coeff.scale(LAM)
+    c = det_cochain(0, 3)
+    assert evaluate_cochain(c, 2, -1) == evaluate_cochain_reference(c, 2, -1)
 
 
 @pytest.mark.parametrize("fld, a", [
