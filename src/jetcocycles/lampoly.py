@@ -1,8 +1,10 @@
 """Univariate polynomials over Q in the module parameter ``lam``, and the
 one form of an exact rational.
 
-A LamPoly is no kernel coefficient: it serves gcd_all and rational_roots,
-and ``LamPoly.lam()`` is a cochain's symbolic module.  A degree-0
+A LamPoly is no kernel coefficient and no ring element: it is built from
+its coefficient tuple, ``LamPoly.lam()`` is a cochain's symbolic module,
+and gcd_all and rational_roots find the isolated lam of a pencil.  It has
+no arithmetic operators (``LAM - 1`` is a TypeError).  A degree-0
 polynomial compares and hashes like its value.
 
 Every exact rational here, and in the layers built on it, has one canonical
@@ -18,8 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, neg, sub
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -64,82 +65,11 @@ class LamPoly:
     def lam() -> "LamPoly":
         return LamPoly((0, 1))
 
-    @staticmethod
-    def zero() -> "LamPoly":
-        return LamPoly()
-
-    @staticmethod
-    def one() -> "LamPoly":
-        return LamPoly((1,))
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __add__(self, other) -> "LamPoly":
-        a = self.coeffs
-        if isinstance(other, LamPoly):
-            b = other.coeffs
-            if len(a) < len(b):
-                a, b = b, a
-            return _new(tuple(map(add, a, b)) + a[len(b):])
-        if isinstance(other, (int, Fraction)):
-            if not a:
-                return LamPoly.const(other)
-            return _new((a[0] + other,) + a[1:])
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LamPoly":
-        return _new(tuple(map(neg, self.coeffs)))
-
-    def __sub__(self, other) -> "LamPoly":
-        a = self.coeffs
-        if isinstance(other, LamPoly):
-            b = other.coeffs
-            n = min(len(a), len(b))
-            return _new(tuple(map(sub, a, b)) + a[n:] + tuple(map(neg, b[n:])))
-        if isinstance(other, (int, Fraction)):
-            return self + -other
-        return NotImplemented
-
-    def __rsub__(self, other) -> "LamPoly":
-        if isinstance(other, (int, Fraction)):
-            return -self + other
-        return NotImplemented
-
-    def __mul__(self, other) -> "LamPoly":
-        a = self.coeffs
-        if isinstance(other, LamPoly):
-            b = other.coeffs
-            if len(b) == 1:
-                other = b[0]
-            elif len(a) == 1:
-                a, other = b, a[0]
-            elif not a or not b:
-                return ZERO
-            else:
-                out = [0] * (len(a) + len(b) - 1)
-                for i, ca in enumerate(a):
-                    if ca:
-                        for j, cb in enumerate(b):
-                            out[i + j] += ca * cb
-                return _new(tuple(out))
-        elif not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if not other:
-            return ZERO
-        return _new(tuple([c * other for c in a]))
-
-    __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LamPoly):
@@ -207,7 +137,7 @@ class LamPoly:
 
 
 def gcd_all(polys: Iterable[LamPoly]) -> LamPoly:
-    acc = LamPoly.zero()
+    acc = LamPoly()
     for p in polys:
         acc = acc.gcd(p)
         if acc.is_constant() and not acc.is_zero():
@@ -251,27 +181,3 @@ def _divisors(n: int) -> list[int]:
                 out.append(n // i)
         i += 1
     return sorted(out)
-
-
-_set_coeffs = LamPoly.coeffs.__set__
-
-
-def _new(cs: Tuple[Rat, ...]) -> LamPoly:
-    """The arithmetic's constructor: ``cs`` holds only ints and Fractions, so
-    each is only brought to the ``_rat`` form and trailing zeros are stripped
-    (``LamPoly(...)`` validates each)."""
-    for c in cs:
-        if type(c) is not int:
-            cs = tuple(map(_rat, cs))
-            break
-    if cs and not cs[-1]:
-        n = len(cs) - 1
-        while n and not cs[n - 1]:
-            n -= 1
-        cs = cs[:n]
-    p = object.__new__(LamPoly)
-    _set_coeffs(p, cs)
-    return p
-
-
-ZERO = LamPoly.zero()

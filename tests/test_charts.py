@@ -6,6 +6,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -726,6 +727,44 @@ def test_solver_rows_match_the_expression_built_reference(monkeypatch, cold):
             assert all(v for entries, _ in rows for v in entries.values()), f"{name}@{module}"
             trivial += result.trivial_action
     assert trivial == 1
+
+
+def _primitive_form(entries) -> tuple:
+    """A row up to scale: integer entries with no common factor, the entry
+    of smallest index positive."""
+    items = sorted((i, Fraction(v)) for i, v in entries.items() if v)
+    den = lcm(*(v.denominator for _, v in items))
+    ints = [(i, v.numerator * (den // v.denominator)) for i, v in items]
+    g = gcd(*(v for _, v in ints))
+    g = -g if ints[0][1] < 0 else g
+    return tuple((i, v // g) for i, v in ints)
+
+
+def test_the_weight_7_system_has_the_sizes_the_docs_quote(monkeypatch):
+    """The c7 solve from cold caches hands solve_affine 507 rows, 493 of them
+    distinct up to scale, on 266 unknowns with a 17-dimensional gauge, so
+    rank 249; the full expression-built system has 1,682 rows (linalg's
+    module docstring and the README quote these numbers)."""
+    charts.derive.cache_clear()
+    for piece in _PIECE_CACHES:
+        piece.cache_clear()
+    calls = []
+
+    def spy(rows, nvars):
+        rows = list(rows)
+        calls.append((rows, nvars))
+        return solve_affine(rows, nvars)
+
+    monkeypatch.setattr(charts, "solve_affine", spy)
+    result = charts.derive("c7")
+    monkeypatch.undo()
+    charts.derive.cache_clear()
+    rows, nvars = calls[0]
+    assert len(rows) == 507
+    assert len({_primitive_form(entries) for entries, _ in rows}) == 493
+    assert nvars == len(result.ansatz) == 266
+    assert result.dimension == 17 and nvars - result.dimension == 249
+    assert len(solver_rows_reference(result)) == 1682
 
 
 def test_the_rows_at_permuted_arguments_repeat_the_ordered_rows(monkeypatch):

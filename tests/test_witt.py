@@ -228,7 +228,7 @@ def test_a_concrete_module_leaves_no_lam_in_the_coefficient():
 
     # lam is no coefficient, so no cochain can carry it
     with pytest.raises(TypeError):
-        det_expr(0, 4).scale(LAM - 2)
+        det_expr(0, 4).scale(LamPoly((-2, 1)))
     with pytest.raises(TypeError):
         jet("f", 2).scale(LAM)
     # at_lambda sets the module and keeps the coefficient
