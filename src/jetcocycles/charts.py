@@ -30,12 +30,9 @@ Operations in Differential Geometry, 1993, on natural operators and their
 infinitesimal characterization).  The finite residual is polynomial in the
 jets of h and in 1/h', so vanishing for h' > 0 it vanishes for h' < 0 too.
 
-What the module keeps for the process is kept by functools.cache, on small
-keys: the bindings (_binding, per family and order), the jet variations
-(_jet_variation), the T/R monomials of a weight with L(m) and D(m)
-(_connection_monomials), the determinant pieces per module (_det_pieces)
-and the solve of each catalogued generator (derive).  L itself
-(_linear_residual) takes an expression and is not kept.
+The pure pieces (_binding, _jet_variation, _connection_monomials,
+_det_pieces) and each generator's solve (derive) are kept per process by
+functools.cache on small keys; _linear_residual is not kept.
 """
 
 from __future__ import annotations
@@ -47,8 +44,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import (LAM, Cochain2, Module, _ce_pieces, _derivative_counts, _exact_class,
-                       _module, _ordered, catalogue, ce_parts, coeff_and_weight, det_expr)
+from .cochains import (LAM, Cochain2, Module, _ce_pieces, _class_pieces, _derivative_counts,
+                       _module, _ordered, _trivial_class, catalogue, ce_parts,
+                       coeff_and_weight, det_expr)
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -317,32 +315,32 @@ def _linear_residual(e: DiffExpr, weight: int) -> DiffExpr:
 
 
 @cache
-def _det_pieces(p: int, q: int, module_lambda: Optional[Rat]
-                ) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
+def _det_pieces(p: int, q: int, module_lambda: Optional[Rat]) -> Tuple[
+        DiffExpr, DiffExpr, Optional[DiffExpr], Optional[DiffExpr]]:
     """(c, L(c), delta c at the module, f c(g,k) - g c(f,k) + k c(f,g)) for
-    c = det(p,q), each kept at its ordered monomials only (cochains._ordered):
+    c = det(p,q), each at its ordered monomials only (cochains._ordered):
     c as its term f^(p) g^(q), L(c) = _linear_residual(c, p+q-2) at f < g,
-    and delta c = I + A + lam B and the alternating sum, read from ce_parts'
-    table of pieces, at f < g < k.  Under the trivial action delta c is the
-    whole of I, whose class _exact_class needs."""
-    insertions, action, linear, alternating = _ce_pieces((p, q))
-    if module_lambda is not None:
-        insertions = _ordered(insertions + action + linear.scale(module_lambda), 3)
-    return (jet("f", p) * jet("g", q), _ordered(_linear_residual(det_expr(p, q), p + q - 2), 2),
-            insertions, _ordered(alternating, 3))
+    and delta c = I + A + lam B (cochains._ce_pieces) and the alternating
+    sum at f < g < k.  Under the trivial action, whose rows come from
+    cochains._class_pieces, the last two are None."""
+    c = jet("f", p) * jet("g", q)
+    linear = _ordered(_linear_residual(det_expr(p, q), p + q - 2), 2)
+    if module_lambda is None:
+        return c, linear, None, None
+    insertions, action, lam_part, alternating = _ce_pieces((p, q))
+    return (c, linear, _ordered(insertions + action + lam_part.scale(module_lambda), 3),
+            _ordered(alternating, 3))
 
 
 def _product_rows(a: DiffExpr, b: DiffExpr, space: int, index: Optional[int], rows: Dict):
     """Add the coefficients of a * b into sparse constraint rows, with no
     product built: the one row accumulator.  rows maps (space, monomial) to
-    one dict, whose entry i, for index i, is the coefficient of x_i, and
-    whose key None, for index None, holds the constant, so the row reads
-    sum_i row[i] x_i + row[None] = 0; _affine_rows hands the rows to
-    solve_affine.  Monomials merge by _mono_mul, as in a DiffExpr product; since two
-    products may cancel, an entry that sums to zero is dropped, and so is a
-    row left empty.  The terms are read as stored, unsorted: solve_affine's
-    answer does not depend on the order of the rows.  Pass DiffExpr.one()
-    as b for the rows of a alone."""
+    a dict whose entry i (index i) is the coefficient of x_i and whose key
+    None (index None) holds the constant: the row reads
+    sum_i row[i] x_i + row[None] = 0.  An entry that sums to zero is
+    dropped, and so is a row left empty; the order of the rows does not
+    change solve_affine's answer.  Pass DiffExpr.one() as b for the rows of
+    a alone."""
     for m1, c1 in a._terms.items():
         for m2, c2 in b._terms.items():
             c = c1 * c2
@@ -376,62 +374,33 @@ def solve_corrections(
     """Solve for connection corrections making the symbol global and closed.
 
     The ansatz spans (monomial in T, R and derivatives) x det(p,q) with the
-    same total weight, determinant derivative count p+q strictly below the
-    symbol's, and single jets no deeper than the symbol's top order; pure
-    determinants are excluded so the symbol is preserved.  Globality and the
-    cocycle identity at the module parameter are imposed as exact linear
-    constraints.  The module parameter is module_lambda when given, else
-    the cochain's own, where None is the trivial action; the symbolic lam,
-    given or a cochain's (a bare expression's is lam), reads lam = weight,
-    a constant LamPoly reads as its value, and any other LamPoly is a
-    ValueError (cochains._module).  The result holds the ansatz, sorted by
-    (p, q, symbols), and its affine solution set, whose particular point is
-    the canonical representative (None if empty).  max_order, an int
-    (anything else, a bool included, is a ValueError), bounds the symbol's
-    jets and the ansatz's connection jets (OrderCapExceeded).
+    symbol's weight, p+q below the symbol's derivative count and single jets
+    no deeper than its top order.  The module parameter is module_lambda
+    when given, else the cochain's own (None is the trivial action); the
+    symbolic lam, given or a bare expression's, reads lam = weight
+    (cochains._module; another LamPoly is a ValueError).  The result holds
+    the ansatz, sorted by (p, q, symbols), and its affine solution set,
+    whose particular point is the canonical representative (None if
+    empty): the minimal-support point (ties broken lexicographically) when
+    the gauge dimension is at most 3 and at most 26 coordinates are
+    involved (_canonical_point), else the echelon particular solution (c5
+    and c7).  A zero, non-flat or
+    non-antisymmetric symbol, a non-int max_order (a bool included) or a
+    non-integer weight is a ValueError (a float weight a TypeError); a jet
+    of the symbol or ansatz above max_order is an OrderCapExceeded.
 
-    Globality is imposed by the infinitesimal law of the module docstring,
-    w X' e + sum_n (de/du^(n)) delta u^(n) = 0, whose solution set is that
-    of the finite law is_global checks, since the group of formal coordinate
-    changes with h' > 0 is connected (Kolar-Michor-Slovak 1993).  Both row
-    kinds of an ansatz term m c, with m a T/R monomial and c = det(p,q), come
-    by Leibniz.  The globality rows are those of the first-order operator
-    L_w(e) = w X' e + sum_n (de/du^(n)) delta u^(n), which splits over any
-    a + b = w as L_w(m c) = m L_b(c) + c L_a(m), with L(c) at b = p+q-2.
-    The cocycle rows come from delta c:
-
-        delta(m c) = m delta c + D(m) (f c(g,k) - g c(f,k) + k c(f,g)),
-
-    and the trivial action drops the D(m) part and keeps the class of delta
-    modulo total derivatives (_exact_class).
-
-    Every source of a row alternates in its arguments: f and g for the
-    globality rows, where k carries the coordinate change X, and for the
-    trivial action's rows k E_k(delta); f, g and k for the cocycle rows at
-    a concrete module.  So the row at a monomial with permuted argument
-    orders is the permutation's sign times the ordered one, and only the
-    rows at increasing orders (f < g, or f < g < k) are emitted
-    (cochains._ordered): the row space, and with it the solution, is the
-    same.  The pieces are pure, so each is built once per process and
-    shared by every solve: the jet variations, the monomials m of a weight
-    with L(m) and D(m), and per (p, q, module) the pieces of c kept at
-    their ordered monomials (_det_pieces).  m, L(m)
-    and D(m) carry no f or g jet, so their products with ordered pieces
-    stay ordered.  A term's rows are assembled straight from the pieces by
-    the one row accumulator, _product_rows: it adds each coefficient of
-    m L(c), c L(m), m delta c and D(m) alt into its row, one dict of ansatz
-    entries with the right-hand side at key None, with no product or sum
-    built and nothing sorted, since the solution does not depend on the
-    order of the rows.  The symbol's rows go to key None, as products with
-    DiffExpr.one().  Only the trivial action builds m delta c, from the
-    whole of delta c, whose class _exact_class needs, and keeps the class's
-    rows at f < g.  The weight
-    must be an integer and not a bool (a float is a TypeError).  The
-    canonical representative is the minimal-support point (ties broken
-    lexicographically) when the gauge dimension is at most 3 and at most 26
-    coordinates are involved, found by one vertex try per distinct gauge
-    hyperplane (see _canonical_point), and otherwise the echelon particular
-    solution with the free variables set to zero (c5 and c7).
+    The rows are exact linear constraints, built by Leibniz for a term m c,
+    c = det(p,q): globality by the infinitesimal law of the module
+    docstring, L_w(m c) = m L_b(c) + c L_a(m) over a + b = w, with the
+    solutions of the finite law is_global checks; the cocycle identity by
+    delta(m c) = m delta c + D(m) (f c(g,k) - g c(f,k) + k c(f,g)), or under
+    the trivial action by the class of the insertions, the products
+    (-D)^i(m) E^(i)_k(I_c) of cochains._class_pieces.  Every source of a
+    row alternates in f, g (globality, where k carries the coordinate
+    change, and the trivial class) or f, g, k (the cocycle rows at a
+    concrete module), so only the rows at increasing orders are emitted
+    (cochains._ordered), with the same solution; m and its derivatives
+    carry no f or g jet, so products with ordered pieces stay ordered.
     """
     expr, weight = coeff_and_weight(symbol, weight)
     weight = _integer_weight(weight)
@@ -474,16 +443,18 @@ def solve_corrections(
     rows: Dict = {}
     one = DiffExpr.one()
     _product_rows(_ordered(_linear_residual(expr, weight), 2), one, 0, None, rows)
-    delta = ce_parts(expr, 2, module_lambda)[1]
-    _product_rows(_ordered(_exact_class(delta), 2) if trivial else _ordered(delta, 3),
-                  one, 1, None, rows)
+    if trivial:
+        _product_rows(_ordered(_trivial_class(expr), 2), one, 1, None, rows)
+    else:
+        _product_rows(_ordered(ce_parts(expr, 2, module_lambda)[0], 3), one, 1, None, rows)
     for i, (term, (lm, dm)) in enumerate(zip(ansatz, monomial_pieces)):
         m = term.m
         c, lc, delta_c, alternating = _det_pieces(term.p, term.q, module_lambda)
         _product_rows(m, lc, 0, i, rows)
         _product_rows(c, lm, 0, i, rows)
         if trivial:
-            _product_rows(_ordered(_exact_class(m * delta_c), 2), one, 1, i, rows)
+            for dm_i, table in _class_pieces((term.p, term.q), m):
+                _product_rows(dm_i, table, 1, i, rows)
         else:
             _product_rows(m, delta_c, 1, i, rows)
             _product_rows(dm, alternating, 1, i, rows)

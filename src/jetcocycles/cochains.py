@@ -27,10 +27,11 @@ m too, so delta goes through each term by Leibniz,
 
 (f s(g) - g s(f) for a 1-cochain), and delta s = I + A + lam B splits into
 the bracket insertions I, the lam-free action part A and the part B linear
-in lam.  The pieces I, A, B and the alternating sum of a block are written
-term by term and kept per block for the process by functools.cache
-(_ce_pieces, which the correction solver reads too).  Coefficients are
-rational, so at the symbolic module delta is a linear pencil in lam.
+in lam, which _ce_pieces keeps per block.  Under the trivial action a
+2-cochain is closed iff its insertions are a total derivative, and their
+class k E_k(sum m I) is taken block by block with the higher Euler
+operators (_trivial_class).  Coefficients are rational, so at the symbolic
+module delta is a linear pencil in lam.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from .expr import (
     Monomial,
     _ZERO,
     _expr,
+    _derivative_into,
     _mul_into,
     check_order_cap,
-    euler_derivative,
     jet,
     substitute_jets,
     total_derivative,
@@ -84,7 +85,7 @@ def _module(module_lambda) -> Module:
     return _rat(module_lambda)
 
 
-_F, _G = _RANK["f"], _RANK["g"]
+_F, _G, _K = _RANK["f"], _RANK["g"], _RANK["k"]
 
 # a slot block: (p,) for f^(p) in a 1-cochain, (p, q) for det(p,q) in a 2-cochain
 _Block = Tuple[int, ...]
@@ -103,12 +104,10 @@ def _ce_pieces(block: _Block) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
         B   = sum_i (-1)^i x_i' s(...),                  the part linear in lam,
         alt = sum_i (-1)^i x_i s(...),
 
-    so that delta s = I + A + lam B; built once per block and process.  A
-    monomial holds one jet of each argument (ranks 0, 1[, 2]), so each
-    piece is written term by term, keyed by the argument orders, from the
-    terms of s (x^(p) y^(q) - x^(q) y^(p) for det(p,q)), from
-    D(x^(p) y^(q)) = x^(p+1) y^(q) + x^(p) y^(q+1) and from the bracket's
-    jets D^n [x,y] = sum_a (C(n,a) - C(n,a-1)) x^(a) y^(n+1-a)."""
+    so that delta s = I + A + lam B; built once per block and process, term
+    by term on the argument orders, from the terms of s, from Leibniz for D
+    and from the bracket's jets D^n [x,y] = sum_a (C(n,a) - C(n,a-1))
+    x^(a) y^(n+1-a)."""
     n = len(block) + 1
     terms = [(1, block)] if n == 2 else [(1, block), (-1, block[::-1])]
     pieces = insertions, action, linear, alternating = {}, {}, {}, {}
@@ -280,40 +279,33 @@ def det_cochain(p: int, q: int, cap: int = DEFAULT_ORDER_CAP) -> Cochain2:
     return Cochain2(check_order_cap(det_expr(p, q), cap), p + q - 2, LAM)
 
 
-def ce_parts(coeff: DiffExpr, arity: int,
-             lam: Module) -> Tuple[DiffExpr, DiffExpr, DiffExpr]:
-    """(I, X, Y) of a 1- or 2-cochain coefficient on x_i = f, g[, k]:
+def ce_parts(coeff: DiffExpr, arity: int, lam: Module) -> Tuple[DiffExpr, DiffExpr]:
+    """The pencil (X, Y) of a 1- or 2-cochain coefficient on x_i = f, g[, k]:
 
         delta c = sum_{i<j} (-1)^(i+j) c([x_i,x_j], ...) + sum_i (-1)^i L_{x_i} c(...)
                 = X + lam Y,        L_x a = x a' + lam x' a.
 
-    I is the bracket insertions, the differential under the trivial action
-    (lam None, where X = I and Y = 0).  At the symbolic LAM, X and Y are the
-    parts of the pencil; at a rational lam, X is delta c and Y is zero.  By
-    Leibniz over the terms m s of coeff, backgrounds m times slot blocks s
-    (_slot_blocks), X = m (I + A) + D(m) alt and Y = m B, with the block's
-    pieces from _ce_pieces.  A coeff not linear (arity 1) or antisymmetric
-    bilinear (arity 2) in the slots, or another arity, is a ValueError.
+    At the symbolic LAM, X and Y are the parts of the pencil; at a rational
+    lam, X is delta c and Y is zero; under the trivial action (lam None), X
+    is the bracket insertions and Y is zero.  Per term m s of coeff
+    (_slot_blocks), X = m (I + A) + D(m) alt and Y = m B (_ce_pieces).  A
+    coeff not linear (arity 1) or antisymmetric bilinear (arity 2) in the
+    slots, or another arity, is a ValueError.
     """
     if arity not in (1, 2):
         raise ValueError(f"ce_parts needs a 1- or 2-cochain, got arity {arity!r}")
-    blocks = _slot_blocks(coeff, arity)
-    insertions: Dict[Monomial, Rat] = {}
-    for block, background in blocks.items():
-        _mul_into(insertions, background, _ce_pieces(block)[0]._terms)
-    if lam is None:
-        insertions = _expr(insertions)
-        return insertions, insertions, _ZERO
-    x = dict(insertions)
+    x: Dict[Monomial, Rat] = {}
     symbolic = type(lam) is LamPoly
     y = {} if symbolic else x
-    for block, background in blocks.items():
-        _insertions, action, linear, alternating = _ce_pieces(block)
-        m = _expr(background)
-        _mul_into(x, background, action._terms)
-        _mul_into(y, background if symbolic else m.scale(lam)._terms, linear._terms)
-        _mul_into(x, total_derivative(m)._terms, alternating._terms)
-    return _expr(insertions), _expr(x), _expr(y) if symbolic else _ZERO
+    for block, background in _slot_blocks(coeff, arity).items():
+        insertions, action, linear, alternating = _ce_pieces(block)
+        _mul_into(x, background, insertions._terms)
+        if lam is not None:
+            m = _expr(background)
+            _mul_into(x, background, action._terms)
+            _mul_into(y, background if symbolic else m.scale(lam)._terms, linear._terms)
+            _mul_into(x, total_derivative(m)._terms, alternating._terms)
+    return _expr(x), _expr(y) if symbolic else _ZERO
 
 
 def _ordered(e: DiffExpr, args: int) -> DiffExpr:
@@ -329,22 +321,76 @@ def _ordered(e: DiffExpr, args: int) -> DiffExpr:
                   if mono[0][0][1] < mono[1][0][1] < mono[2][0][1]})
 
 
-def _exact_class(delta: DiffExpr) -> DiffExpr:
-    """delta, linear in k, modulo total derivatives: delta = k E_k(delta) + D(...)."""
-    return jet("k", 0) * euler_derivative(delta, "k")
+@cache
+def _higher_euler(block: _Block, i: int) -> DiffExpr:
+    """k E^(i)_k(I) at f < g, for the insertions I of a 2-cochain block:
+
+        E^(i)_k(I) = sum_{c >= i} C(c,i) (-D)^(c-i) J_c,    J_c = dI/dk^(c).
+
+    I alternates in (f, g, k), so each J_c is a sum of det(a,b), a < b, read
+    from I's terms f^(a) g^(b) k^(c), and the sum is taken in Horner form on
+    those keys by D det(a,b) = det(a+1,b) + det(a,b+1), det(b,b) = 0."""
+    parts: Dict[int, Dict[Tuple[int, int], int]] = {}
+    for (((_f, a), _), ((_g, b), _), ((_k, c), _)), v in _ce_pieces(block)[0]._terms.items():
+        if a < b and c >= i:
+            parts.setdefault(c, {})[a, b] = v
+    table: Dict[Tuple[int, int], int] = {}
+    for c in range(max(parts, default=-1), i - 1, -1):
+        step: Dict[Tuple[int, int], int] = {}
+        for (a, b), v in table.items():
+            if a + 1 < b:
+                step[a + 1, b] = step.get((a + 1, b), 0) - v
+            step[a, b + 1] = step.get((a, b + 1), 0) - v
+        w = math.comb(c, i)
+        for key, v in parts.get(c, {}).items():
+            step[key] = step.get(key, 0) + w * v
+        table = step
+    k0 = ((_K, 0), 1)
+    return _expr({(((_F, a), 1), ((_G, b), 1), k0): v for (a, b), v in table.items() if v})
+
+
+def _class_pieces(block: _Block, m: DiffExpr):
+    """The pairs ((-D)^i(m), _higher_euler(block, i)) for i = 0, 1, ...
+    while (-D)^i(m) is nonzero and i is at most the top k order of the
+    block's insertions I, q + 1 for det(p,q): their products sum to the
+    class k E_k(m I) at f < g, since E_k(m J) = sum_i (-D)^i(m) E^(i)_k(J)
+    for a background m free of f, g and k."""
+    for i in range(block[-1] + 2):
+        yield m, _higher_euler(block, i)
+        terms: Dict[Monomial, Rat] = {}
+        _derivative_into(terms, m._terms, -1)
+        if not terms:
+            return
+        m = _expr(terms)
+
+
+def _trivial_class(coeff: DiffExpr) -> DiffExpr:
+    """The bracket insertions I of a 2-cochain coefficient (one with no k
+    jet) modulo total derivatives, k E_k(I): zero iff I is a total
+    derivative.  Summed over its terms m det(p,q) (_slot_blocks) from
+    _class_pieces at f < g, each term then joined by its mirror
+    -f^(b) g^(a) at f^(a) g^(b)."""
+    out: Dict[Monomial, Rat] = {}
+    for block, background in _slot_blocks(coeff, 2).items():
+        for m, table in _class_pieces(block, _expr(background)):
+            _mul_into(out, m._terms, table._terms)
+    mirror = {(((_F, m[1][0][1]), 1), ((_G, m[0][0][1]), 1)) + m[2:]: -v
+              for m, v in out.items()}
+    return _expr({**out, **mirror})
 
 
 def ce_differential(c: Cochain2) -> DiffExpr:
     """delta c (f,g,k) at c's concrete module, or under the trivial action
-    the bracket insertions modulo total derivatives (_exact_class); zero iff
-    c is a 2-cocycle for its module.  A symbolic module is a ValueError: its
+    the class of the bracket insertions (_trivial_class); zero iff c is a
+    2-cocycle for its module.  A symbolic module is a ValueError: its
     differential is the pencil X + lam Y of ce_parts.
     """
     if c.is_symbolic():
         raise ValueError("ce_differential needs a concrete module parameter or the "
                          "trivial action; a symbolic one gives the pencil of ce_parts")
-    delta = ce_parts(c.coeff, 2, c.module_lambda)[1]
-    return _exact_class(delta) if c.trivial_action else delta
+    if c.trivial_action:
+        return _trivial_class(c.coeff)
+    return ce_parts(c.coeff, 2, c.module_lambda)[0]
 
 
 class LambdaVerdict(Record):
@@ -375,20 +421,18 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
     """The module parameters lam at which delta c vanishes identically, for
     a cochain c with the symbolic module (a ValueError otherwise).
 
-    One ce_parts pass gives the pencil delta c = X + lam Y and the bracket
-    insertions, whose exactness (_exact_class) is the trivial-action
-    verdict.  Each monomial asks x + lam y = 0, so the answer is "all" when
-    X and Y vanish, else the one root -x/y of a monomial with y != 0 if it
-    solves every monomial, else "none".  delta c alternates in (f, g, k),
-    so only its ordered monomials (_ordered) are read.  cap, an int
+    The answer is "all" when both parts of the pencil delta c = X + lam Y
+    (ce_parts) vanish, else the one root -x/y of a monomial with y != 0 if
+    it solves every monomial x + lam y = 0, else "none"; delta c alternates
+    in (f, g, k), so only its ordered monomials (_ordered) are read.  The
+    trivial-action verdict is the vanishing of _trivial_class.  cap, an int
     (anything else, a bool included, is a ValueError), bounds the jet orders
-    of c only (OrderCapExceeded); the variational derivative goes beyond
-    them.
+    of c only (OrderCapExceeded).
     """
     if not c.is_symbolic():
         raise ValueError("lambda_solutions needs a symbolic module parameter")
-    insertions, x, y = ce_parts(check_order_cap(c.coeff, cap), 2, c.module_lambda)
-    trivial_pass = _exact_class(insertions).is_zero()
+    x, y = ce_parts(check_order_cap(c.coeff, cap), 2, c.module_lambda)
+    trivial_pass = _trivial_class(c.coeff).is_zero()
     xs, ys = _ordered(x, 3)._terms, _ordered(y, 3)._terms
     if not ys:
         return LambdaVerdict("none" if xs else "all", (), trivial_pass)
@@ -403,7 +447,7 @@ def coboundary(b: Cochain1) -> Cochain2:
     """delta b (f,g) = L_f b(g) - L_g b(f) - b([f,g]) at b's module (the
     insertions alone under the trivial action); always a cocycle."""
     lam = b.module_lambda
-    return Cochain2(ce_parts(b.coeff, 1, lam)[1], b.value_weight, lam)
+    return Cochain2(ce_parts(b.coeff, 1, lam)[0], b.value_weight, lam)
 
 
 # -- catalogue ----------------------------------------------------------

@@ -16,30 +16,20 @@ localization machinery is needed.
 
 Everything is canonical by construction: monomials are sorted tuples of
 (atom, exponent) with positive exponents, keyed by (family rank, order), and
-terms are keyed by monomial with nonzero coefficients.  The kernel keeps
-that form without re-sorting: a product merges two sorted tuples, and a
-derivative shifts one tuple (atom i loses a power; its successor
-(rank, order+1) can only sit at i+1, where it is bumped or inserted).  The
-hinv*h[1] rule lives in one helper, ``_unit_rule``, which both the merge and
-the general assembler ``_mono_from_pairs`` end with.  Results are wrapped
-by the private ``_expr``, which trusts that form; ``DiffExpr(...)``
-normalizes coefficients and drops zeros.  Substitution (``substitute_jets``,
-which ``substitute`` and the chart pushforward use) folds a one-term value
-straight into the monomial and multiplies the other values in multivariate
-Horner form, so a factor shared by several monomials is multiplied once.
+terms are keyed by monomial with nonzero coefficients.  A product merges
+two sorted tuples and a derivative shifts one (_derivative_into), so the
+form is kept without re-sorting; the hinv*h[1] rule lives in one helper,
+``_unit_rule``.  The private ``_expr`` trusts that form; ``DiffExpr(...)``
+normalizes coefficients and drops zeros.
 
 A coefficient is an exact rational in the ``_rat`` form, and nothing
 else: the module parameter lam is not a coefficient (a cochain's
 differential is linear in it; see cochains.ce_parts).  The kernel's one
 accumulator, ``_mul_into``, adds the product of two term dicts into a third
-in place, summing, normalizing and dropping zeros (a sum adds {(): +-1}
-times the other operand into a copy of the first); its one derivative
-loop, ``_derivative_into``, adds +-D of a term dict into another:
-``total_derivative`` runs it into an empty dict, and each Horner step of
-``euler_derivative`` into a partial.  ``terms()`` is the one public
-reader: each monomial with its coefficient, in monomial order; the kernel
-and the solver's row assembly read the stored dict as it is.  Expressions
-are immutable; every function is pure.
+in place; its one derivative loop, ``_derivative_into``, adds +-D of a term
+dict into another.  ``terms()`` is the one public reader: each monomial
+with its coefficient, in monomial order.  Expressions are immutable; every
+function is pure.
 """
 
 from __future__ import annotations

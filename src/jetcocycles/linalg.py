@@ -59,19 +59,13 @@ def solve_affine(rows: Iterable[Tuple[Row, Rat]], nvars: int) -> Optional[Affine
 
     Every row index must be an int in range(nvars) (ValueError otherwise),
     and every entry and right-hand side an exact rational (TypeError
-    otherwise).  Each row is scaled to its primitive integer form: cleared
+    otherwise).  Each row is scaled to its primitive integer form (cleared
     of denominators, divided by the gcd of its entries, with a positive
-    entry of smallest index.  Rows with the same primitive form are kept
-    once: a zero row with a nonzero right-hand side, or two rows with the
-    same primitive form whose right-hand sides, scaled alike, differ, is
-    inconsistent at once.  The distinct rows are then reduced sparse-first,
-    by (nnz, leading index) and then arrival order, in integer arithmetic:
-    each row, with its right-hand side, is an integer vector, a step is
-    ``p*work - a*pivot`` with gcd(p, a) cancelled, and each result is
-    divided by its content.  The pivot rows are kept fully reduced, so each
-    row is cleared of pivot variables in one pass and a redundant row costs
-    at most one step per entry.  Values become rationals only in the
-    answer.
+    entry of smallest index) and kept once: a zero row with a nonzero
+    right-hand side, or two equal forms whose right-hand sides differ, is
+    inconsistent at once.  The distinct rows are reduced sparse-first in
+    fraction-free integer arithmetic, the pivot rows kept fully reduced;
+    values become rationals only in the answer.
 
     The result is the reduced echelon form, which does not depend on the
     order or the repetition of the rows: the particular solution sets all

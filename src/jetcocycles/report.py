@@ -131,7 +131,7 @@ def _closed_record(name: str, form: str, description: str, ref: str) -> CheckRec
     trivial module, both parts of the pencil X + lam Y at the symbolic one."""
     c = catalogue(name, form)
     if c.is_symbolic():
-        _insertions, residual, lam_part = ce_parts(c.coeff, 2, c.module_lambda)
+        residual, lam_part = ce_parts(c.coeff, 2, c.module_lambda)
     else:
         residual, lam_part = ce_differential(c), DiffExpr.zero()
     return _zero_check(f"theorem1.{name}.{form}", description, c.module_lambda,

@@ -13,12 +13,8 @@ the degree-d component of b solves the windowed system, so infeasibility of
 that exact linear system proves the class nonzero.  Feasibility proves
 nothing (hence INCONCLUSIVE).
 
-Arithmetic is integer work where it can be: a flat cochain is evaluated
-from one compiled table (_compile), one integer product of falling
-factorials per monomial and one division by the common denominator per
-output degree; kn_value reads c0w's table, built once per process.  The
-action, sums and differences build their sorted tuples straight from
-canonical inputs; ``LaurentDensity.of`` is the one validator of outside input.
+A flat cochain is evaluated from one integer table (_compile), and
+``LaurentDensity.of`` is the one validator of outside input.
 """
 
 from __future__ import annotations
@@ -44,10 +40,17 @@ def _sorted_nonzero(out: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
     return tuple(sorted([(s, q) for s, v in out.items() if (q := _rat(v))]))
 
 
+def _index(x) -> int:
+    """x as an int: a bool, a float or another non-integer is a TypeError."""
+    if type(x) is bool:
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(x)
+
+
 def _laurent_coeffs(coeffs: Dict[int, Rat]) -> Tuple[Tuple[int, Rat], ...]:
-    """_sorted_nonzero of outside input: a degree that is not an integer is
-    also a TypeError."""
-    return _sorted_nonzero({operator.index(s): c for s, c in coeffs.items()})
+    """_sorted_nonzero of outside input: a degree that is not an integer (a
+    bool included) is also a TypeError."""
+    return _sorted_nonzero({_index(s): c for s, c in coeffs.items()})
 
 
 class LaurentDensity(Record):
@@ -119,7 +122,7 @@ class WittField(Record):
 
     @staticmethod
     def basis(m: int) -> "WittField":
-        return WittField.of({m + 1: 1})
+        return WittField.of({_index(m) + 1: 1})
 
     @staticmethod
     def of(coeffs: Dict[int, Rat]) -> "WittField":
@@ -180,9 +183,9 @@ def _numerators(table: Table, m: int, n: int) -> Dict[int, int]:
     """Degree -> numerator over D of the table's value at (L_m, L_n), with
     f = z^(m+1), g = z^(n+1): a monomial prod u^(j)^e gives its numerator
     times the falling factorials prod (base)_j^e at degree sum e (base - j).
-    An m or n that is not an integer is a TypeError."""
+    An m or n that is not an integer (a bool included) is a TypeError."""
     _den, top, terms = table
-    bases = (operator.index(m) + 1, operator.index(n) + 1)
+    bases = (_index(m) + 1, _index(n) + 1)
     # falls[rank][j] = base (base-1) ... (base-j+1), what d^j/dz^j brings down
     falls = [list(accumulate(range(b, b - top, -1), operator.mul, initial=1)) for b in bases]
     out: Dict[int, int] = {}
@@ -203,14 +206,10 @@ def _coefficient(table: Table, m: int, n: int, degree: int) -> Rat:
 def evaluate_cochain(c: Union[Cochain2, DiffExpr], m: int, n: int,
                      weight: Optional[Rat] = None) -> LaurentDensity:
     """Value of a flat cochain on (L_m, L_n): f = z^(m+1), g = z^(n+1),
-    differentiated exactly.  The coefficient must be flat, in f and g jets
-    only (a ValueError otherwise); it is compiled once into integers over a
-    common denominator D, so each monomial is one integer product of falling
-    factorials and each output degree one division by D.  The value's weight,
-    which laurent_action acts at, is a given weight, else a Cochain2's
-    concrete module parameter, else its value weight (trivial action or
-    symbolic module).  A non-integer m or n, or a float weight, is a
-    TypeError."""
+    differentiated exactly, at a given weight, else a Cochain2's concrete
+    module parameter, else its value weight (trivial action or symbolic
+    module).  A jet other than f and g is a ValueError; a non-integer m or
+    n (a bool included), or a float weight, is a TypeError."""
     if weight is None and isinstance(c, Cochain2) and not (c.trivial_action or c.is_symbolic()):
         weight = c.module_lambda
     expr, weight = coeff_and_weight(c, weight)
@@ -308,9 +307,7 @@ def nontriviality_certificate(c: Cochain2, window: int = 6) -> CertificateResult
     must be 1-forms (value weight 1, refused first otherwise).  A symbolic
     module is refused, and c must be a cocycle for its module (zero
     ce_differential).  A non-cocycle would make the system infeasible
-    without being non-trivial.  The window must be at least 1.  c is
-    compiled once (see evaluate_cochain) and each row reads one coefficient
-    from it: the residue, or the one of degree m + n + d.
+    without being non-trivial.  The window must be at least 1.
     """
     _require_window(window)
     if c.trivial_action and c.value_weight != 1:

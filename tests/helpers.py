@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from jetcocycles.calculus import bracket, lie_action
 from jetcocycles.charts import _linear_residual
-from jetcocycles.cochains import _exact_class, ce_parts, det_expr
+from jetcocycles.cochains import ce_parts, det_expr
 from jetcocycles.expr import (DiffExpr, FAMILIES, euler_derivative, jet, hinv, substitute,
                               total_derivative)
 from jetcocycles.lampoly import LamPoly, gcd_all, rational_roots
@@ -67,6 +67,14 @@ def is_total_derivative(e: DiffExpr) -> bool:
     if any(mono == () for mono, _ in e.terms()):
         return False
     return all(euler_derivative(e, fam).is_zero() for fam in fams)
+
+
+def exact_class(delta: DiffExpr) -> DiffExpr:
+    """The class of a differential linear in k modulo total derivatives, by
+    its definition: delta = k E_k(delta) + D(...), read as k E_k(delta)
+    with the Euler derivative of the whole of delta.  The oracle of
+    cochains._trivial_class."""
+    return jet("k", 0) * euler_derivative(delta, "k")
 
 
 def random_coeff(rng: random.Random) -> Fraction:
@@ -149,16 +157,16 @@ def swap_fg_reference(e: DiffExpr) -> DiffExpr:
 
 
 def ce_parts_reference(coeff: DiffExpr, arity: int, lam):
-    """(I, X, Y) as cochains.ce_parts defines them, by the definitional
-    path: each value c(...) binds the slot families f, g to the arguments'
+    """(X, Y) as cochains.ce_parts defines them, by the definitional path:
+    each value c(...) binds the slot families f, g to the arguments'
     order-0 expressions and prolongs them through substitute, with the
     bracket and the action from calculus.  At the symbolic LAM the pencil
     X + lam Y is read from delta at lam = 0 and lam = 1; otherwise Y is
-    zero and X is delta (I under the trivial action, lam None)."""
+    zero and X is delta (the bracket insertions under the trivial action,
+    lam None)."""
     if lam == LAM:
-        insertions, at_zero, _ = ce_parts_reference(coeff, arity, 0)
-        at_one = ce_parts_reference(coeff, arity, 1)[1]
-        return insertions, at_zero, at_one - at_zero
+        at_zero = ce_parts_reference(coeff, arity, 0)[0]
+        return at_zero, ce_parts_reference(coeff, arity, 1)[0] - at_zero
     fams = "fgk"[:arity + 1]
 
     def value(*args):
@@ -167,17 +175,15 @@ def ce_parts_reference(coeff: DiffExpr, arity: int, lam):
                     if isinstance(arg, DiffExpr) or arg != slot}
         return substitute(coeff, bindings) if bindings else coeff
 
-    insertions = DiffExpr.zero()
+    delta = DiffExpr.zero()
     for (i, x), (j, y) in itertools.combinations(enumerate(fams), 2):
         term = value(bracket(jet(x, 0), jet(y, 0)), *fams.replace(x, "").replace(y, ""))
-        insertions = insertions - term if (i + j) % 2 else insertions + term
-    if lam is None:
-        return insertions, insertions, DiffExpr.zero()
-    delta = insertions
-    for i, x in enumerate(fams):
-        term = lie_action(jet(x, 0), value(*fams.replace(x, "")), lam)
-        delta = delta - term if i % 2 else delta + term
-    return insertions, delta, DiffExpr.zero()
+        delta = delta - term if (i + j) % 2 else delta + term
+    if lam is not None:
+        for i, x in enumerate(fams):
+            term = lie_action(jet(x, 0), value(*fams.replace(x, "")), lam)
+            delta = delta - term if i % 2 else delta + term
+    return delta, DiffExpr.zero()
 
 
 def lambda_solutions_reference(c):
@@ -186,11 +192,11 @@ def lambda_solutions_reference(c):
     LamPoly x + y lam per ordered monomial (ordered_partner), and the
     rational roots of their gcd over Q[lam]; the trivial-action verdict is
     the exactness of the insertions (is_total_derivative)."""
-    insertions, x, y = ce_parts_reference(c.coeff, 2, LAM)
+    x, y = ce_parts_reference(c.coeff, 2, LAM)
     xs, ys = dict(x.terms()), dict(y.terms())
     polys = [LamPoly((xs.get(m, 0), ys.get(m, 0))) for m in xs.keys() | ys.keys()
              if ordered_partner(m, 3) == (1, m)]
-    trivial = is_total_derivative(insertions)
+    trivial = is_total_derivative(ce_parts_reference(c.coeff, 2, None)[0])
     gcd = gcd_all(polys)
     if gcd.is_zero():
         return "all", (), trivial
@@ -202,11 +208,11 @@ def solver_rows_reference(result) -> dict:
     """The constraint rows of a solve (a CorrectionResult), assembled the
     expression way: the symbol and each ansatz term m det(p,q) give one
     globality expression, m L(c) + c L(m) for a term, and one cocycle
-    expression, m delta c + D(m) alt for a term (its class modulo total
-    derivatives, without D(m) alt, under the trivial action).  Each is built
-    whole, at every monomial, as a DiffExpr, products and sum, with delta c
-    from ce_parts and alt = f c(g,k) - g c(f,k) + k c(f,g) written out, and
-    read in sorted terms() order.  Rows are keyed by (space, monomial) with
+    expression, m delta c + D(m) alt for a term (under the trivial action
+    the class of m times the insertions by the oracle exact_class, with no
+    D(m) alt).  Each is built whole, at every monomial, as a DiffExpr,
+    products and sum, with delta c from ce_parts and alt = f c(g,k) -
+    g c(f,k) + k c(f,g) written out, and read in sorted terms() order.  Rows are keyed by (space, monomial) with
     the value [entries, rhs]."""
     trivial = result.trivial_action
     rows: dict = {}
@@ -220,14 +226,14 @@ def solver_rows_reference(result) -> dict:
                 row[0][index] = row[0].get(index, 0) + c
 
     def add_cocycle(delta, index):
-        add(_exact_class(delta) if trivial else delta, 1, index)
+        add(exact_class(delta) if trivial else delta, 1, index)
 
     add(_linear_residual(result.symbol, result.weight), 0, None)
-    add_cocycle(ce_parts(result.symbol, 2, result.module_lambda)[1], None)
+    add_cocycle(ce_parts(result.symbol, 2, result.module_lambda)[0], None)
     for i, term in enumerate(result.ansatz):
         p, q = term.p, term.q
         c = det_expr(p, q)
-        delta_c = ce_parts(c, 2, result.module_lambda)[1]
+        delta_c = ce_parts(c, 2, result.module_lambda)[0]
         alternating = sum((sign * jet(x, 0) * (jet(y, p) * jet(z, q) - jet(y, q) * jet(z, p))
                            for sign, x, y, z in ((1, "f", "g", "k"), (-1, "g", "f", "k"),
                                                  (1, "k", "f", "g"))), DiffExpr.zero())

@@ -148,7 +148,7 @@ def test_criterion_2_flat_cocycles():
             parts = (ce_differential(c),)
         else:
             # the symbolic module: both parts of the pencil X + lam Y vanish
-            parts = ce_parts(c.coeff, 2, c.module_lambda)[1:]
+            parts = ce_parts(c.coeff, 2, c.module_lambda)
         deltas.append((name, c, lam))
         assert all(part.is_zero() for part in parts), name
 

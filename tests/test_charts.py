@@ -456,7 +456,7 @@ def _finite_law_solution(result):
     rows: dict = {}
     for index, e in [(None, result.symbol)] + list(enumerate(t.expr for t in result.ansatz)):
         _add_rows(frame.pushforward(e) - hinv_power(result.weight) * e, 0, index, rows)
-        delta = ce_parts(e, 2, result.module_lambda)[1]
+        delta = ce_parts(e, 2, result.module_lambda)[0]
         if result.trivial_action:
             for i, fam in enumerate(("f", "g", "k", "T", "R", "w")):
                 _add_rows(euler_derivative(delta, fam), 10 + i, index, rows)

@@ -18,9 +18,11 @@ from jetcocycles.cochains import (
     Cochain2,
     LambdaVerdict,
     _ce_pieces,
+    _class_pieces,
+    _higher_euler,
     _slot_blocks,
-    _exact_class,
     _ordered,
+    _trivial_class,
     catalogue,
     ce_differential,
     ce_parts,
@@ -39,8 +41,8 @@ from jetcocycles.expr import (DiffExpr, OrderCapExceeded, check_order_cap, euler
 from jetcocycles.lampoly import LamPoly, gcd_all, rational_roots
 from jetcocycles.syntax import parse_expr
 
-from helpers import (LAM, ce_parts_reference, is_total_derivative, lambda_solutions_reference,
-                     random_coeff, random_expr, swap_fg_reference)
+from helpers import (LAM, ce_parts_reference, exact_class, is_total_derivative,
+                     lambda_solutions_reference, random_coeff, random_expr, swap_fg_reference)
 
 
 def test_det_cochain_basics():
@@ -153,9 +155,9 @@ def test_ce_differential_table_rows():
     """At the symbolic module the differential is the pencil X + lam Y of
     ce_parts, which ce_differential refuses; at a concrete module it is
     the pencil's value there."""
-    _insertions, x, y = ce_parts(det_expr(0, 1), 2, LAM)
+    x, y = ce_parts(det_expr(0, 1), 2, LAM)
     assert x.is_zero() and y.is_zero()
-    _insertions, x, y = ce_parts(det_expr(0, 2), 2, LAM)
+    x, y = ce_parts(det_expr(0, 2), 2, LAM)
     assert not y.is_zero() and (x + y).is_zero() and not (x + 2 * y).is_zero()
     assert ce_differential(det_cochain(0, 2).at_lambda(1)).is_zero()
     assert ce_differential(det_cochain(0, 2).at_lambda(2)) == x + 2 * y
@@ -410,14 +412,15 @@ def test_ce_parts_split_insertions_from_the_action():
     a total derivative."""
     for p, q in ((0, 2), (2, 3), (1, 4), (2, 5)):
         c = det_cochain(p, q)
-        insertions, x, y = ce_parts(c.coeff, 2, c.module_lambda)
+        x, y = ce_parts(c.coeff, 2, c.module_lambda)
+        insertions, zero = ce_parts(c.coeff, 2, None)
+        assert zero.is_zero()
         trivial = ce_differential(Cochain2(c.coeff, c.value_weight, None))
         assert trivial == jet("k", 0) * euler_derivative(insertions, "k")
         assert trivial.is_zero() == is_total_derivative(insertions)
-        assert ce_parts(c.coeff, 2, None) == (insertions, insertions, DiffExpr.zero())
         for lam in (0, 3, Fraction(-1, 2)):
             assert ce_differential(c.at_lambda(lam)) == x + y.scale(lam)
-            assert ce_parts(c.coeff, 2, lam) == (insertions, x + y.scale(lam), DiffExpr.zero())
+            assert ce_parts(c.coeff, 2, lam) == (x + y.scale(lam), DiffExpr.zero())
 
 
 def _background_jet(rng, families):
@@ -514,10 +517,10 @@ def test_the_pieces_are_the_definitional_ones_for_every_small_block():
     blocks += [((p, q), det_expr(p, q), 2) for q in range(1, 17) for p in range(q)]
     for block, coeff, arity in blocks:
         insertions, action, linear, alternating = _ce_pieces(block)
-        at_zero = ce_parts_reference(coeff, arity, 0)[1]
+        at_zero = ce_parts_reference(coeff, arity, 0)[0]
         assert insertions == ce_parts_reference(coeff, arity, None)[0], block
         assert action == at_zero - insertions, block
-        assert linear == ce_parts_reference(coeff, arity, 1)[1] - at_zero, block
+        assert linear == ce_parts_reference(coeff, arity, 1)[0] - at_zero, block
         assert total_derivative(alternating) == action + linear, block
         assert () not in alternating._terms
 
@@ -574,9 +577,11 @@ def test_the_piece_table_is_keyed_per_determinant_and_immutable():
         c, linear, delta_c, alternating = _det_pieces(2, 5, module)
         assert c == jet("f", 2) * jet("g", 5)
         assert linear == _ordered(_linear_residual(det_expr(2, 5), 5), 2)
-        delta = ce_parts(det_expr(2, 5), 2, module)[1]
-        assert delta_c == (delta if module is None else _ordered(delta, 3))
-        assert alternating == _ordered(_ce_pieces((2, 5))[3], 3)
+        if module is None:
+            assert delta_c is None and alternating is None
+        else:
+            assert delta_c == _ordered(ce_parts(det_expr(2, 5), 2, module)[0], 3)
+            assert alternating == _ordered(_ce_pieces((2, 5))[3], 3)
     coboundary(Cochain1(jet("f", 3), 2, 2))
     assert _ce_pieces.cache_info().currsize == 79
     _ce_pieces((3,))
@@ -607,17 +612,82 @@ def _random_trilinear(rng):
 
 
 def test_the_exact_class_agrees_with_the_exactness_test():
-    """_exact_class(e) vanishes iff e is a total derivative: on the
-    trivial-action insertions of every det(p,q) with q <= 9, and on seeded
-    random trilinear expressions, half of them exact by construction."""
-    exprs = [ce_parts(det_expr(p, q), 2, None)[0] for q in range(1, 10) for p in range(q)]
+    """The oracle helpers.exact_class(e) vanishes iff e is a total
+    derivative on seeded random trilinear expressions, half of them exact
+    by construction (they are no cochains' insertions); and _trivial_class
+    vanishes iff the trivial-action insertions are a total derivative, on
+    every det(p,q) with q <= 9."""
+    exprs = []
     rng = random.Random(1801)
     for _ in range(40):
         e = total_derivative(_random_trilinear(rng))
         exprs.append(e + _random_trilinear(rng) if rng.random() < 0.5 else e)
     verdicts = [is_total_derivative(e) for e in exprs]
     assert True in verdicts and False in verdicts
-    assert [_exact_class(e).is_zero() for e in exprs] == verdicts
+    assert [exact_class(e).is_zero() for e in exprs] == verdicts
+    dets = [det_expr(p, q) for q in range(1, 10) for p in range(q)]
+    verdicts = [is_total_derivative(ce_parts(d, 2, None)[0]) for d in dets]
+    assert True in verdicts and False in verdicts
+    assert [_trivial_class(d).is_zero() for d in dets] == verdicts
+
+
+_CLASS_BACKGROUNDS = (DiffExpr.one(), jet("T", 0), jet("R", 0), jet("T", 1) * jet("R", 0),
+                      jet("T", 0) ** 2, jet("w", 2), hinv() * jet("T", 0))
+
+
+def _seeded_class_coefficients(count, seed=34):
+    """Seeded 2-cochain coefficients: sums of up to three det(p,q), q <= 7,
+    each times a nonzero integer and a background from _CLASS_BACKGROUNDS."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        coeff = DiffExpr.zero()
+        for _ in range(rng.randint(1, 3)):
+            q = rng.randint(1, 7)
+            scale = rng.choice((-3, -2, -1, 1, 2, 3))
+            coeff = coeff + rng.choice(_CLASS_BACKGROUNDS) * det_expr(rng.randrange(q), q) * scale
+        if not coeff.is_zero():
+            out.append(coeff)
+    return out
+
+
+def test_the_block_class_is_the_euler_derivative_of_the_insertions():
+    """_trivial_class(coeff), taken block by block with the higher Euler
+    operators, is k E_k(I) for the trivial-action insertions I (the oracle
+    helpers.exact_class) as an expression: on all 78 det(p,q) with q <= 12
+    at cap 24, and on 160 seeded cochains with backgrounds, constant and
+    not, where the terms i >= 1 of nonconstant backgrounds are needed."""
+    cases = [det_cochain(p, q, 24).coeff for q in range(1, 13) for p in range(q)]
+    cases += _seeded_class_coefficients(160)
+    nonzero = 0
+    for coeff in cases:
+        want = exact_class(ce_parts(coeff, 2, None)[0])
+        assert _trivial_class(coeff) == want, coeff
+        nonzero += not want.is_zero()
+    assert nonzero > 100
+    assert any(len(list(_class_pieces((p, q), m))) > 1
+               for p, q in ((0, 3), (2, 5)) for m in _CLASS_BACKGROUNDS)
+
+
+def test_the_higher_euler_tables_are_kept_per_block_and_order():
+    """A lambda sweep over all det(p,q), q <= 12, with constant backgrounds,
+    reads each block's table at i = 0 only, 78 entries; a nonconstant
+    background adds the orders it reaches, and the cache is empty at
+    import."""
+    _higher_euler.cache_clear()
+    for q in range(1, 13):
+        for p in range(q):
+            lambda_solutions(det_cochain(p, q, 24), 24)
+    assert _higher_euler.cache_info().currsize == 78
+    misses = _higher_euler.cache_info().misses
+    for q in range(1, 13):
+        for p in range(q):
+            assert _higher_euler((p, q), 0) is _higher_euler((p, q), 0)
+    assert _higher_euler.cache_info().misses == misses
+    # T det(2,5): D(T) = T', D^2(T) = T'', ..., up to the top k order 6
+    ce_differential(Cochain2(jet("T", 0) * det_expr(2, 5), 4, None))
+    assert _higher_euler.cache_info().currsize == 78 + 6
+    _assert_empty_in_a_fresh_interpreter("_higher_euler")
 
 
 _VERDICTS = {(row["p"], row["q"]): row for row in json.loads(
@@ -642,19 +712,20 @@ def test_lambda_verdicts_match_pinned_rows():
 
 @pytest.mark.parametrize("p, q", [(5, 7), (4, 8), (6, 8)])
 def test_lambda_verdicts_that_cancel_below_the_default_cap(p, q):
-    # the exactness test never differentiates the terms that cancel, so
-    # these stay within order 12 (unlike the three below)
+    # the trivial-action class of these vanishes, so it carries no jet past
+    # the default cap 12 (unlike the three below)
     assert _verdict_row(p, q, lambda_solutions(det_cochain(p, q))) == _VERDICTS[p, q]
     assert _VERDICTS[p, q]["kind"] == "none" and _VERDICTS[p, q]["trivial_action_pass"]
 
 
 @pytest.mark.parametrize("p, q", [(6, 7), (5, 8), (7, 8)])
 def test_lambda_verdicts_that_reach_jets_past_the_default_cap(p, q):
-    # the variational derivatives of these go past order 12; the cap bounds
+    # the trivial-action classes of these reach order 13-15; the cap bounds
     # only the input's orders, so they finish at the default with their
     # pinned rows, and a cap below q refuses the input
     c = det_cochain(p, q)
     assert _verdict_row(p, q, lambda_solutions(c)) == _VERDICTS[p, q]
+    assert 13 <= max(_trivial_class(c.coeff).max_order(fam) for fam in "fg") <= 15
     with pytest.raises(OrderCapExceeded, match=f"jet order {q} exceeds cap {q - 1}"):
         lambda_solutions(c, q - 1)
 
@@ -663,8 +734,8 @@ def _lambda_verdict_from_every_coefficient(c):
     """lambda_solutions by its definition: the common rational roots of
     every coefficient x + lam y of the pencil delta c = X + lam Y, read in
     sorted order."""
-    insertions, x, y = ce_parts(c.coeff, 2, c.module_lambda)
-    trivial_pass = _exact_class(insertions).is_zero()
+    x, y = ce_parts(c.coeff, 2, c.module_lambda)
+    trivial_pass = exact_class(ce_parts(c.coeff, 2, None)[0]).is_zero()
     xs, ys = dict(x.terms()), dict(y.terms())
     gcd = gcd_all(LamPoly((xs.get(m, 0), ys.get(m, 0))) for m in sorted(xs.keys() | ys.keys()))
     if gcd.is_zero():

@@ -184,9 +184,9 @@ def test_a_coefficient_is_a_lam_poly_only_where_lam_occurs():
         coeff = det_expr(rng.randrange(3), rng.randrange(3, 6)).scale(random_coeff(rng) or 1)
         for lam in (None, LAM, LamPoly.const(3), Fraction(1, 2)):
             results += ce_parts(coeff, 2, lam)
-        _i, x, y = ce_parts(coeff, 2, LAM)
+        x, y = ce_parts(coeff, 2, LAM)
         r = Fraction(rng.randint(-3, 3), 2)
-        assert x + y.scale(r) == ce_parts(coeff, 2, r)[1]
+        assert x + y.scale(r) == ce_parts(coeff, 2, r)[0]
         assert Cochain2(coeff, 2).is_symbolic() and Cochain2(coeff, 2).module_lambda == LAM
         for e in results:
             assert _stored_ok(e), e

@@ -244,6 +244,23 @@ def test_laurent_degrees_must_be_integers():
             make()
 
 
+@pytest.mark.parametrize("entry", [
+    lambda: kn_value(True, -1),
+    lambda: kn_value(1, False),
+    lambda: evaluate_cochain(catalogue("c5", "flat"), True, 2),
+    lambda: WittField.basis(True),
+    lambda: LaurentDensity.of({True: 1}, 0),
+    lambda: LaurentDensity.monomial(False, 0),
+], ids=["kn_value-m", "kn_value-n", "evaluate_cochain", "basis", "of", "monomial"])
+def test_a_bool_is_no_laurent_index(entry):
+    """A bool degree, m or n gets the TypeError a float gets, at each entry
+    point of the Laurent layer."""
+    with pytest.raises(TypeError, match="'bool' object cannot be interpreted as an integer"):
+        entry()
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        kn_value(1.0, -1)
+
+
 def test_certificate_rejects_non_cocycles():
     from jetcocycles.cochains import Cochain2, det_expr
 
