@@ -73,10 +73,8 @@ _WEIGHTS = {"f": -1, "g": -1, "k": -1, "T": 1, "R": 2, "w": 1}
 _AFFINE = {"T": eta, "R": schwarzian}
 
 
-# the highest jet order the frame binds.  A binding is the derivative of
-# the one below it and grows fast: built cold, order 12 takes about 0.01 s
-# per family and order 24 (twice DEFAULT_ORDER_CAP, the default bound on an
-# input's orders) 0.3-0.5 s (f, T, R; 2-core Xeon, Python 3.11)
+# the highest jet order the frame binds: twice DEFAULT_ORDER_CAP, the
+# default bound on an input's orders
 BINDING_ORDER_BOUND = 24
 
 

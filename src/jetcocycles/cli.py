@@ -37,7 +37,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def _window(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"the window must be an integer, got {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"the window must be at least 1, got {n}")
     return n

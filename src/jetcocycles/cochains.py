@@ -104,10 +104,9 @@ def _ce_pieces(block: _Block) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
         B   = sum_i (-1)^i x_i' s(...),                  the part linear in lam,
         alt = sum_i (-1)^i x_i s(...),
 
-    so that delta s = I + A + lam B; built once per block and process, term
-    by term on the argument orders, from the terms of s, from Leibniz for D
-    and from the bracket's jets D^n [x,y] = sum_a (C(n,a) - C(n,a-1))
-    x^(a) y^(n+1-a)."""
+    so that delta s = I + A + lam B, read term by term from the terms of s,
+    with the bracket's jets D^n [x,y] = sum_a (C(n,a) - C(n,a-1)) x^(a)
+    y^(n+1-a)."""
     n = len(block) + 1
     terms = [(1, block)] if n == 2 else [(1, block), (-1, block[::-1])]
     pieces = insertions, action, linear, alternating = {}, {}, {}, {}
@@ -143,9 +142,12 @@ def _ce_pieces(block: _Block) -> Tuple[DiffExpr, DiffExpr, DiffExpr, DiffExpr]:
             orders[i] = 1
             add(linear, c, orders)
     # one (atom, exponent) pair per argument jet, shared by the monomials
-    jets = [[((r, o), 1) for o in range(max(block) + 2)] for r in range(n)]
-    return tuple(_expr({tuple(row[o] for row, o in zip(jets, key)): c
-                        for key, c in piece.items() if c}) for piece in pieces)
+    j0, j1, j2 = [[((r, o), 1) for o in range(max(block) + 2)] for r in range(3)]
+    if n == 2:
+        return tuple(_expr({(j0[a], j1[b]): v for (a, b), v in piece.items() if v})
+                     for piece in pieces)
+    return tuple(_expr({(j0[a], j1[b], j2[c]): v for (a, b, c), v in piece.items() if v})
+                 for piece in pieces)
 
 
 def _slot_blocks(coeff: DiffExpr, arity: int) -> Dict[_Block, Dict[Monomial, Rat]]:

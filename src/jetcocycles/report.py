@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
 from typing import Dict, List, Optional, Sequence
 
 from ._record import Record
@@ -299,12 +298,13 @@ def _module_axiom_failure(lam: int) -> str:
     """The first (m, n), in loop order, where the module axiom fails at
     weight lam, named; "" when it holds on the whole window."""
     a = LaurentDensity.of({-2: Fraction(1, 2), 0: 3, 3: Fraction(-2, 7)}, lam)
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            x, y = WittField.basis(m), WittField.basis(n)
-            lhs = laurent_action(x, laurent_action(y, a)) - laurent_action(
-                y, laurent_action(x, a))
-            if lhs != laurent_action(x.bracket(y), a):
+    rng = range(-3, 4)
+    x = {n: WittField.basis(n) for n in rng}
+    once = {n: laurent_action(x[n], a) for n in rng}
+    twice = {(m, n): laurent_action(x[m], once[n]) for m in rng for n in rng}
+    for m in rng:
+        for n in rng:
+            if twice[m, n] - twice[n, m] != laurent_action(x[m].bracket(x[n]), a):
                 return f"module axiom fails at L_{m}, L_{n}, weight {lam}"
     return ""
 
@@ -321,17 +321,12 @@ def _kn_cocycle_failure(window: int) -> str:
     """The first (m, n, p), in loop order, where the residue-paired values
     break the cocycle identity, named; "" when none does."""
     rng = range(-window, window + 1)
-    # 3 (2 window + 1)^3 lookups of far fewer distinct (m, n)
-    kn = cache(kn_value)
+    # the identity reads kn at |a| <= 2 window, |b| <= window, each once
+    kn = {(a, b): kn_value(a, b) for a in range(-2 * window, 2 * window + 1) for b in rng}
     for m in rng:
         for n in rng:
             for p in rng:
-                total = (
-                    -(n - m) * kn(m + n, p)
-                    + (p - m) * kn(m + p, n)
-                    - (p - n) * kn(n + p, m)
-                )
-                if total != 0:
+                if (p - m) * kn[m + p, n] != (n - m) * kn[m + n, p] + (p - n) * kn[n + p, m]:
                     return f"cocycle identity fails at ({m},{n},{p})"
     return ""
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,17 @@ def test_cli_rejects_windows_below_one(window, capsys):
         main(["verify", "--suite", "witt", "--window", window])
     assert exc.value.code == 2
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["x", "1.5", ""])
+def test_cli_names_the_window_option_for_a_non_integer(window, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "witt", "--window", window])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --window: the window must be an integer, got {window!r}" in captured.err
+    assert "_window" not in captured.err
 
 
 @pytest.mark.parametrize("suite", ["witt", "nontrivial"])
@@ -336,3 +348,60 @@ def test_the_module_axiom_records_name_the_first_failing_pair(monkeypatch):
     assert [r.residual for r in records] == [
         f"module axiom fails at L_-3, L_1, weight {lam}" for lam in (0, 1, 2, 5)]
     assert all(r.status == "FAIL" for r in records)
+
+
+def test_an_action_wrong_only_on_the_second_application_fails_every_module_axiom(monkeypatch):
+    """An action that doubles L_-3 on every density but the base one is
+    right on the first application and wrong on the second; every record
+    fails at (L_-3, L_-2), the first pair whose two sides it changes
+    ((L_-3, L_-3) has both sides zero)."""
+    from jetcocycles import report
+    from jetcocycles.wittmodel import LaurentDensity, WittField
+
+    true_action = report.laurent_action
+    bases = {LaurentDensity.of({-2: Fraction(1, 2), 0: 3, 3: Fraction(-2, 7)}, lam)
+             for lam in (0, 1, 2, 5)}
+    l_3 = WittField.basis(-3)
+    seen = []
+
+    def faulty(fld, a):
+        seen.append(a in bases)
+        out = true_action(fld, a)
+        return out if a in bases or fld != l_3 else out.scale(2)
+
+    monkeypatch.setattr(report, "laurent_action", faulty)
+    records = report._module_axiom_records()
+    assert True in seen and False in seen
+    assert [r.residual for r in records] == [
+        f"module axiom fails at L_-3, L_-2, weight {lam}" for lam in (0, 1, 2, 5)]
+    assert all(r.status == "FAIL" for r in records)
+
+
+@pytest.mark.parametrize("lam", [0, 1, 2, 5])
+def test_the_module_axiom_computes_each_action_once(lam, monkeypatch):
+    """Per weight: L_n a for the 7 n, L_m L_n a for the 49 pairs and the
+    49 right sides L_[m,n] a; computing each side afresh takes 245."""
+    from jetcocycles import report
+
+    true_action = report.laurent_action
+    calls = []
+    monkeypatch.setattr(report, "laurent_action",
+                        lambda fld, a: calls.append(fld) or true_action(fld, a))
+    assert report._module_axiom_failure(lam) == ""
+    assert len(calls) <= 7 + 49 + 49
+
+
+@pytest.mark.parametrize("window", [3, 8])
+def test_the_kn_cocycle_reads_each_value_once(window, monkeypatch):
+    """The identity reads kn at |a| <= 2 window and |b| <= window, and each
+    of those (4 window + 1)(2 window + 1) values exactly once."""
+    from jetcocycles import report
+
+    true_value = report.kn_value
+    calls = []
+    monkeypatch.setattr(report, "kn_value",
+                        lambda m, n: calls.append((m, n)) or true_value(m, n))
+    assert report._kn_cocycle_failure(window) == ""
+    assert len(calls) == len(set(calls)) == (4 * window + 1) * (2 * window + 1)
+    assert set(calls) == {(a, b) for a in range(-2 * window, 2 * window + 1)
+                          for b in range(-window, window + 1)}
