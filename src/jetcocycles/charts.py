@@ -31,8 +31,7 @@ infinitesimal characterization).  The finite residual is polynomial in the
 jets of h and in 1/h', so vanishing for h' > 0 it vanishes for h' < 0 too.
 
 The pure pieces (_binding, _jet_variation, _connection_monomials,
-_det_pieces) and each generator's solve (derive) are kept per process by
-functools.cache on small keys; _linear_residual is not kept.
+_det_pieces) and derive are kept per process by functools.cache.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
 from .calculus import eta, projective_from_affine, schwarzian
-from .cochains import (LAM, Cochain2, Module, _ce_pieces, _class_pieces, _derivative_counts,
-                       _module, _ordered, _trivial_class, catalogue, ce_parts,
-                       coeff_and_weight, det_expr)
+from .cochains import (LAM, _F, _G, Cochain2, Module, _alternated, _class_pieces,
+                       _derivative_counts, _module, _ordered, _ordered_differential,
+                       _ordered_class, _ordered_pieces, catalogue, coeff_and_weight, det_expr)
 from .expr import (
     DEFAULT_ORDER_CAP,
     _RANK,
@@ -158,13 +157,20 @@ def is_global(
 ) -> GlobalityResult:
     """Check pushforward(e) == (h')^(-weight) * e; FAIL keeps the residual.
 
-    The weight of a Cochain2 defaults to its value weight; a bare
-    expression needs one.  The weight must be an integer, not a bool; the
-    pushforward bounds the jet orders of the expression (BINDING_ORDER_BOUND).
+    The weight (an integer, not a bool) defaults to a Cochain2's value
+    weight; a bare expression needs one.  A Cochain2 alternates in f and g,
+    which share one law: only its terms f^(a) g^(b), a > b, are pushed
+    forward (BINDING_ORDER_BOUND bounds the orders), then _alternated.
     """
     expr, weight = coeff_and_weight(target, weight)
     weight = _integer_weight(weight)
+    cochain = isinstance(target, Cochain2)
+    if cochain:
+        expr = _expr({mono: c for mono, c in expr._terms.items()
+                      if mono[0][0][1] > mono[1][0][1]})
     residual = ChartFrame().pushforward(expr) - hinv_power(weight) * expr
+    if cochain:
+        residual = _alternated(residual._terms, 2)
     return GlobalityResult(residual.is_zero(), weight, residual)
 
 
@@ -259,14 +265,18 @@ class CorrectionResult(Record):
         return self.member((0,) * self.dimension) if self.feasible else None
 
     def _combination(self, coords: Row) -> DiffExpr:
-        out = DiffExpr.zero()
+        """sum_i coords[i] ansatz[i].expr, built at f < g and _alternated."""
+        out: Dict = {}
         for i, v in coords.items():
-            out = out + self.ansatz[i].expr.scale(v)
-        return out
+            if v:
+                term = self.ansatz[i]
+                _mul_into(out, {(((_F, term.p), 1), ((_G, term.q), 1)): v}, term.m._terms)
+        return _alternated(out, 2)
 
     def member(self, gauge: Sequence[Rat]) -> Cochain2:
         """The solution point at the given gauge coordinates, one per
-        nullspace direction (ValueError otherwise), as a cochain."""
+        nullspace direction (ValueError otherwise), as a cochain; the ansatz
+        part is built at f < g and completed (_combination)."""
         if not self.feasible:
             raise ValueError("empty solution set")
         coeff = self.symbol + self._combination(self.solution.point(gauge))
@@ -313,21 +323,11 @@ def _linear_residual(e: DiffExpr, weight: int) -> DiffExpr:
 
 
 @cache
-def _det_pieces(p: int, q: int, module_lambda: Optional[Rat]) -> Tuple[
-        DiffExpr, DiffExpr, Optional[DiffExpr], Optional[DiffExpr]]:
-    """(c, L(c), delta c at the module, f c(g,k) - g c(f,k) + k c(f,g)) for
-    c = det(p,q), each at its ordered monomials only (cochains._ordered):
-    c as its term f^(p) g^(q), L(c) = _linear_residual(c, p+q-2) at f < g,
-    and delta c = I + A + lam B (cochains._ce_pieces) and the alternating
-    sum at f < g < k.  Under the trivial action, whose rows come from
-    cochains._class_pieces, the last two are None."""
-    c = jet("f", p) * jet("g", q)
-    linear = _ordered(_linear_residual(det_expr(p, q), p + q - 2), 2)
-    if module_lambda is None:
-        return c, linear, None, None
-    insertions, action, lam_part, alternating = _ce_pieces((p, q))
-    return (c, linear, _ordered(insertions + action + lam_part.scale(module_lambda), 3),
-            _ordered(alternating, 3))
+def _det_pieces(p: int, q: int) -> Tuple[DiffExpr, DiffExpr]:
+    """(c, L(c)) for c = det(p,q) at its ordered monomials (cochains._ordered):
+    the term f^(p) g^(q) and _linear_residual(c, p+q-2) at f < g."""
+    return (jet("f", p) * jet("g", q),
+            _ordered(_linear_residual(det_expr(p, q), p + q - 2), 2))
 
 
 def _product_rows(a: DiffExpr, b: DiffExpr, space: int, index: Optional[int], rows: Dict):
@@ -442,18 +442,19 @@ def solve_corrections(
     one = DiffExpr.one()
     _product_rows(_ordered(_linear_residual(expr, weight), 2), one, 0, None, rows)
     if trivial:
-        _product_rows(_ordered(_trivial_class(expr), 2), one, 1, None, rows)
+        _product_rows(_ordered_class(expr), one, 1, None, rows)
     else:
-        _product_rows(_ordered(ce_parts(expr, 2, module_lambda)[0], 3), one, 1, None, rows)
+        _product_rows(_ordered_differential(expr, module_lambda), one, 1, None, rows)
     for i, (term, (lm, dm)) in enumerate(zip(ansatz, monomial_pieces)):
         m = term.m
-        c, lc, delta_c, alternating = _det_pieces(term.p, term.q, module_lambda)
+        c, lc = _det_pieces(term.p, term.q)
         _product_rows(m, lc, 0, i, rows)
         _product_rows(c, lm, 0, i, rows)
         if trivial:
             for dm_i, table in _class_pieces((term.p, term.q), m):
                 _product_rows(dm_i, table, 1, i, rows)
         else:
+            delta_c, alternating = _ordered_pieces((term.p, term.q), module_lambda)
             _product_rows(m, delta_c, 1, i, rows)
             _product_rows(dm, alternating, 1, i, rows)
 
@@ -476,8 +477,7 @@ def _canonical_point(solution: AffineSolution) -> Row:
     two on one hyperplane fix no vertex, so the candidates are those of
     every d-subset of coordinates (det(2,3) at weight 3: 16 coordinates on
     10 hyperplanes, 120 sub-solves instead of 560).  Otherwise it is the
-    echelon particular solution with the free variables set to zero; this
-    applies to c5 (dimension 8) and c7 (dimension 17).
+    echelon particular solution with the free variables set to zero.
     """
     d = solution.dimension
     if d == 0:

@@ -155,10 +155,9 @@ def _slot_blocks(coeff: DiffExpr, arity: int) -> Dict[_Block, Dict[Monomial, Rat
     the atoms of a monomial other than its slot ones (f, and g for arity 2).
     A 1-cochain must be linear in f, a 2-cochain bilinear in f and g and
     antisymmetric under f <-> g (a ValueError otherwise).  Antisymmetry is
-    read by relabeling: each monomial m f^(p) g^(q) with p >= q must meet
-    m f^(q) g^(p) with the opposite coefficient, and as many monomials must
-    have p < q as p >= q; the block (q, p) then stands for both, as
-    m det(q,p)."""
+    read by relabeling: each monomial m f^(p) g^(q), p >= q, must meet
+    m f^(q) g^(p) with the opposite coefficient, and as many monomials have
+    p < q as p >= q; the block (q, p), as m det(q,p), stands for both."""
     blocks: Dict[_Block, Dict[Monomial, Rat]] = {}
     upper = []
     for mono, c in coeff._terms.items():
@@ -217,11 +216,9 @@ class Cochain2(Record):
 
     value_weight is the density grading of the values (what the chart
     transform tests), a ``_rat`` rational; module_lambda is the action
-    parameter (what the cocycle identity uses), in the one form of _module:
-    a ``_rat`` rational (``LamPoly.const(2)`` is stored as ``2``), the
-    symbolic LAM (``LamPoly.lam()``; any other non-constant LamPoly is a
-    ValueError), or None for the trivial action, where the values pair to
-    constants and the action is dropped.  A float is a TypeError.
+    parameter (what the cocycle identity uses) in the one form of _module:
+    a rational, the symbolic LAM, or None for the trivial action, where the
+    values pair to constants and the action is dropped.
     """
 
     __slots__ = ("coeff", "value_weight", "module_lambda")
@@ -312,15 +309,57 @@ def ce_parts(coeff: DiffExpr, arity: int, lam: Module) -> Tuple[DiffExpr, DiffEx
 
 def _ordered(e: DiffExpr, args: int) -> DiffExpr:
     """The terms of e, linear in each of its first args arguments f, g[, k],
-    at which the argument orders increase: f^(a) g^(b) with a < b, or
-    f^(a) g^(b) k^(c) with a < b < c.  Where e alternates in those arguments
-    the term at any other order of the jets is the permutation's sign times
-    the ordered one, so these terms say all of e."""
+    at increasing orders: f^(a) g^(b), a < b, or f^(a) g^(b) k^(c), a < b <
+    c.  Where e alternates in them, every other term is a permutation's sign
+    times an ordered one, so _alternated of these terms is e."""
     if args == 2:
         return _expr({mono: c for mono, c in e._terms.items()
                       if mono[0][0][1] < mono[1][0][1]})
     return _expr({mono: c for mono, c in e._terms.items()
                   if mono[0][0][1] < mono[1][0][1] < mono[2][0][1]})
+
+
+# args -> each permutation of the argument orders but the identity, as the
+# (rank, argument) that each slot atom reads, with its sign
+_PERMUTATIONS = {args: [(tuple(zip((_F, _G, _K), perm)),
+                         (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+                        for perm in itertools.permutations(range(args))][1:]
+                 for args in (2, 3)}
+
+
+def _alternated(terms: Dict[Monomial, Rat], args: int) -> DiffExpr:
+    """sum_sigma sign(sigma) sigma(X) over the permutations sigma of the
+    orders of X's first args arguments f, g[, k] (X linear in each): images
+    that meet are summed, so a term at two equal orders cancels.  Of the
+    ordered terms of an alternating e (_ordered), it is e."""
+    out = dict(terms)
+    get = out.get
+    for mono, c in terms.items():
+        orders = [atom[1] for atom, _e in mono[:args]]
+        rest = mono[args:]
+        for perm, sign in _PERMUTATIONS[args]:
+            key = tuple([((r, orders[i]), 1) for r, i in perm]) + rest
+            out[key] = get(key, 0) + sign * c
+    return _expr({mono: _rat(c) for mono, c in out.items() if c})
+
+
+@cache
+def _ordered_pieces(block: _Block, lam: Rat) -> Tuple[DiffExpr, DiffExpr]:
+    """(delta s, alt) of _ce_pieces(block) at the concrete module lam, delta
+    s = I + A + lam B, each at f < g < k only (_ordered)."""
+    insertions, action, linear, alternating = (_ordered(piece, 3) for piece in _ce_pieces(block))
+    return insertions + action + linear.scale(lam), alternating
+
+
+def _ordered_differential(coeff: DiffExpr, lam: Rat) -> DiffExpr:
+    """delta c at f < g < k, c a 2-cochain coefficient at the concrete module
+    lam: the sum of m delta s + D(m) alt (_ordered_pieces) over its terms m s."""
+    out: Dict[Monomial, Rat] = {}
+    for block, background in _slot_blocks(coeff, 2).items():
+        delta, alternating = _ordered_pieces(block, lam)
+        _mul_into(out, background, delta._terms)
+        _mul_into(out, total_derivative(_expr(background))._terms, alternating._terms)
+    return _expr(out)
 
 
 @cache
@@ -366,33 +405,35 @@ def _class_pieces(block: _Block, m: DiffExpr):
         m = _expr(terms)
 
 
-def _trivial_class(coeff: DiffExpr) -> DiffExpr:
-    """The bracket insertions I of a 2-cochain coefficient (one with no k
-    jet) modulo total derivatives, k E_k(I): zero iff I is a total
-    derivative.  Summed over its terms m det(p,q) (_slot_blocks) from
-    _class_pieces at f < g, each term then joined by its mirror
-    -f^(b) g^(a) at f^(a) g^(b)."""
+def _ordered_class(coeff: DiffExpr) -> DiffExpr:
+    """_trivial_class at f < g: the sum over the terms m det(p,q) of coeff
+    (_slot_blocks) of the products of _class_pieces."""
     out: Dict[Monomial, Rat] = {}
     for block, background in _slot_blocks(coeff, 2).items():
         for m, table in _class_pieces(block, _expr(background)):
             _mul_into(out, m._terms, table._terms)
-    mirror = {(((_F, m[1][0][1]), 1), ((_G, m[0][0][1]), 1)) + m[2:]: -v
-              for m, v in out.items()}
-    return _expr({**out, **mirror})
+    return _expr(out)
+
+
+def _trivial_class(coeff: DiffExpr) -> DiffExpr:
+    """The bracket insertions I of a 2-cochain coefficient (one with no k
+    jet) modulo total derivatives, k E_k(I): zero iff I is a total
+    derivative; _ordered_class completed by _alternated."""
+    return _alternated(_ordered_class(coeff)._terms, 2)
 
 
 def ce_differential(c: Cochain2) -> DiffExpr:
-    """delta c (f,g,k) at c's concrete module, or under the trivial action
-    the class of the bracket insertions (_trivial_class); zero iff c is a
-    2-cocycle for its module.  A symbolic module is a ValueError: its
-    differential is the pencil X + lam Y of ce_parts.
-    """
+    """delta c (f,g,k) at c's concrete module, built at f < g < k
+    (_ordered_differential) and completed by _alternated, or under the
+    trivial action the class of the bracket insertions (_trivial_class);
+    zero iff c is a 2-cocycle for its module.  A symbolic module is a
+    ValueError: its differential is the pencil X + lam Y of ce_parts."""
     if c.is_symbolic():
         raise ValueError("ce_differential needs a concrete module parameter or the "
                          "trivial action; a symbolic one gives the pencil of ce_parts")
     if c.trivial_action:
         return _trivial_class(c.coeff)
-    return ce_parts(c.coeff, 2, c.module_lambda)[0]
+    return _alternated(_ordered_differential(c.coeff, c.module_lambda)._terms, 3)
 
 
 class LambdaVerdict(Record):
@@ -425,16 +466,15 @@ def lambda_solutions(c: Cochain2, cap: int = DEFAULT_ORDER_CAP) -> LambdaVerdict
 
     The answer is "all" when both parts of the pencil delta c = X + lam Y
     (ce_parts) vanish, else the one root -x/y of a monomial with y != 0 if
-    it solves every monomial x + lam y = 0, else "none"; delta c alternates
-    in (f, g, k), so only its ordered monomials (_ordered) are read.  The
-    trivial-action verdict is the vanishing of _trivial_class.  cap, an int
-    (anything else, a bool included, is a ValueError), bounds the jet orders
-    of c only (OrderCapExceeded).
+    it solves every monomial x + lam y = 0, else "none".  Both delta c and
+    the trivial-action class alternate, so only their ordered terms are read
+    (_ordered, _ordered_class).  cap, an int (anything else, a bool included,
+    is a ValueError), bounds the jet orders of c only (OrderCapExceeded).
     """
     if not c.is_symbolic():
         raise ValueError("lambda_solutions needs a symbolic module parameter")
     x, y = ce_parts(check_order_cap(c.coeff, cap), 2, c.module_lambda)
-    trivial_pass = _trivial_class(c.coeff).is_zero()
+    trivial_pass = _ordered_class(c.coeff).is_zero()
     xs, ys = _ordered(x, 3)._terms, _ordered(y, 3)._terms
     if not ys:
         return LambdaVerdict("none" if xs else "all", (), trivial_pass)

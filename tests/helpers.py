@@ -246,6 +246,28 @@ def solver_rows_reference(result) -> dict:
     return rows
 
 
+def combination_reference(result, coords) -> DiffExpr:
+    """symbol + sum_i coords[i] ansatz[i].expr for a CorrectionResult, added
+    one whole term at a time: the oracle of the points that member,
+    representative and contains read."""
+    out = result.symbol
+    for i, v in coords.items():
+        out = out + result.ansatz[i].expr.scale(v)
+    return out
+
+
+def antisymmetric_cochain(rng: random.Random, backgrounds=("T", "R", "w"),
+                          max_order: int = 4) -> DiffExpr:
+    """e - swap(e) for a random sum e of terms c m f^(a) g^(b), m a random
+    monomial in the background families: an antisymmetric bilinear
+    coefficient (possibly zero)."""
+    e = DiffExpr.zero()
+    for _ in range(rng.randrange(1, 5)):
+        m = random_expr(rng, families=backgrounds, max_order=2, terms=1)
+        e = e + m * jet("f", rng.randrange(max_order + 1)) * jet("g", rng.randrange(max_order + 1))
+    return e - swap_fg_reference(e)
+
+
 def solver_arguments(result, space: int) -> int:
     """How many of f, g, k a solve's rows in the space alternate in: f and g
     for the globality rows (space 0), where k carries the coordinate change,

@@ -29,7 +29,9 @@ from jetcocycles.charts import (
 )
 from jetcocycles.cli import main
 from jetcocycles.cochains import (
+    CATALOGUE_NAMES,
     PRINTED_CONNECTION_VARIANTS,
+    Cochain2,
     catalogue,
     ce_parts,
     det_expr,
@@ -47,10 +49,10 @@ from jetcocycles.expr import (
 )
 from jetcocycles.lampoly import LamPoly
 from jetcocycles.linalg import AffineSolution, solve_affine
-from jetcocycles.syntax import ExprSyntaxError, parse_expr
+from jetcocycles.syntax import ExprSyntaxError, parse_expr, to_text
 
-from helpers import (BAD_SYMBOLS, ordered_partner, ordered_rows, random_expr, solver_arguments,
-                     solver_rows_reference)
+from helpers import (BAD_SYMBOLS, antisymmetric_cochain, combination_reference, ordered_partner,
+                     ordered_rows, random_expr, solver_arguments, solver_rows_reference)
 
 _HJETS = 6
 
@@ -538,7 +540,7 @@ def _solution_record(result) -> dict:
 
 # the pure pieces that solve_corrections builds once per process
 _PIECE_CACHES = (charts._jet_variation, charts._connection_monomials,
-                 charts._det_pieces, cochains._ce_pieces)
+                 charts._det_pieces, cochains._ordered_pieces, cochains._ce_pieces)
 
 
 def _golden_solutions(cold: bool = False) -> dict:
@@ -821,15 +823,88 @@ def test_product_rows_drop_what_cancels():
 def test_a_lam_carrying_product_still_refuses_its_rows(monkeypatch):
     """No row can depend on lam: a piece times lam is a TypeError in the
     kernel, before any row is built, inside a solve too."""
-    pieces = charts._det_pieces
+    pieces = charts._ordered_pieces
 
-    def lam_pieces(p, q, module_lambda):
-        c, linear, delta_c, alternating = pieces(p, q, module_lambda)
-        return c, linear, delta_c * LamPoly.lam(), alternating
+    def lam_pieces(block, module_lambda):
+        delta_c, alternating = pieces(block, module_lambda)
+        return delta_c * LamPoly.lam(), alternating
 
-    monkeypatch.setattr(charts, "_det_pieces", lam_pieces)
+    monkeypatch.setattr(charts, "_ordered_pieces", lam_pieces)
     with pytest.raises(TypeError):
         solve_corrections(det_expr(1, 3), 2, module_lambda=2)
+
+
+# -- alternating results built from half their terms -----------------------------
+
+def _globality_cases():
+    """(label, cochain, weight or None): seeded antisymmetric cochains at a
+    seeded weight, each connection form at its own weight, each printed
+    variant at its generator's weight, and each flat form one weight off."""
+    rng = random.Random(36)
+    cases = []
+    for i in range(24):
+        coeff = antisymmetric_cochain(rng)
+        if not coeff.is_zero():
+            cases.append((f"seeded {i}", Cochain2(coeff, rng.randrange(-2, 7)), None))
+    for name in CATALOGUE_NAMES:
+        flat = catalogue(name, "flat")
+        cases.append((f"{name} connection", catalogue(name, "connection"), None))
+        cases.append((f"{name} flat off weight", flat, flat.value_weight + 1))
+    for name, coeff in PRINTED_CONNECTION_VARIANTS.items():
+        cases.append((f"{name} printed", Cochain2(coeff, catalogue(name, "flat").value_weight),
+                      None))
+    return cases
+
+
+def test_globality_of_a_cochain_from_half_its_terms_is_that_of_the_whole():
+    """is_global pushes forward the terms f^(a) g^(b), a > b, of a cochain and
+    completes the result by alternation: its verdict, residual and residual
+    text are those of the whole pushforward, FAIL cases included, and the
+    same coefficient as a bare expression gives the same result."""
+    fails = 0
+    for label, c, weight in _globality_cases():
+        w = c.value_weight if weight is None else weight
+        want = ChartFrame().pushforward(c.coeff) - hinv_power(w) * c.coeff
+        got = is_global(c, weight)
+        assert got.residual == want, label
+        assert to_text(got.residual) == to_text(want), label
+        assert (got.ok, got.weight) == (want.is_zero(), w), label
+        assert is_global(c.coeff, w) == got, label
+        fails += not got.ok
+    assert fails >= 25
+
+
+def test_is_global_pushes_a_bare_expression_forward_whole():
+    """H_1 = f'' - T f' - T' f, not a cochain, is a weight-1 density and
+    no other; each residual is that of the whole pushforward."""
+    h1 = jet("f", 2) - _T0 * jet("f", 1) - _T1 * jet("f", 0)
+    for weight in (-1, 0, 1, 2):
+        got = is_global(h1, weight)
+        assert got.residual == pushforward(h1) - hinv_power(weight) * h1
+        assert got.ok == (weight == 1)
+
+
+def test_solution_points_from_half_their_terms_are_the_termwise_sums():
+    """member, representative and contains read a point as its terms
+    v m f^(p) g^(q) at f < g completed by alternation: for each feasible
+    pinned solve and seeded gauges, the point is the term-by-term sum of
+    the symbol and each coordinate times its ansatz term."""
+    rng = random.Random(3636)
+    checked = 0
+    for name, symbol, weight, feasible in _SYSTEMS:
+        if not feasible:
+            continue
+        result = solve_corrections(symbol, weight)
+        assert result.representative.coeff == \
+            combination_reference(result, result.solution.particular), name
+        for _ in range(2):
+            gauge = [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                     for _ in range(result.dimension)]
+            point = result.member(gauge)
+            assert point.coeff == combination_reference(result, result.solution.point(gauge)), name
+            assert result.contains(point.coeff), name
+            checked += result.dimension > 0
+    assert checked >= 10
 
 
 # -- one integer-weight rule -----------------------------------------------------

@@ -17,11 +17,13 @@ from jetcocycles.cochains import (
     Cochain1,
     Cochain2,
     LambdaVerdict,
+    _alternated,
     _ce_pieces,
     _class_pieces,
     _higher_euler,
     _slot_blocks,
     _ordered,
+    _ordered_pieces,
     _trivial_class,
     catalogue,
     ce_differential,
@@ -33,7 +35,7 @@ from jetcocycles.cochains import (
     lambda_solutions,
 )
 from jetcocycles.calculus import bracket, nabla_power
-from jetcocycles.charts import (_det_pieces, _linear_residual, derive, is_global,
+from jetcocycles.charts import (_det_pieces, _linear_residual, derive, is_global, pushforward,
                                solve_corrections)
 from jetcocycles.wittmodel import evaluate_cochain
 from jetcocycles.expr import (DiffExpr, OrderCapExceeded, check_order_cap, euler_derivative,
@@ -41,8 +43,9 @@ from jetcocycles.expr import (DiffExpr, OrderCapExceeded, check_order_cap, euler
 from jetcocycles.lampoly import LamPoly, gcd_all, rational_roots
 from jetcocycles.syntax import parse_expr
 
-from helpers import (LAM, ce_parts_reference, exact_class, is_total_derivative,
-                     lambda_solutions_reference, random_coeff, random_expr, swap_fg_reference)
+from helpers import (LAM, antisymmetric_cochain, ce_parts_reference, exact_class,
+                     is_total_derivative, lambda_solutions_reference, random_coeff, random_expr,
+                     swap_fg_reference)
 
 
 def test_det_cochain_basics():
@@ -554,8 +557,8 @@ def test_the_piece_caches_need_no_deep_recursion():
 def test_the_piece_table_is_keyed_per_determinant_and_immutable():
     """A lambda sweep over all det(p,q), q <= 12, leaves one entry per
     determinant, 78, each a tuple of four expressions (I, A, B, alt) with
-    D(alt) = A + B, read again as the same tuple and by the solver's
-    _det_pieces; the cache is empty at import, and a 1-cochain's f^(p) is
+    D(alt) = A + B, read again as the same tuple and by _ordered_pieces,
+    whose ordered pieces the solver reads; the cache is empty at import, and a 1-cochain's f^(p) is
     an entry (p,) of its own."""
     _ce_pieces.cache_clear()
     for q in range(1, 13):
@@ -573,15 +576,12 @@ def test_the_piece_table_is_keyed_per_determinant_and_immutable():
         with pytest.raises(AttributeError):
             insertions._terms = {}
     assert _ce_pieces.cache_info().misses == misses
-    for module in (None, 3):
-        c, linear, delta_c, alternating = _det_pieces(2, 5, module)
-        assert c == jet("f", 2) * jet("g", 5)
-        assert linear == _ordered(_linear_residual(det_expr(2, 5), 5), 2)
-        if module is None:
-            assert delta_c is None and alternating is None
-        else:
-            assert delta_c == _ordered(ce_parts(det_expr(2, 5), 2, module)[0], 3)
-            assert alternating == _ordered(_ce_pieces((2, 5))[3], 3)
+    c, linear = _det_pieces(2, 5)
+    assert c == jet("f", 2) * jet("g", 5)
+    assert linear == _ordered(_linear_residual(det_expr(2, 5), 5), 2)
+    delta_c, alternating = _ordered_pieces((2, 5), 3)
+    assert delta_c == _ordered(ce_parts(det_expr(2, 5), 2, 3)[0], 3)
+    assert alternating == _ordered(_ce_pieces((2, 5))[3], 3)
     coboundary(Cochain1(jet("f", 3), 2, 2))
     assert _ce_pieces.cache_info().currsize == 79
     _ce_pieces((3,))
@@ -856,3 +856,80 @@ def test_an_infeasible_derivation_is_a_named_error(monkeypatch):
             catalogue("c1", "connection")
     finally:
         _derived.cache_clear()
+
+
+# -- alternating results built from their ordered terms -------------------------
+
+def _catalogue_forms():
+    """(label, cochain) for every form of every generator."""
+    for name in CATALOGUE_NAMES:
+        for form in FORMS:
+            try:
+                yield f"{name} {form}", catalogue(name, form)
+            except KeyError:
+                pass
+
+
+def test_alternated_completes_the_ordered_terms_of_an_alternating_expression():
+    """_alternated(_ordered(e, n), n) == e for every catalogue 2-cochain
+    (n = 2) and for its CE differential (n = 3) at lam 0 and 3 and under
+    the trivial action, most of them nonzero."""
+    nonzero = 0
+    for label, c in _catalogue_forms():
+        assert _alternated(_ordered(c.coeff, 2)._terms, 2) == c.coeff, label
+        for lam in (0, 3, None):
+            delta = ce_parts(c.coeff, 2, lam)[0]
+            assert _alternated(_ordered(delta, 3)._terms, 3) == delta, (label, lam)
+            nonzero += not delta.is_zero()
+    assert nonzero >= 50
+
+
+def test_alternated_sums_the_images_that_meet_and_cancels_equal_orders():
+    """On a pushforward image of a cochain's terms f^(a) g^(b), a > b, which
+    has terms at equal orders and terms whose images meet, _alternated is
+    the image minus its f <-> g relabeling, has no term at equal orders, and
+    is the pushforward of the whole cochain."""
+    for name in ("c1", "c2", "c5"):
+        coeff = catalogue(name, "connection").coeff
+        image = pushforward(DiffExpr({m: v for m, v in coeff.terms()
+                                      if m[0][0][1] > m[1][0][1]}))
+        swapped = swap_fg_reference(image)
+        orders = [(m[0][0][1], m[1][0][1]) for m, _ in image.terms()]
+        assert any(a == b for a, b in orders), name
+        assert any(a != b and m in swapped._terms
+                   for (m, _), (a, b) in zip(image.terms(), orders)), name
+        got = _alternated(image._terms, 2)
+        assert got == image - swapped, name
+        assert all(m[0][0][1] != m[1][0][1] for m, _ in got.terms()), name
+        assert got == pushforward(coeff), name
+
+
+@pytest.mark.parametrize("lam", [0, 1, 2, 5, Fraction(1, 2)], ids=str)
+def test_ce_differential_from_its_ordered_terms_is_the_pencil(lam):
+    """ce_differential builds delta c at f < g < k and completes it by
+    alternation: at each module it is ce_parts' X, on seeded cochains and
+    on every catalogue coefficient, most of them nonzero there."""
+    rng = random.Random(f"ce {lam}")
+    coeffs = [antisymmetric_cochain(rng) for _ in range(16)]
+    coeffs += [c.coeff for _label, c in _catalogue_forms()]
+    nonzero = 0
+    for coeff in coeffs:
+        want = ce_parts(coeff, 2, lam)[0]
+        assert ce_differential(Cochain2(coeff, 0, lam)) == want, coeff
+        nonzero += not want.is_zero()
+    assert nonzero >= 25
+
+
+def test_ce_differential_of_every_concrete_catalogue_form_is_the_pencil():
+    """At its own module, where it is a cocycle, and one module off, where
+    it mostly is not, each concrete catalogue form's ce_differential is
+    ce_parts' X."""
+    concrete = nonzero = 0
+    for label, c in _catalogue_forms():
+        if not (c.trivial_action or c.is_symbolic()):
+            for lam in (c.module_lambda, c.module_lambda + 1):
+                want = ce_parts(c.coeff, 2, lam)[0]
+                assert ce_differential(c.at_lambda(lam)) == want, (label, lam)
+                nonzero += not want.is_zero()
+            concrete += 1
+    assert concrete >= 20 and nonzero >= concrete // 2
