@@ -37,8 +37,10 @@ _det_pieces) and derive are kept per process by functools.cache.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import Record
@@ -466,19 +468,15 @@ def solve_corrections(
 
 
 def _canonical_point(solution: AffineSolution) -> Row:
-    """Canonical point of the affine set.
-
-    When the gauge dimension d is at most 3 and at most 26 coordinates occur
-    in the nullspace, vertex enumeration picks the point of minimal support,
-    ties broken lexicographically.  Coordinate i vanishes on the gauge
-    hyperplane sum_j N_j[i] t_j = -p_i (N the nullspace, p the particular
-    point), and coordinates often share one, so the enumeration solves for
-    the vertex of each d-subset of distinct hyperplanes: d coordinates with
-    two on one hyperplane fix no vertex, so the candidates are those of
-    every d-subset of coordinates (det(2,3) at weight 3: 16 coordinates on
-    10 hyperplanes, 120 sub-solves instead of 560).  Otherwise it is the
-    echelon particular solution with the free variables set to zero.
-    """
+    """Canonical point of the affine set: when the gauge dimension d is at
+    most 3 and at most 26 coordinates occur in the nullspace N, the point of
+    least support, ties broken lexicographically, among t = 0 and the
+    vertex of each d-subset of distinct hyperplanes a . t = b, coordinate
+    i's sum_j N_j[i] t_j = -p_i (p the particular point) in primitive
+    integers.  A vertex (x | D), t = x / D, comes by Cramer's rule (D = 0:
+    none) and is scored by the coordinates on the planes with a . x = b D
+    (_vanishing); only the top ones become points.  Otherwise the echelon
+    particular solution, free variables zero."""
     d = solution.dimension
     if d == 0:
         return dict(solution.particular)
@@ -486,32 +484,53 @@ def _canonical_point(solution: AffineSolution) -> Row:
     if d > 3 or len(relevant) > 26:
         return dict(solution.particular)
 
-    # each distinct hyperplane, keyed by its equation scaled to a leading 1,
-    # keeps its first coordinate
-    hyperplanes: Dict[Tuple[Rat, ...], Tuple[Row, Rat]] = {}
+    # each distinct hyperplane (a | b) -> the number of coordinates on it
+    planes: Dict[Tuple[int, ...], int] = {}
     for i in relevant:
-        coefrow = {j: vec[i] for j, vec in enumerate(solution.nullspace) if i in vec}
-        rhs = -solution.particular.get(i, 0)
-        inv = Fraction(1) / coefrow[min(coefrow)]
-        plane = tuple(_rat(coefrow.get(j, 0) * inv) for j in range(d)) + (_rat(rhs * inv),)
-        hyperplanes.setdefault(plane, (coefrow, rhs))
+        plane = _primitive([vec.get(i, 0) for vec in solution.nullspace]
+                           + [-solution.particular.get(i, 0)])
+        planes[plane] = planes.get(plane, 0) + 1
+    vertices = {(0,) * d + (1,): None}
+    for rows in itertools.combinations(planes, d):
+        det = _det([row[:d] for row in rows])
+        if det:
+            x = [_det([row[:j] + row[d:] + row[j + 1:d] for row in rows]) for j in range(d)]
+            g = gcd(det, *x) if det > 0 else -gcd(det, *x)
+            vertices[tuple(v // g for v in x) + (det // g,)] = None
+    scores = {vertex: _vanishing(vertex, planes) for vertex in vertices}
+    top = max(scores.values())
+    return min((solution.point([Fraction(v, vertex[d]) for v in vertex[:d]])
+                for vertex, score in scores.items() if score == top),
+               key=lambda point: (len(point),
+                                  tuple(point.get(i, 0) for i in range(solution.nvars))))
 
-    candidates = [()]
-    candidates += itertools.combinations(hyperplanes.values(), d)
-    best = None
-    for rows in candidates:
-        if rows:
-            sub = solve_affine(rows, d)
-            if sub is None or sub.dimension != 0:
-                continue
-            gauge = [sub.particular.get(j, 0) for j in range(d)]
-        else:
-            gauge = [0] * d
-        point = solution.point(gauge)
-        key = (len(point), tuple(point.get(i, 0) for i in range(solution.nvars)))
-        if best is None or key < best[0]:
-            best = (key, point)
-    return best[1]
+
+def _primitive(values: Sequence[Rat]) -> Tuple[int, ...]:
+    """The rationals as a primitive integer vector, first nonzero entry > 0."""
+    den = lcm(*[v.denominator for v in values])
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """The determinant of a 1x1, 2x2 or 3x3 integer matrix, given by rows."""
+    if len(m) == 1:
+        return m[0][0]
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _vanishing(vertex: Tuple[int, ...], planes: Dict[Tuple[int, ...], int]) -> int:
+    """The coordinates vanishing at (x | D): on the planes with a . x = b D."""
+    *x, den = vertex
+    return sum(n for (*a, b), n in planes.items()
+               if sum(map(operator.mul, a, x)) == b * den)
 
 
 # -- covariant equivalence -------------------------------------------------

@@ -3,20 +3,18 @@
 The catalogue collects the classical generators in four shapes:
 
     flat        pure-jet determinant combinations,
-    connection  corrected with affine/projective connection symbols so the
-                chart-transform check passes: the representative of the
-                correction solver (jetcocycles.charts.derive) at the
-                generator's own module parameter; where a commonly printed
-                variant fails the check, the failing variant is kept in
-                PRINTED_CONNECTION_VARIANTS, which the test suite checks and
-                no report record uses,
+    connection  the explicit formula in the global 1-cochains H_-1 .. H_2
+                (_derived), equal to the correction solver's representative
+                (jetcocycles.charts.derive) at the generator's own module;
+                PRINTED_CONNECTION_VARIANTS keeps printed variants that
+                fail the chart transform, for the test suite only,
     covariant   the same objects written through the covariant derivative,
     omega       the barred families' connection forms tensored with a
                 background 1-form.
 
-Only the flat forms are stored, and _build reads their weights and modules
-by one grading rule; every other shape is built from them on its first
-lookup, so a flat lookup builds no covariant form and never solves.
+The flat forms are stored, and _build reads their weights and modules by
+one grading rule; every other shape is built on its first lookup, and no
+lookup solves.
 
 The CE differential (ce_parts) reads a cochain as a sum of backgrounds m,
 monomials in the non-slot jets (T, R, w, h, hinv), times slot blocks s:
@@ -596,20 +594,48 @@ def _covariant(name: str) -> Cochain2:
                     flat.module_lambda)
 
 
+def _global_1_cochains() -> Dict[int, DiffExpr]:
+    """n -> H_n, global of weight n and closed at lam = n >= 0: H_-1 = f,
+    H_0 = f' - T f, H_1 = f'' - T f' - T' f, H_2 = f''' - 2R f' - R' f."""
+    f0, f1, f2, f3 = (jet("f", i) for i in range(4))
+    return {-1: f0, 0: f1 - _T0 * f0, 1: f2 - _T0 * f1 - jet("T", 1) * f0,
+            2: f3 - 2 * _R0 * f1 - _R1 * f0}
+
+
+def _cup(a: DiffExpr, b: DiffExpr) -> DiffExpr:
+    """(a u b)(f, g) = a(f) b(g) - a(g) b(f), for a, b linear in the f jets."""
+    g_jets = {(_F, i): jet("g", i) for i in range(max(a.max_order("f"), b.max_order("f")) + 1)}
+    return a * substitute_jets(b, g_jets) - b * substitute_jets(a, g_jets)
+
+
+def _dH(i: int, j: int) -> DiffExpr:
+    """D^i H_2 u D^j H_2."""
+    h = [_global_1_cochains()[2]]
+    for _ in range(max(i, j)):
+        h.append(total_derivative(h[-1]))
+    return _cup(h[i], h[j])
+
+
+# name -> (m, n): the connection form is H_m u H_n (c0w: half of it)
+_CUPS = {"cbar0": (-1, 0), "cbar1": (-1, 1), "cbar2": (-1, 2), "c1": (0, 1), "c2": (0, 2),
+         "c0w": (-1, 2)}
+
+
 @cache
 def _derived(name: str, form: str) -> Cochain2:
-    """The connection form: the representative of charts.derive(name) with
-    the flat form's value weight and module parameter (cbar0 stays symbolic,
-    c0w trivial); or the omega form, that times the 1-form w, one weight up.
-    An infeasible correction solve is a ValueError that names the generator."""
-    from .charts import derive  # charts imports this module
-
+    """The connection form by its formula, with the flat form's weight and
+    module: H_m u H_n (_CUPS), c5 = dH(0,1) or c7 = 2 dH(0,3) - 9 dH(1,2)
+    + 32 R dH(0,1) (_dH); or the omega form, that times w, one weight up."""
     flat = _build()[name]
-    solved = derive(name)
-    if not solved.feasible:
-        raise ValueError(f"{name} has no {form} form: the correction solve of its "
-                         "flat form is infeasible")
-    coeff = solved.representative.coeff
+    if name == "c5":
+        coeff = _dH(0, 1)
+    elif name == "c7":
+        coeff = 2 * _dH(0, 3) - 9 * _dH(1, 2) + 32 * _R0 * _dH(0, 1)
+    else:
+        h = _global_1_cochains()
+        coeff = _cup(*(h[n] for n in _CUPS[name]))
+        if name == "c0w":
+            coeff = _HALF * coeff
     if form == "connection":
         return Cochain2(coeff, flat.value_weight, flat.module_lambda)
     weight = flat.value_weight + 1
@@ -624,9 +650,8 @@ _MISSING = {
 
 def catalogue(name: str, form: str = "connection") -> Cochain2:
     """Look up a generator in one of its shapes: a stored flat form (see
-    _build), a covariant form built from it on its first lookup (see
-    _covariant), or a connection or omega form derived by the correction
-    solver on its first lookup (see _derived)."""
+    _build), or a covariant (_covariant), connection or omega form
+    (_derived) built on its first lookup."""
     key = _ALIASES.get(name, name)
     if key not in CATALOGUE_NAMES:
         raise KeyError(f"unknown cocycle name {name!r}")

@@ -18,8 +18,8 @@ from .charts import _affine_rows, _product_rows, covariant_equivalence, derive, 
 from .cochains import (
     LAM,
     Cochain1,
-    Cochain2,
     Module,
+    _ordered_differential,
     catalogue,
     ce_differential,
     ce_parts,
@@ -154,21 +154,27 @@ def suite_theorem1() -> List[CheckRecord]:
     return out
 
 
+# (a, b): the flat weight-7 combination a det(3,6) + b det(4,5), up to scale
+_C7_RATIO = (2, -9)
+
+
 def _ratio_record() -> CheckRecord:
-    """The flat weight-7 combination is forced up to scale (2 : -9)."""
+    """The flat weight-7 combination is forced up to scale (_C7_RATIO); the
+    rows are read at f < g < k only (cochains._ordered_differential)."""
     rows, one = {}, DiffExpr.one()
     for i, (p, q) in enumerate(((3, 6), (4, 5))):
-        _product_rows(ce_differential(Cochain2(det_expr(p, q), 7, 7)), one, 0, i, rows)
+        _product_rows(_ordered_differential(det_expr(p, q), 7), one, 0, i, rows)
     solution = solve_affine(_affine_rows(rows), 2)
     ok = (solution is not None and solution.dimension == 1)
+    a0, b0 = _C7_RATIO
     if ok:
         vec = solution.nullspace[0]
         a, b = vec.get(0, 0), vec.get(1, 0)
-        ok = a != 0 and Fraction(b) / a == Fraction(-9, 2)
+        ok = a != 0 and Fraction(b) / a == Fraction(b0, a0)
     return _checked(
         "theorem1.c7.ratio",
         "solution space of a*det(3,6)+b*det(4,5) being a lam=7 cocycle is "
-        "one-dimensional, spanned by the 2:-9 combination",
+        f"one-dimensional, spanned by the {a0}:{b0} combination",
         "7", "" if ok else "unexpected solution space", "derived")
 
 

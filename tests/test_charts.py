@@ -47,7 +47,7 @@ from jetcocycles.expr import (
     substitute_jets,
     total_derivative as D,
 )
-from jetcocycles.lampoly import LamPoly
+from jetcocycles.lampoly import LamPoly, _rat
 from jetcocycles.linalg import AffineSolution, solve_affine
 from jetcocycles.syntax import ExprSyntaxError, parse_expr, to_text
 
@@ -601,16 +601,29 @@ def _every_coordinate_subset_point(solution):
     every d-subset of the involved coordinates vanishes (d <= 3, at most 26
     coordinates; else the echelon particular point)."""
     d = solution.dimension
-    relevant = sorted({i for vec in solution.nullspace for i in vec})
+    relevant = {i for vec in solution.nullspace for i in vec}
     if d == 0 or d > 3 or len(relevant) > 26:
         return dict(solution.particular)
-    points = [dict(solution.point([0] * d))]
+    return _least_support_point(solution, _subset_gauges(solution))
+
+
+def _subset_gauges(solution):
+    """The gauge points of the definition's candidates, each once: t = 0 and
+    the vertex of every d-subset of the involved coordinates that fixes one."""
+    d = solution.dimension
+    relevant = sorted({i for vec in solution.nullspace for i in vec})
+    gauges = {(0,) * d: None}
     for zero_set in itertools.combinations(relevant, d):
         sub = solve_affine([({j: vec.get(i, 0) for j, vec in enumerate(solution.nullspace)},
                              -solution.particular.get(i, 0)) for i in zero_set], d)
         if sub is not None and sub.dimension == 0:
-            points.append(solution.point([sub.particular.get(j, 0) for j in range(d)]))
-    return min(points, key=lambda point: (
+            gauges[tuple(sub.particular.get(j, 0) for j in range(d))] = None
+    return list(gauges)
+
+
+def _least_support_point(solution, gauges):
+    """The point of least support at the gauges, ties broken lexicographically."""
+    return min((solution.point(list(gauge)) for gauge in gauges), key=lambda point: (
         len(point), tuple(point.get(i, 0) for i in range(solution.nvars))))
 
 
@@ -649,22 +662,93 @@ def test_vertex_search_matches_its_definition(monkeypatch):
     assert searched >= 8
 
 
+def _counted_search(monkeypatch, solution):
+    """_canonical_point(solution) with the number of solve_affine calls it
+    makes and the vertices it scores (charts._vanishing), in order."""
+    solves, scored = [], []
+
+    def counting_solve(rows, nvars):
+        solves.append(nvars)
+        return solve_affine(rows, nvars)
+
+    def counting_vanishing(vertex, planes):
+        scored.append(vertex)
+        return vanishing(vertex, planes)
+
+    vanishing = charts._vanishing
+    monkeypatch.setattr(charts, "solve_affine", counting_solve)
+    monkeypatch.setattr(charts, "_vanishing", counting_vanishing)
+    try:
+        return _canonical_point(solution), len(solves), scored
+    finally:
+        monkeypatch.undo()
+
+
 def test_vertex_search_tries_each_gauge_hyperplane_once(monkeypatch):
+    """det(2,3) at weight 3: 16 coordinates lie on 10 hyperplanes, so at most
+    C(10,3) = 120 vertices, not C(16,3) = 560; each distinct one is scored
+    once, and no subsystem goes to solve_affine."""
     (solution,) = _solver_inputs(monkeypatch, det_expr(2, 3), 3)
     relevant = {i for vec in solution.nullspace for i in vec}
     assert (solution.dimension, len(relevant)) == (3, 16)
-    calls = []
-
-    def counting(rows, nvars):
-        calls.append(nvars)
-        return solve_affine(rows, nvars)
-
-    monkeypatch.setattr(charts, "solve_affine", counting)
-    point = _canonical_point(solution)
-    monkeypatch.undo()
-    # 16 coordinates lie on 10 hyperplanes: C(10,3) = 120, not C(16,3) = 560
-    assert 0 < len(calls) <= 120
+    point, solves, scored = _counted_search(monkeypatch, solution)
+    assert solves == 0
+    assert len(scored) == len(set(scored)) == len(_subset_gauges(solution)) <= 120
     assert point == _every_coordinate_subset_point(solution)
+
+
+def _random_affine_set(rng):
+    """An affine set of gauge dimension 1..3 on at most 26 coordinates: each
+    coordinate in the nullspace is a rational multiple of a . t - b for one
+    of a few hyperplanes (a | b), some of them repeated and some parallel
+    (the same a); the others keep a fixed value, zero or not."""
+    d = rng.randint(1, 3)
+    planes = []
+    for _ in range(rng.randint(d, 9)):
+        if planes and rng.random() < 0.3:
+            a = rng.choice(planes)[0]
+        else:
+            a = [rng.randint(-2, 2) for _ in range(d)]
+            if not any(a):
+                a[rng.randrange(d)] = rng.choice((-1, 1))
+        planes.append((a, rng.randint(-3, 3)))
+    nullspace = [{} for _ in range(d)]
+    particular = {}
+    coordinates = [rng.choice(planes) for _ in range(rng.randint(d, 26))]
+    coordinates += [None] * rng.randint(0, 4)
+    rng.shuffle(coordinates)
+    for i, plane in enumerate(coordinates):
+        if plane is None:
+            value = rng.choice((0, 0, 1, Fraction(-2, 3)))
+        else:
+            a, b = plane
+            scale = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2, 5)))
+            for j in range(d):
+                if a[j]:
+                    nullspace[j][i] = _rat(scale * a[j])
+            value = _rat(-scale * b)
+        if value:
+            particular[i] = value
+    return AffineSolution(len(coordinates), particular, nullspace)
+
+
+def test_vertex_search_on_random_affine_sets_matches_its_definition(monkeypatch):
+    """Seeded affine sets with repeated and parallel hyperplanes and tied
+    supports: the integer search finds the definition's point, scores each
+    distinct vertex once and solves nothing."""
+    rng = random.Random(37)
+    ties = 0
+    for case in range(40):
+        solution = _random_affine_set(rng)
+        point, solves, scored = _counted_search(monkeypatch, solution)
+        gauges = _subset_gauges(solution)
+        assert point == _least_support_point(solution, gauges), case
+        assert solves == 0
+        assert len(scored) == len(set(scored)) == len(gauges), case
+        supports = Counter(len(solution.point([Fraction(x, vertex[-1]) for x in vertex[:-1]]))
+                           for vertex in scored)
+        ties += supports[min(supports)] > 1
+    assert ties >= 5
 
 
 # -- globality rows by Leibniz -------------------------------------------------
@@ -691,8 +775,8 @@ def test_linear_residual_obeys_leibniz_on_ansatz_terms():
 # -- row assembly against the expression-built reference -----------------------
 
 def _system_rows(monkeypatch, symbol, weight, module_lambda):
-    """The solve, with the rows it hands solve_affine for its system (the
-    first call; the vertex search makes the others)."""
+    """The solve, with the rows it hands solve_affine for its system, in
+    its one call (the vertex search makes none)."""
     calls = []
 
     def spy(rows, nvars):
@@ -703,7 +787,8 @@ def _system_rows(monkeypatch, symbol, weight, module_lambda):
     monkeypatch.setattr(charts, "solve_affine", spy)
     result = solve_corrections(symbol, weight, module_lambda=module_lambda)
     monkeypatch.undo()
-    return result, calls[0]
+    (rows,) = calls
+    return result, rows
 
 
 def _row_multiset(rows) -> Counter:

@@ -19,6 +19,8 @@ from jetcocycles.cochains import (
     LambdaVerdict,
     _alternated,
     _ce_pieces,
+    _derived,
+    _global_1_cochains,
     _class_pieces,
     _higher_euler,
     _slot_blocks,
@@ -230,7 +232,7 @@ def test_catalogue_unicode_aliases_and_errors():
         catalogue("c9", "flat")
     with pytest.raises(KeyError):
         catalogue("c1", "omega")          # unbarred: no 1-form pairing
-    c7 = catalogue("c7", "connection")   # derived like every connection form
+    c7 = catalogue("c7", "connection")   # the solver's representative, by formula
     assert c7.coeff == derive("c7").representative.coeff
     assert is_global(c7).ok and ce_differential(c7).is_zero()
     with pytest.raises(KeyError):
@@ -350,24 +352,29 @@ def test_a_flat_lookup_builds_no_covariant_form():
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def test_flat_lookups_and_the_laurent_suites_never_solve():
-    """Flat and covariant lookups, kn_value and the witt and nontrivial
-    suites start no correction solve; a connection lookup starts one."""
+def test_no_catalogue_lookup_and_no_laurent_suite_solves():
+    """No lookup of any form, no kn_value and neither Laurent suite starts
+    a correction solve: the connection and omega forms come from their
+    formulae."""
     import jetcocycles
 
     script = ("import jetcocycles as J\n"
-              "from jetcocycles.charts import _det_pieces, derive\n"
+              "from jetcocycles import charts\n"
+              "from jetcocycles.cochains import FORMS\n"
+              "def refuse(*args, **kwargs):\n"
+              "    raise AssertionError('a correction solve started')\n"
+              "charts.solve_corrections = refuse\n"
               "for name in J.CATALOGUE_NAMES:\n"
-              "    J.catalogue(name, 'flat')\n"
-              "    if name != 'c0w':\n"
-              "        J.catalogue(name, 'covariant')\n"
+              "    for form in FORMS:\n"
+              "        try:\n"
+              "            J.catalogue(name, form)\n"
+              "        except KeyError:\n"
+              "            pass\n"
               "assert J.kn_value(2, -2) == -6\n"
               "J.run_suite('witt', window=2)\n"
               "J.run_suite('nontrivial', window=2)\n"
-              "assert derive.cache_info().currsize == 0\n"
-              "assert _det_pieces.cache_info().currsize == 0\n"
-              "J.catalogue('c1', 'connection')\n"
-              "assert derive.cache_info().currsize == 1\n")
+              "assert charts.derive.cache_info().currsize == 0\n"
+              "assert charts._det_pieces.cache_info().currsize == 0\n")
     src = os.path.dirname(os.path.dirname(jetcocycles.__file__))
     subprocess.run([sys.executable, "-c", script], check=True,
                    env={**os.environ, "PYTHONPATH": src})
@@ -840,22 +847,38 @@ def test_the_order_cap_is_an_int(bound, cap):
         bound(cap)
 
 
-def test_an_infeasible_derivation_is_a_named_error(monkeypatch):
-    """A connection form read from a correction solve that has no solution
-    is a ValueError naming the generator, not an AttributeError."""
-    from jetcocycles import charts
-    from jetcocycles.charts import CorrectionResult
-    from jetcocycles.cochains import _derived
+# -- explicit formulae: the connection forms from four global 1-cochains -------
 
-    infeasible = CorrectionResult(det_expr(1, 2), 1, 1, (), None)
+def test_the_global_1_cochains_are_global_and_closed_at_their_weight():
+    """H_-1 = f is global at weight -1; H_n, n = 0, 1, 2, is global at weight n
+    and closed at lam = n only, and its opposite-sign form (T -> -T,
+    R -> -R) is not global."""
+    h = _global_1_cochains()
+    assert sorted(h) == [-1, 0, 1, 2]
+    assert h[-1] == jet("f", 0) and is_global(h[-1], -1).ok
+    flip = {"T": jet("T", 0).scale(-1), "R": jet("R", 0).scale(-1)}
+    for n in (0, 1, 2):
+        assert is_global(h[n], n).ok, n
+        assert coboundary(Cochain1(h[n], n, n)).coeff.is_zero(), n
+        assert not coboundary(Cochain1(h[n], n, n + 1)).coeff.is_zero(), n
+        opposite = substitute(h[n], flip)
+        assert opposite != h[n] and not is_global(opposite, n).ok, n
+
+
+@pytest.mark.parametrize("name", CATALOGUE_NAMES)
+def test_every_connection_formula_is_the_solvers_representative(name):
+    """Each connection form built by its formula is the representative of a
+    cold correction solve of its flat form (derive, uncached), with the flat
+    form's weight and module; an omega form is it times w, one weight up."""
     _derived.cache_clear()
-    monkeypatch.setattr(charts, "derive", lambda name: infeasible)
-    try:
-        with pytest.raises(ValueError, match="c1 has no connection form: the correction "
-                                             "solve of its flat form is infeasible"):
-            catalogue("c1", "connection")
-    finally:
-        _derived.cache_clear()
+    conn = catalogue(name, "connection")
+    flat = catalogue(name, "flat")
+    solved = derive.__wrapped__(name)
+    assert conn == Cochain2(solved.representative.coeff, flat.value_weight, flat.module_lambda)
+    if name.startswith("cbar"):
+        omega = catalogue(name, "omega")
+        weight = flat.value_weight + 1
+        assert omega == Cochain2(conn.coeff * jet("w", 0), weight, weight)
 
 
 # -- alternating results built from their ordered terms -------------------------

@@ -35,6 +35,19 @@ def test_record_invariants():
         "check_id", "description", "lambda", "status", "residual", "paper_ref"]
 
 
+@pytest.mark.parametrize("ratio", [(2, -9), (2, -8), (2, -10), (2, 9)])
+def test_the_c7_ratio_record_fails_on_any_other_ratio(ratio, monkeypatch):
+    """theorem1.c7.ratio passes only on the forced 2:-9, and reads its rows
+    from the ordered differential, not from the whole one."""
+    from jetcocycles import report
+
+    monkeypatch.setattr(report, "_C7_RATIO", ratio)
+    monkeypatch.setattr(report, "ce_differential", None)
+    record = report._ratio_record()
+    want = ("PASS", "") if ratio == (2, -9) else ("FAIL", "unexpected solution space")
+    assert (record.status, record.residual) == want
+
+
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("everything")
